@@ -19,12 +19,14 @@
 //!   the usual vs-naive ratio.
 //! - **micro-batched** — end-to-end `BatchQueue` throughput with 4
 //!   submitting threads (includes queueing/wake-up overhead and reports the
-//!   realized mean batch size).
+//!   realized mean batch size — whatever queued while the previous forward
+//!   ran, since the combiner has no batching window).
 //!
 //! Every row reports queries/sec plus the speedup over naive; results are
 //! printed, and written machine-readably to `BENCH_serve.json` at the
 //! workspace root (override with `GCON_BENCH_OUT` — the file is
-//! overwritten, so point each bench at its own path).
+//! overwritten, so point each bench at its own path), stamped with the
+//! host they were measured on.
 //! `GCON_BENCH_QUICK=1` shrinks the dataset and rep counts for CI smoke
 //! runs. Thread-scaling caveats of the 1-core dev box apply (see
 //! `crates/bench/README.md`); the naive-vs-batched ratio is dominated by
@@ -37,7 +39,7 @@ use gcon_core::{GconConfig, PropagationStep};
 use gcon_serve::{BatchConfig, BatchQueue, ServingMode, ServingModel, StoreDtype};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Row {
     label: String,
@@ -175,10 +177,7 @@ fn main() {
     // Micro-batcher end to end: 4 threads × `per_thread` queries each.
     let per_thread = if quick { 200 } else { 1000 };
     let threads = 4;
-    let queue = BatchQueue::new(
-        &serving,
-        BatchConfig { max_batch: 64, max_wait: Duration::from_micros(200) },
-    );
+    let queue = BatchQueue::new(&serving, BatchConfig::default());
     let t = Instant::now();
     std::thread::scope(|scope| {
         for tid in 0..threads {
@@ -228,6 +227,7 @@ fn main() {
     std::hint::black_box(sink);
 
     let mut json = String::from("{\n  \"bench\": \"serve\",\n");
+    json.push_str(&format!("  \"host\": {},\n", gcon_bench::host_stamp_json()));
     json.push_str(&format!("  \"nodes\": {n},\n  \"quick\": {quick},\n"));
     json.push_str("  \"unit\": \"ns_per_query_median\",\n  \"paths\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -20,7 +20,8 @@
 //!   store before timing, so the numbers describe the *same* computation.
 //!
 //! Results are printed and written machine-readably to `BENCH_server.json`
-//! at the workspace root (override with `GCON_BENCH_OUT`).
+//! at the workspace root (override with `GCON_BENCH_OUT`), stamped with the
+//! host they were measured on (`gcon_bench::host_stamp_json`).
 //! `GCON_BENCH_QUICK=1` shrinks the dataset and rep counts for CI smoke
 //! runs; loopback TCP numbers on a loaded CI box are indicative, not
 //! stable — the committed JSON comes from an idle run.
@@ -34,7 +35,6 @@ use gcon_serve::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 struct Row {
     label: String,
@@ -133,11 +133,8 @@ fn main() {
     let batch_reps = if quick { 20 } else { 50 };
 
     // In-process batch=1 through the micro-batcher (the queue the server
-    // itself uses for single queries).
-    let queue = BatchQueue::new(
-        &serving,
-        BatchConfig { max_batch: 64, max_wait: Duration::from_micros(200) },
-    );
+    // itself uses for single queries, with the server's default bound).
+    let queue = BatchQueue::new(&serving, BatchConfig::default());
     let mut out = Vec::new();
     let node1 = qrng.gen_range(0..n);
     let ns = time_ns(batch_reps, || {
@@ -205,6 +202,7 @@ fn main() {
     std::hint::black_box(sink);
 
     let mut json = String::from("{\n  \"bench\": \"server\",\n");
+    json.push_str(&format!("  \"host\": {},\n", gcon_bench::host_stamp_json()));
     json.push_str(&format!("  \"nodes\": {n},\n  \"quick\": {quick},\n"));
     json.push_str("  \"unit\": \"ns_per_query_median\",\n  \"paths\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -22,7 +22,9 @@
 //!   (`CsrDelta::merge`, exactly the `DeltaCoalescer` leader path) into
 //!   **one** refresh, plus the end-to-end wall time of a real concurrent
 //!   burst through `DeltaCoalescer` (includes thread spawn — an upper
-//!   bound on scheduler overhead).
+//!   bound on scheduler overhead; the burst refreshes in as many passes as
+//!   the edits' arrival spreads it over, since the combiner has no
+//!   batching window).
 //! - **sustained updates/sec while serving** — a writer thread applying
 //!   deltas back-to-back while reader threads hammer snapshots; reports
 //!   realized updates/sec and the queries/sec served *concurrently* (the
@@ -32,8 +34,9 @@
 //! generation is **bitwise identical** to a from-scratch rebuild — asserted
 //! inline after the timed section, making the speedup an exactness-free
 //! comparison. Results go to `BENCH_updates.json` at the workspace root
-//! (override with `GCON_BENCH_OUT`); `GCON_BENCH_QUICK=1` shrinks the
-//! dataset and rep counts for CI smoke runs.
+//! (override with `GCON_BENCH_OUT`), stamped with the host they were
+//! measured on; `GCON_BENCH_QUICK=1` shrinks the dataset and rep counts
+//! for CI smoke runs.
 
 use gcon_bench::median_time_ns as time_ns;
 use gcon_core::train::train_gcon;
@@ -47,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// `k` pairwise-distinct normalized edge keys plus each edge's presence in
 /// the *initial* graph. Distinct keys never net against each other under
@@ -312,10 +315,7 @@ fn main() {
 
         let mut par_w = 0usize;
         let coalescer_wall_ns = time_ns(reps, || {
-            let coalescer = DeltaCoalescer::new(
-                &wall_model,
-                CoalesceConfig { max_pending: k, max_delay: Duration::from_secs(5) },
-            );
+            let coalescer = DeltaCoalescer::new(&wall_model, CoalesceConfig { max_pending: k });
             let mut ds = burst_deltas(&keys, par_w).into_iter();
             par_w += 1;
             let first = ds.next().expect("k ≥ 1");
@@ -435,6 +435,7 @@ fn main() {
     std::hint::black_box(sink);
 
     let mut json = String::from("{\n  \"bench\": \"updates\",\n");
+    json.push_str(&format!("  \"host\": {},\n", gcon_bench::host_stamp_json()));
     json.push_str(&format!("  \"nodes\": {n},\n  \"quick\": {quick},\n"));
     json.push_str("  \"unit\": \"ns_per_update_median\",\n");
     json.push_str(&format!(

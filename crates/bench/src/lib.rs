@@ -231,6 +231,40 @@ pub fn median_time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The host a bench record was measured on, as a JSON object: `nproc`,
+/// CPU model, available and selected kernel tier, `GCON_THREADS`, pool
+/// width, and the git revision of the checkout (suffixed `-dirty` when the
+/// working tree had uncommitted changes). Serving and update timings differ
+/// by up to 10× between hosts, so a record is only comparable with records
+/// carrying the same stamp.
+pub fn host_stamp_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let tiers: Vec<&str> = gcon_runtime::available_tiers().iter().map(|t| t.name()).collect();
+    let rev = std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR"), "describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let threads = std::env::var("GCON_THREADS").unwrap_or_else(|_| "unset".into());
+    format!(
+        "{{ \"nproc\": {nproc}, \"cpu_model\": \"{cpu}\", \"kernel_tiers_available\": \"{}\", \
+         \"kernel_tier_selected\": \"{}\", \"gcon_threads_env\": \"{threads}\", \
+         \"pool_width\": {}, \"git_revision\": \"{rev}\" }}",
+        tiers.join(","),
+        gcon_runtime::kernel_tier().name(),
+        gcon_runtime::configured_width(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +296,16 @@ mod tests {
         assert_eq!(default_gcon_config("pubmed").alpha, 0.4);
         assert_eq!(default_gcon_config("cora-ml").alpha, 0.8);
         assert_eq!(default_gcon_config("actor").steps.len(), 2);
+    }
+
+    #[test]
+    fn host_stamp_names_every_field() {
+        let stamp = host_stamp_json();
+        for key in
+            ["nproc", "cpu_model", "kernel_tier_selected", "gcon_threads_env", "git_revision"]
+        {
+            assert!(stamp.contains(&format!("\"{key}\": ")), "{key} missing from {stamp}");
+        }
     }
 
     #[test]

@@ -1,149 +1,100 @@
-//! Dynamic micro-batching: coalesce concurrent single-node queries into one
-//! head forward per batch window.
+//! Dynamic micro-batching: concurrent single-node queries share one head
+//! forward per pass of the [flat combiner](crate::combine).
 //!
-//! # Protocol
-//!
-//! Requests join the currently *open* window (a generation counter names
-//! it). The first request of a window becomes its **leader**: it waits until
-//! the window fills ([`BatchConfig::max_batch`]) or its latency budget
-//! ([`BatchConfig::max_wait`]) elapses, closes the window, runs **one**
-//! gathered head forward for the whole batch on the shared workspace — the
-//! GEMM itself parallelizes across `gcon_runtime::pool()` like every other
-//! kernel in the workspace — writes each result row into the submitting
-//! thread's output buffer, and wakes the followers. Followers just block
-//! until their generation completes.
-//!
-//! Windows close in generation order and execute in generation order, so a
-//! window's results are published (`completed_gen`) only after its buffers
-//! are written; a follower that observes `completed_gen >= its generation`
-//! under the queue mutex therefore reads a fully-written buffer
-//! (release/acquire via the mutex).
-//!
-//! # Steady-state allocation
-//!
-//! None per batch: the request vectors are recycled through a spare pool,
-//! the gathered-batch/logits buffers live in one `gcon_nn::HeadWorkspace`
-//! (in the model's store dtype — see `ServingModel::store_dtype`), and
-//! results land in caller-owned `Vec`s via the `_into` convention. The
-//! queue allocates only while growing to its high-water batch size.
+//! Whoever finds no pass running runs one gathered head forward for every
+//! queued query (up to [`BatchConfig::max_batch`]) on the shared workspace
+//! — the GEMM itself parallelizes across `gcon_runtime::pool()` — and
+//! writes each result row into its query's buffer. There is no batching
+//! window: a lone query runs at once. After warm-up nothing allocates per
+//! batch: the caller's output `Vec` moves into the request and back, and
+//! the gather/logits buffers live in one `gcon_nn::HeadWorkspace` in the
+//! store's dtype.
 
+use crate::combine::{CombineError, Combiner, Pass};
 use crate::model::{ServingModel, SessionWs};
 use gcon_linalg::Mat;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// Window bounds for [`BatchQueue`].
+/// Batch bound for [`BatchQueue`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Hard upper bound on requests per batch; a window closes immediately
-    /// when it fills. Must be ≥ 1.
+    /// Hard upper bound on queries per head forward. Must be ≥ 1.
     pub max_batch: usize,
-    /// Latency budget of a non-full window: how long its leader waits for
-    /// more requests before closing it. `ZERO` disables coalescing-by-time
-    /// (each window still batches whatever arrived while the previous one
-    /// executed). A budget too large to represent as a deadline (e.g.
-    /// [`Duration::MAX`]) means wait until the window **fills** — only safe
-    /// when the request flow is guaranteed to produce `max_batch`
-    /// concurrent queries.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchConfig {
-    /// 64-request windows with a 500 µs budget — the bench's sweet spot on
-    /// the dev box; tune per deployment.
+    /// 64-query batches.
     fn default() -> Self {
-        Self { max_batch: 64, max_wait: Duration::from_micros(500) }
+        Self { max_batch: 64 }
     }
 }
 
 /// Counters exposed by [`BatchQueue::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batches executed so far.
+    /// Batches executed so far, failed ones included.
     pub batches: u64,
-    /// Requests answered so far (`requests / batches` = mean batch size).
+    /// Requests that ran in a batch so far (`requests / batches` = mean
+    /// batch size).
     pub requests: u64,
     /// Largest batch executed so far.
     pub largest_batch: usize,
+    /// Batches whose forward panicked; each of their requests got a
+    /// [`CombineError`].
+    pub failed_batches: u64,
 }
 
-/// One enqueued query: the node and the caller's output buffer, written by
-/// the window's leader before the generation is published.
-struct Request {
+/// One query: the node, and the caller's buffer the pass fills.
+struct Query {
     node: usize,
-    out: *mut Vec<f64>,
+    out: Vec<f64>,
 }
 
-// SAFETY: the raw pointer targets the submitting thread's `&mut Vec<f64>`,
-// which that thread does not touch between enqueue and the completion of
-// its generation (it is blocked in `query_into`); exactly one leader writes
-// through it, before publishing the generation under the queue mutex.
-unsafe impl Send for Request {}
-
-/// Mutex-guarded queue state.
-struct State {
-    /// Requests of the open window.
-    pending: Vec<Request>,
-    /// Generation currently accepting requests (first window is 1).
-    open_gen: u64,
-    /// Highest generation whose results are fully written (starts at 0).
-    completed_gen: u64,
-    /// Recycled request vectors (cleared before reuse).
-    spare: Vec<Vec<Request>>,
-    stats: BatchStats,
-}
-
-/// Shared buffers of the (single, in-order) executing leader: the head
-/// workspace in the model's store dtype plus the widened `f64` logit block
-/// the result rows are scattered from.
-struct Exec {
+/// The shared forward state: the head workspace in the model's store dtype
+/// plus the widened `f64` logit block the result rows are copied from.
+struct QueryPass<'m> {
+    model: &'m ServingModel,
     ws: SessionWs,
     nodes: Vec<usize>,
     logits64: Mat,
 }
 
-/// A dynamic micro-batcher over a [`ServingModel`] — see the module docs
-/// for the protocol. Share one instance (`&BatchQueue` under
-/// `std::thread::scope`, or wrap queue + model in `Arc`s) between all
-/// serving threads; every public method takes `&self`.
-pub struct BatchQueue<'m> {
-    model: &'m ServingModel,
-    config: BatchConfig,
-    state: Mutex<State>,
-    /// Wakes leaders (window fills), prospective joiners (window turns
-    /// over), the in-order execution gate, and followers (generation
-    /// completes). One condvar, four predicates.
-    cv: Condvar,
-    exec: Mutex<Exec>,
+impl Pass for QueryPass<'_> {
+    type Request = Query;
+
+    fn run(&mut self, batch: &mut [Query]) {
+        self.nodes.clear();
+        self.nodes.extend(batch.iter().map(|q| q.node));
+        self.model.forward_widen_into(&self.nodes, &mut self.ws, &mut self.logits64);
+        for (row, query) in batch.iter_mut().enumerate() {
+            query.out.clear();
+            query.out.extend_from_slice(self.logits64.row(row));
+        }
+    }
 }
 
-// `BatchQueue: Sync` is auto-derived: `Request: Send` (above) makes `State`
-// `Send`, so both mutexes are `Sync`; no manual impl needed.
+/// A dynamic micro-batcher over a [`ServingModel`] — see the module docs.
+/// Share one instance (`&BatchQueue` under `std::thread::scope`, or wrap
+/// queue + model in `Arc`s) between all serving threads; every public
+/// method takes `&self`.
+pub struct BatchQueue<'m> {
+    model: &'m ServingModel,
+    combiner: Combiner<QueryPass<'m>>,
+}
 
 impl<'m> BatchQueue<'m> {
-    /// Creates a queue over `model` with the given window bounds.
+    /// Creates a queue over `model` with the given batch bound.
     ///
     /// # Panics
     /// Panics if `config.max_batch == 0`.
     pub fn new(model: &'m ServingModel, config: BatchConfig) -> Self {
         assert!(config.max_batch >= 1, "BatchQueue: max_batch must be ≥ 1");
-        Self {
+        let pass = QueryPass {
             model,
-            config,
-            state: Mutex::new(State {
-                pending: Vec::new(),
-                open_gen: 1,
-                completed_gen: 0,
-                spare: Vec::new(),
-                stats: BatchStats::default(),
-            }),
-            cv: Condvar::new(),
-            exec: Mutex::new(Exec {
-                ws: model.session_ws(),
-                nodes: Vec::new(),
-                logits64: Mat::default(),
-            }),
-        }
+            ws: model.session_ws(),
+            nodes: Vec::new(),
+            logits64: Mat::default(),
+        };
+        Self { model, combiner: Combiner::new(pass, config.max_batch) }
     }
 
     /// The model this queue serves.
@@ -151,56 +102,50 @@ impl<'m> BatchQueue<'m> {
         self.model
     }
 
-    /// Execution counters so far (batches, requests, largest batch).
+    /// Execution counters so far.
     pub fn stats(&self) -> BatchStats {
-        self.state.lock().expect("BatchQueue: poisoned state").stats
+        let s = self.combiner.stats();
+        BatchStats {
+            batches: s.passes,
+            requests: s.requests,
+            largest_batch: s.largest_pass,
+            failed_batches: s.failed_passes,
+        }
     }
 
-    /// Queries one node's logits, blocking until the batch window the
-    /// request lands in has executed. `out` is cleared and refilled (caller
+    /// Queries one node's logits, blocking until the batch the request
+    /// lands in has executed. `out` is cleared and refilled (caller
     /// allocation reused across calls — the zero-alloc steady-state path).
+    /// If that batch's forward panicked, the error comes back instead and
+    /// `out` is left empty; the next batch runs normally.
     ///
     /// Logits are bitwise identical to [`ServingModel`]'s direct paths —
     /// and therefore to `gcon-core::infer` — regardless of which requests
-    /// share the window.
+    /// share the batch.
     ///
     /// # Panics
     /// Panics if `node` is out of bounds for the model's store (checked on
-    /// entry, before the request can join a window).
-    pub fn query_into(&self, node: usize, out: &mut Vec<f64>) {
+    /// entry, before the request is queued).
+    pub fn try_query_into(&self, node: usize, out: &mut Vec<f64>) -> Result<(), CombineError> {
         assert!(
             node < self.model.num_nodes(),
             "BatchQueue: query for node {node} but the store has {} nodes",
             self.model.num_nodes()
         );
-        let mut state = self.state.lock().expect("BatchQueue: poisoned state");
-        // Join the open window, waiting out a turnover if it is full.
-        loop {
-            if state.pending.len() < self.config.max_batch {
-                break;
-            }
-            let g = state.open_gen;
-            while state.open_gen == g {
-                state = self.cv.wait(state).expect("BatchQueue: poisoned state");
-            }
-        }
-        let my_gen = state.open_gen;
-        let is_leader = state.pending.is_empty();
-        state.pending.push(Request { node, out: out as *mut Vec<f64> });
-        if state.pending.len() >= self.config.max_batch {
-            // Window full: wake its (possibly sleeping) leader.
-            self.cv.notify_all();
-        }
+        let query = self.combiner.submit(Query { node, out: std::mem::take(out) })?;
+        *out = query.out;
+        Ok(())
+    }
 
-        if is_leader {
-            self.lead(state, my_gen);
-        } else {
-            while state.completed_gen < my_gen {
-                state = self.cv.wait(state).expect("BatchQueue: poisoned state");
-            }
+    /// [`BatchQueue::try_query_into`] for callers that treat a failed batch
+    /// as fatal.
+    ///
+    /// # Panics
+    /// Panics if `node` is out of bounds, or if the batch's forward panicked.
+    pub fn query_into(&self, node: usize, out: &mut Vec<f64>) {
+        if let Err(e) = self.try_query_into(node, out) {
+            panic!("BatchQueue: {e}");
         }
-        // `out` was written by the leader (possibly this thread) before
-        // `completed_gen` advanced past `my_gen`.
     }
 
     /// Allocating convenience for [`BatchQueue::query_into`].
@@ -212,77 +157,7 @@ impl<'m> BatchQueue<'m> {
 
     /// Hard class prediction of one node through the micro-batcher.
     pub fn predict(&self, node: usize) -> usize {
-        let mut out = Vec::new();
-        self.query_into(node, &mut out);
-        gcon_linalg::vecops::argmax(&out)
-    }
-
-    /// Leader path: wait out the window, close it, execute in generation
-    /// order, publish, wake everyone.
-    fn lead(&self, mut state: std::sync::MutexGuard<'_, State>, my_gen: u64) {
-        // 1. Hold the window open until it fills or the budget elapses. A
-        //    budget too large to represent as a deadline (e.g.
-        //    `Duration::MAX`) means wait-until-full.
-        let deadline = Instant::now().checked_add(self.config.max_wait);
-        while state.pending.len() < self.config.max_batch {
-            state = match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    self.cv
-                        .wait_timeout(state, deadline - now)
-                        .expect("BatchQueue: poisoned state")
-                        .0
-                }
-                None => self.cv.wait(state).expect("BatchQueue: poisoned state"),
-            };
-        }
-
-        // 2. Close the window: later requests open generation `my_gen + 1`.
-        let fresh = state.spare.pop().unwrap_or_default();
-        let mut batch = std::mem::replace(&mut state.pending, fresh);
-        state.open_gen += 1;
-        self.cv.notify_all(); // joiners blocked on a full window
-
-        // 3. In-order gate: generations close in order, and executing them
-        //    in the same order guarantees `completed_gen` is exact — a
-        //    follower of generation g can only wake after g's buffers are
-        //    written, even if a later leader overtakes on the OS scheduler.
-        while state.completed_gen != my_gen - 1 {
-            state = self.cv.wait(state).expect("BatchQueue: poisoned state");
-        }
-        drop(state);
-
-        // 4. One gathered head forward for the whole window, then scatter
-        //    the rows to the submitters. The gate above admits one leader at
-        //    a time, so the exec lock is uncontended (it exists to hand out
-        //    `&mut` to the shared workspace).
-        {
-            let mut exec = self.exec.lock().expect("BatchQueue: poisoned exec");
-            let exec = &mut *exec;
-            exec.nodes.clear();
-            exec.nodes.extend(batch.iter().map(|r| r.node));
-            self.model.forward_widen_into(&exec.nodes, &mut exec.ws, &mut exec.logits64);
-            for (row, request) in batch.iter().enumerate() {
-                // SAFETY: per the module protocol the submitting thread is
-                // blocked and no other leader touches this window.
-                let out = unsafe { &mut *request.out };
-                out.clear();
-                out.extend_from_slice(exec.logits64.row(row));
-            }
-        }
-
-        // 5. Publish and recycle.
-        let mut state = self.state.lock().expect("BatchQueue: poisoned state");
-        state.completed_gen = my_gen;
-        state.stats.batches += 1;
-        state.stats.requests += batch.len() as u64;
-        state.stats.largest_batch = state.stats.largest_batch.max(batch.len());
-        batch.clear();
-        state.spare.push(batch);
-        self.cv.notify_all();
+        gcon_linalg::vecops::argmax(&self.query(node))
     }
 }
 
@@ -290,7 +165,17 @@ impl<'m> BatchQueue<'m> {
 mod tests {
     use super::*;
     use crate::model::{ServingMode, ServingModel};
-    use crate::testutil::tiny_trained;
+    use crate::testutil::{tiny_store, tiny_trained};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    impl BatchQueue<'_> {
+        /// Makes the next batch panic (fault injection, also for the
+        /// server's tests).
+        pub(crate) fn panic_next_batch(&self) {
+            self.combiner.panic_next_pass();
+        }
+    }
 
     fn serving() -> ServingModel {
         let (model, graph, x) = tiny_trained();
@@ -308,20 +193,18 @@ mod tests {
             assert_eq!(queue.predict(node), serving.predict(node));
             assert_eq!(queue.query(node), out);
         }
+        // Nothing else is queued, so every query runs alone, at once.
         let stats = queue.stats();
-        assert!(stats.requests >= serving.num_nodes() as u64 * 3);
-        assert!(stats.batches >= 1);
+        assert_eq!(stats.requests, serving.num_nodes() as u64 * 3);
+        assert_eq!((stats.batches, stats.largest_batch), (stats.requests, 1));
     }
 
     #[test]
-    fn concurrent_queries_coalesce_and_match_bitwise() {
+    fn concurrent_queries_match_bitwise_within_the_batch_bound() {
         let serving = serving();
         let n = serving.num_nodes();
-        // A generous window so concurrent requests actually coalesce.
-        let config = BatchConfig { max_batch: 16, max_wait: Duration::from_millis(5) };
-        let queue = BatchQueue::new(&serving, config);
-        let threads = 8;
-        let per_thread = 24;
+        let queue = BatchQueue::new(&serving, BatchConfig { max_batch: 16 });
+        let (threads, per_thread) = (8, 24);
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let queue = &queue;
@@ -338,18 +221,39 @@ mod tests {
         });
         let stats = queue.stats();
         assert_eq!(stats.requests, (threads * per_thread) as u64);
-        assert!(stats.largest_batch <= config.max_batch, "window bound violated: {stats:?}");
-        assert!(
-            stats.batches < stats.requests,
-            "no coalescing ever happened under concurrency: {stats:?}"
-        );
+        assert!(stats.largest_batch <= 16, "batch bound violated: {stats:?}");
+    }
+
+    /// Held: N queries queue behind a held pass and then run as exactly
+    /// one gathered forward, each answer bitwise the direct path's.
+    #[test]
+    fn held_queries_run_as_one_batch_bitwise() {
+        let serving = serving();
+        let queue = BatchQueue::new(&serving, BatchConfig::default());
+        let nodes = [0usize, 7, 47, 7, 31, 12];
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = queue.combiner.held(|_| {
+                let queue = &queue;
+                let spawn = |(i, &node): (usize, &usize)| {
+                    let handle = scope.spawn(move || (node, queue.query(node)));
+                    queue.combiner.wait_queued(i + 1);
+                    handle
+                };
+                nodes.iter().enumerate().map(spawn).collect()
+            });
+            for handle in handles {
+                let (node, out) = handle.join().unwrap();
+                assert_eq!(out, serving.logits(node), "node {node}");
+            }
+        });
+        let stats = queue.stats();
+        assert_eq!((stats.batches, stats.requests, stats.largest_batch), (1, 6, 6));
     }
 
     #[test]
     fn max_batch_one_serves_every_request_alone() {
         let serving = serving();
-        let config = BatchConfig { max_batch: 1, max_wait: Duration::from_millis(50) };
-        let queue = BatchQueue::new(&serving, config);
+        let queue = BatchQueue::new(&serving, BatchConfig { max_batch: 1 });
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let queue = &queue;
@@ -366,55 +270,56 @@ mod tests {
         assert_eq!(stats.batches, stats.requests);
     }
 
+    /// A panicking batch: every query waiting on it gets the error within a
+    /// bounded wait (no hang), and the next batch answers bitwise.
     #[test]
-    fn zero_wait_still_answers_correctly() {
-        let serving = serving();
-        let queue =
-            BatchQueue::new(&serving, BatchConfig { max_batch: 64, max_wait: Duration::ZERO });
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let queue = &queue;
-                let serving = &serving;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for q in 0..16 {
-                        let node = (t * 13 + q) % serving.num_nodes();
-                        queue.query_into(node, &mut out);
-                        assert_eq!(out, serving.logits(node));
-                    }
+    fn a_panicking_batch_fails_its_queries_and_the_next_batch_answers_bitwise() {
+        let store = tiny_store();
+        let queue = Arc::new(BatchQueue::new(store, BatchConfig::default()));
+        let nodes = [3usize, 9, 3, 40];
+        let (tx, rx) = mpsc::channel();
+        let waiters: Vec<_> = queue.combiner.held(|_| {
+            let spawn = |(i, &node): (usize, &usize)| {
+                let (submitter, tx) = (Arc::clone(&queue), tx.clone());
+                let handle = std::thread::spawn(move || {
+                    let mut out = vec![1.0; 3];
+                    tx.send(submitter.try_query_into(node, &mut out).map(|()| out))
                 });
-            }
+                queue.combiner.wait_queued(i + 1);
+                handle
+            };
+            queue.panic_next_batch();
+            nodes.iter().enumerate().map(spawn).collect()
         });
+        for _ in nodes {
+            let answer = rx.recv_timeout(Duration::from_secs(20)).expect("a waiter hung");
+            assert_eq!(answer, Err(CombineError { panic: "injected pass failure".into() }));
+        }
+        for waiter in waiters {
+            waiter.join().expect("waiter panicked").expect("answer sent");
+        }
+        let stats = queue.stats();
+        assert_eq!((stats.batches, stats.requests, stats.failed_batches), (1, 4, 1));
+
+        let mut out = Vec::new();
+        for node in nodes {
+            queue.try_query_into(node, &mut out).expect("the next batch serves");
+            assert_eq!(out, store.logits(node), "node {node}");
+        }
+        assert_eq!(queue.stats().failed_batches, 1);
     }
 
-    /// Regression: `Duration::MAX` must mean wait-until-full, not an
-    /// `Instant` overflow panic under the queue mutex (which would poison
-    /// the queue for every later caller).
     #[test]
-    fn unrepresentable_budget_waits_until_the_window_fills() {
-        let serving = serving();
-        let config = BatchConfig { max_batch: 4, max_wait: Duration::MAX };
-        let queue = BatchQueue::new(&serving, config);
-        // Exactly max_batch concurrent queries: the window can only close
-        // by filling, so completion proves the wait-until-full path works.
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let queue = &queue;
-                let serving = &serving;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    queue.query_into(t, &mut out);
-                    assert_eq!(out, serving.logits(t));
-                });
-            }
-        });
-        let stats = queue.stats();
-        assert_eq!((stats.batches, stats.requests, stats.largest_batch), (1, 4, 4));
+    #[should_panic(expected = "injected pass failure")]
+    fn query_into_panics_with_the_batch_error() {
+        let queue = BatchQueue::new(tiny_store(), BatchConfig::default());
+        queue.panic_next_batch();
+        let _ = queue.query(0);
     }
 
     #[test]
     #[should_panic(expected = "the store has")]
-    fn out_of_bounds_query_is_rejected_before_joining_a_window() {
+    fn out_of_bounds_query_is_rejected_before_it_is_queued() {
         let serving = serving();
         let queue = BatchQueue::new(&serving, BatchConfig::default());
         let _ = queue.query(serving.num_nodes());
@@ -424,6 +329,6 @@ mod tests {
     #[should_panic(expected = "max_batch")]
     fn zero_max_batch_is_rejected() {
         let serving = serving();
-        let _ = BatchQueue::new(&serving, BatchConfig { max_batch: 0, max_wait: Duration::ZERO });
+        let _ = BatchQueue::new(&serving, BatchConfig { max_batch: 0 });
     }
 }

@@ -1,101 +1,65 @@
-//! Delta-burst coalescing: merge concurrent graph edits into one refresh
-//! per window.
+//! Delta-burst coalescing: concurrent graph edits share one refresh per
+//! pass of the [flat combiner](crate::combine).
 //!
 //! A refresh is the expensive half of dynamic serving — even an O(affected)
 //! incremental one pays the store patch, the generation clone, and (with an
-//! `∞` scale) a certified solve. Under an edit burst, running one refresh
-//! per edit also publishes one generation per edit, most of them obsolete
-//! the moment they appear. [`DeltaCoalescer`] amortizes the burst: edits
-//! enqueue, the window's **leader** merges every pending
-//! [`CsrDelta`](gcon_graph::CsrDelta) into one
-//! ([`CsrDelta::merge`](gcon_graph::CsrDelta::merge) — last-op-wins
-//! netting, so an insert chased by a remove of the same edge cancels
-//! inside the window), vertically stacks the onboard feature rows in the
-//! same FIFO order the node ids were assigned in, and runs **one**
-//! [`DynamicServingModel::apply_delta`] for the whole window — one refresh,
-//! one published generation per burst.
-//!
-//! # Protocol
-//!
-//! Identical to [`BatchQueue`](crate::BatchQueue) (see that module's docs):
-//! windows are named by a generation counter, the first submitter of a
-//! window leads it (waits until [`CoalesceConfig::max_pending`] edits
-//! arrive or [`CoalesceConfig::max_delay`] elapses, closes the window,
-//! executes in window order behind an in-order gate, writes every
-//! submitter's outcome, publishes, wakes the followers), later submitters
-//! just block until their window completes. Windows execute in order, so
-//! the merged application is exactly the sequential application of the
-//! window's deltas in arrival order — pinned by
-//! `CsrDelta::merge`'s equivalence proptest and the coalescing test below.
+//! `∞` scale) a certified solve — and refreshing per edit publishes one
+//! generation per edit, most of them obsolete on arrival. In
+//! [`DeltaCoalescer`], whoever finds no refresh running takes every queued
+//! edit (up to [`CoalesceConfig::max_pending`]) as one pass: it merges the
+//! deltas FIFO with [`CsrDelta::merge`](gcon_graph::CsrDelta::merge)
+//! (last-op-wins netting, so an insert chased by a remove of the same edge
+//! cancels), stacks the onboard feature rows in the same order, and runs
+//! **one** [`DynamicServingModel::apply_delta`]: one refresh, one published
+//! generation. There is no timer — a lone edit refreshes at once, and the
+//! edits that arrive during a refresh form the next pass.
 //!
 //! # Equivalence contract
 //!
-//! For finite scales a coalesced window is **bitwise identical** to
-//! applying the same deltas one by one (both equal a from-scratch rebuild
-//! on the final graph). The `∞` scale of the coalesced store and the
-//! sequentially-refreshed store each certify their own staleness bound
-//! against the same exact fixed point, so the two differ by at most the
-//! sum of the final bounds — and the coalesced path compounds *fewer*
-//! refreshes, so its cumulative bound
-//! ([`DeltaOutcome::cumulative_staleness_bound`]) is the smaller one.
+//! Passes run one at a time in arrival order, so a pass applies what its
+//! deltas, applied one by one, would (pinned by `CsrDelta::merge`'s
+//! equivalence proptest and the tests below). For finite scales the result
+//! is **bitwise identical** (both equal a from-scratch rebuild on the final
+//! graph). At the `∞` scale each path certifies its own staleness bound
+//! against the same fixed point, so they differ by at most the sum of the
+//! final bounds, and the coalesced path compounds fewer refreshes, so its
+//! cumulative bound ([`DeltaOutcome::cumulative_staleness_bound`]) is the
+//! smaller one. A pass whose operations fully net out publishes nothing
+//! ([`DynamicServingModel::apply_delta`]'s ineffective-delta early-out) and
+//! is counted in [`CoalesceStats::cancelled_windows`].
 //!
-//! A window whose operations fully net out (insert + remove of the same
-//! edge, nothing onboarded) cancels inside [`apply_delta`]
-//! ([`DynamicServingModel::apply_delta`]'s ineffective-delta early-out):
-//! no refresh, no generation burned; counted in
-//! [`CoalesceStats::cancelled_windows`].
-//!
-//! # Onboarding ids
-//!
-//! `merge` concatenates onboard counts in window order, and windows apply
-//! in submission order, so node ids land exactly where a sequence of
-//! individual `apply_delta` calls would put them. As with direct
-//! `apply_delta`, submitters that onboard nodes must compute the new ids
-//! against a consistent view of the node count (e.g. from a single writer
-//! thread per id range).
+//! Onboarded node ids land exactly where individual `apply_delta` calls
+//! would put them, since `merge` concatenates onboard counts in arrival
+//! order. As with direct `apply_delta`, submitters that onboard nodes must
+//! compute the new ids against a consistent view of the node count (e.g.
+//! from a single writer thread per id range).
 
+use crate::combine::{CombineError, Combiner, Pass};
 use crate::dynamic::{DeltaOutcome, DynamicServingModel};
 use gcon_graph::CsrDelta;
 use gcon_linalg::Mat;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Window bounds for [`DeltaCoalescer`] — the mutation-side analogue of
+/// Pass bound for [`DeltaCoalescer`] — the mutation-side analogue of
 /// [`BatchConfig`](crate::BatchConfig).
 #[derive(Clone, Copy, Debug)]
 pub struct CoalesceConfig {
-    /// Hard upper bound on edits per window; a window closes immediately
-    /// when it fills. Must be ≥ 1.
+    /// Hard upper bound on edits per refresh. Must be ≥ 1.
     pub max_pending: usize,
-    /// Latency budget of a non-full window: how long its leader waits for
-    /// more edits before refreshing. `ZERO` disables coalescing-by-time
-    /// (each window still merges whatever arrived while the previous one
-    /// refreshed). A budget too large to represent as a deadline (e.g.
-    /// [`Duration::MAX`]) means wait until the window **fills**.
-    pub max_delay: Duration,
 }
 
 impl Default for CoalesceConfig {
-    /// 32-edit windows with a 2 ms budget — refreshes are orders of
-    /// magnitude heavier than batched queries, so the window is held open
-    /// longer than [`BatchConfig`](crate::BatchConfig)'s default.
+    /// 32-edit passes.
     fn default() -> Self {
-        Self { max_pending: 32, max_delay: Duration::from_millis(2) }
+        Self { max_pending: 32 }
     }
 }
 
 impl CoalesceConfig {
     /// [`Default`] overridden by `GCON_COALESCE_MAX_PENDING` (edits per
-    /// window) and `GCON_COALESCE_MAX_DELAY_US` (budget in microseconds).
-    /// Unparsable values fall back to the default with a warning (via
-    /// [`gcon_runtime::envknob`]).
-    ///
-    /// `GCON_COALESCE_MAX_DELAY_US=0` is a **valid, intentional** setting,
-    /// not an error: it disables coalescing-by-time, so a window closes as
-    /// soon as its leader can take it — edits are then only merged when
-    /// they pile up behind an in-flight refresh (see
-    /// [`CoalesceConfig::max_delay`]). It trades coalescing factor for the
-    /// lowest possible edit-visibility latency.
+    /// refresh). Unparsable values fall back to the default with a warning
+    /// (via [`gcon_runtime::envknob`]).
     pub fn from_env() -> Self {
         let default = Self::default();
         Self {
@@ -107,14 +71,6 @@ impl CoalesceConfig {
                 "32",
                 |v| v.parse::<usize>().ok().filter(|&n| n >= 1),
             ),
-            max_delay: gcon_runtime::envknob::env_knob(
-                "gcon-serve",
-                "GCON_COALESCE_MAX_DELAY_US",
-                default.max_delay,
-                "microseconds; 0 disables coalescing-by-time",
-                "2ms",
-                |v| v.parse::<u64>().ok().map(Duration::from_micros),
-            ),
         }
     }
 }
@@ -122,43 +78,56 @@ impl CoalesceConfig {
 /// Counters exposed by [`DeltaCoalescer::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalesceStats {
-    /// Windows executed so far (= refresh attempts; `edits / windows` is
-    /// the mean coalescing factor).
+    /// Passes executed so far, failed ones included (= refresh attempts;
+    /// `edits / windows` is the mean coalescing factor).
     pub windows: u64,
-    /// Edits submitted so far.
+    /// Edits that ran in a pass so far.
     pub edits: u64,
-    /// Largest window executed so far.
+    /// Largest pass executed so far.
     pub largest_window: usize,
-    /// Windows whose merged delta fully netted out — no refresh ran, no
+    /// Passes whose merged delta fully netted out — no refresh ran, no
     /// generation was published.
     pub cancelled_windows: u64,
+    /// Passes that panicked; each of their edits got a [`CombineError`].
+    pub failed_windows: u64,
 }
 
-/// One enqueued edit: the delta, its onboard feature rows, and the
-/// submitting thread's outcome slot, written by the window's leader before
-/// the generation is published.
-struct Request {
+/// One edit: the delta, its onboard feature rows, and the outcome slot the
+/// pass fills.
+struct Edit {
     delta: CsrDelta,
     feats: Option<Mat>,
-    out: *mut Option<DeltaOutcome>,
+    outcome: Option<DeltaOutcome>,
 }
 
-// SAFETY: the raw pointer targets the submitting thread's
-// `&mut Option<DeltaOutcome>`, which that thread does not touch between
-// enqueue and the completion of its generation (it is blocked in
-// `submit`); exactly one leader writes through it, before publishing the
-// generation under the queue mutex.
-unsafe impl Send for Request {}
+/// Merges a pass FIFO and refreshes once.
+struct DeltaPass<'m> {
+    model: &'m DynamicServingModel,
+    /// The pass's onboard feature blocks, FIFO (reused across passes).
+    blocks: Vec<Mat>,
+    cancelled: Arc<AtomicU64>,
+}
 
-/// Mutex-guarded queue state (same shape as `BatchQueue`'s).
-struct State {
-    pending: Vec<Request>,
-    /// Window currently accepting edits (first window is 1).
-    open_gen: u64,
-    /// Highest window whose outcomes are fully written (starts at 0).
-    completed_gen: u64,
-    spare: Vec<Vec<Request>>,
-    stats: CoalesceStats,
+impl Pass for DeltaPass<'_> {
+    type Request = Edit;
+
+    fn run(&mut self, batch: &mut [Edit]) {
+        let (first, rest) = batch.split_first_mut().expect("a pass has at least one edit");
+        let mut merged = std::mem::take(&mut first.delta);
+        for edit in rest.iter() {
+            merged.merge(&edit.delta);
+        }
+        self.blocks.clear();
+        self.blocks.extend(batch.iter_mut().filter_map(|e| e.feats.take()));
+        let feats = vstack(&self.blocks);
+        let outcome = self.model.apply_delta(&merged, feats.as_ref());
+        if outcome.affected_rows == 0 && outcome.onboarded.is_empty() {
+            self.cancelled.fetch_add(1, Ordering::Relaxed);
+        }
+        for edit in batch {
+            edit.outcome = Some(outcome.clone());
+        }
+    }
 }
 
 /// A delta-burst coalescing scheduler over a [`DynamicServingModel`] — see
@@ -169,33 +138,20 @@ struct State {
 /// snapshot the model as usual.
 pub struct DeltaCoalescer<'m> {
     model: &'m DynamicServingModel,
-    config: CoalesceConfig,
-    state: Mutex<State>,
-    /// Wakes leaders (window fills), prospective joiners (window turns
-    /// over), the in-order execution gate, and followers (window
-    /// completes). One condvar, four predicates.
-    cv: Condvar,
+    combiner: Combiner<DeltaPass<'m>>,
+    cancelled: Arc<AtomicU64>,
 }
 
 impl<'m> DeltaCoalescer<'m> {
-    /// Creates a coalescer over `model` with the given window bounds.
+    /// Creates a coalescer over `model` with the given pass bound.
     ///
     /// # Panics
     /// Panics if `config.max_pending == 0`.
     pub fn new(model: &'m DynamicServingModel, config: CoalesceConfig) -> Self {
         assert!(config.max_pending >= 1, "DeltaCoalescer: max_pending must be ≥ 1");
-        Self {
-            model,
-            config,
-            state: Mutex::new(State {
-                pending: Vec::new(),
-                open_gen: 1,
-                completed_gen: 0,
-                spare: Vec::new(),
-                stats: CoalesceStats::default(),
-            }),
-            cv: Condvar::new(),
-        }
+        let cancelled = Arc::new(AtomicU64::new(0));
+        let pass = DeltaPass { model, blocks: Vec::new(), cancelled: Arc::clone(&cancelled) };
+        Self { model, combiner: Combiner::new(pass, config.max_pending), cancelled }
     }
 
     /// The model this coalescer mutates.
@@ -205,19 +161,30 @@ impl<'m> DeltaCoalescer<'m> {
 
     /// Execution counters so far.
     pub fn stats(&self) -> CoalesceStats {
-        self.state.lock().expect("DeltaCoalescer: poisoned state").stats
+        let s = self.combiner.stats();
+        CoalesceStats {
+            windows: s.passes,
+            edits: s.requests,
+            largest_window: s.largest_pass,
+            cancelled_windows: self.cancelled.load(Ordering::Relaxed),
+            failed_windows: s.failed_passes,
+        }
     }
 
-    /// Submits one edit and blocks until the window it lands in has
-    /// refreshed, returning the **window's** outcome (every edit of a
-    /// window shares the one published generation). `onboard_features`
-    /// carries one raw feature row per node `delta` onboards, exactly as
-    /// in [`DynamicServingModel::apply_delta`].
+    /// Submits one edit and blocks until the pass it lands in has
+    /// refreshed, returning the **pass's** outcome (every edit of a pass
+    /// shares the one published generation), or the error of a pass that
+    /// panicked. `onboard_features` carries one raw feature row per node
+    /// `delta` onboards, exactly as in [`DynamicServingModel::apply_delta`].
     ///
     /// # Panics
     /// Panics if the feature row count does not match the delta's onboard
-    /// count (checked on entry, before the edit can join a window).
-    pub fn submit(&self, delta: CsrDelta, onboard_features: Option<Mat>) -> DeltaOutcome {
+    /// count (checked on entry, before the edit is queued).
+    pub fn try_submit(
+        &self,
+        delta: CsrDelta,
+        onboard_features: Option<Mat>,
+    ) -> Result<DeltaOutcome, CombineError> {
         let num_new = delta.num_new_nodes();
         let provided = onboard_features.as_ref().map_or(0, Mat::rows);
         assert_eq!(
@@ -225,114 +192,22 @@ impl<'m> DeltaCoalescer<'m> {
             "DeltaCoalescer::submit: delta onboards {num_new} nodes but {provided} feature rows \
              were given"
         );
-        let mut out: Option<DeltaOutcome> = None;
-        let mut state = self.state.lock().expect("DeltaCoalescer: poisoned state");
-        // Join the open window, waiting out a turnover if it is full.
-        loop {
-            if state.pending.len() < self.config.max_pending {
-                break;
-            }
-            let g = state.open_gen;
-            while state.open_gen == g {
-                state = self.cv.wait(state).expect("DeltaCoalescer: poisoned state");
-            }
-        }
-        let my_gen = state.open_gen;
-        let is_leader = state.pending.is_empty();
-        state.pending.push(Request {
-            delta,
-            feats: onboard_features,
-            out: &mut out as *mut Option<DeltaOutcome>,
-        });
-        if state.pending.len() >= self.config.max_pending {
-            // Window full: wake its (possibly sleeping) leader.
-            self.cv.notify_all();
-        }
-
-        if is_leader {
-            self.lead(state, my_gen);
-        } else {
-            while state.completed_gen < my_gen {
-                state = self.cv.wait(state).expect("DeltaCoalescer: poisoned state");
-            }
-        }
-        out.expect("window leader writes every outcome before publishing")
+        let edit = self.combiner.submit(Edit { delta, feats: onboard_features, outcome: None })?;
+        Ok(edit.outcome.expect("a pass fills every outcome"))
     }
 
-    /// Leader path: wait out the window, close it, merge, refresh once in
-    /// window order, publish, wake everyone.
-    fn lead(&self, mut state: std::sync::MutexGuard<'_, State>, my_gen: u64) {
-        // 1. Hold the window open until it fills or the budget elapses.
-        let deadline = Instant::now().checked_add(self.config.max_delay);
-        while state.pending.len() < self.config.max_pending {
-            state = match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    self.cv
-                        .wait_timeout(state, deadline - now)
-                        .expect("DeltaCoalescer: poisoned state")
-                        .0
-                }
-                None => self.cv.wait(state).expect("DeltaCoalescer: poisoned state"),
-            };
-        }
-
-        // 2. Close the window: later edits open generation `my_gen + 1`.
-        let fresh = state.spare.pop().unwrap_or_default();
-        let mut batch = std::mem::replace(&mut state.pending, fresh);
-        state.open_gen += 1;
-        self.cv.notify_all(); // joiners blocked on a full window
-
-        // 3. In-order gate: windows close in order and refresh in the same
-        //    order, so the merged application is the sequential application
-        //    of the window's deltas in arrival order, and a follower that
-        //    wakes on `completed_gen >= my_gen` reads a written outcome.
-        while state.completed_gen != my_gen - 1 {
-            state = self.cv.wait(state).expect("DeltaCoalescer: poisoned state");
-        }
-        drop(state);
-
-        // 4. Merge the window FIFO and refresh once. The gate admits one
-        //    leader at a time, so `apply_delta`'s internal serialization is
-        //    uncontended from here.
-        let mut drain = batch.drain(..);
-        let first = drain.next().expect("a window has at least its leader");
-        let mut merged = first.delta;
-        let mut feat_blocks: Vec<Mat> = first.feats.into_iter().collect();
-        let outs: Vec<*mut Option<DeltaOutcome>> = std::iter::once(first.out)
-            .chain(drain.map(|r| {
-                merged.merge(&r.delta);
-                feat_blocks.extend(r.feats);
-                r.out
-            }))
-            .collect();
-        let feats = vstack(&feat_blocks);
-        let outcome = self.model.apply_delta(&merged, feats.as_ref());
-        let cancelled = outcome.affected_rows == 0 && outcome.onboarded.is_empty();
-        for &slot in &outs {
-            // SAFETY: per the module protocol the submitting thread is
-            // blocked and no other leader touches this window.
-            unsafe { *slot = Some(outcome.clone()) };
-        }
-
-        // 5. Publish and recycle.
-        let mut state = self.state.lock().expect("DeltaCoalescer: poisoned state");
-        state.completed_gen = my_gen;
-        state.stats.windows += 1;
-        state.stats.edits += outs.len() as u64;
-        state.stats.largest_window = state.stats.largest_window.max(outs.len());
-        state.stats.cancelled_windows += u64::from(cancelled);
-        debug_assert!(batch.is_empty());
-        state.spare.push(batch);
-        self.cv.notify_all();
+    /// [`DeltaCoalescer::try_submit`] for callers that treat a failed
+    /// refresh as fatal.
+    ///
+    /// # Panics
+    /// Panics on a feature row count mismatch, or if the pass panicked.
+    pub fn submit(&self, delta: CsrDelta, onboard_features: Option<Mat>) -> DeltaOutcome {
+        self.try_submit(delta, onboard_features).unwrap_or_else(|e| panic!("DeltaCoalescer: {e}"))
     }
 }
 
-/// Vertically stacks the window's onboard feature blocks in FIFO order —
-/// the order `CsrDelta::merge` concatenated the onboard counts in.
+/// Vertically stacks a pass's onboard feature blocks in FIFO order — the
+/// order `CsrDelta::merge` concatenated the onboard counts in.
 fn vstack(blocks: &[Mat]) -> Option<Mat> {
     let total: usize = blocks.iter().map(Mat::rows).sum();
     if total == 0 {
@@ -342,7 +217,7 @@ fn vstack(blocks: &[Mat]) -> Option<Mat> {
     let mut out = Mat::zeros(total, d);
     let mut at = 0;
     for b in blocks.iter().filter(|b| b.rows() > 0) {
-        assert_eq!(b.cols(), d, "DeltaCoalescer: ragged onboard feature widths in one window");
+        assert_eq!(b.cols(), d, "DeltaCoalescer: ragged onboard feature widths in one pass");
         out.as_mut_slice()[at * d..(at + b.rows()) * d].copy_from_slice(b.as_slice());
         at += b.rows();
     }
@@ -384,55 +259,50 @@ mod tests {
         d
     }
 
-    #[test]
-    fn concurrent_burst_coalesces_into_one_generation() {
-        let (dynamic, graph) = fresh();
-        // A generous window so the burst actually coalesces.
-        let config = CoalesceConfig { max_pending: 16, max_delay: Duration::from_millis(50) };
-        let coalescer = DeltaCoalescer::new(&dynamic, config);
-        let edits = 8;
+    /// One raw onboard feature row per seed.
+    fn feature_row(seed: usize) -> Mat {
+        let d0 = tiny_trained().2.cols();
+        Mat::from_fn(1, d0, |_, j| (((seed * 31 + j * 7) % 23) as f64 / 23.0) - 0.4)
+    }
+
+    /// Holds the coalescer, submits `edits` one at a time in this order,
+    /// releases, and returns every submitter's result in submission order.
+    fn held_burst(
+        c: &DeltaCoalescer<'_>,
+        edits: Vec<(CsrDelta, Option<Mat>)>,
+    ) -> Vec<Result<DeltaOutcome, CombineError>> {
         std::thread::scope(|scope| {
-            for i in 0..edits {
-                let coalescer = &coalescer;
-                let graph = &graph;
-                scope.spawn(move || {
-                    let outcome = coalescer.submit(toggle(graph, i), None);
-                    assert!(outcome.generation >= 1);
-                });
-            }
-        });
-        let stats = coalescer.stats();
-        assert_eq!(stats.edits, edits as u64);
-        assert!(
-            stats.windows < stats.edits,
-            "no coalescing ever happened under concurrency: {stats:?}"
-        );
-        // Strictly fewer generations than edits were published.
-        assert!(dynamic.snapshot().generation() < edits as u64);
+            let handles: Vec<_> = c.combiner.held(|_| {
+                let spawn = |(i, (delta, feats)): (usize, (CsrDelta, Option<Mat>))| {
+                    let handle = scope.spawn(move || c.try_submit(delta, feats));
+                    c.combiner.wait_queued(i + 1);
+                    handle
+                };
+                edits.into_iter().enumerate().map(spawn).collect()
+            });
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     #[test]
-    fn coalesced_burst_matches_sequential_application_bitwise() {
-        // Submit a burst through one forced window, then replay the same
-        // deltas one by one on a second model: finite-only stores must
-        // agree bitwise (both equal the rebuild on the final graph).
+    fn held_burst_is_one_refresh_bitwise_equal_to_sequential_application() {
+        // A held burst runs as one pass; replaying the same deltas one by
+        // one on a second model must agree bitwise (finite scales: both
+        // equal the rebuild on the final graph).
         let (coalesced, graph) = fresh();
         let (sequential, _) = fresh();
         let k = 6;
-        let config = CoalesceConfig { max_pending: k, max_delay: Duration::MAX };
-        let coalescer = DeltaCoalescer::new(&coalesced, config);
-        std::thread::scope(|scope| {
-            for i in 0..k {
-                let coalescer = &coalescer;
-                let graph = &graph;
-                scope.spawn(move || coalescer.submit(toggle(graph, i), None));
-            }
-        });
+        let coalescer = DeltaCoalescer::new(&coalesced, CoalesceConfig::default());
+        let outcomes = held_burst(&coalescer, (0..k).map(|i| (toggle(&graph, i), None)).collect());
+        for outcome in outcomes {
+            assert_eq!(outcome.expect("refreshed").generation, 1, "one burst, one generation");
+        }
         for i in 0..k {
             sequential.apply_delta(&toggle(&graph, i), None);
         }
-        assert_eq!(coalescer.stats().windows, 1);
-        assert_eq!(coalesced.snapshot().generation(), 1, "one burst, one generation");
+        let stats = coalescer.stats();
+        assert_eq!((stats.windows, stats.edits, stats.largest_window), (1, k as u64, k));
+        assert_eq!(coalesced.snapshot().generation(), 1);
         assert_eq!(sequential.snapshot().generation(), k as u64);
         assert_eq!(
             coalesced.snapshot().model().store_f64().unwrap().as_slice(),
@@ -442,10 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn netted_out_window_is_cancelled() {
+    fn a_lone_edit_refreshes_at_once() {
         let (dynamic, graph) = fresh();
-        let config = CoalesceConfig { max_pending: 2, max_delay: Duration::MAX };
-        let coalescer = DeltaCoalescer::new(&dynamic, config);
+        let coalescer = DeltaCoalescer::new(&dynamic, CoalesceConfig::default());
+        for i in 0..3 {
+            assert_eq!(coalescer.submit(toggle(&graph, i), None).generation, i as u64 + 1);
+        }
+        let stats = coalescer.stats();
+        assert_eq!((stats.windows, stats.edits, stats.largest_window), (3, 3, 1));
+    }
+
+    #[test]
+    fn netted_out_pass_is_cancelled() {
+        let (dynamic, graph) = fresh();
+        let coalescer = DeltaCoalescer::new(&dynamic, CoalesceConfig::default());
         let absent = (0..graph.num_nodes() as u32)
             .flat_map(|u| (u + 1..graph.num_nodes() as u32).map(move |v| (u, v)))
             .find(|&(u, v)| !graph.has_edge(u, v))
@@ -454,68 +334,44 @@ mod tests {
         insert.insert_edge(absent.0, absent.1);
         let mut remove = CsrDelta::new();
         remove.remove_edge(absent.0, absent.1);
-        std::thread::scope(|scope| {
-            let c = &coalescer;
-            scope.spawn(move || {
-                let outcome = c.submit(insert, None);
-                assert_eq!(outcome.generation, 0, "netted window must not publish");
-            });
-            // Ensure the insert leads the window so the remove nets it out.
-            while c.state.lock().unwrap().pending.is_empty() {
-                std::thread::yield_now();
-            }
-            scope.spawn(move || {
-                let outcome = c.submit(remove, None);
-                assert_eq!(outcome.generation, 0);
-            });
-        });
+        // The insert queues first, so the remove nets it out.
+        for outcome in held_burst(&coalescer, vec![(insert, None), (remove, None)]) {
+            assert_eq!(outcome.expect("ran").generation, 0, "netted pass must not publish");
+        }
         let stats = coalescer.stats();
         assert_eq!((stats.windows, stats.edits, stats.cancelled_windows), (1, 2, 1));
         assert_eq!(dynamic.snapshot().generation(), 0);
     }
 
     #[test]
-    fn onboarding_burst_stacks_features_in_window_order() {
+    fn onboarding_burst_stacks_features_in_arrival_order() {
         let (dynamic, graph) = fresh();
         let n0 = graph.num_nodes() as u32;
-        let d0 = {
-            let (_, _, x) = tiny_trained();
-            x.cols()
+        let burst = || {
+            let mut d1 = CsrDelta::new();
+            d1.add_nodes(1).insert_edge(n0, 3);
+            let mut d2 = CsrDelta::new();
+            d2.add_nodes(1).insert_edge(n0 + 1, n0);
+            [(d1, feature_row(1)), (d2, feature_row(2))]
         };
-        let row = |seed: usize| -> Vec<f64> {
-            (0..d0).map(|j| (((seed * 31 + j * 7) % 23) as f64 / 23.0) - 0.4).collect()
-        };
-        // Two onboarding edits submitted from one thread into a forced
-        // window of two: ids are assigned in submission order.
-        let config = CoalesceConfig { max_pending: 2, max_delay: Duration::MAX };
-        let coalescer = DeltaCoalescer::new(&dynamic, config);
-        let mut d1 = CsrDelta::new();
-        d1.add_nodes(1).insert_edge(n0, 3);
-        let f1 = Mat::from_fn(1, d0, |_, c| row(1)[c]);
-        let mut d2 = CsrDelta::new();
-        d2.add_nodes(1).insert_edge(n0 + 1, n0);
-        let f2 = Mat::from_fn(1, d0, |_, c| row(2)[c]);
-        std::thread::scope(|scope| {
-            let c = &coalescer;
-            scope.spawn(move || {
-                let outcome = c.submit(d1, Some(f1));
-                assert_eq!(outcome.onboarded, n0..n0 + 2, "window outcome covers the burst");
-            });
-            while c.state.lock().unwrap().pending.is_empty() {
-                std::thread::yield_now();
-            }
-            scope.spawn(move || c.submit(d2, Some(f2)));
-        });
+        // Ids are assigned in arrival order across the one pass.
+        let coalescer = DeltaCoalescer::new(&dynamic, CoalesceConfig::default());
+        let edits = burst().into_iter().map(|(d, f)| (d, Some(f))).collect();
+        for outcome in held_burst(&coalescer, edits) {
+            assert_eq!(
+                outcome.expect("ran").onboarded,
+                n0..n0 + 2,
+                "pass outcome covers the burst"
+            );
+        }
+        assert_eq!(coalescer.stats().windows, 1);
         assert_eq!(dynamic.snapshot().model().num_nodes(), n0 as usize + 2);
 
         // Reference: the same two deltas applied sequentially elsewhere.
         let (sequential, _) = fresh();
-        let mut d1 = CsrDelta::new();
-        d1.add_nodes(1).insert_edge(n0, 3);
-        let mut d2 = CsrDelta::new();
-        d2.add_nodes(1).insert_edge(n0 + 1, n0);
-        sequential.apply_delta(&d1, Some(&Mat::from_fn(1, d0, |_, c| row(1)[c])));
-        sequential.apply_delta(&d2, Some(&Mat::from_fn(1, d0, |_, c| row(2)[c])));
+        for (delta, feats) in burst() {
+            sequential.apply_delta(&delta, Some(&feats));
+        }
         assert_eq!(
             dynamic.snapshot().model().store_f64().unwrap().as_slice(),
             sequential.snapshot().model().store_f64().unwrap().as_slice(),
@@ -523,31 +379,54 @@ mod tests {
         );
     }
 
+    /// A pass that panics mid-merge — two onboard rows of different widths,
+    /// each fine alone — fails every edit of the pass, publishes nothing,
+    /// and the next pass refreshes normally.
+    #[test]
+    fn a_panicking_pass_fails_its_edits_and_the_next_pass_refreshes() {
+        let (dynamic, graph) = fresh();
+        let n0 = graph.num_nodes() as u32;
+        let coalescer = DeltaCoalescer::new(&dynamic, CoalesceConfig::default());
+        let mut d1 = CsrDelta::new();
+        d1.add_nodes(1).insert_edge(n0, 3);
+        let mut d2 = CsrDelta::new();
+        d2.add_nodes(1).insert_edge(n0 + 1, 4);
+        let wide = Mat::zeros(1, feature_row(0).cols() + 1);
+        let failed = held_burst(&coalescer, vec![(d1, Some(feature_row(1))), (d2, Some(wide))]);
+        for outcome in failed {
+            let error = outcome.expect_err("the pass panicked");
+            assert!(error.panic.contains("ragged onboard feature widths"), "{error}");
+        }
+        let stats = coalescer.stats();
+        assert_eq!((stats.windows, stats.edits, stats.failed_windows), (1, 2, 1));
+        assert_eq!(dynamic.snapshot().generation(), 0, "a failed pass publishes nothing");
+
+        assert_eq!(coalescer.submit(toggle(&graph, 0), None).generation, 1);
+        assert_eq!(coalescer.stats().failed_windows, 1);
+    }
+
     #[test]
     fn max_pending_one_refreshes_every_edit_alone() {
         let (dynamic, graph) = fresh();
-        let config = CoalesceConfig { max_pending: 1, max_delay: Duration::from_millis(50) };
-        let coalescer = DeltaCoalescer::new(&dynamic, config);
-        for i in 0..4 {
-            coalescer.submit(toggle(&graph, i), None);
-        }
+        let coalescer = DeltaCoalescer::new(&dynamic, CoalesceConfig { max_pending: 1 });
+        let outcomes = held_burst(&coalescer, (0..4).map(|i| (toggle(&graph, i), None)).collect());
+        let generations: Vec<u64> = outcomes.into_iter().map(|o| o.unwrap().generation).collect();
+        assert_eq!(generations, [1, 2, 3, 4], "one pass per edit, in arrival order");
         let stats = coalescer.stats();
         assert_eq!(stats.largest_window, 1);
         assert_eq!(stats.windows, stats.edits);
-        assert_eq!(dynamic.snapshot().generation(), 4);
     }
 
     #[test]
     #[should_panic(expected = "max_pending")]
     fn zero_max_pending_is_rejected() {
         let (dynamic, _) = fresh();
-        let _ =
-            DeltaCoalescer::new(&dynamic, CoalesceConfig { max_pending: 0, ..Default::default() });
+        let _ = DeltaCoalescer::new(&dynamic, CoalesceConfig { max_pending: 0 });
     }
 
     #[test]
     #[should_panic(expected = "feature rows")]
-    fn mismatched_onboard_features_are_rejected_before_joining() {
+    fn mismatched_onboard_features_are_rejected_before_queueing() {
         let (dynamic, _) = fresh();
         let coalescer = DeltaCoalescer::new(&dynamic, CoalesceConfig::default());
         let mut delta = CsrDelta::new();
@@ -560,8 +439,6 @@ mod tests {
         // `from_env` falls back to this default; the parse arms are
         // exercised by the CI env-matrix legs (env vars are process-global,
         // so they are not toggled inside parallel unit tests).
-        let config = CoalesceConfig::default();
-        assert!(config.max_pending >= 1);
-        assert!(config.max_delay > Duration::ZERO);
+        assert!(CoalesceConfig::default().max_pending >= 1);
     }
 }

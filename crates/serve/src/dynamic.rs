@@ -275,7 +275,7 @@ impl DynamicServingModel {
     /// generation until this returns.
     ///
     /// A **fully ineffective** delta — every edge operation cancels against
-    /// the current graph (e.g. a coalescing window whose inserts and removes
+    /// the current graph (e.g. a coalesced pass whose inserts and removes
     /// netted out) and no nodes are onboarded — publishes nothing: the store
     /// is bitwise unchanged, so the returned outcome carries the *current*
     /// generation and zero work counters instead of burning a generation on

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Serving layer for trained GCON models: answer node-classification
 //! queries at per-query cost **O(one dense head forward)** instead of
 //! O(full-graph propagation).
@@ -24,8 +25,8 @@
 //!    a `batch × d × c` GEMM, independent of graph size.
 //!
 //! On top of the store, [`BatchQueue`] adds **dynamic micro-batching**:
-//! concurrent single-node requests are coalesced into one head forward per
-//! batch window (bounded batch size + latency budget), amortizing kernel
+//! concurrent single-node requests share one head forward — whatever
+//! queued while the previous one ran, with no timer — amortizing kernel
 //! dispatch and letting the pooled GEMM see serving-efficient shapes. Both
 //! layers follow the workspace-wide `_into` convention — after warm-up the
 //! steady state allocates nothing per batch.
@@ -34,7 +35,9 @@
 //! applies graph deltas incrementally and publishes immutable, versioned
 //! [`ServingGeneration`]s, and [`DeltaCoalescer`] batches concurrent edits
 //! the way [`BatchQueue`] batches queries — a burst of deltas merges into
-//! **one** refresh and one published generation per window.
+//! **one** refresh and one published generation. Both are one flat
+//! combiner, which answers the requests of a panicking pass with a
+//! [`CombineError`] instead of hanging them.
 //!
 //! The networked tier puts all of this behind a socket: [`wire`] defines
 //! a hand-rolled, fail-closed length-prefixed frame protocol, [`Server`]
@@ -111,6 +114,7 @@
 mod batch;
 mod client;
 mod coalesce;
+mod combine;
 mod dynamic;
 pub mod fleet;
 mod model;
@@ -120,6 +124,7 @@ pub mod wire;
 pub use batch::{BatchConfig, BatchQueue, BatchStats};
 pub use client::GconClient;
 pub use coalesce::{CoalesceConfig, CoalesceStats, DeltaCoalescer};
+pub use combine::CombineError;
 pub use dynamic::{DeltaOutcome, DynamicServingModel, OnboardQuery, ServingGeneration};
 pub use fleet::{ConsensusReport, Coordinator, FleetConfig, FleetError, FleetStats, ShardWorker};
 pub use gcon_core::InfRefreshKind;

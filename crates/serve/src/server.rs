@@ -7,17 +7,19 @@
 //! * **Thread-per-connection on `std::net`** — no async runtime, no
 //!   crates.io. Connections are cheap relative to queries here: the
 //!   expected workload is few long-lived clients each multiplexing many
-//!   queries, and the [`BatchQueue`] behind the socket is exactly the
-//!   leader/follower micro-batcher that turns those concurrent
-//!   per-connection threads into serving-efficient GEMM shapes.
+//!   queries, and the [`BatchQueue`] behind the socket is the flat
+//!   combiner that turns those concurrent per-connection threads into
+//!   serving-efficient GEMM shapes.
 //! * **Bounded-inflight gate** — at most
 //!   [`ServerConfig::max_inflight`] requests may be inside the
 //!   [`BatchQueue`] at once. The gate **rejects** rather than queues: an
 //!   over-limit request is answered immediately with
 //!   [`ErrorCode::Overloaded`] so the client can back off, instead of
 //!   silently growing an unbounded queue in front of the batcher (the
-//!   batcher's own condvar queue is the *only* queue, and the gate caps
-//!   it).
+//!   combiner's request queue is the *only* queue, and the gate caps it).
+//! * **Failed batches are typed errors** — each query of a batch whose
+//!   forward panicked gets [`ErrorCode::Internal`] on a connection that
+//!   stays open, and the `degraded` flag latches.
 //! * **Timeouts everywhere** — every connection socket gets
 //!   [`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`], so
 //!   an idle or stuck peer frees its thread instead of leaking it.
@@ -58,7 +60,7 @@ pub struct ServerConfig {
     /// Maximum accepted frame-body length, bytes (also bounds response
     /// chunks). Must be ≥ 64 so a handshake always fits.
     pub max_frame: usize,
-    /// Micro-batching window of the underlying [`BatchQueue`].
+    /// Batch bound of the underlying [`BatchQueue`].
     pub batch: BatchConfig,
 }
 
@@ -240,8 +242,8 @@ impl<'m> Server<'m> {
         ServerHandle { shutdown: self.shutdown.clone() }
     }
 
-    /// The degraded-health flag surfaced in `Stats`/`Health` frames. A
-    /// static store never sets it; an embedder serving a
+    /// The degraded-health flag surfaced in `Stats`/`Health` frames. The
+    /// server latches it when a query batch panics; an embedder serving a
     /// [`crate::DynamicServingModel`] bridges
     /// [`is_degraded`](crate::DynamicServingModel::is_degraded) into this
     /// flag so remote operators see panic recovery.
@@ -419,7 +421,10 @@ impl<'m> Server<'m> {
                     return self.reply_overloaded(writer);
                 };
                 let mut values = Vec::new();
-                self.queue.query_into(node as usize, &mut values);
+                if self.queue.try_query_into(node as usize, &mut values).is_err() {
+                    self.degraded.store(true, Ordering::Relaxed);
+                    return self.reply_error(writer, ErrorCode::Internal, "query batch failed");
+                }
                 self.requests.fetch_add(1, Ordering::Relaxed);
                 self.reply(writer, &Response::Logits { values })
             }
@@ -458,7 +463,7 @@ impl<'m> Server<'m> {
     /// [`crate::ServingSession`] instead of being serialized through the
     /// micro-batcher one node at a time — bitwise the same answers (the
     /// store's logits are batch-composition-invariant), minus the
-    /// per-request window latency. The inflight permit held by the caller
+    /// per-request combiner hop. The inflight permit held by the caller
     /// still bounds concurrent bulk work.
     fn stream_bulk(
         &self,
@@ -525,6 +530,7 @@ impl<'m> Server<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::GconClient;
 
     #[test]
     fn gate_counts_and_releases() {
@@ -563,5 +569,31 @@ mod tests {
                 v.parse::<usize>().ok().filter(|&n| n >= 1)
             });
         assert_eq!((r.value, r.warning), (3, None));
+    }
+
+    /// A query batch that panics is answered with `Internal` on the same
+    /// connection, which keeps serving bitwise, and latches `degraded`.
+    #[test]
+    fn failed_query_batch_answers_internal_and_latches_degraded() {
+        let store = crate::testutil::tiny_store();
+        let server = Server::bind(store, ServerConfig::default(), "127.0.0.1:0").expect("bind");
+        std::thread::scope(|scope| {
+            scope.spawn(|| server.run().expect("server run"));
+            let mut client = GconClient::connect(server.local_addr()).expect("connect");
+            assert!(client.health().expect("health"));
+
+            server.queue.panic_next_batch();
+            match client.logits(3) {
+                Err(WireError::Server { code: ErrorCode::Internal, .. }) => {}
+                other => panic!("expected an Internal error, got {other:?}"),
+            }
+            assert_eq!(client.logits(3).expect("same connection"), store.logits(3));
+            assert!(!client.health().expect("health"), "degraded must latch");
+            let stats = client.stats().expect("stats");
+            assert!(stats.degraded);
+            assert_eq!((stats.batches, stats.requests), (2, 1), "one failed, one answered");
+            client.bye().expect("bye");
+            server.handle().stop();
+        });
     }
 }

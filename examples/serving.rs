@@ -9,7 +9,7 @@
 use gcon::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     // 1. Train a model exactly as in the quickstart.
@@ -48,12 +48,10 @@ fn main() {
     assert_eq!(batch, [reference[3], reference[141], reference[59], reference[3]]);
     assert_eq!(serving.predict_all(), reference);
 
-    // 5. Under concurrency, a BatchQueue coalesces single-node requests
-    //    into one head forward per window (≤ 32 requests / ≤ 300 µs here).
-    let queue = BatchQueue::new(
-        &serving,
-        BatchConfig { max_batch: 32, max_wait: Duration::from_micros(300) },
-    );
+    // 5. Under concurrency, a BatchQueue runs the single-node requests
+    //    that queue up while a forward runs as the next forward (≤ 32 here);
+    //    there is no timer, so a lone request runs at once.
+    let queue = BatchQueue::new(&serving, BatchConfig { max_batch: 32 });
     let n = serving.num_nodes();
     std::thread::scope(|scope| {
         for t in 0..4 {
@@ -134,13 +132,11 @@ fn main() {
     println!("delta round-trip restored the original predictions (generation 2)");
 
     // 7. Under an *edit* burst, a DeltaCoalescer plays the BatchQueue role
-    //    for mutations: concurrent submits merge into one CsrDelta and pay
-    //    one refresh + one published generation per window.
+    //    for mutations: edits that queue up while a refresh runs merge into
+    //    one CsrDelta and pay one refresh + one published generation.
     let gen_before_burst = dynamic.snapshot().generation();
-    let coalescer = gcon::serve::DeltaCoalescer::new(
-        &dynamic,
-        gcon::serve::CoalesceConfig { max_pending: 4, max_delay: Duration::MAX },
-    );
+    let coalescer =
+        gcon::serve::DeltaCoalescer::new(&dynamic, gcon::serve::CoalesceConfig::default());
     let burst: Vec<(u32, u32, bool)> = (0..4u32)
         .map(|i| {
             let (a, b) = (5 + i, (n as u32 / 2 + 7 * i) % n as u32);
@@ -158,20 +154,20 @@ fn main() {
                     delta.insert_edge(a, b);
                 }
                 let outcome = coalescer.submit(delta, None);
-                assert_eq!(outcome.generation, gen_before_burst + 1);
+                assert!(outcome.generation > gen_before_burst);
             });
         }
     });
     let cstats = coalescer.stats();
     println!(
-        "coalesced burst: {} edits in {} window(s) → one generation ({})",
+        "coalesced burst: {} edits in {} refresh(es) → generation {}",
         cstats.edits,
         cstats.windows,
         dynamic.snapshot().generation(),
     );
 
-    // Undo the whole burst the same way — one merged window — and the
-    // store returns to the post-round-trip (= original) answers.
+    // Undo the whole burst the same way and the store returns to the
+    // post-round-trip (= original) answers, however the edits batched.
     std::thread::scope(|scope| {
         for &(a, b, present) in &burst {
             let coalescer = &coalescer;

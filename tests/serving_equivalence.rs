@@ -6,7 +6,7 @@
 //!   and predictions equal `public_logits`/`private_logits` (and their
 //!   `_predict` argmaxes) bit for bit.
 //! - **Batched ≡ sequential.** Any batch size, order, or multiplicity —
-//!   including micro-batched windows formed under real concurrency —
+//!   including micro-batches formed under real concurrency —
 //!   reproduces the single-query answers exactly (proptested over random
 //!   query mixes).
 //! - **Thread-count and tier invariance, per dtype.** The full serving
@@ -19,10 +19,11 @@
 //!   and it extends past generation 0: a fixed `CsrDelta` is applied
 //!   through `DynamicServingModel`, and the refreshed generation's store
 //!   bits and staleness certificate join the fingerprint — as does a
-//!   **post-burst** generation: a concurrent edit burst coalesced by
-//!   `DeltaCoalescer` into one forward-push `∞` refresh on a second,
-//!   `Infinite`-step trained model, pinning the push solver's iterate,
-//!   certificate, and cumulative-bound bits across the same cube.
+//!   **post-burst** generation: an edit burst merged FIFO and applied as
+//!   one forward-push `∞` refresh — exactly what one `DeltaCoalescer` pass
+//!   runs — on a second, `Infinite`-step trained model, pinning the push
+//!   solver's iterate, certificate, and cumulative-bound bits across the
+//!   same cube.
 //! - **f32 store contract.** The quantized store's logits stay within
 //!   `F32_STORE_LOGIT_TOL` of the f64 entry points and its hard
 //!   predictions agree (the exactness tests pin their store to f64
@@ -37,14 +38,13 @@ use gcon::graph::CsrDelta;
 use gcon::graph::Graph;
 use gcon::linalg::Mat;
 use gcon::serve::{
-    BatchConfig, BatchQueue, CoalesceConfig, DeltaCoalescer, DynamicServingModel, ServingMode,
-    ServingModel, StoreDtype, F32_STORE_LOGIT_TOL,
+    BatchConfig, BatchQueue, DynamicServingModel, ServingMode, ServingModel, StoreDtype,
+    F32_STORE_LOGIT_TOL,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// One deterministic trained model per test process (kernels are bitwise
 /// reproducible across threads/tiers, so every process trains the same one).
@@ -145,10 +145,7 @@ fn micro_batched_concurrent_queries_match_infer_bitwise() {
     let reference = public_logits(model, graph, x);
     let serving =
         ServingModel::build_with_dtype(model, graph, x, ServingMode::Public, StoreDtype::F64);
-    let queue = BatchQueue::new(
-        &serving,
-        BatchConfig { max_batch: 16, max_wait: Duration::from_millis(2) },
-    );
+    let queue = BatchQueue::new(&serving, BatchConfig { max_batch: 16 });
     let n = serving.num_nodes();
     std::thread::scope(|scope| {
         for t in 0..6 {
@@ -261,10 +258,7 @@ fn serving_fingerprint() -> Vec<u8> {
         let mut session = serving.session();
         let nodes: Vec<usize> = (0..serving.num_nodes()).map(|i| (i * 13) % 60).collect();
         push(bytes, session.logits_batch(&nodes).as_slice());
-        let queue = BatchQueue::new(
-            serving,
-            BatchConfig { max_batch: 8, max_wait: Duration::from_micros(100) },
-        );
+        let queue = BatchQueue::new(serving, BatchConfig { max_batch: 8 });
         let mut out = Vec::new();
         for node in [0usize, 7, 59, 7, 31] {
             queue.query_into(node, &mut out);
@@ -319,11 +313,11 @@ fn serving_fingerprint() -> Vec<u8> {
     }
 
     // Post-burst generation on the ∞-scale push model: four distinct edge
-    // toggles submitted concurrently coalesce into exactly one window
-    // (`max_pending = 4` + wait-until-full), hence one forward-push refresh
-    // and one published generation. The merged graph, touched set, push
-    // sweep order (sorted worklist), certificate, and cumulative bound are
-    // all arrival-order independent, so the post-burst state joins the
+    // toggles merged FIFO into one delta and applied once — exactly what
+    // one `DeltaCoalescer` pass over the burst runs — hence one forward-push
+    // refresh and one published generation. The merged graph, touched set,
+    // push sweep order (sorted worklist), certificate, and cumulative bound
+    // are all arrival-order independent, so the post-burst state joins the
     // dtype × tier × thread-count cube bit for bit.
     let (_, graph, x) = trained();
     let model_inf = trained_inf();
@@ -335,34 +329,20 @@ fn serving_fingerprint() -> Vec<u8> {
             ServingMode::Public,
             dtype,
         );
-        let coalescer = DeltaCoalescer::new(
-            &dynamic,
-            CoalesceConfig { max_pending: 4, max_delay: Duration::MAX },
-        );
-        let outcomes = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for &(u, v) in &[(5u32, 17u32), (12u32, 44u32), (23u32, 31u32), (40u32, 52u32)] {
-                let coalescer = &coalescer;
-                let outcomes = &outcomes;
-                scope.spawn(move || {
-                    let mut delta = CsrDelta::new();
-                    if graph.neighbors(u).contains(&v) {
-                        delta.remove_edge(u, v);
-                    } else {
-                        delta.insert_edge(u, v);
-                    }
-                    // Submit before locking: the receiver of `.push(..)` is
-                    // evaluated first, so inlining the blocking submit into
-                    // the push argument would hold the mutex across it and
-                    // starve the window of the other submitters.
-                    let outcome = coalescer.submit(delta, None);
-                    outcomes.lock().unwrap().push(outcome);
-                });
+        let mut deltas = [(5u32, 17u32), (12, 44), (23, 31), (40, 52)].map(|(u, v)| {
+            let mut delta = CsrDelta::new();
+            if graph.neighbors(u).contains(&v) {
+                delta.remove_edge(u, v);
+            } else {
+                delta.insert_edge(u, v);
             }
+            delta
         });
-        let outcomes = outcomes.into_inner().unwrap();
-        assert_eq!(coalescer.stats().windows, 1, "burst must coalesce into one window");
-        let outcome = &outcomes[0];
+        let (first, rest) = deltas.split_first_mut().expect("a four-edit burst");
+        for delta in rest.iter() {
+            first.merge(delta);
+        }
+        let outcome = dynamic.apply_delta(first, None);
         assert_eq!(outcome.generation, 1, "one burst, one generation");
         // The solver knob may be overridden process-wide; when it is not
         // (or is forced to push), the burst must have refreshed by push.
