@@ -3,7 +3,7 @@
 //!
 //! Each rewritten kernel (the register-tiled, K-cache-blocked `matmul`,
 //! pooled sparsity-adaptive `t_matmul`, batched `matmul_bt`, unrolled
-//! `spmm`, allocation-free `spmv_into`) is timed against an in-binary copy
+//! `spmm`) is timed against an in-binary copy
 //! of the **pre-PR-3 scalar kernel**, run through the same `parallel_rows`
 //! partitioning at the same thread count, so the recorded speedup isolates
 //! the kernel rewrite from threading effects. Every shape is swept **once
@@ -132,16 +132,6 @@ fn ref_spmm_into(sp: &Csr, b: &Mat, out: &mut Mat) {
             }
         }
     });
-}
-
-/// The pre-PR `spmv`: sequential per-row reduction, allocating per call.
-fn ref_spmv(sp: &Csr, x: &[f64]) -> Vec<f64> {
-    (0..sp.rows())
-        .map(|i| {
-            let (cols, vals) = sp.row(i);
-            cols.iter().zip(vals).map(|(&j, &v)| v * x[j as usize]).sum()
-        })
-        .collect()
 }
 
 fn random_graph_csr(n: usize, edges: usize, rng: &mut StdRng) -> Csr {
@@ -344,36 +334,6 @@ fn main() {
             reps,
             || a_tilde.spmm_into(black_box(&x), &mut out),
             || sp32.spmm_into(black_box(&x32), &mut out32),
-        );
-    }
-
-    // spmv: per-call allocation removed + unrolled row reduction.
-    {
-        let x: Vec<f64> = (0..sp_n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut out = Vec::new();
-        let shape = format!("n{sp_n}_nnz{}", a_tilde.nnz());
-        sweep_tiers(
-            &mut rows,
-            "spmv",
-            &shape,
-            "f64",
-            reps,
-            || {
-                black_box(ref_spmv(black_box(&a_tilde), black_box(&x)));
-            },
-            || a_tilde.spmv_into(black_box(&x), &mut out),
-        );
-        let sp32 = a_tilde.convert::<f32>();
-        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        let mut out32: Vec<f32> = Vec::new();
-        sweep_tiers(
-            &mut rows,
-            "spmv",
-            &shape,
-            "f32",
-            reps,
-            || a_tilde.spmv_into(black_box(&x), &mut out),
-            || sp32.spmv_into(black_box(&x32), &mut out32),
         );
     }
 

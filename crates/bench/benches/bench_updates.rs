@@ -15,8 +15,8 @@
 //! - **`∞`-scale solver comparison** — the same single-edge toggle on a
 //!   model with an `Infinite` propagation step, refreshed by forward-push
 //!   residual maintenance (`PprSolver::Push`, O(vol(affected)) per edit)
-//!   vs the warm multi-RHS CGNR re-solve (`PprSolver::Cgnr`, global even
-//!   for a local edit). Both publish the same certified staleness class.
+//!   vs warm global power sweeps (`PprSolver::Power`, global even for a
+//!   local edit). Both publish the same certified staleness class.
 //! - **delta-burst coalescing sweep** — k ∈ {1, 8, 64} distinct-edge
 //!   toggles applied as k individual refreshes vs merged
 //!   (`CsrDelta::merge`, exactly the `DeltaCoalescer` leader path) into
@@ -220,16 +220,16 @@ fn main() {
     // shape-exact; refresh cost does not depend on the head values). Each
     // model pins its solver through `config.ppr_solver` — the
     // GCON_REFRESH_SOLVER env override is process-wide, the config is not.
-    // `Cgnr` is PR 7's warm path: a global multi-RHS re-solve even when
-    // the edit touches a handful of rows; `Push` repairs the residual on
-    // the touched rows and sweeps only where it exceeds the certified
+    // `Power` continues global sweeps from the previous limit even when the
+    // edit touches a handful of rows; `Push` repairs the residual on the
+    // touched rows and sweeps only where it exceeds the certified
     // threshold.
     let mut inf_model = model.clone();
     inf_model.config.steps = vec![PropagationStep::Finite(1), PropagationStep::Infinite];
     let mut inf_results: Vec<(&str, f64, f64)> = Vec::new();
     for (name, solver, expect) in [
         ("push", PprSolver::Push, InfRefreshKind::Push),
-        ("warm-cgnr", PprSolver::Cgnr, InfRefreshKind::Cgnr),
+        ("warm-power", PprSolver::Power, InfRefreshKind::Power),
     ] {
         let mut m = inf_model.clone();
         m.config.ppr_solver = solver;
@@ -262,8 +262,8 @@ fn main() {
         inf_results.push((name, ns, last_bound));
     }
     let (inf_push_ns, inf_push_bound) = (inf_results[0].1, inf_results[0].2);
-    let inf_cgnr_ns = inf_results[1].1;
-    let inf_push_speedup = inf_cgnr_ns / inf_push_ns;
+    let inf_power_ns = inf_results[1].1;
+    let inf_push_speedup = inf_power_ns / inf_push_ns;
     // Both solvers certify the same staleness class — the push bound must
     // sit at the converged-solve level, not merely "finite".
     assert!(
@@ -411,7 +411,7 @@ fn main() {
     for (name, ns, bound) in &inf_results {
         println!("    {:<38} {:>14.0}   staleness ≤ {:.2e}", name, ns, bound);
     }
-    println!("    push speedup vs warm-cgnr: {inf_push_speedup:.1}x");
+    println!("    push speedup vs warm-power: {inf_push_speedup:.1}x");
     println!("  burst coalescing (k toggles, finite model):");
     println!(
         "    {:<6} {:>16} {:>16} {:>10} {:>18}",
@@ -446,8 +446,8 @@ fn main() {
          \"speedup_vs_rebuild\": {speedup:.1},\n"
     ));
     json.push_str(&format!(
-        "  \"inf_edge\": {{ \"push_ns\": {inf_push_ns:.0}, \"warm_cgnr_ns\": {inf_cgnr_ns:.0}, \
-         \"push_speedup_vs_cgnr\": {inf_push_speedup:.1}, \
+        "  \"inf_edge\": {{ \"push_ns\": {inf_push_ns:.0}, \"warm_power_ns\": {inf_power_ns:.0}, \
+         \"push_speedup_vs_power\": {inf_push_speedup:.1}, \
          \"push_staleness_bound\": {inf_push_bound:e} }},\n"
     ));
     json.push_str("  \"burst_sweep\": [\n");

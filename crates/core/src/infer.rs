@@ -34,7 +34,7 @@
 //! path is **bitwise identical** to calling the entry points here.
 
 use crate::model::TrainedGcon;
-use crate::propagation::{concat_features_with_solver, PropagationStep};
+use crate::propagation::{concat_features, PropagationStep};
 use gcon_graph::normalize::row_stochastic;
 use gcon_graph::Graph;
 use gcon_linalg::{ops, reduce, Mat};
@@ -90,13 +90,7 @@ pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Mat) -> M
 pub fn public_features(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat {
     let x = encode_normalized(model, features);
     let a_tilde = row_stochastic(graph, model.config.clip_p);
-    concat_features_with_solver(
-        &a_tilde,
-        &x,
-        model.config.alpha,
-        &model.config.steps,
-        model.config.ppr_solver,
-    )
+    concat_features(&a_tilde, &x, model.config.alpha, &model.config.steps)
 }
 
 /// Head stage shared by both inference modes: `Ŷ = Z·Θ_priv` for a (full or
@@ -395,6 +389,26 @@ mod tests {
         let want = ops::matmul(&h, &model.theta);
         for (a_, b_) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a_ - b_).abs() < 1e-10, "clipped inference mismatch");
+        }
+    }
+
+    /// Inference propagates cold, so the model's `PprSolver` does not
+    /// change a single logit.
+    #[test]
+    fn inference_ignores_the_ppr_solver() {
+        use crate::propagation::PprSolver;
+        let (g, x, labels, train_idx) = toy_setup(105);
+        let mut cfg = quick_config();
+        cfg.steps = vec![PropagationStep::Finite(1), PropagationStep::Infinite];
+        let mut rng = StdRng::seed_from_u64(106);
+        let model = train_gcon(&cfg, &g, &x, &labels, &train_idx, 3, 4.0, 1e-3, &mut rng);
+        let private = private_logits(&model, &g, &x);
+        let public = public_logits(&model, &g, &x);
+        for solver in [PprSolver::Auto, PprSolver::Power, PprSolver::Push] {
+            let mut m = model.clone();
+            m.config.ppr_solver = solver;
+            assert_eq!(private_logits(&m, &g, &x).as_slice(), private.as_slice(), "{solver:?}");
+            assert_eq!(public_logits(&m, &g, &x).as_slice(), public.as_slice(), "{solver:?}");
         }
     }
 

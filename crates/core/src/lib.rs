@@ -33,9 +33,9 @@
 //!     `gcon_graph::CsrDelta` re-derives only delta-affected rows (finite
 //!     scales bitwise equal to full re-propagation; the `∞` scale refreshed
 //!     with a certified staleness bound — by strictly local forward-push
-//!     residual maintenance ([`refresh::push`]) for local edits, or a
-//!     warm-started global solver otherwise, chosen by the touched-volume-
-//!     aware [`propagation::plan_inf_refresh`]).
+//!     residual maintenance ([`refresh::push`]) for local edits, or
+//!     warm-started global power sweeps otherwise, chosen by the
+//!     touched-volume-aware [`propagation::plan_inf_refresh`]).
 //!
 //! The top-level entry points are [`GconConfig`], [`train::train_gcon`] and
 //! [`TrainedGcon`].

@@ -50,12 +50,13 @@ pub struct GconConfig {
     /// smaller values trade per-edge influence for a `2p`-scaled
     /// sensitivity `Ψ_p(Z)` and thus less noise (Lemma 1 extension).
     pub clip_p: f64,
-    /// How the PPR limit (`PropagationStep::Infinite`) is solved during
-    /// training and public inference. `Auto` (the default) picks block CGNR
-    /// for small restart probabilities and the power iteration otherwise;
-    /// a non-converged CGNR solve always falls back to the power iteration.
-    /// Solver choice affects runtime only — never privacy (the calibration
-    /// chain depends on `Ψ(Z)`, not on how `Z` was computed).
+    /// How an incremental refresh (`ApprChain`, the dynamic serving store)
+    /// recomputes the PPR limit (`PropagationStep::Infinite`) after a graph
+    /// delta: forward push, warm power sweeps, or `Auto` (the default),
+    /// which picks per delta. Training and inference always solve the limit
+    /// cold by power iteration, so this never changes a trained model or
+    /// its privacy (the calibration chain depends on `Ψ(Z)`, not on how `Z`
+    /// was computed).
     pub ppr_solver: PprSolver,
     /// Optimizer settings for Eq. (15).
     pub optimizer: OptimizerConfig,

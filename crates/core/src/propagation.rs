@@ -24,42 +24,18 @@
 //!   the final fixed-point segment). [`spmm_ops_performed`] exposes the
 //!   product counter the tests and benches use to verify this.
 //!
-//! # Solving the PPR limit: solver selection and fallback semantics
+//! # Solving the PPR limit
 //!
-//! The `m = ∞` system `(I − (1−α)Ã) Z_∞ = α X` has two solvers:
-//!
-//! - **Power iteration** (the fixed-point recursion above): effective rate
-//!   `(1−α)·λ₂(Ã)`, unconditionally convergent, no extra memory — the right
-//!   choice whenever the restart probability is moderate *or* the graph has
-//!   a real spectral gap (expanders stay fast even at tiny `α`).
-//! - **Block CGNR** ([`propagate_ppr_cgnr`]): all feature columns are solved
-//!   simultaneously through `gcon_linalg::solve::block_cgnr`, paying one
-//!   `Ã` and one `Ãᵀ` product per iteration *total* (the `Ãᵀ` application
-//!   runs the pooled row-block kernel on a precomputed [`Csr::transpose`],
-//!   not a per-column scatter). Its product count scales with the condition
-//!   number `≈ (2−α)/α` independent of the spectral gap, so it wins on
-//!   poorly-connected graphs at small `α` — the regime where the power
-//!   iteration needs `O(log(1/tol)/α)` sweeps.
-//!
-//! [`PprSolver`] selects between them; the default [`PprSolver::Auto`] is
-//! **spectral-gap aware**: for `α <` [`PPR_CGNR_ALPHA_MAX`] it estimates
-//! `λ₂(Ã)` with a short deflated power iteration ([`estimate_lambda2`]) and
-//! feeds it to the pure decision function [`auto_chooses_cgnr`], which
-//! compares the predicted sparse-product counts of both solvers (power:
-//! `ln(1/tol)/−ln((1−α)λ₂)`; CGNR: `∝ √κ_eff` with
-//! `κ_eff = (1+(1−α)λ₂)/(1−(1−α)λ₂)`). Expanders therefore stay on the
-//! power iteration even at tiny `α`, while poorly-connected graphs (rings,
-//! chains) switch to CGNR. For `α ≥` [`PPR_CGNR_ALPHA_MAX`] the power
-//! iteration is chosen without estimating the spectrum (the model's
-//! crossover lies below that threshold even in the gapless `λ₂ → 1` limit),
-//! so common restart probabilities pay zero selection overhead.
-//! `GconConfig::ppr_solver` overrides the choice for training/inference
-//! pipelines. **Convergence failure is a first-class outcome**: if any
-//! column of the CGNR solve fails to reach tolerance within its iteration
-//! budget, a warning is logged and the power iteration — which cannot fail
-//! to converge on a row-stochastic `Ã` — finishes the solve, warm-started
-//! from the partial CGNR iterate. No code path returns an unconverged
-//! solve.
+//! The `m = ∞` system `(I − (1−α)Ã) Z_∞ = α X` is solved by running the
+//! same recursion to its fixed point (power iteration). Each sweep shrinks
+//! the error by at least `(1−α)` (by `(1−α)·λ₂(Ã)` in effect), needs no
+//! memory beyond the two ping-pong buffers, and cannot fail to converge on
+//! a row-stochastic `Ã`; the sweep stops once no entry moves by more than
+//! `PPR_TOL`. At the restart probabilities the paper uses (`α ≥ 0.1`) that
+//! takes at most a few hundred sparse products. [`PprSolver`] does not
+//! change a cold solve: it only chooses how an incremental refresh
+//! recomputes the limit (forward push or warm power sweeps, see
+//! [`plan_inf_refresh`]).
 //!
 //! # Incremental refresh
 //!
@@ -70,9 +46,6 @@
 //! [`crate::refresh`].
 
 use gcon_graph::Csr;
-use gcon_linalg::solve::{
-    block_cgnr, block_cgnr_warm, BlockLinearOperator, LinearOperator, SolveStats,
-};
 use gcon_linalg::{ops, Mat};
 
 /// A propagation step count `m ∈ [0, ∞]` (Eq. 9).
@@ -109,26 +82,12 @@ impl std::fmt::Display for PropagationStep {
 pub(crate) const PPR_TOL: f64 = 1e-10;
 /// Hard cap on PPR sweeps; the geometric rate `(1−α)` makes this generous.
 const PPR_MAX_ITERS: usize = 10_000;
-/// Relative tolerance of the CGNR solve (judged on the true residual).
-const PPR_CGNR_TOL: f64 = 1e-12;
-/// Below this restart probability [`PprSolver::Auto`] picks CGNR. The power
-/// iteration's worst-case rate is `(1−α)·λ₂(Ã)` while CGNR's product count
-/// scales with the condition number `≈ (2−α)/α` of `I − (1−α)Ã`, so CGNR's
-/// advantage needs *both* a small `α` and a graph without a strong spectral
-/// gap (`bench_solvers`'s `ppr_alpha` sweeps show the power iteration still
-/// winning at α = 0.01 on an Erdős–Rényi expander, and CGNR pulling ahead
-/// only on the ring lattice). The threshold is therefore calibrated
-/// conservatively; workloads that know their graphs are poorly connected
-/// can force `PprSolver::Cgnr` via `GconConfig::ppr_solver`.
-pub const PPR_CGNR_ALPHA_MAX: f64 = 0.02;
 
-/// Total sparse products (`Ã·Z`, `Ã·x`, `Ãᵀ·Z`) performed since process
-/// start. Counting lives in the `gcon-graph` kernels themselves
-/// ([`gcon_graph::spmm_ops_performed`]), so every path — the propagation
-/// recursion *and* the CGNR solver's operator applications — is accounted.
-/// The single-pass multi-scale acceptance check (`max(m_i)` products instead
-/// of `Σ m_i`) and the block-CGNR check (one product pair per iteration for
-/// all columns) are asserted against deltas of this counter.
+/// Total sparse products (`Ã·Z`) performed since process start. Counting
+/// lives in the `gcon-graph` kernel itself
+/// ([`gcon_graph::spmm_ops_performed`]), so every propagation path is
+/// accounted. The single-pass multi-scale acceptance check (`max(m_i)`
+/// products instead of `Σ m_i`) is asserted against deltas of this counter.
 pub fn spmm_ops_performed() -> usize {
     gcon_graph::spmm_ops_performed()
 }
@@ -138,31 +97,9 @@ pub fn spmm_ops_performed() -> usize {
 /// `a_tilde` must be the row-stochastic `Ã = D⁻¹(A+I)`
 /// (see `gcon_graph::normalize::row_stochastic_default`).
 ///
-/// Equivalent to [`propagate_with_solver`] with [`PprSolver::Auto`]: finite
-/// steps run the recursion; the `∞` limit is solved by CGNR for small `α`
-/// and by the power iteration otherwise (both agree to solver tolerance).
+/// Finite steps run the recursion; the `∞` limit runs it to its fixed point
+/// (see the module docs).
 pub fn propagate(a_tilde: &Csr, x: &Mat, alpha: f64, step: PropagationStep) -> Mat {
-    propagate_with_solver(a_tilde, x, alpha, step, PprSolver::Auto)
-}
-
-/// [`propagate`] with an explicit [`PprSolver`] choice for the `∞` limit
-/// (finite steps always run the recursion; the solver selection is a no-op
-/// for them).
-pub fn propagate_with_solver(
-    a_tilde: &Csr,
-    x: &Mat,
-    alpha: f64,
-    step: PropagationStep,
-    solver: PprSolver,
-) -> Mat {
-    if step == PropagationStep::Infinite && solver.resolves_to_cgnr(alpha, a_tilde) {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "propagate: restart probability α must lie in (0, 1], got {alpha}"
-        );
-        assert_eq!(a_tilde.rows(), x.rows(), "propagate: dimension mismatch");
-        return propagate_ppr_cgnr(a_tilde, x, alpha);
-    }
     let mut z = Mat::zeros(0, 0);
     let mut scratch = Mat::zeros(0, 0);
     propagate_into(a_tilde, x, alpha, step, &mut z, &mut scratch);
@@ -237,209 +174,48 @@ pub(crate) fn max_abs_diff(a: &Mat, b: &Mat) -> f64 {
     a.as_slice().iter().zip(b.as_slice()).fold(0.0_f64, |acc, (x, y)| acc.max((x - y).abs()))
 }
 
-/// Which solver computes the PPR limit `Z_∞` (`PropagationStep::Infinite`).
+/// How an incremental refresh recomputes the PPR limit `Z_∞`
+/// (`PropagationStep::Infinite`) after a graph delta. Cold solves always run
+/// the power iteration, whatever the selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PprSolver {
-    /// Pick from `α`: CGNR below [`PPR_CGNR_ALPHA_MAX`], power iteration
-    /// otherwise.
+    /// Pick per delta from the touched-set volume ([`plan_inf_refresh`]):
+    /// forward push for a strictly local edit, warm power sweeps otherwise.
     #[default]
     Auto,
-    /// Always the fixed-point recursion (geometric rate `1−α`).
+    /// Always global power sweeps, warm-started from the previous limit.
     Power,
-    /// Always block CGNR, with automatic fallback to the power iteration on
-    /// non-convergence.
-    Cgnr,
-    /// Forward-push residual maintenance for **incremental refreshes**: the
-    /// `∞` block repairs its maintained residual after a delta and runs
-    /// local push sweeps over the active rows only (cost `O(vol(affected))`
-    /// instead of a global solve — see `crate::refresh::push`). Cold solves
-    /// have no residual to maintain, so every from-scratch propagation path
-    /// treats `Push` like [`PprSolver::Power`].
+    /// Forward-push residual maintenance: the `∞` block repairs its
+    /// maintained residual after a delta and runs local push sweeps over the
+    /// active rows only (cost `O(vol(affected))` instead of a global solve —
+    /// see `crate::refresh::push`).
     Push,
-}
-
-impl PprSolver {
-    /// The `α`-only coarse resolution: whether this selection *can* resolve
-    /// to CGNR for restart probability `α`, before consulting the graph.
-    /// For [`PprSolver::Auto`] this is the prefilter `α <`
-    /// [`PPR_CGNR_ALPHA_MAX`]; the full graph-aware decision is
-    /// [`PprSolver::resolves_to_cgnr`], which additionally estimates
-    /// `λ₂(Ã)` and can still keep the power iteration on well-connected
-    /// graphs. `resolves_to_cgnr ⇒ chooses_cgnr` for every variant.
-    pub fn chooses_cgnr(self, alpha: f64) -> bool {
-        match self {
-            Self::Auto => alpha < PPR_CGNR_ALPHA_MAX,
-            Self::Power | Self::Push => false,
-            Self::Cgnr => true,
-        }
-    }
-
-    /// The full solver resolution for the `∞` limit on a concrete graph:
-    /// `Power`/`Cgnr` are forced, and `Auto` runs the spectral-gap-aware
-    /// cost model — [`estimate_lambda2`] feeding [`auto_chooses_cgnr`] —
-    /// but only below the [`PPR_CGNR_ALPHA_MAX`] prefilter, so the common
-    /// `α` regime (where the power iteration always wins; the pure model's
-    /// crossover in the gapless `λ₂ → 1` limit sits at `α ≈ 0.021`) pays
-    /// nothing for the estimate. This is what [`propagate_with_solver`] and
-    /// [`propagate_multi_with_solver`] consult.
-    pub fn resolves_to_cgnr(self, alpha: f64, a_tilde: &Csr) -> bool {
-        match self {
-            Self::Power | Self::Push => false,
-            Self::Cgnr => true,
-            Self::Auto => {
-                alpha < PPR_CGNR_ALPHA_MAX
-                    && auto_chooses_cgnr(alpha, estimate_lambda2(a_tilde, LAMBDA2_SWEEPS))
-            }
-        }
-    }
-}
-
-/// Power-iteration sweeps used by [`PprSolver::resolves_to_cgnr`] for the
-/// `λ₂` estimate. The estimate only steers a solver choice whose candidates
-/// differ by hundreds of products, so a crude (≈ two-digit) estimate from a
-/// few dozen sweeps is plenty.
-pub const LAMBDA2_SWEEPS: usize = 32;
-
-/// Estimates `|λ₂|` of the row-stochastic `Ã` — the subdominant eigenvalue
-/// magnitude that sets the power iteration's effective rate `(1−α)·λ₂`.
-///
-/// A power iteration on `Ã` with **mean deflation**: `Ã` is row-stochastic,
-/// so its dominant right eigenvector is the all-ones vector with `λ₁ = 1`;
-/// subtracting the mean from the iterate after every product keeps the
-/// `𝟙`-component proportional to the (vanishing) residual, and the norm
-/// ratio converges to the subdominant magnitude. `Ã = D⁻¹(A+I)`-style
-/// normalizations are similar to a symmetric matrix via a `D^{1/2}`
-/// conjugation, so the spectrum is real and the ratio is well-defined; the
-/// clipped variant is a small perturbation of that. The start vector is a
-/// deterministic index hash (no RNG), and the whole estimate is built from
-/// `spmv_into` plus sequential scalar reductions, so it inherits the
-/// kernels' bitwise determinism across `GCON_THREADS` and kernel tiers —
-/// [`PprSolver::Auto`] resolves identically everywhere.
-///
-/// Returns a value clamped to `[0, 1]`; degenerate inputs (`n ≤ 1`, or an
-/// iterate collapsing to exactly the constant vector) return `0.0`, which
-/// [`auto_chooses_cgnr`] maps to the power iteration (one sweep converges).
-pub fn estimate_lambda2(a_tilde: &Csr, sweeps: usize) -> f64 {
-    assert_eq!(a_tilde.rows(), a_tilde.cols(), "estimate_lambda2: Ã must be square");
-    let n = a_tilde.rows();
-    if n <= 1 {
-        return 0.0;
-    }
-    // SplitMix64 of the index: deterministic, well-scattered start vector
-    // with (generically) nonzero overlap onto every eigenvector.
-    let mut v: Vec<f64> = (0..n as u64)
-        .map(|i| {
-            let mut z = i.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            // Map to [-0.5, 0.5).
-            (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        })
-        .collect();
-    let deflate_and_norm = |v: &mut [f64]| -> f64 {
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        let mut norm_sq = 0.0;
-        for vi in v.iter_mut() {
-            *vi -= mean;
-            norm_sq += *vi * *vi;
-        }
-        norm_sq.sqrt()
-    };
-    let norm = deflate_and_norm(&mut v);
-    if norm <= f64::MIN_POSITIVE {
-        return 0.0;
-    }
-    v.iter_mut().for_each(|vi| *vi /= norm);
-    let mut av = Vec::new();
-    let mut lambda = 0.0;
-    for _ in 0..sweeps {
-        a_tilde.spmv_into(&v, &mut av);
-        let norm = deflate_and_norm(&mut av);
-        if norm <= f64::MIN_POSITIVE {
-            return 0.0;
-        }
-        lambda = norm;
-        for (vi, &ai) in v.iter_mut().zip(&av) {
-            *vi = ai / norm;
-        }
-    }
-    lambda.min(1.0)
-}
-
-/// Natural-log factors of the two solver tolerances, used by the cost model.
-const LN_INV_PPR_TOL: f64 = 23.025_850_929_940_457; // ln(1e10)
-const LN_INV_PPR_CGNR_TOL: f64 = 27.631_021_115_928_548; // ln(1e12)
-/// Calibration factor of the CGNR product-count model. The Chebyshev bound
-/// `iters ≈ ½·√κ·ln(2/tol)` is loose for clustered PPR spectra; `F = 2`
-/// (absorbing the ½) reproduces the `bench_solvers` measurements: at
-/// `α = 0.01` the model keeps the power iteration on an Erdős–Rényi
-/// expander (`λ₂ ≈ 0.9`: ≈ 200 power products vs ≈ 460 predicted CGNR) and
-/// switches to CGNR on the ring lattice (`λ₂ ≈ 0.9995`: ≈ 2180 power
-/// products vs ≈ 1520 predicted CGNR) — matching which solver actually wins
-/// on each graph.
-const CGNR_COST_CALIBRATION: f64 = 2.0;
-
-/// The pure [`PprSolver::Auto`] decision function: given the restart
-/// probability and (an estimate of) `λ₂(Ã)`, predicts which solver reaches
-/// its tolerance in fewer sparse products and returns `true` iff CGNR wins.
-///
-/// Cost model, in units of one `Ã`-sized sparse product:
-///
-/// - **Power**: the sweep contracts at `rate = (1−α)·λ₂`, so reaching the
-///   fixed-point tolerance takes `ln(1/PPR_TOL) / −ln(rate)` products.
-/// - **CGNR**: `Ã`'s real spectrum in `[−λ₂, λ₂]` puts the spectrum of
-///   `I − (1−α)Ã` inside `[1−rate, 1+rate]`, i.e. condition number
-///   `κ = (1+rate)/(1−rate)`. The worst-case CG-on-normal-equations bound
-///   scales with `κ` itself, but PPR spectra are clustered and the
-///   observed iteration count tracks `√κ`; the model therefore charges
-///   `2 · F · √κ · ln(1/PPR_CGNR_TOL)` products (two per iteration) with
-///   the measured calibration factor `F = CGNR_COST_CALIBRATION`.
-///
-/// Separated from the `λ₂` estimation so it is unit-testable on exact
-/// spectra, the same way `resolve_spmv_tier` pins the kernel-tier gate.
-pub fn auto_chooses_cgnr(alpha: f64, lambda2: f64) -> bool {
-    assert!(alpha > 0.0 && alpha <= 1.0, "auto_chooses_cgnr: α in (0, 1]");
-    if alpha >= PPR_CGNR_ALPHA_MAX {
-        return false;
-    }
-    let rate = (1.0 - alpha) * lambda2.clamp(0.0, 1.0);
-    if rate <= 0.0 {
-        // One sweep converges; the power iteration cannot be beaten.
-        return false;
-    }
-    // λ₂ ≤ 1 and α > 0 keep rate < 1, so both costs are finite.
-    let power_products = LN_INV_PPR_TOL / -rate.ln();
-    let kappa_sqrt = ((1.0 + rate) / (1.0 - rate)).sqrt();
-    let cgnr_products = 2.0 * CGNR_COST_CALIBRATION * kappa_sqrt * LN_INV_PPR_CGNR_TOL;
-    cgnr_products < power_products
 }
 
 /// Volume headroom the push cost model charges for frontier expansion. Each
 /// local push sweep grows the active set by roughly one `Ã`-neighborhood, so
 /// the work of the whole refresh is a small multiple of the seed volume;
 /// push only wins when even that expanded volume stays well under the full
-/// `nnz(Ã)` a *single* global warm sweep (or CGNR product) pays. The factor
-/// is deliberately conservative: misclassifying a large edit onto push costs
-/// sweeps that approach global ones anyway (the frontier saturates), while
-/// misclassifying a tiny edit onto a global solver wastes `Θ(nnz)` per
+/// `nnz(Ã)` a *single* global warm sweep pays. The factor is deliberately
+/// conservative: misclassifying a large edit onto push costs sweeps that
+/// approach global ones anyway (the frontier saturates), while
+/// misclassifying a tiny edit onto global power sweeps wastes `Θ(nnz)` per
 /// sweep — `bench_updates`'s push-vs-warm comparison records the measured
 /// gap the factor guards.
 pub const PUSH_VOLUME_FACTOR: f64 = 16.0;
 
-/// The pure touched-set-volume half of the [`PprSolver::Auto`] refresh
+/// The pure touched-set-volume test behind the [`PprSolver::Auto`] refresh
 /// decision: `true` iff the forward-push residual refresh is predicted
-/// cheaper than any global solver for a delta whose touched rows hold
-/// `touched_volume` nonzeros out of `total_volume = nnz(Ã)`.
+/// cheaper than warm global power sweeps for a delta whose touched rows
+/// hold `touched_volume` nonzeros out of `total_volume = nnz(Ã)`.
 ///
-/// Unit-testable like [`auto_chooses_cgnr`]; the full three-way resolution
-/// (push vs warm-CGNR vs power) is [`plan_inf_refresh`].
+/// Unit-testable on its own; the full resolution is [`plan_inf_refresh`].
 pub fn auto_chooses_push(touched_volume: usize, total_volume: usize) -> bool {
     touched_volume > 0 && PUSH_VOLUME_FACTOR * touched_volume as f64 <= total_volume as f64
 }
 
 /// How the `∞`-scale block of an **incremental refresh** is recomputed —
-/// the three-way resolution of [`PprSolver`] once a concrete delta is known.
+/// the resolution of [`PprSolver`] once a concrete delta is known.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InfRefreshKind {
     /// Local forward-push sweeps over the maintained residual
@@ -447,8 +223,6 @@ pub enum InfRefreshKind {
     Push,
     /// Global warm-started power sweeps.
     Power,
-    /// Global warm-started block CGNR (with power fallback).
-    Cgnr,
 }
 
 impl std::fmt::Display for InfRefreshKind {
@@ -456,195 +230,22 @@ impl std::fmt::Display for InfRefreshKind {
         match self {
             Self::Push => write!(f, "push"),
             Self::Power => write!(f, "power"),
-            Self::Cgnr => write!(f, "cgnr"),
         }
     }
 }
 
 /// Resolves which solver an incremental `∞` refresh should run, given the
 /// configured [`PprSolver`] and the delta's touched-set volume (sum of the
-/// touched rows' `Ã` nonzeros). `Power`/`Cgnr`/`Push` are forced; `Auto`
-/// extends the spectral-gap-aware cost model with the touched-volume gate:
-/// a strictly-local edit ([`auto_chooses_push`]) refreshes by push regardless
-/// of `α`, and only a volumetric edit falls through to the existing
-/// power-vs-CGNR decision ([`PprSolver::resolves_to_cgnr`]).
-pub fn plan_inf_refresh(
-    solver: PprSolver,
-    alpha: f64,
-    a_tilde: &Csr,
-    touched_volume: usize,
-) -> InfRefreshKind {
+/// touched rows' `Ã` nonzeros). `Power`/`Push` are forced; `Auto` pushes a
+/// strictly local edit ([`auto_chooses_push`]) and runs warm power sweeps
+/// for a volumetric one.
+pub fn plan_inf_refresh(solver: PprSolver, a_tilde: &Csr, touched_volume: usize) -> InfRefreshKind {
     match solver {
         PprSolver::Push => InfRefreshKind::Push,
         PprSolver::Power => InfRefreshKind::Power,
-        PprSolver::Cgnr => InfRefreshKind::Cgnr,
-        PprSolver::Auto => {
-            if auto_chooses_push(touched_volume, a_tilde.nnz()) {
-                InfRefreshKind::Push
-            } else if solver.resolves_to_cgnr(alpha, a_tilde) {
-                InfRefreshKind::Cgnr
-            } else {
-                InfRefreshKind::Power
-            }
-        }
+        PprSolver::Auto if auto_chooses_push(touched_volume, a_tilde.nnz()) => InfRefreshKind::Push,
+        PprSolver::Auto => InfRefreshKind::Power,
     }
-}
-
-/// Matrix-free operator for `I − (1−α)Ã`, the PPR system matrix of Eq. (5),
-/// applied to one vector. Used by the per-column benchmarks and tests; the
-/// production path is the block operator behind [`propagate_ppr_cgnr`].
-pub struct PprOperator<'a> {
-    a_tilde: &'a Csr,
-    one_minus_alpha: f64,
-}
-
-impl<'a> PprOperator<'a> {
-    /// Wraps the row-stochastic `Ã` for restart probability `alpha`.
-    pub fn new(a_tilde: &'a Csr, alpha: f64) -> Self {
-        Self { a_tilde, one_minus_alpha: 1.0 - alpha }
-    }
-}
-
-impl LinearOperator for PprOperator<'_> {
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.apply_into(x, &mut y);
-        y
-    }
-
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.apply_transpose_into(x, &mut y);
-        y
-    }
-
-    fn apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        // `spmv_into` reuses `out`'s backing allocation, so the CGNR
-        // iteration loop driving this operator performs no per-step
-        // allocation (the former `spmv` call here allocated every step).
-        self.a_tilde.spmv_into(x, out);
-        for (yi, &xi) in out.iter_mut().zip(x) {
-            *yi = xi - self.one_minus_alpha * *yi;
-        }
-    }
-
-    fn apply_transpose_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        // (I − (1−α)Ã)ᵀ = I − (1−α)Ãᵀ; the per-vector `Ãᵀ` scatter is
-        // exactly what the block operator's precomputed transpose avoids.
-        self.a_tilde.spmv_t_into(x, out);
-        for (yi, &xi) in out.iter_mut().zip(x) {
-            *yi = xi - self.one_minus_alpha * *yi;
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.a_tilde.rows()
-    }
-}
-
-/// Matrix-free block operator for `I − (1−α)Ã` applied to all feature
-/// columns at once. The `Ãᵀ` application runs the pooled row-block `spmm`
-/// kernel on a transpose precomputed at construction — one O(nnz) counting
-/// sort buys scatter-free transposed products for every solver iteration.
-pub(crate) struct PprBlockOperator<'a> {
-    a_tilde: &'a Csr,
-    a_tilde_t: Csr,
-    one_minus_alpha: f64,
-}
-
-impl<'a> PprBlockOperator<'a> {
-    pub(crate) fn new(a_tilde: &'a Csr, alpha: f64) -> Self {
-        Self { a_tilde, a_tilde_t: a_tilde.transpose(), one_minus_alpha: 1.0 - alpha }
-    }
-
-    /// `out ← x − (1−α)·out`, the shared affine tail of both applications.
-    fn finish(&self, x: &Mat, out: &mut Mat) {
-        for (o, &xi) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *o = xi - self.one_minus_alpha * *o;
-        }
-    }
-}
-
-impl BlockLinearOperator for PprBlockOperator<'_> {
-    fn apply_into(&self, x: &Mat, out: &mut Mat) {
-        self.a_tilde.spmm_into(x, out);
-        self.finish(x, out);
-    }
-
-    fn apply_transpose_into(&self, x: &Mat, out: &mut Mat) {
-        self.a_tilde_t.spmm_into(x, out);
-        self.finish(x, out);
-    }
-
-    fn dim(&self) -> usize {
-        self.a_tilde.rows()
-    }
-}
-
-/// Default CGNR iteration budget for an `n`-node system — what
-/// [`propagate_ppr_cgnr`] passes to the solver. Public so the op-count
-/// tests and the solver benchmarks measure the budget production actually
-/// uses.
-pub fn ppr_cgnr_budget(n: usize) -> usize {
-    4 * n + 100
-}
-
-/// Raw block-CGNR solve of `(I − (1−α)Ã) Z_∞ = α X`: returns the iterate
-/// and one honest [`SolveStats`] per feature column (true-residual verdict,
-/// actual iteration count) **without** any fallback. Callers that cannot
-/// tolerate a non-converged column use [`propagate_ppr_cgnr`] /
-/// [`propagate_ppr_cgnr_bounded`], which fall back to the power iteration.
-pub fn solve_ppr_cgnr(
-    a_tilde: &Csr,
-    x: &Mat,
-    alpha: f64,
-    max_iters: usize,
-) -> (Mat, Vec<SolveStats>) {
-    assert!(alpha > 0.0 && alpha <= 1.0, "solve_ppr_cgnr: α in (0, 1]");
-    assert_eq!(a_tilde.rows(), x.rows(), "solve_ppr_cgnr: dimension mismatch");
-    let op = PprBlockOperator::new(a_tilde, alpha);
-    let b = x.map(|v| v * alpha);
-    block_cgnr(&op, &b, PPR_CGNR_TOL, max_iters)
-}
-
-/// Alternative PPR path: solves `(I − (1−α)Ã) Z_∞ = α X` for **all** feature
-/// columns simultaneously with matrix-free block CGNR instead of the power
-/// iteration of [`propagate`]`(…, PropagationStep::Infinite)`.
-///
-/// Useful for small restart probabilities, where the power iteration's
-/// geometric rate `1−α` is slow; both paths agree to solver tolerance (see
-/// the equivalence tests). If any column fails to converge within the
-/// iteration budget the whole block is recomputed with the power iteration
-/// (with a logged warning) — an unconverged solve is never returned.
-pub fn propagate_ppr_cgnr(a_tilde: &Csr, x: &Mat, alpha: f64) -> Mat {
-    propagate_ppr_cgnr_bounded(a_tilde, x, alpha, ppr_cgnr_budget(a_tilde.rows()))
-}
-
-/// [`propagate_ppr_cgnr`] with an explicit iteration budget. Exposed so the
-/// fallback path is testable in release builds: a budget too small to
-/// converge must still yield the correct `Z_∞` (via the power iteration),
-/// never a half-converged iterate.
-pub fn propagate_ppr_cgnr_bounded(a_tilde: &Csr, x: &Mat, alpha: f64, max_iters: usize) -> Mat {
-    let (z, stats) = solve_ppr_cgnr(a_tilde, x, alpha, max_iters);
-    let failed = stats.iter().filter(|s| !s.converged).count();
-    if failed == 0 {
-        return z;
-    }
-    let worst = stats.iter().map(|s| s.residual).fold(0.0_f64, f64::max);
-    eprintln!(
-        "gcon-core: PPR CGNR left {failed}/{} columns unconverged after {} iterations \
-         (worst residual {worst:.3e}); falling back to the power iteration",
-        stats.len(),
-        max_iters,
-    );
-    // The recursion contracts toward Z_∞ from any finite starting point, so
-    // the solver's partial iterate warm-starts the fallback instead of being
-    // discarded (a non-finite iterate would never satisfy the fixed-point
-    // stopping rule, so that one case restarts from X).
-    let mut z = if z.is_finite() { z } else { x.clone() };
-    let mut scratch = Mat::default();
-    run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
-    z
 }
 
 /// Computes every requested scale `Z_{m_i}` in **one** sweep of the APPR
@@ -655,27 +256,12 @@ pub fn propagate_ppr_cgnr_bounded(a_tilde: &Csr, x: &Mat, alpha: f64, max_iters:
 /// `max(m_i)` and snapshotting each requested scale as it is passed costs
 /// `max(m_i)` sparse products instead of the `Σ m_i` that per-scale
 /// [`propagate`] calls would pay. A `PropagationStep::Infinite` entry is
-/// handled as the final segment: with the power solver the sweep simply
-/// continues from the largest finite scale to the fixed point (the iteration
-/// contracts toward `Z_∞` from *any* starting point, so the continuation
-/// converges to the same limit — finite blocks are bit-identical to
-/// per-scale propagation, the `∞` block agrees to fixed-point tolerance);
-/// with CGNR selected the `∞` block is solved directly by the block solver.
-///
-/// Equivalent to [`propagate_multi_with_solver`] with [`PprSolver::Auto`].
+/// handled as the final segment: the sweep simply continues from the
+/// largest finite scale to the fixed point (the iteration contracts toward
+/// `Z_∞` from *any* starting point, so the continuation converges to the
+/// same limit — finite blocks are bit-identical to per-scale propagation,
+/// the `∞` block agrees to fixed-point tolerance).
 pub fn propagate_multi(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationStep]) -> Mat {
-    propagate_multi_with_solver(a_tilde, x, alpha, steps, PprSolver::Auto)
-}
-
-/// [`propagate_multi`] with an explicit [`PprSolver`] choice for the `∞`
-/// segment.
-pub fn propagate_multi_with_solver(
-    a_tilde: &Csr,
-    x: &Mat,
-    alpha: f64,
-    steps: &[PropagationStep],
-    solver: PprSolver,
-) -> Mat {
     assert!(!steps.is_empty(), "propagate_multi: need at least one step");
     assert!(
         alpha > 0.0 && alpha <= 1.0,
@@ -709,13 +295,8 @@ pub fn propagate_multi_with_solver(
         snapshot(&mut out, &z, PropagationStep::Finite(k));
     }
     if has_infinite {
-        if solver.resolves_to_cgnr(alpha, a_tilde) {
-            let z_inf = propagate_ppr_cgnr(a_tilde, x, alpha);
-            snapshot(&mut out, &z_inf, PropagationStep::Infinite);
-        } else {
-            run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
-            snapshot(&mut out, &z, PropagationStep::Infinite);
-        }
+        run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
+        snapshot(&mut out, &z, PropagationStep::Infinite);
     }
     out
 }
@@ -726,105 +307,64 @@ pub fn propagate_multi_with_solver(
 /// The `1/s` weighting keeps each row's L2 norm ≤ 1 when the rows of `x` are
 /// unit-normalized (each `Z_m` row is a convex combination of unit rows).
 /// All scales are computed by the single-pass [`propagate_multi`] sweep.
-///
-/// Equivalent to [`concat_features_with_solver`] with [`PprSolver::Auto`].
 pub fn concat_features(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationStep]) -> Mat {
-    concat_features_with_solver(a_tilde, x, alpha, steps, PprSolver::Auto)
-}
-
-/// [`concat_features`] with an explicit [`PprSolver`] choice for any `∞`
-/// scale — this is what training and public inference call with
-/// `GconConfig::ppr_solver`.
-pub fn concat_features_with_solver(
-    a_tilde: &Csr,
-    x: &Mat,
-    alpha: f64,
-    steps: &[PropagationStep],
-    solver: PprSolver,
-) -> Mat {
     assert!(!steps.is_empty(), "concat_features: need at least one step");
-    let mut z = propagate_multi_with_solver(a_tilde, x, alpha, steps, solver);
+    let mut z = propagate_multi(a_tilde, x, alpha, steps);
     let inv_s = 1.0 / steps.len() as f64;
     z.map_inplace(|v| v * inv_s);
     z
 }
 
+/// [`concat_features`] for callers that still pass a [`PprSolver`]. The
+/// solver does not change a cold solve, so it is ignored.
+pub fn concat_features_with_solver(
+    a_tilde: &Csr,
+    x: &Mat,
+    alpha: f64,
+    steps: &[PropagationStep],
+    _solver: PprSolver,
+) -> Mat {
+    concat_features(a_tilde, x, alpha, steps)
+}
+
 /// Result of a warm-started PPR refresh ([`refresh_ppr`]).
 #[derive(Clone, Debug)]
 pub struct PprRefresh {
-    /// The refreshed `Z_∞` iterate (converged to solver tolerance).
+    /// The refreshed `Z_∞` iterate (converged to fixed-point tolerance).
     pub z: Mat,
     /// Certified bound on `‖z − Z_∞‖_max` (see [`ppr_staleness_bound`]),
     /// measured on the returned iterate with one extra sparse product.
     pub staleness_bound: f64,
-    /// Iterations/sweeps the warm solve performed (CGNR: max over columns;
-    /// power: number of sweeps). A small delta with a good warm start
-    /// finishes in a handful — this is the quantity `bench_updates`
-    /// contrasts with a cold solve.
+    /// Power sweeps the warm solve performed. The warm start begins far
+    /// closer to the new limit than a cold one, but the part of its error
+    /// along the stationary direction of the new `Ã` contracts only at rate
+    /// `(1−α)` per sweep (a cold start has none), so even a one-edge delta
+    /// can take more sweeps than a cold solve.
     pub iterations: usize,
-    /// Whether the CGNR path ran (`false` = power sweeps).
-    pub used_cgnr: bool,
 }
 
 /// Re-solves the PPR limit `(I − (1−α)Ã) Z_∞ = α X` warm-started from a
 /// previous iterate `z_warm` — the `∞`-scale half of an incremental graph
 /// refresh. After a delta touches a handful of `Ã` rows, the old fixed
-/// point is already correct to working precision away from the edit, so
-/// the solver only pays for propagating the perturbation:
-///
-/// - With CGNR resolved (see [`PprSolver::resolves_to_cgnr`]), the block
-///   solver starts at `X₀ = z_warm` and its per-column convergence test
-///   freezes already-converged columns after zero iterations.
-/// - With the power iteration resolved, the sweep continues from `z_warm`;
-///   the recursion contracts toward `Z_∞` from any starting point.
+/// point is already correct to working precision away from the edit, and
+/// the power sweep continues from `z_warm`: the recursion contracts toward
+/// `Z_∞` from any starting point, so it only pays for propagating the
+/// perturbation.
 ///
 /// `z_warm` must have `x`'s shape; onboarded nodes (rows new since the warm
 /// iterate was computed) should be seeded with their `x` rows — exact for
-/// isolated new nodes, a contraction-friendly start otherwise. Like every
-/// `∞` solve, an unconverged CGNR refresh falls back to warm power sweeps;
-/// the returned iterate is always converged, and `staleness_bound` is its
-/// *measured* certificate, not an assumption.
-pub fn refresh_ppr(
-    a_tilde: &Csr,
-    x: &Mat,
-    alpha: f64,
-    z_warm: &Mat,
-    solver: PprSolver,
-) -> PprRefresh {
+/// isolated new nodes, a contraction-friendly start otherwise. The returned
+/// iterate is converged, and `staleness_bound` is its *measured*
+/// certificate, not an assumption.
+pub fn refresh_ppr(a_tilde: &Csr, x: &Mat, alpha: f64, z_warm: &Mat) -> PprRefresh {
     assert!(alpha > 0.0 && alpha <= 1.0, "refresh_ppr: restart probability α must lie in (0, 1]");
     assert_eq!(a_tilde.rows(), x.rows(), "refresh_ppr: dimension mismatch");
     assert_eq!(z_warm.shape(), x.shape(), "refresh_ppr: warm iterate shape mismatch");
-    let (z, iterations, used_cgnr) = if solver.resolves_to_cgnr(alpha, a_tilde) {
-        let op = PprBlockOperator::new(a_tilde, alpha);
-        let b = x.map(|v| v * alpha);
-        let budget = ppr_cgnr_budget(a_tilde.rows());
-        let (z, stats) = block_cgnr_warm(&op, &b, z_warm, PPR_CGNR_TOL, budget);
-        let failed = stats.iter().filter(|s| !s.converged).count();
-        if failed == 0 {
-            let iters = stats.iter().map(|s| s.iterations).max().unwrap_or(0);
-            (z, iters, true)
-        } else {
-            // Same fallback contract as `propagate_ppr_cgnr_bounded`: finish
-            // with power sweeps warm-started from the partial iterate.
-            let worst = stats.iter().map(|s| s.residual).fold(0.0_f64, f64::max);
-            eprintln!(
-                "gcon-core: warm PPR CGNR left {failed}/{} columns unconverged after {budget} \
-                 iterations (worst residual {worst:.3e}); falling back to warm power sweeps",
-                stats.len(),
-            );
-            let mut z = if z.is_finite() { z } else { z_warm.clone() };
-            let mut scratch = Mat::default();
-            let sweeps = run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
-            (z, sweeps, false)
-        }
-    } else {
-        let mut z = z_warm.clone();
-        let mut scratch = Mat::default();
-        let sweeps = run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
-        (z, sweeps, false)
-    };
+    let mut z = z_warm.clone();
+    let mut scratch = Mat::default();
+    let iterations = run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
     let staleness_bound = ppr_staleness_bound(a_tilde, x, alpha, &z);
-    PprRefresh { z, staleness_bound, iterations, used_cgnr }
+    PprRefresh { z, staleness_bound, iterations }
 }
 
 /// Certified staleness bound for an approximate PPR iterate: returns
@@ -860,7 +400,7 @@ pub fn ppr_staleness_bound(a_tilde: &Csr, x: &Mat, alpha: f64, z: &Mat) -> f64 {
 /// (`crate::refresh::push`) maintains alongside `z`: after a delta it
 /// repairs only the touched rows of `r` and localizes its sweeps to rows
 /// whose residual exceeds the push threshold, so the global recompute here
-/// is only paid once at build time (or after a global-solver refresh).
+/// is only paid once at build time (or after a global power refresh).
 pub fn ppr_residual_into(a_tilde: &Csr, x: &Mat, alpha: f64, z: &Mat, r: &mut Mat) -> f64 {
     assert!(alpha > 0.0 && alpha <= 1.0, "ppr_residual_into: α in (0, 1]");
     assert_eq!(a_tilde.rows(), x.rows(), "ppr_residual_into: dimension mismatch");
@@ -994,133 +534,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ppr_cgnr_matches_power_iteration() {
-        let (_, a) = small_graph();
-        let x = Mat::from_fn(6, 3, |i, j| ((i * 2 + j) % 7) as f64 * 0.3 - 0.5);
-        for &alpha in &[0.1, 0.4, 0.9] {
-            let power =
-                propagate_with_solver(&a, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
-            let cg = propagate_ppr_cgnr(&a, &x, alpha);
-            for (u, v) in power.as_slice().iter().zip(cg.as_slice()) {
-                assert!((u - v).abs() < 1e-7, "α={alpha}: {u} vs {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn ppr_cgnr_on_bigger_random_graph() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(123);
-        let g = generators::erdos_renyi_gnm(150, 450, &mut rng);
-        let a = row_stochastic_default(&g);
-        let mut x = Mat::uniform(150, 4, 1.0, &mut rng);
-        x.normalize_rows_l2();
-        let power = propagate_with_solver(&a, &x, 0.2, PropagationStep::Infinite, PprSolver::Power);
-        let cg = propagate_ppr_cgnr(&a, &x, 0.2);
-        for (u, v) in power.as_slice().iter().zip(cg.as_slice()) {
-            assert!((u - v).abs() < 1e-6);
-        }
-    }
-
-    /// Regression for the silent-failure bug: a budget too small to converge
-    /// must fall back to the power iteration, so the result is still correct
-    /// in `--release` (the old path `debug_assert!`ed and returned garbage).
-    #[test]
-    fn non_converged_cgnr_falls_back_to_power_iteration() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(55);
-        let g = generators::erdos_renyi_gnm(60, 180, &mut rng);
-        let a = row_stochastic_default(&g);
-        let mut x = Mat::uniform(60, 3, 1.0, &mut rng);
-        x.normalize_rows_l2();
-        let alpha = 0.05;
-        // Sanity: two iterations genuinely cannot reach tolerance here.
-        let (_, stats) = solve_ppr_cgnr(&a, &x, alpha, 2);
-        assert!(stats.iter().all(|s| !s.converged), "budget of 2 unexpectedly converged");
-        let power =
-            propagate_with_solver(&a, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
-        let z = propagate_ppr_cgnr_bounded(&a, &x, alpha, 2);
-        // The fallback warm-starts from the partial CGNR iterate, so it
-        // reaches the same fixed point to tolerance (not bit-identically).
-        for (u, v) in power.as_slice().iter().zip(z.as_slice()) {
-            assert!(
-                (u - v).abs() < 1e-7,
-                "fallback must reproduce the power iteration: {u} vs {v}"
-            );
-        }
-    }
-
-    /// Honest statistics on an ill-conditioned system (α = 0.01): each
-    /// column's reported residual must equal the directly computed
-    /// `‖αx_j − (I − (1−α)Ã) z_j‖₂`, not a drifted recurrence value.
-    #[test]
-    fn cgnr_stats_report_true_residual_when_ill_conditioned() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(56);
-        let g = generators::erdos_renyi_gnm(80, 240, &mut rng);
-        let a = row_stochastic_default(&g);
-        let mut x = Mat::uniform(80, 4, 1.0, &mut rng);
-        x.normalize_rows_l2();
-        let alpha = 0.01;
-        let (z, stats) = solve_ppr_cgnr(&a, &x, alpha, ppr_cgnr_budget(80));
-        let op = PprOperator::new(&a, alpha);
-        for (j, s) in stats.iter().enumerate() {
-            let az = op.apply(&z.col(j));
-            let direct = x
-                .col(j)
-                .iter()
-                .zip(&az)
-                .map(|(&xi, &ai)| (alpha * xi - ai) * (alpha * xi - ai))
-                .sum::<f64>()
-                .sqrt();
-            assert!(
-                (s.residual - direct).abs() <= 1e-12 * direct.max(1.0),
-                "column {j}: reported {} vs direct {direct}",
-                s.residual
-            );
-            assert!(s.converged, "column {j} should converge within the default budget: {s:?}");
-        }
-    }
-
-    /// The auto selection switches solver at the documented threshold.
-    #[test]
-    fn solver_auto_threshold() {
-        assert!(PprSolver::Auto.chooses_cgnr(0.01));
-        assert!(PprSolver::Auto.chooses_cgnr(PPR_CGNR_ALPHA_MAX - 1e-9));
-        assert!(!PprSolver::Auto.chooses_cgnr(PPR_CGNR_ALPHA_MAX));
-        assert!(!PprSolver::Auto.chooses_cgnr(0.6));
-        assert!(PprSolver::Cgnr.chooses_cgnr(0.9));
-        assert!(!PprSolver::Power.chooses_cgnr(0.01));
-    }
-
-    /// Pins the pure Auto decision function on exact spectra, the way
-    /// `resolve_spmv_tier` pins the kernel-tier gate: expander-like gaps
-    /// keep the power iteration even at tiny `α`; gapless spectra switch
-    /// to CGNR; at or above the α prefilter the power iteration always
-    /// wins regardless of the gap.
-    #[test]
-    fn auto_decision_is_gap_aware() {
-        // α = 0.01, well below the prefilter.
-        assert!(!auto_chooses_cgnr(0.01, 0.0)); // disconnected-free, 1-sweep
-        assert!(!auto_chooses_cgnr(0.01, 0.9)); // ER-expander gap
-        assert!(!auto_chooses_cgnr(0.01, 0.95));
-        assert!(auto_chooses_cgnr(0.01, 0.999)); // ring-lattice regime
-        assert!(auto_chooses_cgnr(0.01, 0.9995));
-        assert!(auto_chooses_cgnr(0.01, 1.0)); // gapless limit
-                                               // At/above the prefilter: power, even with no spectral gap.
-        assert!(!auto_chooses_cgnr(PPR_CGNR_ALPHA_MAX, 1.0));
-        assert!(!auto_chooses_cgnr(0.15, 1.0));
-        // Out-of-range λ₂ estimates are clamped, not trusted.
-        assert!(auto_chooses_cgnr(0.01, 1.7) == auto_chooses_cgnr(0.01, 1.0));
-    }
-
-    /// Pins the pure touched-volume gate and the three-way refresh plan:
-    /// forced variants are forced, and Auto routes by volume first, then by
-    /// the spectral cost model.
+    /// Pins the pure touched-volume gate and the refresh plan: forced
+    /// variants are forced, and Auto routes by volume alone.
     #[test]
     fn refresh_plan_is_volume_aware() {
         // Pure volume gate.
@@ -1131,98 +546,18 @@ mod tests {
         assert!(auto_chooses_push(10, boundary));
         assert!(!auto_chooses_push(10, boundary - 1));
 
-        // Three-way resolution on a concrete expander.
+        // Resolution on a concrete expander.
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let a = row_stochastic_default(&generators::erdos_renyi_gnm(300, 900, &mut rng));
-        assert_eq!(plan_inf_refresh(PprSolver::Push, 0.2, &a, a.nnz()), InfRefreshKind::Push);
-        assert_eq!(plan_inf_refresh(PprSolver::Power, 0.2, &a, 2), InfRefreshKind::Power);
-        assert_eq!(plan_inf_refresh(PprSolver::Cgnr, 0.2, &a, 2), InfRefreshKind::Cgnr);
-        // Auto: a two-row edit pushes at any α; a volumetric edit falls
-        // through to the spectral decision (power on an expander).
-        assert_eq!(plan_inf_refresh(PprSolver::Auto, 0.2, &a, 12), InfRefreshKind::Push);
-        assert_eq!(plan_inf_refresh(PprSolver::Auto, 0.01, &a, 12), InfRefreshKind::Push);
-        assert_eq!(plan_inf_refresh(PprSolver::Auto, 0.2, &a, a.nnz()), InfRefreshKind::Power);
-        // Gapless graph at tiny α: volumetric edits go CGNR, local stay push.
+        assert_eq!(plan_inf_refresh(PprSolver::Push, &a, a.nnz()), InfRefreshKind::Push);
+        assert_eq!(plan_inf_refresh(PprSolver::Power, &a, 2), InfRefreshKind::Power);
+        // Auto: a two-row edit pushes; a volumetric edit runs power.
+        assert_eq!(plan_inf_refresh(PprSolver::Auto, &a, 12), InfRefreshKind::Push);
+        assert_eq!(plan_inf_refresh(PprSolver::Auto, &a, a.nnz()), InfRefreshKind::Power);
+        // A gapless ring routes the same way.
         let ring = row_stochastic_default(&generators::cycle(400));
-        assert_eq!(
-            plan_inf_refresh(PprSolver::Auto, 0.01, &ring, ring.nnz()),
-            InfRefreshKind::Cgnr
-        );
-        assert_eq!(plan_inf_refresh(PprSolver::Auto, 0.01, &ring, 6), InfRefreshKind::Push);
-    }
-
-    /// At fixed `α` the decision flips from power to CGNR exactly once as
-    /// the graph loses its spectral gap (the cost model is monotone).
-    #[test]
-    fn auto_decision_monotone_in_lambda2() {
-        let mut flips = 0;
-        let mut prev = auto_chooses_cgnr(0.01, 0.0);
-        for i in 1..=1000 {
-            let cur = auto_chooses_cgnr(0.01, i as f64 / 1000.0);
-            if cur != prev {
-                assert!(cur, "decision may only flip power → CGNR");
-                flips += 1;
-            }
-            prev = cur;
-        }
-        assert_eq!(flips, 1, "exactly one crossover in λ₂ ∈ [0, 1]");
-    }
-
-    /// The λ₂ estimator against graphs with known spectra. The cycle's
-    /// row-stochastic `Ã` is the circulant with symbol `(1+2cos θ)/3`, so
-    /// `λ₂ = (1+2cos(2π/n))/3` exactly; the complete graph's `Ã` is `J/n`
-    /// whose subdominant eigenvalue is 0.
-    #[test]
-    fn lambda2_estimate_matches_known_spectra() {
-        let ring = row_stochastic_default(&generators::cycle(24));
-        let exact = (1.0 + 2.0 * (2.0 * std::f64::consts::PI / 24.0).cos()) / 3.0;
-        let est = estimate_lambda2(&ring, 200);
-        assert!((est - exact).abs() < 1e-3, "ring λ₂: estimated {est}, exact {exact}");
-
-        let complete = row_stochastic_default(&generators::complete(8));
-        let est = estimate_lambda2(&complete, 16);
-        assert!(est < 1e-6, "complete-graph λ₂ should be ≈ 0, got {est}");
-
-        // Two disconnected cliques: the indicator difference of the
-        // components is an eigenvector with eigenvalue exactly 1.
-        let mut edges = Vec::new();
-        for u in 0..5u32 {
-            for v in (u + 1)..5 {
-                edges.push((u, v));
-                edges.push((u + 5, v + 5));
-            }
-        }
-        let split = row_stochastic_default(&gcon_graph::Graph::from_edges(10, &edges));
-        let est = estimate_lambda2(&split, 64);
-        assert!((est - 1.0).abs() < 1e-6, "disconnected λ₂ should be 1, got {est}");
-
-        // Degenerate sizes resolve to 0 (power iteration, one sweep).
-        assert_eq!(estimate_lambda2(&row_stochastic_default(&generators::path(1)), 8), 0.0);
-    }
-
-    /// The graph-aware resolution end to end: forced variants ignore the
-    /// graph; Auto at small `α` picks per-graph (CGNR on the gapless ring,
-    /// power on the well-connected complete graph) and short-circuits to
-    /// power at common `α` without consulting the spectrum.
-    #[test]
-    fn solver_resolution_is_graph_aware() {
-        let ring = row_stochastic_default(&generators::cycle(400));
-        let complete = row_stochastic_default(&generators::complete(16));
-        assert!(!PprSolver::Power.resolves_to_cgnr(0.01, &ring));
-        assert!(PprSolver::Cgnr.resolves_to_cgnr(0.4, &complete));
-        assert!(PprSolver::Auto.resolves_to_cgnr(0.01, &ring));
-        assert!(!PprSolver::Auto.resolves_to_cgnr(0.01, &complete));
-        assert!(!PprSolver::Auto.resolves_to_cgnr(0.15, &ring));
-        // The graph-aware decision only ever strengthens the α prefilter.
-        for &alpha in &[0.005, 0.01, 0.019, 0.02, 0.3] {
-            for a in [&ring, &complete] {
-                assert!(
-                    !PprSolver::Auto.resolves_to_cgnr(alpha, a)
-                        || PprSolver::Auto.chooses_cgnr(alpha),
-                    "resolves_to_cgnr must imply chooses_cgnr"
-                );
-            }
-        }
+        assert_eq!(plan_inf_refresh(PprSolver::Auto, &ring, ring.nnz()), InfRefreshKind::Power);
+        assert_eq!(plan_inf_refresh(PprSolver::Auto, &ring, 6), InfRefreshKind::Push);
     }
 
     /// After an edge delta, the warm refresh converges to the *new* fixed
@@ -1236,17 +571,14 @@ mod tests {
         let mut x = Mat::uniform(40, 6, 1.0, &mut rng);
         x.normalize_rows_l2();
         let alpha = 0.15;
-        let z_old =
-            propagate_with_solver(&a, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
+        let z_old = propagate(&a, &x, alpha, PropagationStep::Infinite);
 
         let g2 = g.with_edge_added(0, 20);
         let a2 = row_stochastic_default(&g2);
-        let refresh = refresh_ppr(&a2, &x, alpha, &z_old, PprSolver::Power);
-        assert!(!refresh.used_cgnr);
+        let refresh = refresh_ppr(&a2, &x, alpha, &z_old);
         assert!(refresh.iterations > 0, "the delta must perturb the fixed point");
 
-        let cold =
-            propagate_with_solver(&a2, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
+        let cold = propagate(&a2, &x, alpha, PropagationStep::Infinite);
         let cold_bound = ppr_staleness_bound(&a2, &x, alpha, &cold);
         let diff = max_abs_diff(&refresh.z, &cold);
         assert!(
@@ -1270,54 +602,15 @@ mod tests {
         let mut x = Mat::uniform(30, 5, 1.0, &mut rng);
         x.normalize_rows_l2();
         let alpha = 0.2;
-        let z_old =
-            propagate_with_solver(&a, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
+        let z_old = propagate(&a, &x, alpha, PropagationStep::Infinite);
 
         let g2 = g.with_edge_added(1, 17);
         let a2 = row_stochastic_default(&g2);
         let bound = ppr_staleness_bound(&a2, &x, alpha, &z_old);
-        let fresh =
-            propagate_with_solver(&a2, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
+        let fresh = propagate(&a2, &x, alpha, PropagationStep::Infinite);
         let true_err = max_abs_diff(&z_old, &fresh);
         assert!(bound > 0.0, "a real delta must produce a nonzero certificate");
         assert!(true_err <= bound + 1e-9, "true error {true_err} exceeds certified bound {bound}");
-    }
-
-    /// Warm-starting the CGNR refresh *at* the solution freezes every
-    /// column after zero iterations and returns the warm iterate verbatim.
-    #[test]
-    fn cgnr_refresh_at_solution_is_free_and_bitwise() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let g = generators::erdos_renyi_gnm(25, 50, &mut rng);
-        let a = row_stochastic_default(&g);
-        let mut x = Mat::uniform(25, 4, 1.0, &mut rng);
-        x.normalize_rows_l2();
-        let alpha = 0.3;
-        let z = propagate_ppr_cgnr(&a, &x, alpha);
-        let refresh = refresh_ppr(&a, &x, alpha, &z, PprSolver::Cgnr);
-        assert!(refresh.used_cgnr);
-        assert_eq!(refresh.iterations, 0);
-        assert_eq!(refresh.z.as_slice(), z.as_slice(), "frozen solve must be bitwise");
-    }
-
-    /// `propagate_multi` with CGNR selected for the `∞` block agrees with
-    /// the pure-power sweep on every block.
-    #[test]
-    fn propagate_multi_solver_choices_agree() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(57);
-        let g = generators::erdos_renyi_gnm(50, 150, &mut rng);
-        let a = row_stochastic_default(&g);
-        let mut x = Mat::uniform(50, 3, 1.0, &mut rng);
-        x.normalize_rows_l2();
-        let steps = [PropagationStep::Finite(2), PropagationStep::Infinite];
-        let alpha = 0.08;
-        let power = propagate_multi_with_solver(&a, &x, alpha, &steps, PprSolver::Power);
-        let cgnr = propagate_multi_with_solver(&a, &x, alpha, &steps, PprSolver::Cgnr);
-        for (u, v) in power.as_slice().iter().zip(cgnr.as_slice()) {
-            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
     }
 
     #[test]
@@ -1400,5 +693,190 @@ mod tests {
             );
             prev_err = err;
         }
+    }
+
+    /// The exact dense PPR limit `α (I − (1−α)Ã)⁻¹ X` by LU.
+    fn dense_ppr(a: &Csr, x: &Mat, alpha: f64) -> Mat {
+        let n = a.rows();
+        let mut m = Mat::eye(n);
+        ops::add_scaled_assign(&mut m, -(1.0 - alpha), &a.to_dense());
+        let mut z = gcon_linalg::lu::Lu::new(&m).solve_mat(x).expect("Lemma 3: invertible");
+        z.map_inplace(|v| v * alpha);
+        z
+    }
+
+    #[test]
+    fn ppr_power_matches_dense_lu_solve() {
+        let (_, a) = small_graph();
+        let x = Mat::from_fn(6, 3, |i, j| ((i * 2 + j) % 7) as f64 * 0.3 - 0.5);
+        for &alpha in &[0.1, 0.4, 0.9] {
+            let power = propagate(&a, &x, alpha, PropagationStep::Infinite);
+            let exact = dense_ppr(&a, &x, alpha);
+            let gap = max_abs_diff(&power, &exact);
+            assert!(gap < 1e-8, "α={alpha}: power iteration off the exact limit by {gap}");
+        }
+    }
+
+    #[test]
+    fn ppr_power_on_bigger_random_graph_matches_lu() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(123);
+        let g = generators::erdos_renyi_gnm(150, 450, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(150, 4, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let power = propagate(&a, &x, 0.2, PropagationStep::Infinite);
+        let gap = max_abs_diff(&power, &dense_ppr(&a, &x, 0.2));
+        assert!(gap < 1e-8, "power iteration off the exact limit by {gap}");
+    }
+
+    /// A cold solve is the same power iteration whatever [`PprSolver`] is
+    /// configured: the solver-taking delegate is bitwise `concat_features`.
+    #[test]
+    fn concat_features_ignores_the_ppr_solver() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(57);
+        let g = generators::erdos_renyi_gnm(50, 150, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(50, 3, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let steps = [PropagationStep::Finite(2), PropagationStep::Infinite];
+        let plain = concat_features(&a, &x, 0.08, &steps);
+        for solver in [PprSolver::Auto, PprSolver::Power, PprSolver::Push] {
+            let with = concat_features_with_solver(&a, &x, 0.08, &steps, solver);
+            assert_eq!(with.as_slice(), plain.as_slice(), "{solver:?}");
+        }
+    }
+
+    /// Warm-starting the refresh *at* the fixed point costs the single sweep
+    /// that confirms convergence and moves no entry by more than the
+    /// tolerance.
+    #[test]
+    fn refresh_at_the_fixed_point_takes_one_sweep() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let g = generators::erdos_renyi_gnm(25, 50, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(25, 4, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let alpha = 0.3;
+        let z = propagate(&a, &x, alpha, PropagationStep::Infinite);
+        let refresh = refresh_ppr(&a, &x, alpha, &z);
+        assert_eq!(refresh.iterations, 1);
+        assert!(max_abs_diff(&refresh.z, &z) < PPR_TOL);
+        assert!(refresh.staleness_bound < 1e-8);
+    }
+
+    /// Warm-starting from the features themselves is exactly the cold
+    /// solve's starting point, so the result is the cold solve bit-for-bit.
+    #[test]
+    fn refresh_from_the_features_is_bitwise_the_cold_solve() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let g = generators::erdos_renyi_gnm(40, 100, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(40, 5, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let cold = propagate(&a, &x, 0.25, PropagationStep::Infinite);
+        let refresh = refresh_ppr(&a, &x, 0.25, &x);
+        assert_eq!(refresh.z.as_slice(), cold.as_slice());
+    }
+
+    /// After a one-edge delta the old fixed point is a far better start
+    /// than the features: its certificate on the new graph is much smaller.
+    /// (It need not take fewer sweeps; see [`PprRefresh::iterations`].)
+    #[test]
+    fn warm_start_begins_far_closer_than_a_cold_one() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let g = generators::erdos_renyi_gnm(60, 150, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(60, 4, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let alpha = 0.15;
+        let z_old = propagate(&a, &x, alpha, PropagationStep::Infinite);
+        let (u, v) = (0..60u32)
+            .flat_map(|u| (u + 1..60).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("graph is not complete");
+        let a2 = row_stochastic_default(&g.with_edge_added(u, v));
+        let warm_start = ppr_staleness_bound(&a2, &x, alpha, &z_old);
+        let cold_start = ppr_staleness_bound(&a2, &x, alpha, &x);
+        assert!(
+            warm_start < 0.1 * cold_start,
+            "warm start certifies {warm_start:e}, cold start {cold_start:e}"
+        );
+        let warm = refresh_ppr(&a2, &x, alpha, &z_old);
+        assert!(warm.staleness_bound < 1e-8);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm iterate shape mismatch")]
+    fn refresh_rejects_a_warm_iterate_of_the_wrong_shape() {
+        let (_, a) = small_graph();
+        let x = Mat::full(6, 2, 1.0);
+        let _ = refresh_ppr(&a, &x, 0.5, &Mat::full(6, 3, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "restart probability")]
+    fn propagate_rejects_a_restart_probability_of_zero() {
+        let (_, a) = small_graph();
+        let _ = propagate(&a, &Mat::full(6, 2, 1.0), 0.0, PropagationStep::Infinite);
+    }
+
+    /// The materialized residual reports the same certificate as
+    /// `ppr_staleness_bound`, bit-for-bit, and the certificate is its
+    /// max-norm over α.
+    #[test]
+    fn residual_into_reports_the_staleness_bound_bitwise() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let g = generators::erdos_renyi_gnm(30, 70, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(30, 3, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let alpha = 0.35;
+        // A partly converged iterate, so the residual is far from zero.
+        let z = propagate(&a, &x, alpha, PropagationStep::Finite(3));
+        let mut r = Mat::full(2, 2, f64::NAN);
+        let bound = ppr_residual_into(&a, &x, alpha, &z, &mut r);
+        assert_eq!(bound.to_bits(), ppr_staleness_bound(&a, &x, alpha, &z).to_bits());
+        assert_eq!(r.shape(), x.shape());
+        assert_eq!(bound.to_bits(), (r.max_abs() / alpha).to_bits());
+        assert!(bound > 1e-6, "three sweeps are not converged");
+    }
+
+    /// The sweep count stays inside the contraction envelope: successive
+    /// iterates differ by at most `2‖X‖_max (1−α)^k` after `k` sweeps, so the
+    /// stop test fires by `⌈ln(PPR_TOL / 2‖X‖_max) / ln(1−α)⌉ + 1` sweeps.
+    #[test]
+    fn power_sweeps_stay_within_the_contraction_envelope() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let a = row_stochastic_default(&generators::cycle(100));
+        let x = Mat::uniform(100, 3, 1.0, &mut rng);
+        for &alpha in &[0.1, 0.2, 0.5, 0.9] {
+            let sweeps = refresh_ppr(&a, &x, alpha, &x).iterations;
+            let envelope =
+                ((PPR_TOL / (2.0 * x.max_abs())).ln() / (1.0 - alpha).ln()).ceil() as usize + 1;
+            assert!(sweeps <= envelope, "α={alpha}: {sweeps} sweeps > envelope {envelope}");
+        }
+    }
+
+    /// The certificate brackets the true error of a known perturbation
+    /// from both sides: `‖e‖ ≤ ‖R‖/α ≤ (2−α)/α · ‖e‖`, because
+    /// `R = −(I − (1−α)Ã) e` and `‖I − (1−α)Ã‖_max ≤ 2 − α`.
+    #[test]
+    fn staleness_bound_brackets_a_known_perturbation() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let g = generators::erdos_renyi_gnm(40, 90, &mut rng);
+        let a = row_stochastic_default(&g);
+        let mut x = Mat::uniform(40, 3, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let alpha = 0.3;
+        let exact = dense_ppr(&a, &x, alpha);
+        let mut z = propagate(&a, &x, alpha, PropagationStep::Infinite);
+        z.add_at(7, 1, 1e-3);
+        let err = max_abs_diff(&z, &exact);
+        let bound = ppr_staleness_bound(&a, &x, alpha, &z);
+        assert!(err <= bound + 1e-12, "error {err} above certificate {bound}");
+        assert!(
+            bound <= (2.0 - alpha) / alpha * err + 1e-12,
+            "certificate {bound} looser than (2−α)/α × error {err}"
+        );
     }
 }

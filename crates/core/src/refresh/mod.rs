@@ -24,7 +24,7 @@
 //!   [`PprSolver`] against the delta's touched-set volume: a strictly
 //!   local edit repairs `R` on the touched rows and drains it with
 //!   forward-push sweeps ([`push`]) at `O(vol(affected))` cost, while a
-//!   volumetric edit warm-starts a global solver ([`refresh_ppr`]) from
+//!   volumetric edit warm-starts global power sweeps ([`refresh_ppr`]) from
 //!   the previous fixed point (new rows seeded from `X`). Either way the
 //!   result carries the certified max-norm staleness certificate of
 //!   [`crate::propagation::ppr_staleness_bound`] instead of a bitwise
@@ -43,8 +43,8 @@
 //! produces).
 
 use crate::propagation::{
-    plan_inf_refresh, ppr_residual_into, propagate_ppr_cgnr, refresh_ppr, run_to_fixed_point,
-    step_once_into, InfRefreshKind, PprSolver, PropagationStep,
+    plan_inf_refresh, ppr_residual_into, refresh_ppr, run_to_fixed_point, step_once_into,
+    InfRefreshKind, PprSolver, PropagationStep,
 };
 use gcon_graph::Csr;
 use gcon_linalg::Mat;
@@ -87,13 +87,13 @@ pub struct RefreshStats {
     /// exactly the rows whose finite-scale iterates may have changed (a
     /// serving layer patches only these store rows).
     pub affected: Vec<u32>,
-    /// Iterations/sweeps of the `∞` refresh (push sweeps, power sweeps, or
-    /// CGNR iterations; 0 when no `∞` scale or nothing to do).
+    /// Sweeps of the `∞` refresh (push sweeps or power sweeps; 0 when no `∞`
+    /// scale or nothing to do).
     pub inf_iterations: usize,
     /// The solver the `∞` refresh **actually ran** — which can differ from
-    /// the configured [`PprSolver`]: `Auto` resolves per delta, a CGNR or
-    /// push attempt that exhausts its budget falls back to power sweeps,
-    /// and `None` means no `∞` scale (or an empty delta skipped the solve).
+    /// the configured [`PprSolver`]: `Auto` resolves per delta, a push
+    /// attempt that exhausts its budget falls back to power sweeps, and
+    /// `None` means no `∞` scale (or an empty delta skipped the solve).
     pub inf_solver: Option<InfRefreshKind>,
     /// Certified `‖Z_∞-block − exact‖_max` bound after this refresh
     /// (`0.0` when the chain has no `∞` scale — finite levels are exact).
@@ -114,13 +114,13 @@ impl ApprChain {
     /// The per-level arithmetic is the same `step_once_into` sweep that
     /// [`propagate_multi`] runs, so
     /// [`assemble`](Self::assemble)/[`assemble_concat`](Self::assemble_concat)
-    /// of a freshly built chain are byte-identical to
-    /// [`propagate_multi_with_solver`] / `concat_features_with_solver`
-    /// outputs (the `∞` block to fixed-point/solver tolerance — it is the
-    /// identical code path).
+    /// of a freshly built chain are byte-identical to [`propagate_multi`] /
+    /// [`concat_features`] outputs, the `∞` block included (it is the
+    /// identical code path). `solver` only steers later
+    /// [`refresh`](Self::refresh) calls.
     ///
     /// [`propagate_multi`]: crate::propagation::propagate_multi
-    /// [`propagate_multi_with_solver`]: crate::propagation::propagate_multi_with_solver
+    /// [`concat_features`]: crate::propagation::concat_features
     pub fn build(
         a_tilde: &Csr,
         x: &Mat,
@@ -155,17 +155,12 @@ impl ApprChain {
         }
 
         let (z_inf, r_inf, staleness_bound) = if has_infinite {
-            let z = if solver.resolves_to_cgnr(alpha, a_tilde) {
-                propagate_ppr_cgnr(a_tilde, x, alpha)
-            } else {
-                // Continue from the deepest finite iterate, exactly like the
-                // single-sweep propagate_multi (the recursion contracts to
-                // the same limit from any start). PprSolver::Push lands here
-                // too: a cold build has no residual to push against.
-                let mut z = iterates.last().expect("chain starts at Z_0").clone();
-                run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
-                z
-            };
+            // Continue from the deepest finite iterate, exactly like the
+            // single-sweep propagate_multi (the recursion contracts to the
+            // same limit from any start). PprSolver::Push lands here too: a
+            // cold build has no residual to push against.
+            let mut z = iterates.last().expect("chain starts at Z_0").clone();
+            run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
             // Materialize the residual the push refresh maintains; the
             // returned bound is bit-identical to `ppr_staleness_bound`
             // (same arithmetic, one sparse product).
@@ -317,7 +312,7 @@ impl ApprChain {
                 Some(old) => grow_rows(&old, n),
                 None => unreachable!("has_infinite chains always carry r_inf"),
             };
-            let plan = plan_inf_refresh(self.solver, self.alpha, a_tilde, touched_volume);
+            let plan = plan_inf_refresh(self.solver, a_tilde, touched_volume);
             let (iterations, used) = match plan {
                 InfRefreshKind::Push => {
                     let outcome = push::push_refresh(a_tilde, x, self.alpha, &mut z, &mut r, &seed);
@@ -332,13 +327,8 @@ impl ApprChain {
                     };
                     (outcome.sweeps, used)
                 }
-                InfRefreshKind::Power | InfRefreshKind::Cgnr => {
-                    let forced = if plan == InfRefreshKind::Cgnr {
-                        PprSolver::Cgnr
-                    } else {
-                        PprSolver::Power
-                    };
-                    let refreshed = refresh_ppr(a_tilde, x, self.alpha, &z, forced);
+                InfRefreshKind::Power => {
+                    let refreshed = refresh_ppr(a_tilde, x, self.alpha, &z);
                     // Re-materialize the maintained residual; the returned
                     // bound is the same number `refresh_ppr` measured (the
                     // identical arithmetic over the identical iterate).
@@ -346,12 +336,7 @@ impl ApprChain {
                     debug_assert_eq!(bound.to_bits(), refreshed.staleness_bound.to_bits());
                     self.staleness_bound = bound;
                     self.z_inf = Some(refreshed.z);
-                    let used = if refreshed.used_cgnr {
-                        InfRefreshKind::Cgnr
-                    } else {
-                        InfRefreshKind::Power
-                    };
-                    (refreshed.iterations, used)
+                    (refreshed.iterations, InfRefreshKind::Power)
                 }
             };
             self.r_inf = Some(r);
@@ -495,7 +480,7 @@ fn recompute_row(a_tilde: &Csr, z_prev: &Mat, x: &Mat, alpha: f64, i: usize, out
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagation::{concat_features_with_solver, propagate_multi_with_solver};
+    use crate::propagation::{concat_features, propagate_multi};
     use gcon_graph::normalize::row_stochastic_default;
     use gcon_graph::{generators, CsrDelta, Graph};
     use rand::rngs::StdRng;
@@ -518,9 +503,9 @@ mod tests {
         let steps =
             [PropagationStep::Finite(0), PropagationStep::Finite(2), PropagationStep::Finite(3)];
         let chain = ApprChain::build(&a, &x, 0.25, &steps, PprSolver::Power);
-        let direct = propagate_multi_with_solver(&a, &x, 0.25, &steps, PprSolver::Power);
+        let direct = propagate_multi(&a, &x, 0.25, &steps);
         assert_eq!(chain.assemble().as_slice(), direct.as_slice());
-        let concat = concat_features_with_solver(&a, &x, 0.25, &steps, PprSolver::Power);
+        let concat = concat_features(&a, &x, 0.25, &steps);
         assert_eq!(chain.assemble_concat().as_slice(), concat.as_slice());
     }
 
@@ -529,7 +514,7 @@ mod tests {
         let (_, a, x) = setup(24, 55, 4, 9);
         let steps = [PropagationStep::Finite(1), PropagationStep::Infinite];
         let chain = ApprChain::build(&a, &x, 0.3, &steps, PprSolver::Power);
-        let direct = propagate_multi_with_solver(&a, &x, 0.3, &steps, PprSolver::Power);
+        let direct = propagate_multi(&a, &x, 0.3, &steps);
         // The ∞ segment is the identical continuation code path: bitwise.
         assert_eq!(chain.assemble().as_slice(), direct.as_slice());
         assert!(chain.staleness_bound() < 1e-8, "converged limit certifies tightly");
@@ -771,6 +756,96 @@ mod tests {
             current = result.a_tilde;
         }
         assert!(chain.cumulative_staleness_bound() >= chain.staleness_bound());
+    }
+
+    /// Far below the paper's α range: `Auto` at α = 0.01 on a gapless ring.
+    /// The cold solve and a refresh after a delta that touches every row
+    /// both run power sweeps and certify a converged limit.
+    #[test]
+    fn auto_at_small_alpha_on_a_ring_converges_by_power() {
+        let n = 400;
+        let mut g = generators::cycle(n);
+        let a = row_stochastic_default(&g);
+        let mut rng = StdRng::seed_from_u64(82);
+        let mut x = Mat::uniform(n, 4, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        let alpha = 0.01;
+        let cold = crate::propagation::propagate(&a, &x, alpha, PropagationStep::Infinite);
+        let cold_bound = crate::propagation::ppr_staleness_bound(&a, &x, alpha, &cold);
+        assert!(cold_bound < 1e-8, "cold solve certifies {cold_bound:e}");
+
+        let steps = [PropagationStep::Infinite];
+        let mut chain = ApprChain::build(&a, &x, alpha, &steps, PprSolver::Auto);
+        let half = (n / 2) as u32;
+        let mut chords = CsrDelta::new();
+        for u in 0..half {
+            chords.insert_edge(u, u + half);
+        }
+        let result = chords.apply(&mut g, &a, P_DEFAULT);
+        assert_eq!(result.touched.len(), n, "the chords touch every row");
+        let stats = chain.refresh(&result.a_tilde, &x, &result.touched);
+        assert_eq!(stats.inf_solver, Some(crate::propagation::InfRefreshKind::Power));
+        assert!(stats.staleness_bound < 1e-8, "refresh certifies {:e}", stats.staleness_bound);
+    }
+
+    /// Forced `Power` and forced `Push` refresh the same local edit to the
+    /// same limit within their certificates, and each reports what it ran;
+    /// the finite levels do not depend on the solver at all.
+    #[test]
+    fn forced_power_and_push_agree_within_certificates() {
+        let (mut g, a, x) = setup(60, 150, 4, 83);
+        let steps = [PropagationStep::Finite(2), PropagationStep::Infinite];
+        let alpha = 0.2;
+        let mut power = ApprChain::build(&a, &x, alpha, &steps, PprSolver::Power);
+        let mut push = ApprChain::build(&a, &x, alpha, &steps, PprSolver::Push);
+        let (eu, ev) = absent_edge(&g, 60);
+        let mut delta = CsrDelta::new();
+        delta.insert_edge(eu, ev);
+        let result = delta.apply(&mut g, &a, P_DEFAULT);
+        let by_power = power.refresh(&result.a_tilde, &x, &result.touched);
+        let by_push = push.refresh(&result.a_tilde, &x, &result.touched);
+        assert_eq!(by_power.inf_solver, Some(crate::propagation::InfRefreshKind::Power));
+        assert_eq!(by_push.inf_solver, Some(crate::propagation::InfRefreshKind::Push));
+        assert_eq!(by_power.affected, by_push.affected);
+        assert_eq!(power.iterate(2).as_slice(), push.iterate(2).as_slice());
+        let gap = max_abs_gap(power.z_inf().expect("∞ chain"), push.z_inf().expect("∞ chain"));
+        assert!(
+            gap <= by_power.staleness_bound + by_push.staleness_bound,
+            "power and push ∞ blocks differ by {gap}, certificates allow {} + {}",
+            by_power.staleness_bound,
+            by_push.staleness_bound
+        );
+    }
+
+    /// Onboarded nodes join the `∞` block too: after a delta that adds two
+    /// connected nodes, the refreshed limit matches a rebuild within the
+    /// certificates and the finite level stays bitwise.
+    #[test]
+    fn onboarding_refresh_with_infinity_stays_within_certificate() {
+        let (mut g, a, x) = setup(40, 90, 3, 84);
+        let steps = [PropagationStep::Finite(1), PropagationStep::Infinite];
+        let alpha = 0.25;
+        let mut chain = ApprChain::build(&a, &x, alpha, &steps, PprSolver::Auto);
+        let mut delta = CsrDelta::new();
+        delta.add_nodes(2).insert_edge(40, 3).insert_edge(41, 40).insert_edge(41, 17);
+        let result = delta.apply(&mut g, &a, P_DEFAULT);
+        let mut x2 = Mat::zeros(42, 3);
+        x2.as_mut_slice()[..40 * 3].copy_from_slice(x.as_slice());
+        x2.row_mut(40).copy_from_slice(&[0.6, 0.8, 0.0]);
+        x2.row_mut(41).copy_from_slice(&[0.0, 0.6, 0.8]);
+
+        let stats = chain.refresh(&result.a_tilde, &x2, &result.touched);
+        assert_eq!(chain.num_nodes(), 42);
+        assert!(stats.inf_solver.is_some(), "the ∞ block must be refreshed");
+        let rebuilt = ApprChain::build(&result.a_tilde, &x2, alpha, &steps, PprSolver::Power);
+        assert_eq!(chain.iterate(1).as_slice(), rebuilt.iterate(1).as_slice());
+        let gap = max_abs_gap(chain.z_inf().expect("∞ chain"), rebuilt.z_inf().expect("∞ chain"));
+        assert!(
+            gap <= stats.staleness_bound + rebuilt.staleness_bound(),
+            "onboarded ∞ block off by {gap}, certificates allow {} + {}",
+            stats.staleness_bound,
+            rebuilt.staleness_bound()
+        );
     }
 
     #[test]

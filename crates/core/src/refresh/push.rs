@@ -29,7 +29,7 @@
 //! power iteration leaves behind (its stop test `‖z⁺ − z‖_max < PPR_TOL`
 //! implies `‖R(z⁺)‖_max = ‖(1−α)Ã(z − z⁺)‖_max < (1−α)·PPR_TOL`), so a
 //! push-refreshed iterate certifies the **same** staleness bound
-//! `‖R‖_max/α` as the global solvers. The bound is then *measured* with a
+//! `‖R‖_max/α` as a global power refresh. The bound is then *measured* with a
 //! dense scan of the maintained residual — never assumed.
 //!
 //! **Determinism.** Repair and push are sequential scalar loops over a
@@ -269,4 +269,135 @@ pub fn push_refresh(
     // sparse product — the whole point of maintaining R).
     let r_max = r.as_slice().iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));
     PushOutcome { sweeps, rows_pushed, staleness_bound: r_max / alpha, converged: true }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::propagation::{max_abs_diff, ppr_staleness_bound, propagate, PropagationStep};
+    use gcon_graph::normalize::row_stochastic_default;
+    use gcon_graph::{generators, CsrDelta, Graph};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const P_DEFAULT: f64 = 0.5;
+
+    fn features(n: usize, d: usize, seed: u64) -> Mat {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Mat::uniform(n, d, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        x
+    }
+
+    /// `Ã`, the power-iteration limit and its materialized residual on `g`.
+    fn converged(g: &Graph, x: &Mat, alpha: f64) -> (Csr, Mat, Mat) {
+        let a = row_stochastic_default(g);
+        let z = propagate(&a, x, alpha, PropagationStep::Infinite);
+        let mut r = Mat::zeros(0, 0);
+        ppr_residual_into(&a, x, alpha, &z, &mut r);
+        (a, z, r)
+    }
+
+    fn absent_edge(g: &Graph) -> (u32, u32) {
+        let n = g.num_nodes() as u32;
+        (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("graph is not complete")
+    }
+
+    /// Repairing only the touched rows after a delta reproduces a global
+    /// residual recompute on the new graph bit for bit.
+    #[test]
+    fn repaired_rows_are_bitwise_a_global_recompute() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut g = generators::erdos_renyi_gnm(50, 120, &mut rng);
+        let x = features(50, 4, 4);
+        let alpha = 0.2;
+        let (a, z, mut r) = converged(&g, &x, alpha);
+        let (u, v) = absent_edge(&g);
+        let mut delta = CsrDelta::new();
+        delta.insert_edge(u, v);
+        let result = delta.apply(&mut g, &a, P_DEFAULT);
+        assert_eq!(result.touched, vec![u, v]);
+        repair_residual_rows(&result.a_tilde, &x, alpha, &z, &result.touched, &mut r);
+        let mut global = Mat::zeros(0, 0);
+        ppr_residual_into(&result.a_tilde, &x, alpha, &z, &mut global);
+        for (i, (p, q)) in r.as_slice().iter().zip(global.as_slice()).enumerate() {
+            assert_eq!(p.to_bits(), q.to_bits(), "element {i}: repaired {p} vs global {q}");
+        }
+    }
+
+    /// An empty seed does nothing: no sweep, no push, `z` and `r`
+    /// untouched, and the certificate is the dense scan of `r`.
+    #[test]
+    fn an_empty_seed_pushes_nothing() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = generators::erdos_renyi_gnm(30, 70, &mut rng);
+        let x = features(30, 3, 6);
+        let alpha = 0.3;
+        let (a, mut z, mut r) = converged(&g, &x, alpha);
+        let (z0, r0) = (z.clone(), r.clone());
+        let out = push_refresh(&a, &x, alpha, &mut z, &mut r, &[]);
+        assert_eq!((out.sweeps, out.rows_pushed), (0, 0));
+        assert!(out.converged);
+        assert_eq!(z.as_slice(), z0.as_slice());
+        assert_eq!(r.as_slice(), r0.as_slice());
+        assert_eq!(out.staleness_bound.to_bits(), (r0.max_abs() / alpha).to_bits());
+    }
+
+    /// A converged power iterate already sits under the push threshold: its
+    /// stop test `‖z⁺ − z‖_max < PPR_TOL` leaves `‖R‖_max < (1−α)·PPR_TOL`,
+    /// so seeding every row pushes none of them.
+    #[test]
+    fn a_converged_power_iterate_needs_no_push() {
+        for (seed, alpha) in [(7u64, 0.1), (8, 0.25), (9, 0.6)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::erdos_renyi_gnm(80, 200, &mut rng);
+            let x = features(80, 4, seed + 100);
+            let (a, mut z, mut r) = converged(&g, &x, alpha);
+            assert!(r.max_abs() <= push_epsilon(alpha), "α={alpha}: ‖R‖ {}", r.max_abs());
+            let all: Vec<u32> = (0..80).collect();
+            let out = push_refresh(&a, &x, alpha, &mut z, &mut r, &all);
+            assert_eq!((out.sweeps, out.rows_pushed), (0, 0), "α={alpha}");
+            assert!(out.converged);
+        }
+    }
+
+    /// A local edit on a long ring drains near the edit: rows far from it
+    /// are never written, and the result agrees with a cold solve on the
+    /// new graph within the two certificates.
+    #[test]
+    fn push_stays_local_on_a_long_ring() {
+        let n = 400;
+        let mut g = generators::cycle(n);
+        let x = features(n, 3, 10);
+        let alpha = 0.5;
+        let (a, mut z, mut r) = converged(&g, &x, alpha);
+        let z_before = z.clone();
+        let mut delta = CsrDelta::new();
+        delta.insert_edge(0, 2);
+        let result = delta.apply(&mut g, &a, P_DEFAULT);
+        let out = push_refresh(&result.a_tilde, &x, alpha, &mut z, &mut r, &result.touched);
+        assert!(out.converged);
+        assert!(out.rows_pushed > 0, "the chord perturbs the limit");
+        assert!(out.staleness_bound <= push_epsilon(alpha) / alpha);
+        for i in 150..250 {
+            assert_eq!(z.row(i), z_before.row(i), "row {i} is far from the edit");
+        }
+        let cold = propagate(&result.a_tilde, &x, alpha, PropagationStep::Infinite);
+        let cold_bound = ppr_staleness_bound(&result.a_tilde, &x, alpha, &cold);
+        let gap = max_abs_diff(&z, &cold);
+        assert!(gap <= out.staleness_bound + cold_bound, "push vs cold differ by {gap}");
+    }
+
+    #[test]
+    #[should_panic(expected = "residual shape mismatch")]
+    fn push_refresh_rejects_a_residual_of_the_wrong_shape() {
+        let a = row_stochastic_default(&generators::cycle(5));
+        let x = Mat::full(5, 2, 1.0);
+        let mut z = x.clone();
+        let mut r = Mat::zeros(5, 3);
+        let _ = push_refresh(&a, &x, 0.5, &mut z, &mut r, &[0]);
+    }
 }

@@ -313,7 +313,6 @@ fn put_config(buf: &mut BytesMut, cfg: &GconConfig, version: u16) {
         buf.put_u8(match cfg.ppr_solver {
             PprSolver::Auto => 0,
             PprSolver::Power => 1,
-            PprSolver::Cgnr => 2,
             PprSolver::Push => 3,
         });
     }
@@ -352,7 +351,9 @@ fn get_config(buf: &mut Bytes, version: u16) -> Result<GconConfig, DecodeError> 
         match get_u8(buf)? {
             0 => PprSolver::Auto,
             1 => PprSolver::Power,
-            2 => PprSolver::Cgnr,
+            // Tag 2 was the retired block-CGNR solver, a global solve like
+            // power iteration; artifacts that carry it load as `Power`.
+            2 => PprSolver::Power,
             3 => PprSolver::Push,
             t => return Err(DecodeError::BadTag("ppr solver", t)),
         }
@@ -790,7 +791,7 @@ mod tests {
         cfg.optimizer.max_iters = 200;
         cfg.steps = vec![PropagationStep::Finite(1), PropagationStep::Infinite];
         cfg.loss = LossKind::PseudoHuber { delta: 0.3 };
-        cfg.ppr_solver = PprSolver::Cgnr;
+        cfg.ppr_solver = PprSolver::Push;
         let model = train_gcon(&cfg, &g, &x, &labels, &idx, 3, 1.5, 1e-4, &mut rng);
         (model, g, x)
     }
@@ -871,6 +872,49 @@ mod tests {
         let a = crate::infer::private_logits(&model, &g, &x);
         let b = crate::infer::private_logits(&back, &g, &x);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    /// The solver byte of an encoded model: tag 2 (the retired CGNR solver)
+    /// loads as `Power`, and unknown tags stay rejected.
+    #[test]
+    fn retired_cgnr_solver_tag_loads_as_power() {
+        let (mut model, _, _) = trained_model(9);
+        model.config.ppr_solver = PprSolver::Power;
+        let power = to_bytes(&model).to_vec();
+        model.config.ppr_solver = PprSolver::Push;
+        let push = to_bytes(&model).to_vec();
+        let diffs: Vec<usize> = (0..power.len()).filter(|&i| power[i] != push[i]).collect();
+        assert_eq!(diffs.len(), 1, "the two encodings differ only in the solver byte");
+        let at = diffs[0];
+        assert_eq!((power[at], push[at]), (1, 3));
+
+        let mut tagged = power.clone();
+        tagged[at] = 2;
+        let back = from_bytes(&tagged).expect("tag 2 must decode");
+        assert_eq!(back.config.ppr_solver, PprSolver::Power);
+        assert_eq!(back.theta.as_slice(), model.theta.as_slice());
+
+        tagged[at] = 4;
+        assert!(matches!(from_bytes(&tagged), Err(DecodeError::BadTag("ppr solver", 4))));
+    }
+
+    /// Each `PprSolver` is written under its own tag (Auto 0, Power 1,
+    /// Push 3; tag 2 is retired) and reads back as itself.
+    #[test]
+    fn every_ppr_solver_round_trips_under_its_tag() {
+        let (mut model, _, _) = trained_model(10);
+        let mut encodings = Vec::new();
+        for solver in [PprSolver::Auto, PprSolver::Power, PprSolver::Push] {
+            model.config.ppr_solver = solver;
+            let bytes = to_bytes(&model).to_vec();
+            assert_eq!(from_bytes(&bytes).expect("decodes").config.ppr_solver, solver);
+            encodings.push(bytes);
+        }
+        let at = (0..encodings[0].len())
+            .find(|&i| encodings[0][i] != encodings[2][i])
+            .expect("the encodings differ in the solver byte");
+        let tags: Vec<u8> = encodings.iter().map(|b| b[at]).collect();
+        assert_eq!(tags, vec![0, 1, 3]);
     }
 
     #[test]

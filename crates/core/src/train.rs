@@ -17,7 +17,7 @@ use crate::model::{GconConfig, OptimizerConfig, PrivacyReport, TrainedGcon};
 use crate::noise::sample_noise_matrix;
 use crate::objective::PerturbedObjective;
 use crate::params::{CalibrationInput, TheoremOneParams};
-use crate::propagation::concat_features_with_solver;
+use crate::propagation::concat_features;
 use crate::sensitivity::psi_z_clipped;
 use gcon_graph::normalize::row_stochastic;
 use gcon_graph::Graph;
@@ -168,13 +168,7 @@ pub fn train_gcon_on_adjacency<R: Rng + ?Sized>(
 
     // Lines 4–7: single-pass multi-scale propagation and concatenation
     // (with the Lemma 1 clip, inactive at the default p = 1/2).
-    let z_all = concat_features_with_solver(
-        a_tilde,
-        &x_enc,
-        config.alpha,
-        &config.steps,
-        config.ppr_solver,
-    );
+    let z_all = concat_features(a_tilde, &x_enc, config.alpha, &config.steps);
 
     // Training rows: the labeled set, optionally expanded with encoder
     // pseudo-labels (n₁ ∈ {n₀, n} in Appendix Q). Pseudo-labels are derived
@@ -350,6 +344,34 @@ mod tests {
         );
         // Lower sensitivity → larger Erlang rate (less noise) at the same ε.
         assert!(clipped.report.params.beta > unclipped.report.params.beta);
+    }
+
+    /// Training runs one cold propagation, which no `PprSolver` changes:
+    /// the same seed gives the same Θ and the same calibration under every
+    /// solver.
+    #[test]
+    fn ppr_solver_does_not_change_training() {
+        use crate::propagation::{PprSolver, PropagationStep};
+        let (g, x, labels, idx) = tiny_dataset(95);
+        let train = |solver: PprSolver| {
+            let mut cfg = crate::GconConfig { ppr_solver: solver, ..Default::default() };
+            cfg.steps = vec![PropagationStep::Finite(1), PropagationStep::Infinite];
+            cfg.encoder.epochs = 20;
+            cfg.optimizer.max_iters = 200;
+            let mut rng = StdRng::seed_from_u64(96);
+            train_gcon(&cfg, &g, &x, &labels, &idx, 2, 1.0, 1e-4, &mut rng)
+        };
+        let auto = train(PprSolver::Auto);
+        for solver in [PprSolver::Power, PprSolver::Push] {
+            let other = train(solver);
+            assert_eq!(other.theta.as_slice(), auto.theta.as_slice(), "{solver:?}");
+            assert_eq!(other.report.psi_z.to_bits(), auto.report.psi_z.to_bits(), "{solver:?}");
+            assert_eq!(
+                other.report.params.beta.to_bits(),
+                auto.report.params.beta.to_bits(),
+                "{solver:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,60 +9,25 @@
 //! its own concrete dispatch stack around a shared `#[inline(always)]`
 //! generic body; the [`CsrScalar`] hooks bind the generic methods to them.
 //!
-//! Every sparse product — [`Csr::spmv`]/[`Csr::spmv_t`],
-//! [`Csr::spmm`]/[`Csr::spmm_into`] and the transposed [`Csr::spmm_t_into`]
-//! — increments a process-wide counter exposed by [`spmm_ops_performed`].
-//! Counting at the kernel layer (rather than at call sites) means no product
-//! can escape the accounting: the op-count acceptance tests for single-pass
-//! propagation and for the block CGNR solver both read deltas of this
-//! counter.
+//! Every sparse product ([`Csr::spmm`]/[`Csr::spmm_into`]) increments a
+//! process-wide counter exposed by [`spmm_ops_performed`]. Counting at the
+//! kernel layer (rather than at call sites) means no product can escape the
+//! accounting: the op-count acceptance tests for single-pass propagation
+//! read deltas of this counter.
 
 use gcon_linalg::{Mat, Scalar};
-use gcon_runtime::KernelTier;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Running count of sparse products (`spmv`, `spmm`, `spmm_t`) performed in
-/// this process (all threads).
+/// Running count of sparse products (`spmm`) performed in this process (all
+/// threads).
 static SPMM_OPS: AtomicU64 = AtomicU64::new(0);
 
-/// Total sparse products performed since process start. A `Csr::spmv` call
-/// counts 1, a `Csr::spmm`/`spmm_into`/`spmm_t_into` call counts 1 (one
-/// sparse×dense product, whatever the dense width).
+/// Total sparse products performed since process start. A
+/// `Csr::spmm`/`spmm_into` call counts 1 (one sparse×dense product, whatever
+/// the dense width).
 pub fn spmm_ops_performed() -> usize {
     SPMM_OPS.load(Ordering::Relaxed) as usize
-}
-
-/// Mean nonzeros per row below which the spmv kernel caps its dispatch at
-/// the AVX2 compilation even when the process tier is AVX-512.
-///
-/// The spmv reduction is gather-bound (`x[col]` per nonzero). In the
-/// small-row regime LLVM's AVX-512 gathers measured consistently ~35%
-/// slower on the dev box (23–26 µs vs 16–18 µs over three `bench_linalg`
-/// runs at n=2000, nnz=22000 — i.e. ~11 nnz/row); the wider gathers only
-/// amortize their startup cost once rows are long enough to keep the
-/// pipeline full. The crossover sits well above typical graph adjacency
-/// rows, so propagation workloads always take the AVX2 compilation, while
-/// long-row sparse operators (dense-ish rows from solver preconditioners)
-/// keep the AVX-512 one.
-pub const SPMV_AVX512_MIN_MEAN_NNZ: f64 = 64.0;
-
-/// Shape-aware tier resolution for the spmv kernel: caps `requested` at
-/// [`KernelTier::Avx2`] when the mean row length is below
-/// [`SPMV_AVX512_MIN_MEAN_NNZ`] (the gather-bound small-row regime — see
-/// the constant's docs for the measurements).
-///
-/// A pure function of (tier, shape) — never of the data values or the
-/// thread partition — and all tiers compute byte-identical results, so the
-/// gate affects speed only. Kept as a free function (alongside
-/// `gcon_runtime::resolve_tier`, which resolves the *requested* tier
-/// against the CPU) so the decision is unit-testable without constructing
-/// matrices.
-pub fn resolve_spmv_tier(requested: KernelTier, mean_row_nnz: f64) -> KernelTier {
-    match requested {
-        KernelTier::Avx512 if mean_row_nnz < SPMV_AVX512_MIN_MEAN_NNZ => KernelTier::Avx2,
-        t => t,
-    }
 }
 
 /// The element dtype of a [`Csr`] matrix: `gcon_linalg`'s sealed [`Scalar`]
@@ -75,11 +40,6 @@ pub fn resolve_spmv_tier(requested: KernelTier, mean_row_nnz: f64) -> KernelTier
 pub trait CsrScalar: Scalar {
     /// Tier-dispatched row-block stage of [`Csr::spmm_into`].
     fn kernel_spmm_block(sp: &Csr<Self>, b: &Mat<Self>, out: &mut [Self], start: usize, end: usize);
-    /// Shape-aware tier-dispatched row-reduction stage of
-    /// [`Csr::spmv_into`] (see [`resolve_spmv_tier`]).
-    fn kernel_spmv_fill(sp: &Csr<Self>, x: &[Self], out: &mut [Self]);
-    /// Tier-dispatched scatter stage of [`Csr::spmv_t_into`].
-    fn kernel_spmv_t_fill(sp: &Csr<Self>, x: &[Self], out: &mut [Self]);
 }
 
 /// A sparse matrix in compressed sparse row format, generic over the
@@ -232,17 +192,6 @@ impl<S: CsrScalar> Csr<S> {
         self.values.len()
     }
 
-    /// Mean nonzeros per row (0 for an empty matrix) — the shape statistic
-    /// the spmv tier gate keys on (see [`resolve_spmv_tier`]).
-    #[inline]
-    pub fn mean_row_nnz(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.rows as f64
-        }
-    }
-
     /// `(columns, values)` of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[S]) {
@@ -273,60 +222,6 @@ impl<S: CsrScalar> Csr<S> {
         out
     }
 
-    /// Dense `self · x` for a vector.
-    pub fn spmv(&self, x: &[S]) -> Vec<S> {
-        let mut out = Vec::new();
-        self.spmv_into(x, &mut out);
-        out
-    }
-
-    /// Dense `self · x` written into `out` (resized to `self.rows()`,
-    /// backing allocation reused). The buffer-reusing twin iterative
-    /// solvers call per step so the inner loop performs no allocation.
-    ///
-    /// Each row's reduction is unrolled four nonzeros per pass with
-    /// independent accumulators; the pairing depends only on the row's
-    /// nonzero count, so results are deterministic.
-    pub fn spmv_into(&self, x: &[S], out: &mut Vec<S>) {
-        assert_eq!(x.len(), self.cols, "spmv: dimension mismatch");
-        SPMM_OPS.fetch_add(1, Ordering::Relaxed);
-        out.clear();
-        out.resize(self.rows, S::ZERO);
-        S::kernel_spmv_fill(self, x, out);
-    }
-
-    /// Dense `selfᵀ · x` for a vector, applied as an O(nnz) scatter over the
-    /// rows of `self` — no transposed structure required. For repeated
-    /// transposed products on dense blocks, precompute [`Csr::transpose`]
-    /// and use the pooled [`Csr::spmm_into`] instead.
-    pub fn spmv_t(&self, x: &[S]) -> Vec<S> {
-        let mut out = Vec::new();
-        self.spmv_t_into(x, &mut out);
-        out
-    }
-
-    /// Dense `selfᵀ · x` written into `out` (resized to `self.cols()`,
-    /// backing allocation reused) — the allocation-free twin of
-    /// [`Csr::spmv_t`].
-    ///
-    /// Deliberately **not** routed through [`resolve_spmv_tier`]: that gate
-    /// models the gather-*reduction* kernel of [`Csr::spmv_into`], where the
-    /// vectorized loop length is the row nnz and short rows leave AVX-512
-    /// gathers stalled. This kernel is the opposite shape — an O(nnz)
-    /// write-*scatter* whose indexed stores stay scalar in every tier (no
-    /// conflict detection), so there is no row-length crossover to gate on.
-    /// Pinned by `transposed_kernels_need_no_spmv_gate`, which also shows
-    /// `self.mean_row_nnz()` would be the wrong statistic for a transposed
-    /// product in the first place (the operand acting row-wise is
-    /// `selfᵀ`, whose mean row length is `nnz/cols`, not `nnz/rows`).
-    pub fn spmv_t_into(&self, x: &[S], out: &mut Vec<S>) {
-        assert_eq!(x.len(), self.rows, "spmv_t: dimension mismatch");
-        SPMM_OPS.fetch_add(1, Ordering::Relaxed);
-        out.clear();
-        out.resize(self.cols, S::ZERO);
-        S::kernel_spmv_t_fill(self, x, out);
-    }
-
     /// Dense `self · B` (sparse × dense), parallelized over row blocks on
     /// the shared `gcon-runtime` pool.
     pub fn spmm(&self, b: &Mat<S>) -> Mat<S> {
@@ -352,54 +247,6 @@ impl<S: CsrScalar> Csr<S> {
         gcon_runtime::parallel_rows(out.as_mut_slice(), self.rows, d, work, |block, start, end| {
             S::kernel_spmm_block(self, b, block, start, end);
         });
-    }
-
-    /// The transpose as a new CSR matrix, built with an O(nnz) counting
-    /// sort. Column indices within each transposed row come out sorted.
-    ///
-    /// Repeated `selfᵀ · B` products (e.g. the `Ãᵀ` application inside every
-    /// CGNR iteration) should precompute this once and call [`Csr::spmm_into`]
-    /// on the result — that runs the same pooled row-block kernel as the
-    /// forward product instead of an O(nnz) scatter per application.
-    pub fn transpose(&self) -> Csr<S> {
-        let mut indptr = vec![0usize; self.cols + 1];
-        for &j in &self.indices {
-            indptr[j as usize + 1] += 1;
-        }
-        for j in 0..self.cols {
-            indptr[j + 1] += indptr[j];
-        }
-        let mut next = indptr.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![S::ZERO; self.nnz()];
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let pos = next[j as usize];
-                indices[pos] = i as u32;
-                values[pos] = v;
-                next[j as usize] += 1;
-            }
-        }
-        Csr { rows: self.cols, cols: self.rows, indptr, indices, values }
-    }
-
-    /// Dense `selfᵀ · B` written into `out` (reshaped to
-    /// `self.cols() × b.cols()`), running the pooled row-block kernel on a
-    /// transposed copy of `self`.
-    ///
-    /// No [`resolve_spmv_tier`] gate applies here either: the row-block
-    /// spmm kernel vectorizes over the **dense** feature dimension of `b`
-    /// (unit-stride loads of width `b.cols()`), so its AVX-512 profitability
-    /// is independent of how many nonzeros a sparse row holds — the shape
-    /// statistic the spmv gate keys on never enters the inner loop.
-    ///
-    /// This transposes on every call; callers applying `selfᵀ` repeatedly
-    /// (iterative solvers) should hold [`Csr::transpose`] themselves and use
-    /// [`Csr::spmm_into`] directly, which is what the PPR block operator in
-    /// `gcon-core` does.
-    pub fn spmm_t_into(&self, b: &Mat<S>, out: &mut Mat<S>) {
-        self.transpose().spmm_into(b, out);
     }
 
     /// Element-wise conversion to another [`CsrScalar`] (structure shared
@@ -462,47 +309,7 @@ fn spmm_block_body<S: CsrScalar>(sp: &Csr<S>, b: &Mat<S>, out: &mut [S], start: 
     }
 }
 
-/// The `spmv` kernel body: each row reduces four nonzeros per pass with
-/// independent accumulators; the pairing depends only on the row's nonzero
-/// count, so results are deterministic.
-#[inline(always)]
-fn spmv_fill_body<S: CsrScalar>(sp: &Csr<S>, x: &[S], out: &mut [S]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        let (cols, vals) = sp.row(i);
-        let main = cols.len() - cols.len() % 4;
-        let mut acc = [S::ZERO; 4];
-        for (cj, cv) in cols[..main].chunks_exact(4).zip(vals[..main].chunks_exact(4)) {
-            for l in 0..4 {
-                acc[l] += cv[l] * x[cj[l] as usize];
-            }
-        }
-        let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for (&j, &v) in cols[main..].iter().zip(&vals[main..]) {
-            s += v * x[j as usize];
-        }
-        *o = s;
-    }
-}
-
-/// The `spmv_t` kernel body: an O(nnz) row-major scatter that skips zero
-/// entries of `x`; the accumulation order per output element is the row
-/// order of `sp`, fixed for a given input.
-#[inline(always)]
-fn spmv_t_fill_body<S: CsrScalar>(sp: &Csr<S>, x: &[S], out: &mut [S]) {
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == S::ZERO {
-            continue;
-        }
-        let (cols, vals) = sp.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            out[j as usize] += v * xi;
-        }
-    }
-}
-
-// Per-dtype dispatch stacks. spmm and spmv_t go through the standard
-// three-tier macro; spmv hand-rolls the same dispatch shape so it can route
-// through `resolve_spmv_tier` (the macro's cap arm is unconditional).
+// Per-dtype dispatch stacks.
 
 gcon_runtime::tier_dispatch! {
     /// f64 row-block stage of [`Csr::spmm_into`] — see [`spmm_block_body`].
@@ -526,77 +333,10 @@ fn spmm_block_f32_impl(sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usiz
     spmm_block_body(sp, b, out, start, end)
 }
 
-gcon_runtime::tier_dispatch! {
-    /// f64 scatter stage of [`Csr::spmv_t_into`] — see [`spmv_t_fill_body`].
-    fn spmv_t_fill_f64 / spmv_t_fill_f64_avx2 / spmv_t_fill_f64_avx512 / spmv_t_fill_f64_impl(
-        sp: &Csr<f64>, x: &[f64], out: &mut [f64])
-}
-
-#[inline(always)]
-fn spmv_t_fill_f64_impl(sp: &Csr<f64>, x: &[f64], out: &mut [f64]) {
-    spmv_t_fill_body(sp, x, out)
-}
-
-gcon_runtime::tier_dispatch! {
-    /// f32 scatter stage of [`Csr::spmv_t_into`] — see [`spmv_t_fill_body`].
-    fn spmv_t_fill_f32 / spmv_t_fill_f32_avx2 / spmv_t_fill_f32_avx512 / spmv_t_fill_f32_impl(
-        sp: &Csr<f32>, x: &[f32], out: &mut [f32])
-}
-
-#[inline(always)]
-fn spmv_t_fill_f32_impl(sp: &Csr<f32>, x: &[f32], out: &mut [f32]) {
-    spmv_t_fill_body(sp, x, out)
-}
-
-/// Hand-written spmv dispatch (per dtype): the same three-tier shape as
-/// [`gcon_runtime::tier_dispatch!`], but the effective tier runs through
-/// [`resolve_spmv_tier`] first so the gather-bound small-row regime caps at
-/// the AVX2 compilation. All compilations produce identical bytes, so the
-/// gate is invisible to the conformance suite.
-macro_rules! spmv_dispatch {
-    ($name:ident / $avx2:ident / $avx512:ident, $dtype:ty) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        fn $avx2(sp: &Csr<$dtype>, x: &[$dtype], out: &mut [$dtype]) {
-            spmv_fill_body(sp, x, out)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
-        fn $avx512(sp: &Csr<$dtype>, x: &[$dtype], out: &mut [$dtype]) {
-            spmv_fill_body(sp, x, out)
-        }
-
-        fn $name(sp: &Csr<$dtype>, x: &[$dtype], out: &mut [$dtype]) {
-            #[cfg(target_arch = "x86_64")]
-            match resolve_spmv_tier(gcon_runtime::kernel_tier(), sp.mean_row_nnz()) {
-                // SAFETY: `kernel_tier()` never exceeds the detected feature
-                // set, and `resolve_spmv_tier` only ever lowers the tier, so
-                // the CPU supports every feature the callee is compiled with.
-                KernelTier::Avx512 => return unsafe { $avx512(sp, x, out) },
-                KernelTier::Avx2 => return unsafe { $avx2(sp, x, out) },
-                KernelTier::Scalar => {}
-            }
-            spmv_fill_body(sp, x, out)
-        }
-    };
-}
-
-spmv_dispatch!(spmv_fill_f64 / spmv_fill_f64_avx2 / spmv_fill_f64_avx512, f64);
-spmv_dispatch!(spmv_fill_f32 / spmv_fill_f32_avx2 / spmv_fill_f32_avx512, f32);
-
 impl CsrScalar for f64 {
     #[inline]
     fn kernel_spmm_block(sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize) {
         spmm_block_f64(sp, b, out, start, end)
-    }
-    #[inline]
-    fn kernel_spmv_fill(sp: &Csr<f64>, x: &[f64], out: &mut [f64]) {
-        spmv_fill_f64(sp, x, out)
-    }
-    #[inline]
-    fn kernel_spmv_t_fill(sp: &Csr<f64>, x: &[f64], out: &mut [f64]) {
-        spmv_t_fill_f64(sp, x, out)
     }
 }
 
@@ -604,14 +344,6 @@ impl CsrScalar for f32 {
     #[inline]
     fn kernel_spmm_block(sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize) {
         spmm_block_f32(sp, b, out, start, end)
-    }
-    #[inline]
-    fn kernel_spmv_fill(sp: &Csr<f32>, x: &[f32], out: &mut [f32]) {
-        spmv_fill_f32(sp, x, out)
-    }
-    #[inline]
-    fn kernel_spmv_t_fill(sp: &Csr<f32>, x: &[f32], out: &mut [f32]) {
-        spmv_t_fill_f32(sp, x, out)
     }
 }
 
@@ -647,137 +379,134 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_dense() {
+    fn spmm_single_column_matches_dense() {
         let m = sample();
-        assert_eq!(m.spmv(&[1.0, 2.0, 3.0]), vec![7.0, 0.0, 11.0]);
+        let b = Mat::from_fn(3, 1, |i, _| (i + 1) as f64);
+        assert_eq!(m.spmm(&b).as_slice(), &[7.0, 0.0, 11.0]);
     }
 
+    /// `spmm_into` reshapes a stale buffer of the wrong shape (filled with
+    /// NaN, so any unwritten element shows) and still matches the allocating
+    /// form bit-for-bit, for a wide and then a narrow right-hand side.
     #[test]
-    fn spmv_t_matches_transposed_spmv() {
+    fn spmm_into_reuses_a_stale_buffer_bitwise() {
         let m = sample();
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(m.spmv_t(&x), m.transpose().spmv(&x));
+        let mut reused = Mat::full(5, 2, f64::NAN);
+        let wide = Mat::from_fn(3, 4, |i, j| (i * 4 + j) as f64 * 0.25 - 1.0);
+        m.spmm_into(&wide, &mut reused);
+        assert_eq!(reused, m.spmm(&wide));
+        let narrow = Mat::from_fn(3, 1, |i, _| 1.5 - i as f64);
+        m.spmm_into(&narrow, &mut reused);
+        assert_eq!(reused, m.spmm(&narrow));
     }
 
-    /// The shape gate is a pure function: AVX-512 requests are lowered to
-    /// AVX2 below the crossover and kept above it; lower tiers pass through
-    /// untouched at any shape.
+    /// Nonzero counts around the 4-wide unroll boundary all match the dense
+    /// reference (rows with 0..=9 nonzeros, a width off the lane multiple).
     #[test]
-    fn resolve_spmv_tier_gates_on_mean_row_nnz() {
-        use KernelTier::*;
-        // Below the crossover: avx512 is capped, others unchanged.
-        for &nnz in &[0.0, 1.0, 11.0, SPMV_AVX512_MIN_MEAN_NNZ - 1e-9] {
-            assert_eq!(resolve_spmv_tier(Avx512, nnz), Avx2, "nnz={nnz}");
-            assert_eq!(resolve_spmv_tier(Avx2, nnz), Avx2);
-            assert_eq!(resolve_spmv_tier(Scalar, nnz), Scalar);
-        }
-        // At/above the crossover: everything passes through.
-        for &nnz in &[SPMV_AVX512_MIN_MEAN_NNZ, 100.0, 1e6] {
-            assert_eq!(resolve_spmv_tier(Avx512, nnz), Avx512, "nnz={nnz}");
-            assert_eq!(resolve_spmv_tier(Avx2, nnz), Avx2);
-            assert_eq!(resolve_spmv_tier(Scalar, nnz), Scalar);
+    fn spmm_unroll_tails_match_dense() {
+        let n = 10usize;
+        let entries: Vec<Vec<(u32, f64)>> = (0..n)
+            .map(|i| (0..i as u32).map(|j| (j, (i as f64 + 1.0) * 0.1 + j as f64)).collect())
+            .collect();
+        let sp = Csr::from_row_entries(n, n, entries);
+        let b = Mat::from_fn(n, 5, |i, j| 0.3 * i as f64 - 0.7 * j as f64 + 1.0);
+        let fast = sp.spmm(&b);
+        let slow = gcon_linalg::ops::matmul(&sp.to_dense(), &b);
+        for i in 0..n {
+            for j in 0..5 {
+                let (x, y) = (fast.get(i, j), slow.get(i, j));
+                assert!((x - y).abs() < 1e-12, "row {i} (nnz {i}) col {j}: {x} vs {y}");
+            }
         }
     }
 
-    /// The tier-gate audit for the transposed kernels: `spmv_t`/`spmm_t`
-    /// take no [`resolve_spmv_tier`] gate (see their docs for the kernel
-    /// shapes). This pins the supporting fact that makes any such gate
-    /// ill-posed: the statistic the spmv gate keys on is not
-    /// transpose-invariant, so `self.mean_row_nnz()` can sit on the
-    /// opposite side of the crossover from the operand that actually acts
-    /// row-wise (`selfᵀ`) — while the results stay exactly the transposed
-    /// products at every shape.
+    /// Each output row depends only on its own CSR row: multiplying a row on
+    /// its own gives the same bits as the full (row-block parallel) product,
+    /// so no thread partition can change a result.
     #[test]
-    fn transposed_kernels_need_no_spmv_gate() {
+    fn spmm_rows_do_not_depend_on_the_row_partition() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let (rows, cols) = (2usize, 400usize);
-        let nnz_per_row = SPMV_AVX512_MIN_MEAN_NNZ as usize * 2;
-        let entries: Vec<Vec<(u32, f64)>> = (0..rows)
-            .map(|i| {
-                (0..nnz_per_row)
-                    .map(|k| (((i + k * 3) % cols) as u32, rng.gen_range(-1.0..1.0)))
-                    .collect()
-            })
-            .collect();
-        let wide = Csr::from_row_entries(rows, cols, entries);
-        // The forward statistic is above the crossover, the transposed one
-        // far below it: one gate input cannot serve both orientations.
-        assert!(wide.mean_row_nnz() >= SPMV_AVX512_MIN_MEAN_NNZ);
-        assert!(wide.transpose().mean_row_nnz() < SPMV_AVX512_MIN_MEAN_NNZ);
-
-        // Ungated correctness at this gate-straddling shape: the scatter
-        // kernel equals the explicit transpose bitwise (same accumulation
-        // order — the counting-sort transpose preserves row order), and
-        // spmm_t equals it columnwise.
-        let x: Vec<f64> = (0..rows).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        assert_eq!(wide.spmv_t(&x), wide.transpose().spmv(&x));
-        let b = Mat::from_fn(rows, 3, |i, j| (i * 3 + j) as f64 - 2.5);
-        let mut out = Mat::zeros(cols, 3);
-        wide.spmm_t_into(&b, &mut out);
-        for j in 0..3 {
-            let col: Vec<f64> = (0..rows).map(|i| b.get(i, j)).collect();
-            let expect = wide.spmv_t(&col);
-            for (i, &e) in expect.iter().enumerate() {
-                assert_eq!(out.get(i, j), e, "spmm_t col {j} row {i}");
+        let mut rng = StdRng::seed_from_u64(12);
+        let n = 300;
+        let mut entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for row in entries.iter_mut() {
+            for j in 0..n as u32 {
+                if rng.gen::<f64>() < 0.05 {
+                    row.push((j, rng.gen_range(-1.0..1.0)));
+                }
+            }
+        }
+        let sp = Csr::from_row_entries(n, n, entries);
+        let b: Mat = Mat::uniform(n, 32, 1.0, &mut rng);
+        let full = sp.spmm(&b);
+        for i in 0..n {
+            let (cols, vals) = sp.row(i);
+            let one = Csr::from_row_entries(
+                1,
+                n,
+                vec![cols.iter().copied().zip(vals.iter().copied()).collect()],
+            );
+            let alone = one.spmm(&b);
+            for (x, y) in alone.row(0).iter().zip(full.row(i)) {
+                assert_eq!(x.to_bits(), y.to_bits(), "row {i}: {x} vs {y}");
             }
         }
     }
 
     #[test]
-    fn mean_row_nnz_statistic() {
-        assert_eq!(sample().mean_row_nnz(), 4.0 / 3.0);
-        let empty: Csr = Csr::from_row_entries(0, 0, vec![]);
-        assert_eq!(empty.mean_row_nnz(), 0.0);
+    fn eye_is_the_identity() {
+        let i4: Csr = Csr::eye(4);
+        assert_eq!(i4.nnz(), 4);
+        assert_eq!(i4.row_sums(), vec![1.0; 4]);
+        assert_eq!(i4.col_sums(), vec![1.0; 4]);
+        assert_eq!(i4.to_dense(), Mat::eye(4));
+        let empty: Csr<f32> = Csr::eye(0);
+        assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (0, 0, 0));
     }
 
-    /// spmv results are identical on either side of the tier gate: a
-    /// long-row matrix (above the crossover, AVX-512 eligible) and its
-    /// row-split equivalent (below it) agree with the dense reference.
+    /// Replacing rows and appending new ones splices the untouched rows
+    /// verbatim: the result equals a fresh build from the same rows.
     #[test]
-    fn spmv_agrees_across_the_tier_gate_boundary() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(77);
-        let cols = 400;
-        let nnz_per_row = SPMV_AVX512_MIN_MEAN_NNZ as usize + 8;
-        // One long row (above crossover) vs the same entries split over
-        // many short rows (below crossover).
-        let entries: Vec<(u32, f64)> = (0..nnz_per_row as u32 * 4)
-            .map(|j| (j % cols as u32, rng.gen_range(-1.0..1.0)))
-            .collect();
-        let long = Csr::from_row_entries(
+    fn with_rows_replaced_matches_a_fresh_build() {
+        let m = sample();
+        let replaced = vec![(1, vec![(0, 5.0), (2, 6.0)]), (3, vec![(3, 1.5)]), (4, vec![])];
+        let spliced = m.with_rows_replaced(5, 4, &replaced);
+        let row = |i: usize| -> Vec<(u32, f64)> {
+            let (cols, vals) = m.row(i);
+            cols.iter().copied().zip(vals.iter().copied()).collect()
+        };
+        let fresh = Csr::from_row_entries(
+            5,
             4,
-            cols,
-            entries.chunks(nnz_per_row).map(|c| c.to_vec()).collect(),
+            vec![row(0), vec![(0, 5.0), (2, 6.0)], row(2), vec![(3, 1.5)], vec![]],
         );
-        assert!(long.mean_row_nnz() >= SPMV_AVX512_MIN_MEAN_NNZ);
-        let short = Csr::from_row_entries(
-            32,
-            cols,
-            entries.chunks(entries.len() / 32).map(|c| c.to_vec()).collect(),
-        );
-        assert!(short.mean_row_nnz() < SPMV_AVX512_MIN_MEAN_NNZ);
-        let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        for sp in [&long, &short] {
-            let y = sp.spmv(&x);
-            let dense = sp.to_dense();
-            for (i, &yi) in y.iter().enumerate() {
-                let slow: f64 = (0..cols).map(|j| dense.get(i, j) * x[j]).sum();
-                assert!((yi - slow).abs() < 1e-10, "row {i}: {yi} vs {slow}");
-            }
-        }
+        assert_eq!(spliced, fresh);
+        // No replacement at all copies the matrix unchanged.
+        assert_eq!(m.with_rows_replaced(3, 3, &[]), m);
     }
 
-    /// The `_into` twins reuse a stale buffer of the wrong length and still
-    /// match the allocating forms bit-for-bit.
     #[test]
-    fn spmv_into_twins_match_allocating() {
+    #[should_panic(expected = "strictly column-sorted")]
+    fn with_rows_replaced_rejects_unsorted_rows() {
+        sample().with_rows_replaced(3, 3, &[(0, vec![(2, 1.0), (1, 1.0)])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every appended row must be provided")]
+    fn with_rows_replaced_requires_every_appended_row() {
+        // Growing to 5 rows but providing only row 3 leaves row 4 missing.
+        sample().with_rows_replaced(5, 3, &[(3, vec![])]);
+    }
+
+    /// Conversion keeps the sparsity structure exactly: f64 → f64 is the
+    /// identity, and an f32 round trip changes values only by f32 rounding.
+    #[test]
+    fn convert_keeps_the_structure() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(21);
-        let (rows, cols) = (37, 29);
+        let mut rng = StdRng::seed_from_u64(13);
+        let (rows, cols) = (17, 23);
         let mut entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); rows];
         for row in entries.iter_mut() {
             for j in 0..cols as u32 {
@@ -787,30 +516,14 @@ mod tests {
             }
         }
         let sp = Csr::from_row_entries(rows, cols, entries);
-        let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let xt: Vec<f64> = (0..rows).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut reused = vec![f64::NAN; 5];
-        sp.spmv_into(&x, &mut reused);
-        assert_eq!(reused, sp.spmv(&x));
-        sp.spmv_t_into(&xt, &mut reused);
-        assert_eq!(reused, sp.spmv_t(&xt));
-    }
-
-    /// Nonzero counts around the 4-wide unroll boundary all match the dense
-    /// reference (rows with 0..=9 nonzeros).
-    #[test]
-    fn spmv_unroll_tails_match_dense() {
-        let n = 10usize;
-        let entries: Vec<Vec<(u32, f64)>> = (0..n)
-            .map(|i| (0..i as u32).map(|j| (j, (i as f64 + 1.0) * 0.1 + j as f64)).collect())
-            .collect();
-        let sp = Csr::from_row_entries(n, n, entries);
-        let x: Vec<f64> = (0..n).map(|i| 0.3 * i as f64 - 1.0).collect();
-        let y = sp.spmv(&x);
-        let dense = sp.to_dense();
-        for (i, &yi) in y.iter().enumerate() {
-            let slow: f64 = (0..n).map(|j| dense.get(i, j) * x[j]).sum();
-            assert!((yi - slow).abs() < 1e-12, "row {i} (nnz {i}): {yi} vs {slow}");
+        assert_eq!(sp.convert::<f64>(), sp);
+        let back: Csr = sp.convert::<f32>().convert();
+        for i in 0..rows {
+            let ((c0, v0), (c1, v1)) = (sp.row(i), back.row(i));
+            assert_eq!(c0, c1, "row {i}: column pattern changed");
+            for (a, b) in v0.iter().zip(v1) {
+                assert!((a - b).abs() <= 1e-7 * a.abs(), "row {i}: {a} vs {b}");
+            }
         }
     }
 
@@ -837,8 +550,8 @@ mod tests {
         }
     }
 
-    /// The f32 CSR kernels (spmm, spmv, spmv_t) match the f64 path widened
-    /// within f32 tolerance, and the converted structure is shared.
+    /// The f32 CSR spmm kernel matches the f64 path widened within f32
+    /// tolerance, and the converted structure is shared.
     #[test]
     fn f32_sparse_kernels_match_f64_within_tolerance() {
         use rand::rngs::StdRng;
@@ -864,15 +577,6 @@ mod tests {
         let y32 = sp32.spmm(&b32);
         for (x32, x64) in y32.as_slice().iter().zip(y64.as_slice()) {
             assert!((*x32 as f64 - x64).abs() < 1e-4, "{x32} vs {x64}");
-        }
-
-        let x64v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let x32v: Vec<f32> = x64v.iter().map(|&v| v as f32).collect();
-        for (a, b) in sp32.spmv(&x32v).iter().zip(sp64.spmv(&x64v)) {
-            assert!((*a as f64 - b).abs() < 1e-4);
-        }
-        for (a, b) in sp32.spmv_t(&x32v).iter().zip(sp64.spmv_t(&x64v)) {
-            assert!((*a as f64 - b).abs() < 1e-4);
         }
     }
 
@@ -914,53 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matches_dense_transpose() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(9);
-        let (rows, cols) = (23, 31);
-        let mut entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); rows];
-        for row in entries.iter_mut() {
-            for j in 0..cols as u32 {
-                if rng.gen::<f64>() < 0.2 {
-                    row.push((j, rng.gen_range(-1.0..1.0)));
-                }
-            }
-        }
-        let sp = Csr::from_row_entries(rows, cols, entries);
-        let t = sp.transpose();
-        assert_eq!((t.rows(), t.cols()), (cols, rows));
-        assert_eq!(t.nnz(), sp.nnz());
-        assert_eq!(t.to_dense(), sp.to_dense().transpose());
-        // Involution.
-        assert_eq!(t.transpose(), sp);
-    }
-
-    #[test]
-    fn spmm_t_matches_dense_transposed_matmul() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(10);
-        let n = 40;
-        let mut entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for row in entries.iter_mut() {
-            for j in 0..n as u32 {
-                if rng.gen::<f64>() < 0.1 {
-                    row.push((j, rng.gen_range(-1.0..1.0)));
-                }
-            }
-        }
-        let sp = Csr::from_row_entries(n, n, entries);
-        let b: Mat = Mat::uniform(n, 7, 1.0, &mut rng);
-        let mut fast = Mat::default();
-        sp.spmm_t_into(&b, &mut fast);
-        let slow = gcon_linalg::ops::matmul(&sp.to_dense().transpose(), &b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn sparse_products_are_counted() {
         // Other unit tests in this binary may run sparse products
         // concurrently, so only a lower bound is asserted here; the exact
@@ -969,10 +626,9 @@ mod tests {
         let m = sample();
         let b = Mat::from_fn(3, 2, |i, j| (i + j) as f64);
         let before = spmm_ops_performed();
-        let _ = m.spmv(&[1.0, 2.0, 3.0]);
         let _ = m.spmm(&b);
         let mut out = Mat::default();
-        m.spmm_t_into(&b, &mut out);
-        assert!(spmm_ops_performed() - before >= 3);
+        m.spmm_into(&b, &mut out);
+        assert!(spmm_ops_performed() - before >= 2);
     }
 }

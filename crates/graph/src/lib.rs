@@ -22,27 +22,20 @@
 //!
 //! # Sparse-kernel structure and determinism
 //!
-//! The dense-output sparse kernels follow the same policy as `gcon-linalg`
+//! The dense-output sparse kernel follows the same policy as `gcon-linalg`
 //! (see its crate docs): [`Csr`] is generic over the element dtype through
-//! [`CsrScalar`] (f64 + f32, f64 default), `Csr::spmm` consumes four
-//! nonzeros of a CSR row per pass over the dense output row, and
-//! `Csr::spmv` reduces each row with four independent accumulators. Each
-//! kernel body is compiled per dtype at every [`gcon_runtime::KernelTier`]
-//! (baseline / `avx2,fma` / `avx512f`) via
-//! [`gcon_runtime::tier_dispatch!`] and selected by the process-wide
-//! [`gcon_runtime::kernel_tier`]; the gather-bound `spmv` additionally
-//! routes through the shape-aware [`resolve_spmv_tier`] gate, which caps
-//! short-row matrices (mean nnz/row below
-//! [`SPMV_AVX512_MIN_MEAN_NNZ`]) at the AVX2 compilation. The unroll
-//! grouping is a function of the row's nonzero count alone — the pool
-//! partitions whole rows, and every tier compiles the same source under
-//! strict FP semantics — so results are byte-identical across
-//! `GCON_THREADS` *and* across tiers within one dtype (the tier gate only
-//! ever swaps between bit-identical compilations), and differ from a
+//! [`CsrScalar`] (f64 + f32, f64 default), and `Csr::spmm` consumes four
+//! nonzeros of a CSR row per pass over the dense output row. The kernel
+//! body is compiled per dtype at every [`gcon_runtime::KernelTier`]
+//! (baseline / `avx2,fma` / `avx512f`) via [`gcon_runtime::tier_dispatch!`]
+//! and selected by the process-wide [`gcon_runtime::kernel_tier`]. The
+//! unroll grouping is a function of the row's nonzero count alone — the
+//! pool partitions whole rows, and every tier compiles the same source
+//! under strict FP semantics — so results are byte-identical across
+//! `GCON_THREADS` *and* across tiers within one dtype, and differ from a
 //! strictly sequential reduction only by reassociation (≤ 1e-9 relative vs
 //! the naive reference, pinned by `tests/kernel_properties.rs` at every
-//! available tier). Both `spmv`/`spmv_t` have buffer-reusing `_into` twins
-//! for solver inner loops.
+//! available tier).
 
 pub mod csr;
 pub mod delta;
@@ -53,7 +46,7 @@ pub mod normalize;
 pub mod stats;
 pub mod traversal;
 
-pub use csr::{resolve_spmv_tier, spmm_ops_performed, Csr, CsrScalar, SPMV_AVX512_MIN_MEAN_NNZ};
+pub use csr::{spmm_ops_performed, Csr, CsrScalar};
 pub use delta::{CsrDelta, DeltaResult};
 pub use graph::Graph;
 pub use homophily::homophily_ratio;

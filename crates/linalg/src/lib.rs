@@ -62,7 +62,6 @@ pub mod mat;
 pub mod ops;
 pub mod reduce;
 pub mod scalar;
-pub mod solve;
 pub mod vecops;
 
 pub use mat::Mat;

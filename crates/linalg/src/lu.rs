@@ -329,4 +329,88 @@ mod tests {
     fn non_square_panics() {
         Lu::new(&Mat::zeros(2, 3));
     }
+
+    #[test]
+    fn solve_handles_nonsymmetric_systems() {
+        let a = Mat::from_rows(&[&[4.0, 1.0, 0.0], &[2.0, 5.0, 1.0], &[0.0, 3.0, 6.0]]);
+        let want = [1.0, -2.0, 3.0];
+        let b: Vec<f64> = (0..3).map(|i| (0..3).map(|j| a.get(i, j) * want[j]).sum()).collect();
+        let x = lu_solve(&a, &b).unwrap();
+        for (xi, wi) in x.iter().zip(want) {
+            assert!(approx_eq(*xi, wi, 1e-12), "{xi} vs {wi}");
+        }
+    }
+
+    #[test]
+    fn zero_rhs_gives_zero() {
+        let a = Mat::from_rows(&[&[2.0, -1.0], &[1.0, 3.0]]);
+        assert_eq!(lu_solve(&a, &[0.0, 0.0]).unwrap(), vec![0.0, 0.0]);
+    }
+
+    /// The solution's true residual `‖Ax − b‖_max` is at rounding level on
+    /// random well-conditioned systems of several sizes.
+    #[test]
+    fn residual_is_small_on_random_systems() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for n in [1usize, 4, 9, 20] {
+            let mut a = Mat::gaussian(n, n, 1.0, &mut rng);
+            for i in 0..n {
+                a.add_at(i, i, n as f64 + 1.0);
+            }
+            let b = Mat::gaussian(n, 1, 1.0, &mut rng).col(0);
+            let x = lu_solve(&a, &b).unwrap();
+            for (i, &bi) in b.iter().enumerate() {
+                let ax: f64 = (0..n).map(|j| a.get(i, j) * x[j]).sum();
+                assert!(approx_eq(ax, bi, 1e-10), "n={n} row {i}: {ax} vs {bi}");
+            }
+        }
+    }
+
+    /// `solve_mat` is column-for-column the single-rhs `solve`, bitwise.
+    #[test]
+    fn solve_mat_matches_column_by_column_solve() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let n = 7;
+        let mut a = Mat::gaussian(n, n, 1.0, &mut rng);
+        for i in 0..n {
+            a.add_at(i, i, 8.0);
+        }
+        let b = Mat::gaussian(n, 4, 1.0, &mut rng);
+        let lu = Lu::new(&a);
+        let x = lu.solve_mat(&b).unwrap();
+        for j in 0..4 {
+            let col = lu.solve(&b.col(j)).unwrap();
+            for (i, v) in col.iter().enumerate() {
+                assert_eq!(x.get(i, j).to_bits(), v.to_bits(), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_mat_of_an_empty_block_is_empty() {
+        let a = Mat::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
+        let x = Lu::new(&a).solve_mat(&Mat::zeros(2, 0)).unwrap();
+        assert_eq!(x.shape(), (2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs length must match")]
+    fn rhs_length_mismatch_panics() {
+        let _ = lu_solve(&Mat::eye(3), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn det_is_multiplicative() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for n in [2usize, 3, 6] {
+            let a = Mat::gaussian(n, n, 1.0, &mut rng);
+            let b = Mat::gaussian(n, n, 1.0, &mut rng);
+            let (da, db, dab) = (det(&a), det(&b), det(&matmul(&a, &b)));
+            assert!(
+                (dab - da * db).abs() <= 1e-9 * (da * db).abs().max(1.0),
+                "n={n}: det(AB) {dab} vs det(A)det(B) {}",
+                da * db
+            );
+        }
+    }
 }

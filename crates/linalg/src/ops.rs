@@ -56,8 +56,7 @@
 //! [`resolve_matmul_tier`] caps tail-only products (`n <` one register
 //! panel, e.g. every small-`c` serving head forward) at the AVX2
 //! compilation, where the dot-based tail measures materially faster than
-//! under AVX-512 — a timing-only decision, mirroring
-//! `gcon_graph::resolve_spmv_tier`.
+//! under AVX-512 — a timing-only decision.
 //!
 //! # Determinism policy (per dtype)
 //!

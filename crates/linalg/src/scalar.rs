@@ -15,11 +15,10 @@
 //! # Precision policy (workspace-wide)
 //!
 //! - **Generic (f64 + f32):** `Mat`, the vecops reductions, the GEMM family,
-//!   `Csr` spmm/spmv/spmv_t, the serving head (`gcon-nn::HeadWorkspace`,
-//!   `gcon-serve`).
+//!   `Csr` spmm, the serving head (`gcon-nn::HeadWorkspace`, `gcon-serve`).
 //! - **f64-only:** training, the `gcon-dp` accountants and DP calibration
 //!   (Theorem 1's parameter chain is numerically delicate), and the dense
-//!   solvers (`solve`, `eigen`, `lu`).
+//!   solvers (`eigen`, `lu`).
 //! - **Determinism is per-dtype:** within one dtype, results are bitwise
 //!   identical across kernel tiers and `GCON_THREADS` (same fixed
 //!   accumulation orders as ever). Across dtypes no bit relation holds —

@@ -40,11 +40,11 @@
 //! # Solver knob
 //!
 //! The chain's `∞`-scale solver follows the trained model's
-//! `GconConfig::ppr_solver`; `GCON_REFRESH_SOLVER=auto|power|cgnr|push`
+//! `GconConfig::ppr_solver`; `GCON_REFRESH_SOLVER=auto|power|push`
 //! overrides it process-wide (resolved once, like `GCON_STORE_DTYPE`).
 //! `push` forces local forward-push residual maintenance on every refresh;
-//! `auto` picks push/cgnr/power per delta from the touched-set volume (see
-//! `gcon_core::propagation::plan_inf_refresh`).
+//! `auto` picks push or warm power per delta from the touched-set volume
+//! (see `gcon_core::propagation::plan_inf_refresh`).
 
 use crate::model::{ServingMode, ServingModel, StoreDtype};
 use gcon_core::propagation::PropagationStep;
@@ -535,7 +535,6 @@ pub(crate) fn parse_refresh_solver(value: &str) -> Option<PprSolver> {
     match value.to_ascii_lowercase().as_str() {
         "auto" => Some(PprSolver::Auto),
         "power" => Some(PprSolver::Power),
-        "cgnr" => Some(PprSolver::Cgnr),
         "push" => Some(PprSolver::Push),
         _ => None,
     }
@@ -549,7 +548,7 @@ fn refresh_solver_env() -> Option<PprSolver> {
             "gcon-serve",
             "GCON_REFRESH_SOLVER",
             None,
-            "auto|power|cgnr|push",
+            "auto|power|push",
             "the model's solver",
             |v| parse_refresh_solver(v).map(Some),
         )
@@ -809,7 +808,7 @@ mod tests {
     fn refresh_solver_parsing() {
         assert_eq!(parse_refresh_solver("auto"), Some(PprSolver::Auto));
         assert_eq!(parse_refresh_solver("POWER"), Some(PprSolver::Power));
-        assert_eq!(parse_refresh_solver("Cgnr"), Some(PprSolver::Cgnr));
+        assert_eq!(parse_refresh_solver("cgnr"), None);
         assert_eq!(parse_refresh_solver("push"), Some(PprSolver::Push));
         assert_eq!(parse_refresh_solver("PUSH"), Some(PprSolver::Push));
         assert_eq!(parse_refresh_solver("fastest"), None);

@@ -85,15 +85,11 @@
 //!   sparse products instead of `Σ mᵢ`, with PPR `∞` as the final
 //!   fixed-point segment. `concat_features` — and with it training, tuning,
 //!   public inference and the figure harnesses — ride this sweep.
-//! - **Multi-RHS PPR solver.** The PPR limit can alternatively be solved by
-//!   `core::propagation::propagate_ppr_cgnr`: a block CGNR
-//!   (`linalg::solve::block_cgnr`) iterating every feature column at once —
-//!   one `Ã` and one `Ãᵀ` product per iteration total, the transposed
-//!   product running the pooled spmm kernel on a precomputed
-//!   `graph::Csr::transpose`. `core::propagation::PprSolver` (overridable
-//!   via `GconConfig::ppr_solver`) selects between it and the power
-//!   iteration; a non-converged CGNR solve always falls back to the power
-//!   iteration rather than returning an unconverged iterate.
+//! - **One PPR solver.** The PPR limit is the same recursion run to its
+//!   fixed point (power iteration), which shrinks the error by at least
+//!   `(1−α)` per sweep. `core::propagation::PprSolver`
+//!   (`GconConfig::ppr_solver`) only chooses how an incremental refresh
+//!   recomputes the limit: forward push or warm power sweeps.
 
 pub use gcon_baselines as baselines;
 pub use gcon_core as core;

@@ -199,45 +199,6 @@ proptest! {
         assert_tiers_conform(&slow, "spmm", || sp.spmm(&b));
     }
 
-    /// `spmv` / `spmv_t` (and their `_into` twins, which are the same code
-    /// path) vs the dense reference, at every tier.
-    #[test]
-    fn spmv_matches_naive_reference_at_every_tier(
-        seed in 0u64..10_000,
-        n in 1usize..60,
-        k in 1usize..60,
-        density in 0.02f64..0.6,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sp = random_csr(n, k, density, &mut rng);
-        let dense = sp.to_dense();
-        let x: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let xt: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut first: Option<(Vec<f64>, Vec<f64>)> = None;
-        gcon_runtime::for_each_available_tier(|tier| {
-            let y = sp.spmv(&x);
-            for (i, &yi) in y.iter().enumerate() {
-                let slow: f64 = (0..k).map(|j| dense.get(i, j) * x[j]).sum();
-                prop_assert!(close(yi, slow), "spmv @ {} row {}: {} vs {}", tier, i, yi, slow);
-            }
-            let yt = sp.spmv_t(&xt);
-            for (j, &yj) in yt.iter().enumerate() {
-                let slow: f64 = (0..n).map(|i| dense.get(i, j) * xt[i]).sum();
-                prop_assert!(close(yj, slow), "spmv_t @ {} col {}: {} vs {}", tier, j, yj, slow);
-            }
-            match &first {
-                None => first = Some((y, yt)),
-                Some((y0, yt0)) => {
-                    prop_assert!(
-                        y.iter().zip(y0).all(|(a, b)| a.to_bits() == b.to_bits())
-                            && yt.iter().zip(yt0).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "spmv/spmv_t disagree bitwise at tier {}", tier
-                    );
-                }
-            }
-        });
-    }
-
     /// The lane-accumulator vector kernels vs naive sequential reductions,
     /// over lengths straddling the 8-wide lane structure, at every tier —
     /// and bit-identical across tiers.
@@ -314,9 +275,9 @@ proptest! {
         assert_tiers_conform_f32(&slow_bt, "matmul_bt f32", || ops::matmul_bt(&a32, &bt32));
     }
 
-    /// The f32 sparse kernels (spmm / spmv / spmv_t) vs the f64 dense
-    /// reference on the quantized values, at every tier, bit-identical
-    /// across tiers within f32.
+    /// The f32 sparse kernel (spmm) vs the f64 dense reference on the
+    /// quantized values, at every tier, bit-identical across tiers within
+    /// f32.
     #[test]
     fn f32_sparse_kernels_match_naive_reference_at_every_tier(
         seed in 0u64..10_000,
@@ -333,34 +294,6 @@ proptest! {
         let b32 = b.convert::<f32>();
         let slow = naive_matmul(&dense_q, &b32.convert::<f64>());
         assert_tiers_conform_f32(&slow, "spmm f32", || sp32.spmm(&b32));
-
-        let x32: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let xt32: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut first: Option<(Vec<f32>, Vec<f32>)> = None;
-        gcon_runtime::for_each_available_tier(|tier| {
-            let y = sp32.spmv(&x32);
-            for (i, &yi) in y.iter().enumerate() {
-                let slow: f64 =
-                    (0..k).map(|j| dense_q.get(i, j) * x32[j] as f64).sum();
-                prop_assert!(close32(yi, slow), "spmv f32 @ {} row {}: {} vs {}", tier, i, yi, slow);
-            }
-            let yt = sp32.spmv_t(&xt32);
-            for (j, &yj) in yt.iter().enumerate() {
-                let slow: f64 =
-                    (0..n).map(|i| dense_q.get(i, j) * xt32[i] as f64).sum();
-                prop_assert!(close32(yj, slow), "spmv_t f32 @ {} col {}: {} vs {}", tier, j, yj, slow);
-            }
-            match &first {
-                None => first = Some((y, yt)),
-                Some((y0, yt0)) => {
-                    prop_assert!(
-                        y.iter().zip(y0).all(|(a, b)| a.to_bits() == b.to_bits())
-                            && yt.iter().zip(yt0).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "f32 spmv/spmv_t disagree bitwise at tier {}", tier
-                    );
-                }
-            }
-        });
     }
 
     /// The f32 lane-accumulator vector kernels (16-wide `LANES_F32`
@@ -488,6 +421,41 @@ fn t_matmul_sparsity_crossover_picks_the_documented_path() {
                 ops::t_matmul_into_with(&a, &b, &mut out, path);
                 for (x, y) in out.as_slice().iter().zip(slow.as_slice()) {
                     assert!(close(*x, *y), "zeros={zero_frac} {path:?} @ {tier}: {x} vs naive {y}");
+                }
+            }
+        });
+    }
+}
+
+/// Row lengths around the 4-nonzero unroll group (0..=9 nonzeros per row)
+/// at feature widths on and off the lane multiples: `spmm` matches the
+/// naive reference at every tier, and the tiers agree bitwise.
+#[test]
+fn spmm_unroll_tails_conform_at_every_tier() {
+    let n = 10usize;
+    let entries: Vec<Vec<(u32, f64)>> = (0..n)
+        .map(|i| (0..i as u32).map(|j| (j, (i as f64 + 1.0) * 0.1 - 0.37 * j as f64)).collect())
+        .collect();
+    let sp = Csr::from_row_entries(n, n, entries);
+    let mut rng = StdRng::seed_from_u64(17);
+    for d in [1usize, 3, 8, 17] {
+        let b = Mat::uniform(n, d, 1.0, &mut rng);
+        let slow = naive_matmul(&sp.to_dense(), &b);
+        let mut first: Option<(KernelTier, Mat)> = None;
+        gcon_runtime::for_each_available_tier(|tier| {
+            let fast = sp.spmm(&b);
+            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+                assert!(close(*x, *y), "d={d} @ {tier}: {x} vs naive {y}");
+            }
+            match &first {
+                None => first = Some((tier, fast)),
+                Some((t0, f0)) => {
+                    for (x, y) in fast.as_slice().iter().zip(f0.as_slice()) {
+                        assert!(
+                            x.to_bits() == y.to_bits(),
+                            "d={d}: tier {tier} and {t0} disagree bitwise: {x} vs {y}"
+                        );
+                    }
                 }
             }
         });

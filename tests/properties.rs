@@ -52,8 +52,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_gnm(n, n * 2, &mut rng);
         let a = row_stochastic(&g, p_clip);
-        // Column sums of Ã^m = row vector 1ᵀ Ã^m; compute by repeated spmv
-        // on the transpose action: 1ᵀÃ = col_sums(Ã).
+        // Column sums of Ã^m = row vector 1ᵀ Ã^m; compute by repeated
+        // vector products on the transpose action: 1ᵀÃ = col_sums(Ã).
         let mut col = a.col_sums();
         for _ in 1..m {
             // next_col[j] = Σ_i col[i]·Ã_ij

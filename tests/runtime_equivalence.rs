@@ -3,9 +3,7 @@
 //! element-wise equal to their allocating / per-scale reference forms, and
 //! the sweep must cost `max(m_i)` sparse products rather than `Σ m_i`.
 
-use gcon::core::propagation::{
-    propagate, propagate_into, propagate_multi, propagate_with_solver, PprSolver, PropagationStep,
-};
+use gcon::core::propagation::{propagate, propagate_into, propagate_multi, PropagationStep};
 use gcon::graph::normalize::row_stochastic_default;
 use gcon::graph::Csr;
 use gcon::linalg::{ops, Mat};
@@ -94,11 +92,7 @@ proptest! {
         let mut z = Mat::full(1, 1, f64::NAN);
         let mut scratch = Mat::full(5, 2, f64::NAN);
         for step in [PropagationStep::Finite(m), PropagationStep::Infinite] {
-            // `propagate_into` is the power-path primitive, so pin the
-            // reference to the power solver (`propagate`'s Auto selection
-            // may route small-α ∞ steps to CGNR, which only agrees to
-            // solver tolerance, not bit-for-bit).
-            let reference = propagate_with_solver(&a, &x, alpha, step, PprSolver::Power);
+            let reference = propagate(&a, &x, alpha, step);
             propagate_into(&a, &x, alpha, step, &mut z, &mut scratch);
             for (u, v) in reference.as_slice().iter().zip(z.as_slice()) {
                 prop_assert!(u.to_bits() == v.to_bits(), "step {step}: {u} vs {v}");
@@ -235,10 +229,6 @@ fn kernel_fingerprint() -> Vec<u8> {
     let sp = random_csr(301, 301, 0.05, &mut rng);
     let feats = Mat::uniform(301, 23, 1.0, &mut rng);
     push(&mut bytes, &sp.spmm(&feats));
-    let x: Vec<f64> = (0..301).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    for v in sp.spmv(&x).iter().chain(sp.spmv_t(&x).iter()) {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
 
     // Propagation (drives spmm_into through the ping-pong recursion).
     let g = gcon::graph::generators::erdos_renyi_gnm(260, 1500, &mut rng);
@@ -277,10 +267,6 @@ fn kernel_fingerprint() -> Vec<u8> {
 
     let sp32: Csr<f32> = sp.convert();
     push32(&mut bytes, &sp32.spmm(&feats.convert::<f32>()));
-    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-    for v in sp32.spmv(&x32).iter().chain(sp32.spmv_t(&x32).iter()) {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
     bytes
 }
 

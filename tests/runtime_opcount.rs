@@ -1,15 +1,17 @@
 //! Operation-count assertions for single-pass multi-scale propagation
-//! (the acceptance criterion of the runtime refactor). These live in their
-//! own integration-test binary because they read deltas of the process-wide
-//! `Ã·Z` product counter: a `Mutex` serializes the two tests against each
+//! (the acceptance criterion of the runtime refactor) and for the PPR
+//! solve, its certificate and the push refresh. These live in their own
+//! integration-test binary because they read deltas of the process-wide
+//! `Ã·Z` product counter: a `Mutex` serializes the tests against each
 //! other, and no other propagation work runs in this process.
 
 use gcon::core::propagation::{
-    concat_features, ppr_cgnr_budget, propagate, propagate_multi, solve_ppr_cgnr,
-    spmm_ops_performed, PprOperator, PropagationStep,
+    concat_features, ppr_residual_into, ppr_staleness_bound, propagate, propagate_multi,
+    refresh_ppr, spmm_ops_performed, PropagationStep,
 };
+use gcon::core::refresh::push::push_refresh;
 use gcon::graph::normalize::row_stochastic_default;
-use gcon::linalg::solve::cgnr;
+use gcon::graph::CsrDelta;
 use gcon::linalg::Mat;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,98 +77,56 @@ fn single_pass_with_infinity_is_a_strict_continuation() {
     );
 }
 
-/// The block-CGNR acceptance criterion: solving all d columns together costs
-/// one `Ã` + one `Ãᵀ` product per iteration *total* (plus one initial `Ãᵀb`
-/// and one final true-residual check), while the per-column loop pays that
-/// per column — `2·max_j(iters_j) + 2` products versus `Σ_j (2·iters_j + 2)`.
-/// Also asserts column-for-column agreement between the two paths.
+/// A cold PPR solve costs exactly one `Ã·Z` product per power sweep; the
+/// refresh's certificate costs one more.
 #[test]
-fn block_cgnr_one_product_pair_per_iteration() {
+fn cold_ppr_solve_costs_one_product_per_sweep() {
     let _guard = COUNTER_GUARD.lock().unwrap();
     let mut rng = StdRng::seed_from_u64(79);
-    let (n, d) = (150usize, 8usize);
-    let g = gcon::graph::generators::erdos_renyi_gnm(n, 3 * n, &mut rng);
+    let g = gcon::graph::generators::erdos_renyi_gnm(60, 180, &mut rng);
     let a = row_stochastic_default(&g);
-    let mut x = Mat::uniform(n, d, 1.0, &mut rng);
-    x.normalize_rows_l2();
-    let alpha = 0.05; // the CGNR regime
-    let budget = ppr_cgnr_budget(n);
+    let x = Mat::uniform(60, 3, 1.0, &mut rng);
+
+    // Warm-started from the features, the refresh is the cold solve.
+    let before = spmm_ops_performed();
+    let refresh = refresh_ppr(&a, &x, 0.3, &x);
+    assert_eq!(spmm_ops_performed() - before, refresh.iterations + 1);
 
     let before = spmm_ops_performed();
-    let (z_block, stats) = solve_ppr_cgnr(&a, &x, alpha, budget);
-    let block_products = spmm_ops_performed() - before;
-    assert!(stats.iter().all(|s| s.converged), "stats: {stats:?}");
-    let max_iters = stats.iter().map(|s| s.iterations).max().unwrap();
-    assert_eq!(
-        block_products,
-        2 * max_iters + 2,
-        "block CGNR must perform one product pair per iteration for all {d} columns"
-    );
-
-    // The old column-at-a-time path through the single-vector operator.
-    let op = PprOperator::new(&a, alpha);
-    let before = spmm_ops_performed();
-    let mut column_iters_sum = 0;
-    for j in 0..d {
-        let mut b = x.col(j);
-        for v in &mut b {
-            *v *= alpha;
-        }
-        let (col, s) = cgnr(&op, &b, 1e-12, budget);
-        assert!(s.converged);
-        column_iters_sum += s.iterations;
-        for (i, &v) in col.iter().enumerate() {
-            assert!(
-                (z_block.get(i, j) - v).abs() < 1e-10,
-                "({i},{j}): block {} vs column {v}",
-                z_block.get(i, j)
-            );
-        }
-    }
-    let column_products = spmm_ops_performed() - before;
-    assert_eq!(
-        column_products,
-        2 * column_iters_sum + 2 * d,
-        "per-column CGNR pays a product pair per iteration per column"
-    );
-    assert!(
-        block_products < column_products,
-        "block ({block_products}) must beat per-column ({column_products}) for {d} columns"
-    );
+    let _ = propagate(&a, &x, 0.3, PropagationStep::Infinite);
+    assert_eq!(spmm_ops_performed() - before, refresh.iterations);
 }
 
-/// The CGNR path's operator applications are accounted: a lone `spmv`, a
-/// transposed `spmm_t_into` and one single-vector operator round trip all
-/// land in the shared counter (the pre-fix code bypassed it entirely).
+/// Each certificate costs one product, and a push refresh after a local
+/// edit costs none: it repairs rows with scalar loops and certifies by a
+/// dense scan of the maintained residual.
 #[test]
-fn cgnr_operator_products_are_counted() {
+fn push_refresh_performs_no_sparse_product() {
     let _guard = COUNTER_GUARD.lock().unwrap();
     let mut rng = StdRng::seed_from_u64(80);
-    let g = gcon::graph::generators::erdos_renyi_gnm(30, 90, &mut rng);
+    let mut g = gcon::graph::generators::erdos_renyi_gnm(80, 240, &mut rng);
     let a = row_stochastic_default(&g);
-    let v = vec![1.0; 30];
+    let mut x = Mat::uniform(80, 3, 1.0, &mut rng);
+    x.normalize_rows_l2();
+    let alpha = 0.2;
+    let mut z = propagate(&a, &x, alpha, PropagationStep::Infinite);
 
     let before = spmm_ops_performed();
-    let _ = a.spmv(&v);
-    assert_eq!(spmm_ops_performed() - before, 1, "spmv counts as one product");
+    let bound = ppr_staleness_bound(&a, &x, alpha, &z);
+    let mut r = Mat::zeros(0, 0);
+    let same = ppr_residual_into(&a, &x, alpha, &z, &mut r);
+    assert_eq!(spmm_ops_performed() - before, 2);
+    assert_eq!(bound.to_bits(), same.to_bits());
 
+    let (u, v) = (0..80u32)
+        .flat_map(|u| (u + 1..80).map(move |v| (u, v)))
+        .find(|&(u, v)| !g.has_edge(u, v))
+        .expect("graph is not complete");
+    let mut delta = CsrDelta::new();
+    delta.insert_edge(u, v);
+    let result = delta.apply(&mut g, &a, 0.5);
     let before = spmm_ops_performed();
-    let mut out = Mat::default();
-    a.spmm_t_into(&Mat::from_fn(30, 2, |i, j| (i + j) as f64), &mut out);
-    assert_eq!(spmm_ops_performed() - before, 1, "spmm_t_into counts as one product");
-
-    let before = spmm_ops_performed();
-    let _ = a.transpose();
-    assert_eq!(spmm_ops_performed() - before, 0, "transposition is structural, not a product");
-
-    use gcon::linalg::solve::LinearOperator;
-    let op = PprOperator::new(&a, 0.3);
-    let before = spmm_ops_performed();
-    let y = op.apply(&v);
-    let _ = op.apply_transpose(&y);
-    assert_eq!(
-        spmm_ops_performed() - before,
-        2,
-        "one forward and one transposed operator application"
-    );
+    let out = push_refresh(&result.a_tilde, &x, alpha, &mut z, &mut r, &result.touched);
+    assert_eq!(spmm_ops_performed() - before, 0);
+    assert!(out.converged && out.rows_pushed > 0, "{out:?}");
 }

@@ -1,14 +1,12 @@
-//! Property tests for the PPR solver stack: the multi-RHS block CGNR must be
-//! column-for-column equivalent to the single-RHS solver, and the two
-//! `PprSolver` choices (power iteration vs. CGNR) must agree on the PPR
-//! limit across random Erdős–Rényi graphs and restart probabilities.
+//! Property tests for the PPR power solver: across random Erdős–Rényi
+//! graphs and restart probabilities, the fixed point of the recursion must
+//! match the exact dense limit `α (I − (1−α)Ã)⁻¹ X`, and propagating a
+//! feature block must equal propagating each column on its own.
 
-use gcon::core::propagation::{
-    ppr_cgnr_budget, propagate_with_solver, solve_ppr_cgnr, PprOperator, PprSolver, PropagationStep,
-};
+use gcon::core::propagation::{ppr_staleness_bound, propagate, propagate_multi, PropagationStep};
 use gcon::graph::normalize::row_stochastic_default;
-use gcon::linalg::solve::cgnr;
-use gcon::linalg::Mat;
+use gcon::linalg::lu::Lu;
+use gcon::linalg::{ops, Mat};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,52 +24,57 @@ fn random_problem(seed: u64, n: usize, d: usize) -> (gcon::graph::Csr, Mat) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `block_cgnr` is column-for-column equivalent to per-column `cgnr`:
-    /// identical solver trajectories, so identical iterates to 1e-10.
+    /// `propagate(…, Infinite)` reaches the exact dense PPR limit (Eq. 5),
+    /// solved by LU, to well within its certified tolerance.
     #[test]
-    fn block_cgnr_matches_per_column_cgnr(
+    fn power_propagation_matches_dense_lu_reference(
+        seed in 0u64..500,
+        n in 10usize..50,
+        alpha in 0.05f64..0.9,
+    ) {
+        let (a, x) = random_problem(seed, n, 3);
+        let power = propagate(&a, &x, alpha, PropagationStep::Infinite);
+        let mut system = Mat::eye(n);
+        ops::add_scaled_assign(&mut system, -(1.0 - alpha), &a.to_dense());
+        let exact = Lu::new(&system).solve_mat(&x).expect("Lemma 3: invertible");
+        for (u, v) in power.as_slice().iter().zip(exact.as_slice()) {
+            prop_assert!((u - alpha * v).abs() < 1e-8, "α={alpha}: {u} vs {}", alpha * v);
+        }
+    }
+
+    /// Propagating a block of columns is column-for-column the propagation
+    /// of each column alone: bitwise on the finite scale (the sparse kernel
+    /// never mixes columns), and within the two certificates on the `∞`
+    /// scale (the block stops on its worst column).
+    #[test]
+    fn block_propagation_matches_per_column_propagation(
         seed in 0u64..500,
         n in 10usize..60,
         d in 1usize..6,
         alpha in 0.05f64..0.9,
+        m in 0usize..6,
     ) {
         let (a, x) = random_problem(seed, n, d);
-        let budget = ppr_cgnr_budget(n);
-        let (z, stats) = solve_ppr_cgnr(&a, &x, alpha, budget);
-        let op = PprOperator::new(&a, alpha);
-        for (j, s) in stats.iter().enumerate() {
-            prop_assert!(s.converged, "column {j}: {s:?}");
-            let mut b = x.col(j);
-            for v in &mut b {
-                *v *= alpha;
-            }
-            let (col, s_col) = cgnr(&op, &b, 1e-12, budget);
-            prop_assert!(s_col.converged);
-            for (i, &v) in col.iter().enumerate() {
-                prop_assert!(
-                    (z.get(i, j) - v).abs() < 1e-10,
-                    "({i},{j}): block {} vs column {v}",
-                    z.get(i, j)
+        let steps = [PropagationStep::Finite(m), PropagationStep::Infinite];
+        let block = propagate_multi(&a, &x, alpha, &steps);
+        for j in 0..d {
+            let col = Mat::from_fn(n, 1, |i, _| x.get(i, j));
+            let alone = propagate_multi(&a, &col, alpha, &steps);
+            for i in 0..n {
+                prop_assert_eq!(
+                    block.get(i, j).to_bits(),
+                    alone.get(i, 0).to_bits(),
+                    "finite scale, ({}, {})", i, j
                 );
             }
-        }
-    }
-
-    /// Both `PprSolver` choices compute the same `Z_∞` through
-    /// `propagate(…, Infinite)` to well within fixed-point tolerance.
-    #[test]
-    fn power_and_cgnr_propagation_agree(
-        seed in 0u64..500,
-        n in 10usize..50,
-        alpha in 0.03f64..0.9,
-    ) {
-        let (a, x) = random_problem(seed, n, 3);
-        let power =
-            propagate_with_solver(&a, &x, alpha, PropagationStep::Infinite, PprSolver::Power);
-        let cg =
-            propagate_with_solver(&a, &x, alpha, PropagationStep::Infinite, PprSolver::Cgnr);
-        for (u, v) in power.as_slice().iter().zip(cg.as_slice()) {
-            prop_assert!((u - v).abs() < 1e-6, "α={alpha}: {u} vs {v}");
+            let z_block = Mat::from_fn(n, 1, |i, _| block.get(i, d + j));
+            let z_alone = Mat::from_fn(n, 1, |i, _| alone.get(i, 1));
+            let allowed = ppr_staleness_bound(&a, &col, alpha, &z_block)
+                + ppr_staleness_bound(&a, &col, alpha, &z_alone);
+            for i in 0..n {
+                let gap = (z_block.get(i, 0) - z_alone.get(i, 0)).abs();
+                prop_assert!(gap <= allowed, "∞ scale, ({i}, {j}): {gap} > {allowed}");
+            }
         }
     }
 }

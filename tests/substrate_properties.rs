@@ -54,7 +54,7 @@ proptest! {
     }
 
     /// CSR round-trip: to_dense of from_row_entries reproduces the entries,
-    /// and spmv agrees with the dense product.
+    /// and a one-column spmm agrees with the dense product.
     #[test]
     fn csr_roundtrip(seed in 0u64..500, n in 1usize..20, density in 0.05f64..0.6) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -69,10 +69,10 @@ proptest! {
         let sp = Csr::from_row_entries(n, n, entries);
         let dense = sp.to_dense();
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let fast = sp.spmv(&x);
+        let fast = sp.spmm(&Mat::from_fn(n, 1, |i, _| x[i]));
         for i in 0..n {
             let slow = vecops::dot(dense.row(i), &x);
-            prop_assert!((fast[i] - slow).abs() < 1e-10);
+            prop_assert!((fast.get(i, 0) - slow).abs() < 1e-10);
         }
         prop_assert_eq!(sp.nnz(), dense.as_slice().iter().filter(|&&v| v != 0.0).count());
     }
