@@ -18,7 +18,8 @@
 //!   store before timing, so all rows describe the same computation.
 //!
 //! Results are printed and written machine-readably to `BENCH_fleet.json`
-//! at the workspace root (override with `GCON_BENCH_OUT`).
+//! at the workspace root (override with `GCON_BENCH_OUT`), stamped with the
+//! host they were measured on (`gcon_bench::host_stamp_json`).
 //! `GCON_BENCH_QUICK=1` shrinks the dataset and rep counts for CI smoke
 //! runs; loopback TCP numbers on a loaded CI box are indicative, not
 //! stable — the committed JSON comes from an idle run.
@@ -236,6 +237,7 @@ fn main() {
     std::hint::black_box(sink);
 
     let mut json = String::from("{\n  \"bench\": \"fleet\",\n");
+    json.push_str(&format!("  \"host\": {},\n", gcon_bench::host_stamp_json()));
     json.push_str(&format!("  \"nodes\": {n},\n  \"quick\": {quick},\n"));
     json.push_str("  \"unit\": \"ns_per_query_median\",\n  \"paths\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -23,18 +23,19 @@
 //! two row kinds apart (`f64` rows compare scalar-vs-tiled, `f32` rows
 //! compare f64-vs-f32 tiled).
 //!
-//! Results are printed per shape × tier and written
-//! machine-readably to `BENCH_linalg.json` at the workspace root (override
-//! with `GCON_BENCH_OUT`); `GCON_BENCH_QUICK=1` shrinks the sweep for CI
-//! smoke runs.
+//! Results are printed per shape × tier and written machine-readably to
+//! `BENCH_linalg.json` at the workspace root (override with
+//! `GCON_BENCH_OUT`), stamped with the host they were measured on
+//! (`gcon_bench::host_stamp_json`). `GCON_BENCH_QUICK=1` shrinks the sweep
+//! for CI smoke runs.
 
-use criterion::black_box;
 use gcon_bench::median_time_ns as time_ns;
 use gcon_graph::normalize::row_stochastic_default;
 use gcon_graph::Csr;
 use gcon_linalg::{ops, Mat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 
 /// One before/after comparison row of the JSON report.
 ///
@@ -359,6 +360,7 @@ fn main() {
     // Machine-readable trajectory file.
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"linalg\",\n");
+    json.push_str(&format!("  \"host\": {},\n", gcon_bench::host_stamp_json()));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!(

@@ -313,7 +313,7 @@ fn spmm_block_body<S: CsrScalar>(sp: &Csr<S>, b: &Mat<S>, out: &mut [S], start: 
 
 gcon_runtime::tier_dispatch! {
     /// f64 row-block stage of [`Csr::spmm_into`] — see [`spmm_block_body`].
-    fn spmm_block_f64 / spmm_block_f64_avx2 / spmm_block_f64_avx512 / spmm_block_f64_impl(
+    fn spmm_block_f64 / spmm_block_f64_avx2 / spmm_block_f64_impl(
         sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize)
 }
 
@@ -324,7 +324,7 @@ fn spmm_block_f64_impl(sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usiz
 
 gcon_runtime::tier_dispatch! {
     /// f32 row-block stage of [`Csr::spmm_into`] — see [`spmm_block_body`].
-    fn spmm_block_f32 / spmm_block_f32_avx2 / spmm_block_f32_avx512 / spmm_block_f32_impl(
+    fn spmm_block_f32 / spmm_block_f32_avx2 / spmm_block_f32_impl(
         sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize)
 }
 

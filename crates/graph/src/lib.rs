@@ -26,8 +26,8 @@
 //! (see its crate docs): [`Csr`] is generic over the element dtype through
 //! [`CsrScalar`] (f64 + f32, f64 default), and `Csr::spmm` consumes four
 //! nonzeros of a CSR row per pass over the dense output row. The kernel
-//! body is compiled per dtype at every [`gcon_runtime::KernelTier`]
-//! (baseline / `avx2,fma` / `avx512f`) via [`gcon_runtime::tier_dispatch!`]
+//! body is compiled per dtype at both [`gcon_runtime::KernelTier`]s
+//! (baseline and `avx2,fma`) via [`gcon_runtime::tier_dispatch!`]
 //! and selected by the process-wide [`gcon_runtime::kernel_tier`]. The
 //! unroll grouping is a function of the row's nonzero count alone — the
 //! pool partitions whole rows, and every tier compiles the same source

@@ -24,8 +24,8 @@
 //! # Kernel tiling parameters and dispatch tiers
 //!
 //! The GEMM family in [`ops`] is written so stable-Rust LLVM autovectorizes
-//! it — no intrinsics. On x86-64 every kernel body is compiled at three
-//! feature levels (portable baseline, `avx2,fma`, `avx512f`) via
+//! it — no intrinsics. On x86-64 every kernel body is compiled at two
+//! feature levels (portable baseline and `avx2,fma`) via
 //! [`gcon_runtime::tier_dispatch!`], and the process-wide
 //! [`gcon_runtime::kernel_tier`] — CPU detection, overridable with
 //! `GCON_KERNEL_TIER` — selects one at run time. The tile constants are

@@ -39,10 +39,9 @@
 //!
 //! # Dispatch tiers
 //!
-//! Each kernel body is compiled at every [`gcon_runtime::KernelTier`] —
-//! portable baseline, `avx2,fma` (4-wide f64 / 8-wide f32) and `avx512f`
-//! (8-wide f64 / 16-wide f32) — through the
-//! [`gcon_runtime::tier_dispatch!`] macro, and the active tier
+//! Each kernel body is compiled at both [`gcon_runtime::KernelTier`]s —
+//! the portable baseline and `avx2,fma` (4-wide f64 / 8-wide f32) — through
+//! the [`gcon_runtime::tier_dispatch!`] macro, and the active tier
 //! ([`gcon_runtime::kernel_tier`], override with `GCON_KERNEL_TIER`) picks
 //! the compilation at run time. `#[target_feature]` cannot apply to generic
 //! functions, so each dtype gets its own concrete dispatch stack (an
@@ -51,12 +50,6 @@
 //! execute the same arithmetic in the same order (strict FP semantics,
 //! autovectorization only), so **tier choice never changes a result** —
 //! byte-for-byte, not merely to tolerance.
-//!
-//! Because tiers agree bitwise, dispatch may be *shape-aware*:
-//! [`resolve_matmul_tier`] caps tail-only products (`n <` one register
-//! panel, e.g. every small-`c` serving head forward) at the AVX2
-//! compilation, where the dot-based tail measures materially faster than
-//! under AVX-512 — a timing-only decision.
 //!
 //! # Determinism policy (per dtype)
 //!
@@ -167,113 +160,43 @@ fn matmul_block<S: Scalar>(a: &Mat<S>, b: &Mat<S>, out: &mut [S], start: usize, 
     });
 }
 
-/// Effective dispatch tier of the [`matmul_into`] panel kernel for an
-/// output `n` columns wide, given the dtype's panel width `nr` ([`NR`] /
-/// [`NR_F32`]).
-///
-/// When `n < nr` the product never fills one register panel — the whole
-/// output runs in the dot-based N-tail, which the dev box executes ~1.7×
-/// *slower* under the AVX-512 compilation than under AVX2 for both dtypes
-/// (double-pumped 512-bit execution: the wider reduction buys no
-/// throughput and costs frequency; measured in `bench_linalg` and on the
-/// `BENCH_serve.json` head forward, whose `batch × d × c` GEMM always has
-/// `c < nr`). Such shapes cap the requested tier at AVX2. At one panel or
-/// wider the packed register path dominates and AVX-512 keeps its usual
-/// margin.
-///
-/// A pure function of the requested tier and the shape — never of the
-/// thread partition — and every compilation of the kernel produces
-/// identical bytes, so the gate can change timing only, never results.
-pub fn resolve_matmul_tier(
-    requested: gcon_runtime::KernelTier,
-    n: usize,
-    nr: usize,
-) -> gcon_runtime::KernelTier {
-    match requested {
-        gcon_runtime::KernelTier::Avx512 if n < nr => gcon_runtime::KernelTier::Avx2,
-        t => t,
-    }
-}
-
-/// Hand-written matmul panel dispatch (per dtype): the same three-tier
-/// shape as [`gcon_runtime::tier_dispatch!`], but the effective tier runs
-/// through [`resolve_matmul_tier`] first so tail-only outputs cap at the
-/// AVX2 compilation. All compilations produce identical bytes, so the gate
-/// is invisible to the conformance suite.
-macro_rules! matmul_panel_dispatch {
-    ($(#[$meta:meta])* $name:ident / $avx2:ident / $avx512:ident, $dtype:ty, $nr:expr, $w:expr) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        fn $avx2(
-            a: &Mat<$dtype>,
-            b: &Mat<$dtype>,
-            out: &mut [$dtype],
-            start: usize,
-            end: usize,
-            panel: &mut [$dtype],
-        ) {
-            matmul_panel_body::<$dtype, $nr, $w>(a, b, out, start, end, panel)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
-        fn $avx512(
-            a: &Mat<$dtype>,
-            b: &Mat<$dtype>,
-            out: &mut [$dtype],
-            start: usize,
-            end: usize,
-            panel: &mut [$dtype],
-        ) {
-            matmul_panel_body::<$dtype, $nr, $w>(a, b, out, start, end, panel)
-        }
-
-        $(#[$meta])*
-        pub(crate) fn $name(
-            a: &Mat<$dtype>,
-            b: &Mat<$dtype>,
-            out: &mut [$dtype],
-            start: usize,
-            end: usize,
-            panel: &mut [$dtype],
-        ) {
-            #[cfg(target_arch = "x86_64")]
-            match resolve_matmul_tier(gcon_runtime::kernel_tier(), b.cols(), $nr) {
-                // SAFETY: `kernel_tier()` never exceeds the detected feature
-                // set, and `resolve_matmul_tier` only ever lowers the tier,
-                // so the CPU supports every feature the callee is compiled
-                // with.
-                gcon_runtime::KernelTier::Avx512 => {
-                    return unsafe { $avx512(a, b, out, start, end, panel) }
-                }
-                gcon_runtime::KernelTier::Avx2 => {
-                    return unsafe { $avx2(a, b, out, start, end, panel) }
-                }
-                gcon_runtime::KernelTier::Scalar => {}
-            }
-            matmul_panel_body::<$dtype, $nr, $w>(a, b, out, start, end, panel)
-        }
-    };
-}
-
-matmul_panel_dispatch!(
+gcon_runtime::tier_dispatch! {
     /// f64 panel-loop stage of [`matmul_into`] (8-wide panels, 4-lane tail
-    /// dots) — see [`matmul_panel_body`] and [`resolve_matmul_tier`].
-    matmul_panel_f64 / matmul_panel_f64_avx2 / matmul_panel_f64_avx512,
-    f64,
-    NR,
-    4
-);
+    /// dots) — see [`matmul_panel_body`].
+    pub(crate) fn matmul_panel_f64 / matmul_panel_f64_avx2 / matmul_panel_f64_impl(
+        a: &Mat<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize, panel: &mut [f64])
+}
 
-matmul_panel_dispatch!(
+#[inline(always)]
+fn matmul_panel_f64_impl(
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    out: &mut [f64],
+    start: usize,
+    end: usize,
+    panel: &mut [f64],
+) {
+    matmul_panel_body::<f64, NR, 4>(a, b, out, start, end, panel)
+}
+
+gcon_runtime::tier_dispatch! {
     /// f32 panel-loop stage of [`matmul_into`] (doubled panel width and
-    /// tail-dot lanes) — see [`matmul_panel_body`] and
-    /// [`resolve_matmul_tier`].
-    matmul_panel_f32 / matmul_panel_f32_avx2 / matmul_panel_f32_avx512,
-    f32,
-    NR_F32,
-    8
-);
+    /// tail-dot lanes) — see [`matmul_panel_body`].
+    pub(crate) fn matmul_panel_f32 / matmul_panel_f32_avx2 / matmul_panel_f32_impl(
+        a: &Mat<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize, panel: &mut [f32])
+}
+
+#[inline(always)]
+fn matmul_panel_f32_impl(
+    a: &Mat<f32>,
+    b: &Mat<f32>,
+    out: &mut [f32],
+    start: usize,
+    end: usize,
+    panel: &mut [f32],
+) {
+    matmul_panel_body::<f32, NR_F32, 8>(a, b, out, start, end, panel)
+}
 
 /// The `matmul` kernel body. For each `NR_`-wide column panel of `B` the
 /// `k` range is walked in [`KC`]-sized cache blocks: the block is packed
@@ -486,7 +409,7 @@ fn t_matmul_skip_flags<S: Scalar>(a: &Mat<S>, path: TmPath) -> Vec<bool> {
 gcon_runtime::tier_dispatch! {
     /// f64 `AᵀB` block kernel (rows `[k0, k1)` of the output) — see
     /// [`t_matmul_block_body`].
-    pub(crate) fn t_matmul_block_f64 / t_matmul_block_f64_avx2 / t_matmul_block_f64_avx512 / t_matmul_block_f64_impl(
+    pub(crate) fn t_matmul_block_f64 / t_matmul_block_f64_avx2 / t_matmul_block_f64_impl(
         a: &Mat<f64>, b: &Mat<f64>, out: &mut [f64], k0: usize, k1: usize, skip: &[bool])
 }
 
@@ -505,7 +428,7 @@ fn t_matmul_block_f64_impl(
 gcon_runtime::tier_dispatch! {
     /// f32 `AᵀB` block kernel (doubled tile width) — see
     /// [`t_matmul_block_body`].
-    pub(crate) fn t_matmul_block_f32 / t_matmul_block_f32_avx2 / t_matmul_block_f32_avx512 / t_matmul_block_f32_impl(
+    pub(crate) fn t_matmul_block_f32 / t_matmul_block_f32_avx2 / t_matmul_block_f32_impl(
         a: &Mat<f32>, b: &Mat<f32>, out: &mut [f32], k0: usize, k1: usize, skip: &[bool])
 }
 
@@ -676,7 +599,7 @@ pub fn matmul_bt_into<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>) {
 gcon_runtime::tier_dispatch! {
     /// f64 `A·Bᵀ` block kernel (rows `start..` of the output) — see
     /// [`matmul_bt_block_body`].
-    pub(crate) fn matmul_bt_block_f64 / matmul_bt_block_f64_avx2 / matmul_bt_block_f64_avx512 / matmul_bt_block_f64_impl(
+    pub(crate) fn matmul_bt_block_f64 / matmul_bt_block_f64_avx2 / matmul_bt_block_f64_impl(
         a: &Mat<f64>, b: &Mat<f64>, block: &mut [f64], start: usize)
 }
 
@@ -689,7 +612,7 @@ fn matmul_bt_block_f64_impl(a: &Mat<f64>, b: &Mat<f64>, block: &mut [f64], start
 gcon_runtime::tier_dispatch! {
     /// f32 `A·Bᵀ` block kernel (doubled dot4 unroll) — see
     /// [`matmul_bt_block_body`].
-    pub(crate) fn matmul_bt_block_f32 / matmul_bt_block_f32_avx2 / matmul_bt_block_f32_avx512 / matmul_bt_block_f32_impl(
+    pub(crate) fn matmul_bt_block_f32 / matmul_bt_block_f32_avx2 / matmul_bt_block_f32_impl(
         a: &Mat<f32>, b: &Mat<f32>, block: &mut [f32], start: usize)
 }
 
@@ -815,26 +738,6 @@ pub fn frobenius_inner<S: Scalar>(a: &Mat<S>, b: &Mat<S>) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The matmul tier gate caps AVX-512 to AVX2 exactly for tail-only
-    /// outputs (`n` below the dtype's panel width) and never touches any
-    /// other request.
-    #[test]
-    fn resolve_matmul_tier_caps_tail_only_shapes() {
-        use gcon_runtime::KernelTier::{Avx2, Avx512, Scalar};
-        for (nr, boundary) in [(NR, NR), (NR_F32, NR_F32)] {
-            for n in 0..boundary {
-                assert_eq!(resolve_matmul_tier(Avx512, n, nr), Avx2, "n={n} nr={nr}");
-                assert_eq!(resolve_matmul_tier(Avx2, n, nr), Avx2);
-                assert_eq!(resolve_matmul_tier(Scalar, n, nr), Scalar);
-            }
-            for n in [boundary, boundary + 1, 4 * boundary] {
-                assert_eq!(resolve_matmul_tier(Avx512, n, nr), Avx512, "n={n} nr={nr}");
-                assert_eq!(resolve_matmul_tier(Avx2, n, nr), Avx2);
-                assert_eq!(resolve_matmul_tier(Scalar, n, nr), Scalar);
-            }
-        }
-    }
 
     fn naive_matmul(a: &Mat, b: &Mat) -> Mat {
         let mut c = Mat::zeros(a.rows(), b.cols());
@@ -1011,6 +914,109 @@ mod tests {
                 assert!((x - y).abs() < 1e-4, "matmul_bt f32 {m}x{k}x{n}: {x} vs {y}");
             }
         }
+    }
+
+    /// Outputs narrower than one register panel (the shape of every
+    /// small-`c` head forward) run wholly or partly in the dot-based N tail.
+    /// At every available tier they match the naive reference, and each
+    /// dtype's result is bitwise the same at every tier.
+    #[test]
+    fn narrow_products_agree_bitwise_across_tiers() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in 1..NR_F32 {
+            let a: Mat = Mat::uniform(2 * MR + 1, KC + 3, 1.0, &mut rng);
+            let b: Mat = Mat::uniform(KC + 3, n, 1.0, &mut rng);
+            let (a32, b32) = (a.convert::<f32>(), b.convert::<f32>());
+            let slow = naive_matmul(&a, &b);
+            let mut bits_per_tier = Vec::new();
+            gcon_runtime::for_each_available_tier(|tier| {
+                let (c, c32) = (matmul(&a, &b), matmul(&a32, &b32));
+                for (x, y) in c.as_slice().iter().zip(slow.as_slice()) {
+                    assert!((x - y).abs() <= 1e-9 * y.abs().max(1.0), "{tier} n={n}: {x} vs {y}");
+                }
+                let bits64: Vec<u64> = c.as_slice().iter().map(|v| v.to_bits()).collect();
+                let bits32: Vec<u32> = c32.as_slice().iter().map(|v| v.to_bits()).collect();
+                bits_per_tier.push((tier, bits64, bits32));
+            });
+            let (t0, ref64, ref32) = &bits_per_tier[0];
+            for (tier, bits64, bits32) in &bits_per_tier[1..] {
+                assert!(bits64 == ref64, "f64 n={n}: {tier} differs from {t0}");
+                assert!(bits32 == ref32, "f32 n={n}: {tier} differs from {t0}");
+            }
+        }
+    }
+
+    /// Bit patterns of a row, widened exactly to f64 so one helper serves
+    /// both dtypes.
+    fn row_bits<S: Scalar>(row: &[S]) -> Vec<u64> {
+        row.iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// Each row of the row-block-parallel `A·B` equals that row multiplied
+    /// alone, bitwise, for both dtypes: the pool partition decides only who
+    /// computes a row, and a lone row's M-tail path accumulates in the same
+    /// order as the register tile.
+    #[test]
+    fn matmul_rows_do_not_depend_on_the_row_partition() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        fn check<S: Scalar>(a: &Mat<S>, b: &Mat<S>) {
+            let full = matmul(a, b);
+            for i in 0..a.rows() {
+                let alone = matmul(&Mat::from_rows(&[a.row(i)]), b);
+                assert_eq!(row_bits(alone.row(0)), row_bits(full.row(i)), "{} row {i}", S::DTYPE);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(41);
+        // m·k·n far above PAR_THRESHOLD, so the pool splits the rows.
+        let a: Mat = Mat::uniform(67, KC + 9, 1.0, &mut rng);
+        let b: Mat = Mat::uniform(KC + 9, 2 * NR_F32 + 5, 1.0, &mut rng);
+        check(&a, &b);
+        check(&a.convert::<f32>(), &b.convert::<f32>());
+    }
+
+    /// Each output row of the parallel `AᵀB` (one column of `A`) equals that
+    /// column's product computed alone, bitwise, on both pinned block paths.
+    #[test]
+    fn t_matmul_rows_do_not_depend_on_the_output_partition() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(43);
+        let (n_samples, d_in, d_out) = (2 * TM_IB + 44, 67, 2 * NR + 5);
+        let a: Mat = Mat::uniform(n_samples, d_in, 1.0, &mut rng);
+        let b: Mat = Mat::uniform(n_samples, d_out, 1.0, &mut rng);
+        for path in [TmPath::Tiled, TmPath::Skip] {
+            let mut full = Mat::default();
+            t_matmul_into_with(&a, &b, &mut full, path);
+            for k in 0..d_in {
+                let col = Mat::from_fn(n_samples, 1, |i, _| a.get(i, k));
+                let mut alone = Mat::default();
+                t_matmul_into_with(&col, &b, &mut alone, path);
+                assert_eq!(row_bits(alone.row(0)), row_bits(full.row(k)), "{path:?} row {k}");
+            }
+        }
+    }
+
+    /// Each row of the parallel `A·Bᵀ` equals that row's dots computed
+    /// alone, bitwise, for both dtypes.
+    #[test]
+    fn matmul_bt_rows_do_not_depend_on_the_row_partition() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        fn check<S: Scalar>(a: &Mat<S>, b: &Mat<S>) {
+            let full = matmul_bt(a, b);
+            for i in 0..a.rows() {
+                let alone = matmul_bt(&Mat::from_rows(&[a.row(i)]), b);
+                assert_eq!(row_bits(alone.row(0)), row_bits(full.row(i)), "{} row {i}", S::DTYPE);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(47);
+        let a: Mat = Mat::uniform(61, 131, 1.0, &mut rng);
+        let b: Mat = Mat::uniform(27, 131, 1.0, &mut rng);
+        check(&a, &b);
+        check(&a.convert::<f32>(), &b.convert::<f32>());
     }
 
     /// Inner dimensions straddling the KC cache-block boundary exercise the

@@ -7,7 +7,7 @@
 //! exhaustive. The trait does **not** route arithmetic through dynamic
 //! dispatch: generic fronts call the `kernel_*` hooks, and each hook is a
 //! concrete, per-dtype function compiled through
-//! [`gcon_runtime::tier_dispatch!`] at every SIMD tier, with tile widths and
+//! [`gcon_runtime::tier_dispatch!`] at both SIMD tiers, with tile widths and
 //! unroll factors chosen *per dtype* (f32 kernels use doubled lane counts —
 //! see [`crate::vecops::LANES_F32`], [`crate::ops::NR_F32`]) so halving the
 //! element width genuinely doubles the SIMD lanes instead of wasting them.

@@ -14,8 +14,9 @@
 //! with a relative tolerance, see `gcon_linalg` crate docs).
 //!
 //! [`dot`], [`axpy`], [`norm2`] and [`dist2`] — the four primitives sitting
-//! in solver inner loops — are compiled at every
-//! [`gcon_runtime::KernelTier`] through [`gcon_runtime::tier_dispatch!`].
+//! in solver inner loops — are compiled at both
+//! [`gcon_runtime::KernelTier`]s (portable and `avx2,fma`) through
+//! [`gcon_runtime::tier_dispatch!`].
 //! `#[target_feature]` cannot apply to generic functions, so the dispatch
 //! plumbing is *per dtype*: one `#[inline(always)]` generic body (e.g.
 //! `dot_body`), instantiated by concrete `_f64`/`_f32` wrappers that go
@@ -122,13 +123,13 @@ fn dist2_body<S: Scalar, const L: usize>(a: &[S], b: &[S]) -> S {
 
 // Per-dtype tier-dispatched instantiations. Each `_impl` pins the generic
 // body at that dtype's lane width; `tier_dispatch!` then compiles it at
-// every SIMD tier. The [`Scalar`] kernel hooks route the generic public
+// both SIMD tiers. The [`Scalar`] kernel hooks route the generic public
 // fronts below to these.
 
 gcon_runtime::tier_dispatch! {
     /// f64 instantiation of the [`dot`] kernel.
     #[inline]
-    pub(crate) fn dot_f64 / dot_f64_avx2 / dot_f64_avx512 / dot_f64_impl(a: &[f64], b: &[f64]) -> f64
+    pub(crate) fn dot_f64 / dot_f64_avx2 / dot_f64_impl(a: &[f64], b: &[f64]) -> f64
 }
 
 #[inline(always)]
@@ -139,7 +140,7 @@ fn dot_f64_impl(a: &[f64], b: &[f64]) -> f64 {
 gcon_runtime::tier_dispatch! {
     /// f32 instantiation of the [`dot`] kernel (doubled lanes).
     #[inline]
-    pub(crate) fn dot_f32 / dot_f32_avx2 / dot_f32_avx512 / dot_f32_impl(a: &[f32], b: &[f32]) -> f32
+    pub(crate) fn dot_f32 / dot_f32_avx2 / dot_f32_impl(a: &[f32], b: &[f32]) -> f32
 }
 
 #[inline(always)]
@@ -150,7 +151,7 @@ fn dot_f32_impl(a: &[f32], b: &[f32]) -> f32 {
 gcon_runtime::tier_dispatch! {
     /// f64 instantiation of the [`axpy`] kernel.
     #[inline]
-    pub(crate) fn axpy_f64 / axpy_f64_avx2 / axpy_f64_avx512 / axpy_f64_impl(alpha: f64, x: &[f64], y: &mut [f64])
+    pub(crate) fn axpy_f64 / axpy_f64_avx2 / axpy_f64_impl(alpha: f64, x: &[f64], y: &mut [f64])
 }
 
 #[inline(always)]
@@ -161,7 +162,7 @@ fn axpy_f64_impl(alpha: f64, x: &[f64], y: &mut [f64]) {
 gcon_runtime::tier_dispatch! {
     /// f32 instantiation of the [`axpy`] kernel (doubled lanes).
     #[inline]
-    pub(crate) fn axpy_f32 / axpy_f32_avx2 / axpy_f32_avx512 / axpy_f32_impl(alpha: f32, x: &[f32], y: &mut [f32])
+    pub(crate) fn axpy_f32 / axpy_f32_avx2 / axpy_f32_impl(alpha: f32, x: &[f32], y: &mut [f32])
 }
 
 #[inline(always)]
@@ -172,7 +173,7 @@ fn axpy_f32_impl(alpha: f32, x: &[f32], y: &mut [f32]) {
 gcon_runtime::tier_dispatch! {
     /// f64 instantiation of the [`norm2`] kernel.
     #[inline]
-    pub(crate) fn norm2_f64 / norm2_f64_avx2 / norm2_f64_avx512 / norm2_f64_impl(x: &[f64]) -> f64
+    pub(crate) fn norm2_f64 / norm2_f64_avx2 / norm2_f64_impl(x: &[f64]) -> f64
 }
 
 #[inline(always)]
@@ -183,7 +184,7 @@ fn norm2_f64_impl(x: &[f64]) -> f64 {
 gcon_runtime::tier_dispatch! {
     /// f32 instantiation of the [`norm2`] kernel (doubled lanes).
     #[inline]
-    pub(crate) fn norm2_f32 / norm2_f32_avx2 / norm2_f32_avx512 / norm2_f32_impl(x: &[f32]) -> f32
+    pub(crate) fn norm2_f32 / norm2_f32_avx2 / norm2_f32_impl(x: &[f32]) -> f32
 }
 
 #[inline(always)]
@@ -194,7 +195,7 @@ fn norm2_f32_impl(x: &[f32]) -> f32 {
 gcon_runtime::tier_dispatch! {
     /// f64 instantiation of the [`dist2`] kernel.
     #[inline]
-    pub(crate) fn dist2_f64 / dist2_f64_avx2 / dist2_f64_avx512 / dist2_f64_impl(a: &[f64], b: &[f64]) -> f64
+    pub(crate) fn dist2_f64 / dist2_f64_avx2 / dist2_f64_impl(a: &[f64], b: &[f64]) -> f64
 }
 
 #[inline(always)]
@@ -205,7 +206,7 @@ fn dist2_f64_impl(a: &[f64], b: &[f64]) -> f64 {
 gcon_runtime::tier_dispatch! {
     /// f32 instantiation of the [`dist2`] kernel (doubled lanes).
     #[inline]
-    pub(crate) fn dist2_f32 / dist2_f32_avx2 / dist2_f32_avx512 / dist2_f32_impl(a: &[f32], b: &[f32]) -> f32
+    pub(crate) fn dist2_f32 / dist2_f32_avx2 / dist2_f32_impl(a: &[f32], b: &[f32]) -> f32
 }
 
 #[inline(always)]

@@ -28,17 +28,17 @@
 //! Besides the thread pool, this crate owns the process-wide **kernel tier**:
 //! every SIMD-dispatched kernel in the workspace (`gcon-linalg::ops`,
 //! `gcon-linalg::vecops`, `gcon-graph::csr`) is compiled from one portable
-//! source at three feature levels — [`KernelTier::Scalar`] (baseline SSE2 on
-//! x86-64), [`KernelTier::Avx2`] (`avx2,fma`, 4-wide f64) and
-//! [`KernelTier::Avx512`] (`avx512f,avx512vl,avx512dq,avx512bw`, 8-wide
-//! f64) — and selects one at run time via [`kernel_tier`]. The tier is resolved once per process from CPU
-//! feature detection, can be pinned with the `GCON_KERNEL_TIER` environment
-//! variable (`scalar` | `avx2` | `avx512`; requests above the host's feature
-//! set warn and clamp to the best available tier), and can be switched by
-//! tests and benchmarks with [`set_kernel_tier`]. Because every tier compiles
-//! the *same* Rust source under strict FP semantics (no reassociation, no
-//! mul-add contraction — autovectorization only), all tiers produce
-//! **byte-identical** results; the tier changes throughput, never values.
+//! source at two feature levels — [`KernelTier::Scalar`] (baseline SSE2 on
+//! x86-64) and [`KernelTier::Avx2`] (`avx2,fma`, 4-wide f64) — and selects
+//! one at run time via [`kernel_tier`]. The tier is resolved once per process
+//! from CPU feature detection, can be pinned with the `GCON_KERNEL_TIER`
+//! environment variable (`scalar` | `avx2`; a request above the host's
+//! feature set warns and clamps to the best available tier), and can be
+//! switched by tests and benchmarks with [`set_kernel_tier`]. Because both
+//! tiers compile the *same* Rust source under strict FP semantics (no
+//! reassociation, no mul-add contraction — autovectorization only), they
+//! produce **byte-identical** results; the tier changes throughput, never
+//! values.
 //! The conformance suite in `tests/kernel_properties.rs` and the fingerprint
 //! matrix in `tests/runtime_equivalence.rs` pin this.
 
@@ -414,8 +414,8 @@ pub fn with_scratch_f32<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
 
 /// A SIMD compilation level for the workspace's compute kernels.
 ///
-/// Tiers are totally ordered by capability (`Scalar < Avx2 < Avx512`); a
-/// host "supports" every tier up to its detected maximum, and the scalar
+/// Tiers are totally ordered by capability (`Scalar < Avx2`); a host
+/// "supports" every tier up to its detected maximum, and the scalar
 /// tier is supported everywhere (it is the portable baseline build). See the
 /// crate docs for the determinism guarantee: tiers are interchangeable
 /// bit-for-bit, so selecting one is purely a throughput decision.
@@ -427,11 +427,6 @@ pub enum KernelTier {
     /// `target_feature(enable = "avx2,fma")` — 4-wide f64 / 8-wide f32
     /// vectors.
     Avx2 = 1,
-    /// `target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")` —
-    /// 8-wide f64 / 16-wide f32 vectors, with 128/256-bit EVEX forms available so
-    /// narrower unroll patterns don't degrade (the `skylake-avx512`
-    /// baseline, present on every AVX-512 server/desktop core).
-    Avx512 = 2,
 }
 
 impl KernelTier {
@@ -440,7 +435,6 @@ impl KernelTier {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Avx2 => "avx2",
-            KernelTier::Avx512 => "avx512",
         }
     }
 }
@@ -454,12 +448,11 @@ impl std::fmt::Display for KernelTier {
 impl std::str::FromStr for KernelTier {
     type Err = ();
 
-    /// Case-insensitive parse of `scalar` / `avx2` / `avx512`.
+    /// Case-insensitive parse of `scalar` / `avx2`.
     fn from_str(s: &str) -> Result<Self, ()> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Ok(KernelTier::Scalar),
             "avx2" => Ok(KernelTier::Avx2),
-            "avx512" | "avx512f" => Ok(KernelTier::Avx512),
             _ => Err(()),
         }
     }
@@ -470,19 +463,9 @@ pub fn max_available_tier() -> KernelTier {
     static MAX: OnceLock<KernelTier> = OnceLock::new();
     *MAX.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-            {
-                return KernelTier::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return KernelTier::Avx2;
-            }
+            return KernelTier::Avx2;
         }
         KernelTier::Scalar
     })
@@ -495,15 +478,14 @@ pub fn available_tiers() -> &'static [KernelTier] {
     match max_available_tier() {
         KernelTier::Scalar => &[KernelTier::Scalar],
         KernelTier::Avx2 => &[KernelTier::Scalar, KernelTier::Avx2],
-        KernelTier::Avx512 => &[KernelTier::Scalar, KernelTier::Avx2, KernelTier::Avx512],
     }
 }
 
 /// Pure tier-selection rule: an explicit request above the host's maximum is
 /// clamped (second component `true`); no request means the best available
 /// tier. Exposed so the clamp logic is unit-testable on every host,
-/// including the `avx512`-requested-on-scalar-host case that cannot be
-/// produced end-to-end on an AVX-512 machine.
+/// including the `avx2`-requested-on-scalar-host case that cannot be
+/// produced end-to-end on an AVX2 machine.
 pub fn resolve_tier(
     requested: Option<KernelTier>,
     max_available: KernelTier,
@@ -525,8 +507,7 @@ static KERNEL_TIER: AtomicU8 = AtomicU8::new(TIER_UNRESOLVED);
 fn tier_from_u8(raw: u8) -> KernelTier {
     match raw {
         0 => KernelTier::Scalar,
-        1 => KernelTier::Avx2,
-        _ => KernelTier::Avx512,
+        _ => KernelTier::Avx2,
     }
 }
 
@@ -541,7 +522,7 @@ fn initial_tier() -> KernelTier {
                 Err(()) => {
                     eprintln!(
                         "gcon-runtime: unrecognized GCON_KERNEL_TIER={v:?} \
-                         (expected scalar|avx2|avx512); using best available tier"
+                         (expected scalar|avx2); using best available tier"
                     );
                     None
                 }
@@ -630,9 +611,7 @@ pub fn for_each_available_tier(mut f: impl FnMut(KernelTier)) {
 
 /// Declares `$name` as a tier-dispatching front for the `#[inline(always)]`
 /// kernel body `$impl_fn`: on x86-64 the body is additionally compiled under
-/// `#[target_feature(enable = "avx2,fma")]` (as `$avx2`) and
-/// `#[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]` (as
-/// `$avx512`), and the active
+/// `#[target_feature(enable = "avx2,fma")]` (as `$avx2`), and the active
 /// [`kernel_tier`] picks the compilation at run time. Everywhere else the
 /// portable build is used unconditionally.
 ///
@@ -643,17 +622,9 @@ pub fn for_each_available_tier(mut f: impl FnMut(KernelTier)) {
 ///
 /// Doc comments and attributes before `fn` (e.g. `#[inline]`) apply to the
 /// dispatching front. An optional `-> Ret` return type is supported.
-///
-/// A leading `max_avx2` token declares a **capped** kernel: the
-/// [`KernelTier::Avx512`] tier runs the AVX2 compilation instead of an
-/// AVX-512 one. Use it only with a measured justification (e.g. a
-/// gather-bound loop that LLVM's AVX-512 cost model mis-vectorizes) — the
-/// cap is a pure throughput decision; results are identical across
-/// compilations either way, so conformance and fingerprint guarantees are
-/// unaffected.
 #[macro_export]
 macro_rules! tier_dispatch {
-    (max_avx2 $(#[$meta:meta])* $vis:vis fn $name:ident / $avx2:ident / $impl_fn:ident
+    ($(#[$meta:meta])* $vis:vis fn $name:ident / $avx2:ident / $impl_fn:ident
         ($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
@@ -664,41 +635,10 @@ macro_rules! tier_dispatch {
         $(#[$meta])*
         $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
-            match $crate::kernel_tier() {
-                // SAFETY: an Avx2-or-higher tier implies avx2+fma are
-                // present (tiers never exceed the detected feature set).
-                $crate::KernelTier::Avx512 | $crate::KernelTier::Avx2 => {
-                    return unsafe { $avx2($($arg),*) };
-                }
-                $crate::KernelTier::Scalar => {}
-            }
-            $impl_fn($($arg),*)
-        }
-    };
-    ($(#[$meta:meta])* $vis:vis fn $name:ident / $avx2:ident / $avx512:ident / $impl_fn:ident
-        ($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        fn $avx2($($arg: $ty),*) $(-> $ret)? {
-            $impl_fn($($arg),*)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
-        fn $avx512($($arg: $ty),*) $(-> $ret)? {
-            $impl_fn($($arg),*)
-        }
-
-        $(#[$meta])*
-        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            match $crate::kernel_tier() {
+            if $crate::kernel_tier() == $crate::KernelTier::Avx2 {
                 // SAFETY: `kernel_tier()` never exceeds the detected feature
-                // set, so the CPU supports every feature the callee is
-                // compiled with.
-                $crate::KernelTier::Avx512 => return unsafe { $avx512($($arg),*) },
-                $crate::KernelTier::Avx2 => return unsafe { $avx2($($arg),*) },
-                $crate::KernelTier::Scalar => {}
+                // set, so the Avx2 tier implies avx2+fma are present.
+                return unsafe { $avx2($($arg),*) };
             }
             $impl_fn($($arg),*)
         }
@@ -867,35 +807,36 @@ mod tests {
     }
 
     /// The clamp rule covers every (request, host) combination — including
-    /// `avx512` requested on hosts that lack it, which cannot be produced
-    /// end-to-end on an AVX-512 CI box.
+    /// `avx2` requested on a host without AVX2, which cannot be produced
+    /// end-to-end on an AVX2 CI box.
     #[test]
     fn resolve_tier_clamps_requests_above_the_host_maximum() {
         use KernelTier::*;
         // No request → best available, never clamped.
-        for max in [Scalar, Avx2, Avx512] {
+        for max in [Scalar, Avx2] {
             assert_eq!(resolve_tier(None, max), (max, false));
         }
         // Requests at or below the maximum are honored.
-        assert_eq!(resolve_tier(Some(Scalar), Avx512), (Scalar, false));
-        assert_eq!(resolve_tier(Some(Avx2), Avx512), (Avx2, false));
-        assert_eq!(resolve_tier(Some(Avx512), Avx512), (Avx512, false));
+        assert_eq!(resolve_tier(Some(Scalar), Avx2), (Scalar, false));
+        assert_eq!(resolve_tier(Some(Avx2), Avx2), (Avx2, false));
         assert_eq!(resolve_tier(Some(Scalar), Scalar), (Scalar, false));
-        // Requests above the maximum clamp (and report it).
-        assert_eq!(resolve_tier(Some(Avx512), Avx2), (Avx2, true));
-        assert_eq!(resolve_tier(Some(Avx512), Scalar), (Scalar, true));
+        // A request above the maximum clamps (and reports it).
         assert_eq!(resolve_tier(Some(Avx2), Scalar), (Scalar, true));
     }
 
     #[test]
     fn tier_names_roundtrip_through_parse() {
         use KernelTier::*;
-        for t in [Scalar, Avx2, Avx512] {
+        for t in [Scalar, Avx2] {
             assert_eq!(t.name().parse::<KernelTier>(), Ok(t));
             assert_eq!(t.to_string(), t.name());
             assert_eq!(tier_from_u8(t as u8), t);
         }
-        assert_eq!("AVX512".parse::<KernelTier>(), Ok(Avx512));
+        assert_eq!("AVX2".parse::<KernelTier>(), Ok(Avx2));
+        // There is no AVX-512 tier: `avx512` and `avx512f` are unrecognized,
+        // and `GCON_KERNEL_TIER` answers them with a warning and detection.
+        assert!("avx512".parse::<KernelTier>().is_err());
+        assert!("avx512f".parse::<KernelTier>().is_err());
         assert!("sse2".parse::<KernelTier>().is_err());
         assert!("".parse::<KernelTier>().is_err());
     }
@@ -903,7 +844,6 @@ mod tests {
     #[test]
     fn tiers_are_ordered_by_capability() {
         assert!(KernelTier::Scalar < KernelTier::Avx2);
-        assert!(KernelTier::Avx2 < KernelTier::Avx512);
     }
 
     #[test]
@@ -914,11 +854,16 @@ mod tests {
         assert_eq!(tiers.last(), Some(&max_available_tier()));
     }
 
+    /// Serializes the tests that pin the process-global tier and then
+    /// assert on it; unit tests run on parallel threads.
+    static TIER_PIN: Mutex<()> = Mutex::new(());
+
     /// `set_kernel_tier` round-trips through `kernel_tier` for every
     /// available tier; the active tier never exceeds the host maximum.
     /// (Process-global state: tests touching the tier restore it.)
     #[test]
     fn set_kernel_tier_roundtrips_over_available_tiers() {
+        let _pin = lock_ignore_poison(&TIER_PIN);
         let initial = kernel_tier();
         assert!(initial <= max_available_tier());
         for &t in available_tiers() {
@@ -926,5 +871,74 @@ mod tests {
             assert_eq!(kernel_tier(), t);
         }
         set_kernel_tier(initial);
+    }
+
+    /// A failing assertion inside the per-tier loop must not leave the
+    /// process pinned to whichever tier it failed at.
+    #[test]
+    fn for_each_available_tier_restores_the_entry_tier_on_unwind() {
+        let _pin = lock_ignore_poison(&TIER_PIN);
+        let original = kernel_tier();
+        // Enter at the lowest tier and fail at the highest, so a missing
+        // restore shows on any host with more than one tier.
+        set_kernel_tier(KernelTier::Scalar);
+        let mut visited = Vec::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_available_tier(|tier| {
+                visited.push(tier);
+                assert_eq!(kernel_tier(), tier);
+                if tier == *available_tiers().last().unwrap() {
+                    panic!("injected failure at {tier}");
+                }
+            })
+        }));
+        assert!(unwound.is_err(), "the injected panic must propagate");
+        assert_eq!(visited, available_tiers());
+        assert_eq!(kernel_tier(), KernelTier::Scalar);
+        set_kernel_tier(original);
+    }
+
+    /// Detection reports AVX2 exactly when the CPU has both features the
+    /// AVX2 compilation is built with, so dispatching to it is sound.
+    #[test]
+    fn max_available_tier_matches_cpu_detection() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx2 = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx2 = false;
+        let expected = if has_avx2 { KernelTier::Avx2 } else { KernelTier::Scalar };
+        assert_eq!(max_available_tier(), expected);
+        assert!(kernel_tier() <= max_available_tier());
+    }
+
+    crate::tier_dispatch! {
+        /// Test kernel with a `&mut` argument and a return value.
+        fn scaled_sum / scaled_sum_avx2 / scaled_sum_impl(x: &[f64], scale: f64, out: &mut [f64]) -> f64
+    }
+
+    #[inline(always)]
+    fn scaled_sum_impl(x: &[f64], scale: f64, out: &mut [f64]) -> f64 {
+        let mut acc = 0.0;
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = scale * v;
+            acc += *o;
+        }
+        acc
+    }
+
+    /// A `tier_dispatch!` front returns exactly what its body computes, and
+    /// writes the same bytes through its `&mut` arguments, at every tier.
+    #[test]
+    fn tier_dispatch_front_matches_its_body_at_every_tier() {
+        let x: Vec<f64> = (0..37).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut want = vec![0.0; x.len()];
+        let want_sum = scaled_sum_impl(&x, 1.5, &mut want);
+        for_each_available_tier(|tier| {
+            let mut got = vec![f64::NAN; x.len()];
+            let sum = scaled_sum(&x, 1.5, &mut got);
+            assert_eq!(sum.to_bits(), want_sum.to_bits(), "{tier}");
+            assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()), "{tier}");
+        });
     }
 }

@@ -330,12 +330,13 @@ fn kernels_byte_identical_across_thread_counts_and_tiers() {
 }
 
 /// **Graceful tier degradation.** `GCON_KERNEL_TIER` requests are clamped to
-/// the host's capabilities with a warning — a child asked for `avx512`
-/// resolves to `min(avx512, max_available)` and, when that clamps, says so
-/// on stderr. Unrecognized values warn and fall back to detection. (The
-/// clamp *rule* for every host×request combination is unit-tested in
-/// `gcon-runtime`; this exercises the env path end-to-end as far as this
-/// host's CPU allows.)
+/// the host's capabilities with a warning — a child asked for `avx2`
+/// resolves to `min(avx2, max_available)` and, when that clamps (on a host
+/// without AVX2), says so on stderr. Unrecognized values warn and fall back
+/// to detection; `avx512` and `avx512f` are among them, since there is no
+/// AVX-512 tier. (The clamp *rule* for every host×request combination is
+/// unit-tested in `gcon-runtime`; this exercises the env path end-to-end as
+/// far as this host's CPU allows.)
 #[test]
 fn kernel_tier_env_requests_clamp_to_available() {
     if std::env::var("GCON_TIER_PROBE").is_ok() {
@@ -345,14 +346,16 @@ fn kernel_tier_env_requests_clamp_to_available() {
     }
     let exe = std::env::current_exe().expect("current_exe");
     let max = gcon_runtime::max_available_tier();
-    let expect_clamp = max < gcon_runtime::KernelTier::Avx512;
+    let expect_clamp = max < gcon_runtime::KernelTier::Avx2;
     for (request, expected, warn_needle) in [
-        // An avx512 request resolves to the best the host has; clamping
-        // must be reported.
-        ("avx512", max.min(gcon_runtime::KernelTier::Avx512), "clamping"),
+        // An avx2 request resolves to the best the host has (AVX2 is the
+        // top tier); clamping must be reported.
+        ("avx2", max, "clamping"),
         // Scalar is available everywhere: honored verbatim, no warning.
         ("scalar", gcon_runtime::KernelTier::Scalar, ""),
-        // Garbage warns and falls back to detection.
+        // Names of no tier warn and fall back to detection.
+        ("avx512", max, "unrecognized"),
+        ("avx512f", max, "unrecognized"),
         ("turbo9000", max, "unrecognized"),
     ] {
         let out = std::process::Command::new(&exe)
