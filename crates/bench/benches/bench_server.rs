@@ -67,7 +67,6 @@ fn main() {
         },
         steps: vec![PropagationStep::Finite(1), PropagationStep::Finite(2)],
         optimizer: gcon_core::model::OptimizerConfig {
-            lr: 0.05,
             max_iters: if quick { 100 } else { 400 },
             grad_tol: 1e-7,
         },

@@ -268,7 +268,7 @@ mod tests {
                 weight_decay: 1e-5,
             },
             steps: vec![PropagationStep::Finite(2)],
-            optimizer: crate::model::OptimizerConfig { lr: 0.05, max_iters: 800, grad_tol: 1e-7 },
+            optimizer: crate::model::OptimizerConfig { max_iters: 800, grad_tol: 1e-7 },
             ..Default::default()
         }
     }

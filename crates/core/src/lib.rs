@@ -18,10 +18,12 @@
 //!    `Ψ(Z_m) = 2(1−α)/α · (1 − (1−α)^m)` and `Ψ(Z) = (1/s) Σ Ψ(Z_{m_i})`.
 //! 5. [`params`] — the Theorem 1 calibration chain (Eq. 17–24) producing the
 //!    quadratic coefficient `Λ′` and the Erlang rate `β`.
-//! 6. [`objective`] — the perturbed objective `L_priv` of Eq. (13) and its
-//!    gradient.
+//! 6. [`objective`] — the perturbed objective `L_priv` of Eq. (13), its
+//!    gradient and its per-class Hessian blocks (Eq. 48).
 //! 7. [`train`] — Algorithm 1: end-to-end training returning `Θ_priv` and a
-//!    privacy report; optimizer-independent privacy per the Theorem 1 remark.
+//!    privacy report. `L_priv` is minimized by a damped per-class Newton
+//!    method whose final gradient norm certifies the distance to the exact
+//!    minimizer Theorem 1 speaks about.
 //! 8. [`infer`] — Algorithm 4: private inference (Eq. 16, one-hop only,
 //!    using no edges beyond the query node's own) and public inference.
 //! 9. [`verify`] — numerical verification of the Theorem 1 proof machinery

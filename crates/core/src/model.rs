@@ -6,21 +6,21 @@ use crate::params::TheoremOneParams;
 use crate::propagation::{PprSolver, PropagationStep};
 use gcon_linalg::Mat;
 
-/// Optimizer settings for minimizing the perturbed objective. Per the
-/// Theorem 1 remark, these affect utility only — never privacy.
+/// Stopping rule of the Newton minimizer of the perturbed objective
+/// ([`crate::train::minimize`]). Per the Theorem 1 remark, these affect how
+/// close `Θ_priv` gets to the exact minimizer — never the calibration.
 #[derive(Clone, Copy, Debug)]
 pub struct OptimizerConfig {
-    /// Adam learning rate.
-    pub lr: f64,
-    /// Maximum full-batch iterations.
+    /// Safety cap on the Newton steps (a handful suffice in practice).
     pub max_iters: usize,
-    /// Stop when `‖∇L_priv‖_F` falls below this.
+    /// Stop when `‖∇L_priv‖_F` falls below this. By strong convexity the
+    /// stop certifies `‖Θ_priv − Θ*‖_F < grad_tol / (Λ̄+Λ′)`.
     pub grad_tol: f64,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        Self { lr: 0.05, max_iters: 2000, grad_tol: 1e-7 }
+        Self { max_iters: 2000, grad_tol: 1e-10 }
     }
 }
 
@@ -58,7 +58,7 @@ pub struct GconConfig {
     /// its privacy (the calibration chain depends on `Ψ(Z)`, not on how `Z`
     /// was computed).
     pub ppr_solver: PprSolver,
-    /// Optimizer settings for Eq. (15).
+    /// Stopping rule of the Newton minimizer of Eq. (15).
     pub optimizer: OptimizerConfig,
 }
 
@@ -153,9 +153,9 @@ pub struct TrainedGcon {
     pub report: PrivacyReport,
     /// Number of classes.
     pub num_classes: usize,
-    /// Iterations the optimizer took (diagnostics only).
+    /// Newton steps the minimizer took (diagnostics only).
     pub opt_iterations: usize,
-    /// Final gradient norm of the perturbed objective (diagnostics only).
+    /// `‖∇L_priv(Θ_priv)‖_F` at the released parameters.
     pub final_grad_norm: f64,
 }
 
@@ -163,6 +163,13 @@ impl TrainedGcon {
     /// Feature dimension d = s·d₁ of the released parameters.
     pub fn dim(&self) -> usize {
         self.theta.rows()
+    }
+
+    /// The certificate of the release: `L_priv` is `(Λ̄+Λ′)`-strongly convex,
+    /// so `‖Θ_priv − Θ*‖_F ≤ ‖∇L_priv(Θ_priv)‖_F / (Λ̄+Λ′)`, where `Θ*` is
+    /// the exact minimizer Theorem 1 speaks about.
+    pub fn minimizer_distance_bound(&self) -> f64 {
+        self.final_grad_norm / self.report.params.lambda_total()
     }
 }
 

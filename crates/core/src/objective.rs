@@ -1,4 +1,5 @@
-//! The perturbed objective `L_priv(Θ; Z, Y)` of Eq. (13) and its gradient.
+//! The perturbed objective `L_priv(Θ; Z, Y)` of Eq. (13), its gradient and
+//! its per-class Hessian blocks.
 //!
 //! ```text
 //! L_priv(Θ) = (1/n₁) Σ_i Σ_j ℓ(z_iᵀθ_j ; y_ij)
@@ -43,23 +44,6 @@ impl<'a> PerturbedObjective<'a> {
         self.z.rows()
     }
 
-    /// Evaluates `L_priv(Θ)`.
-    pub fn value(&self, theta: &Mat) -> f64 {
-        let n1 = self.n1() as f64;
-        let scores = ops::matmul(self.z, theta); // n₁ × c
-        let mut data_loss = 0.0;
-        for i in 0..scores.rows() {
-            let srow = scores.row(i);
-            let yrow = self.y.row(i);
-            for (&s, &y) in srow.iter().zip(yrow) {
-                data_loss += self.loss.value(s, y);
-            }
-        }
-        data_loss / n1
-            + 0.5 * self.lambda_total * theta.frobenius_norm_sq()
-            + ops::frobenius_inner(self.b, theta) / n1
-    }
-
     /// Evaluates `(L_priv(Θ), ∇L_priv(Θ))` in one pass.
     pub fn value_and_grad(&self, theta: &Mat) -> (f64, Mat) {
         let n1 = self.n1() as f64;
@@ -88,6 +72,56 @@ impl<'a> PerturbedObjective<'a> {
     /// Gradient only.
     pub fn gradient(&self, theta: &Mat) -> Mat {
         self.value_and_grad(theta).1
+    }
+
+    /// The diagonal blocks of `∇²L_priv(Θ)`, one `d × d` block per class:
+    ///
+    /// ```text
+    /// B_j = Zᵀ diag(ℓ″(Zθ_j; y_j)/n₁) Z + (Λ̄+Λ′) I_d
+    /// ```
+    ///
+    /// This is Eq. (48) divided by n₁ ([`crate::verify::hessian_block`]).
+    /// `ℓ` acts per coordinate, so the Hessian has no cross-class blocks.
+    /// All `c` blocks come from one `t_matmul` of `Z` against the row-scaled
+    /// copies `[W₁ | … | W_c]`, `W_j = diag(ℓ″(Zθ_j; y_j)/n₁) Z`, whose bits
+    /// do not depend on the thread count or the kernel tier.
+    pub(crate) fn hessian_blocks(&self, theta: &Mat) -> Vec<Mat> {
+        let n1 = self.n1() as f64;
+        let (d, c) = theta.shape();
+        let scores = ops::matmul(self.z, theta); // n₁ × c
+        let mut weighted = Mat::zeros(self.n1(), c * d);
+        for i in 0..self.n1() {
+            let zrow = self.z.row(i);
+            let (srow, yrow) = (scores.row(i), self.y.row(i));
+            for (j, wrow) in weighted.row_mut(i).chunks_exact_mut(d).enumerate() {
+                let w = self.loss.d2(srow[j], yrow[j]) / n1;
+                for (out, &zv) in wrow.iter_mut().zip(zrow) {
+                    *out = w * zv;
+                }
+            }
+        }
+        let all = ops::t_matmul(self.z, &weighted); // d × (c·d)
+        (0..c)
+            .map(|j| {
+                let mut block = Mat::from_fn(d, d, |a, b| all.get(a, j * d + b));
+                for a in 0..d {
+                    block.add_at(a, a, self.lambda_total);
+                }
+                block
+            })
+            .collect()
+    }
+
+    /// The rounding level of a computed `L_priv(Θ) = value`: the `√N · u`
+    /// estimate for a sum of `N = n₁·c` terms (Higham, *Accuracy and
+    /// Stability of Numerical Algorithms*, §4.2), relative to the sum of the
+    /// terms' magnitudes. Every term but the noise term `⟨B, Θ⟩/n₁` is
+    /// nonnegative, so that sum is `value − 2·min(⟨B, Θ⟩/n₁, 0)`. A change of
+    /// `L_priv` below this level cannot be resolved.
+    pub(crate) fn value_rounding(&self, theta: &Mat, value: f64) -> f64 {
+        let noise_term = ops::frobenius_inner(self.b, theta) / self.n1() as f64;
+        let magnitude = value - 2.0 * noise_term.min(0.0);
+        ((self.n1() * self.y.cols()) as f64).sqrt() * f64::EPSILON * magnitude
     }
 }
 
@@ -126,7 +160,7 @@ mod tests {
                     tp.add_at(i, j, h);
                     let mut tm = theta.clone();
                     tm.add_at(i, j, -h);
-                    let fd = (obj.value(&tp) - obj.value(&tm)) / (2.0 * h);
+                    let fd = (obj.value_and_grad(&tp).0 - obj.value_and_grad(&tm).0) / (2.0 * h);
                     assert!(
                         (fd - grad.get(i, j)).abs() < 1e-6,
                         "{kind:?} grad[{i}][{j}]: fd {fd} vs {}",
@@ -148,7 +182,8 @@ mod tests {
             let t2 = Mat::uniform(5, 3, 2.0, &mut rng);
             let mid = ops::scale(&ops::add(&t1, &t2), 0.5);
             assert!(
-                obj.value(&mid) <= 0.5 * obj.value(&t1) + 0.5 * obj.value(&t2) + 1e-12,
+                obj.value_and_grad(&mid).0
+                    <= 0.5 * obj.value_and_grad(&t1).0 + 0.5 * obj.value_and_grad(&t2).0 + 1e-12,
                 "convexity violated"
             );
         }
@@ -167,10 +202,29 @@ mod tests {
         let t2 = Mat::uniform(5, 3, 1.0, &mut rng);
         let mid = ops::scale(&ops::add(&t1, &t2), 0.5);
         let diff = ops::sub(&t1, &t2);
-        let lhs = obj.value(&mid);
-        let rhs =
-            0.5 * obj.value(&t1) + 0.5 * obj.value(&t2) - lambda / 8.0 * diff.frobenius_norm_sq();
+        let lhs = obj.value_and_grad(&mid).0;
+        let rhs = 0.5 * obj.value_and_grad(&t1).0 + 0.5 * obj.value_and_grad(&t2).0
+            - lambda / 8.0 * diff.frobenius_norm_sq();
         assert!(lhs <= rhs + 1e-12, "strong convexity violated: {lhs} > {rhs}");
+    }
+
+    #[test]
+    fn hessian_blocks_match_the_eq48_oracle() {
+        let (z, y, b) = setup(68);
+        for kind in [LossKind::MultiLabelSoftMargin, LossKind::PseudoHuber { delta: 0.3 }] {
+            let loss = ConvexLoss::new(kind, 3);
+            let obj = PerturbedObjective::new(&z, &y, loss, 0.7, &b);
+            let mut rng = StdRng::seed_from_u64(69);
+            let theta = Mat::uniform(5, 3, 1.0, &mut rng);
+            let blocks = obj.hessian_blocks(&theta);
+            assert_eq!(blocks.len(), 3);
+            for (j, block) in blocks.iter().enumerate() {
+                let oracle = crate::verify::hessian_block(&z, &y, &loss, 0.7, &theta, j);
+                for (a, o) in block.as_slice().iter().zip(oracle.as_slice()) {
+                    assert!((a - o / 9.0).abs() < 1e-12, "{kind:?} block {j}: {a} vs {}", o / 9.0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -316,7 +316,7 @@ fn put_config(buf: &mut BytesMut, cfg: &GconConfig, version: u16) {
             PprSolver::Push => 3,
         });
     }
-    buf.put_f64_le(cfg.optimizer.lr);
+    buf.put_f64_le(0.0); // retired Adam learning-rate slot
     buf.put_u64_le(cfg.optimizer.max_iters as u64);
     buf.put_f64_le(cfg.optimizer.grad_tol);
 }
@@ -360,11 +360,9 @@ fn get_config(buf: &mut Bytes, version: u16) -> Result<GconConfig, DecodeError> 
     } else {
         PprSolver::Auto
     };
-    let optimizer = OptimizerConfig {
-        lr: get_f64(buf)?,
-        max_iters: get_u64(buf)? as usize,
-        grad_tol: get_f64(buf)?,
-    };
+    // The retired Adam learning-rate slot: read and discarded.
+    get_f64(buf)?;
+    let optimizer = OptimizerConfig { max_iters: get_u64(buf)? as usize, grad_tol: get_f64(buf)? };
     Ok(GconConfig {
         encoder,
         alpha,
@@ -872,6 +870,31 @@ mod tests {
         let a = crate::infer::private_logits(&model, &g, &x);
         let b = crate::infer::private_logits(&back, &g, &x);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    /// Artifacts written while the minimizer was Adam carry its learning
+    /// rate (0.05 by default) in the optimizer block; the slot is now
+    /// written as 0.0 and read and discarded, at every version.
+    #[test]
+    fn retired_lr_slot_is_read_and_discarded() {
+        let (mut model, _, _) = trained_model(11);
+        model.config.ppr_solver = PprSolver::Auto; // v1 cannot carry another
+        for version in MIN_VERSION..=VERSION {
+            let current = to_bytes_versioned(&model, version).to_vec();
+            model.config.optimizer.max_iters += 1;
+            let bumped = to_bytes_versioned(&model, version).to_vec();
+            model.config.optimizer.max_iters -= 1;
+            // The max_iters field is the only difference; the slot precedes it.
+            let at = (0..current.len()).find(|&i| current[i] != bumped[i]).expect("differ") - 8;
+            assert_eq!(current[at..at + 8], 0.0f64.to_le_bytes(), "v{version} slot");
+            let mut legacy = current.clone();
+            legacy[at..at + 8].copy_from_slice(&0.05f64.to_le_bytes());
+            let back = from_bytes(&legacy).expect("legacy stream decodes");
+            let same = from_bytes(&current).expect("current stream decodes");
+            let back = to_bytes(&back).to_vec();
+            assert_eq!(back, to_bytes(&same).to_vec(), "v{version}");
+            assert_eq!(back, to_bytes(&model).to_vec(), "v{version}");
+        }
     }
 
     /// The solver byte of an encoded model: tag 2 (the retired CGNR solver)

@@ -302,8 +302,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let b = Mat::uniform(4, 3, 0.4, &mut rng);
         let obj = crate::objective::PerturbedObjective::new(&z, &y, loss, lambda_total, &b);
-        let opt_cfg =
-            crate::model::OptimizerConfig { lr: 0.05, max_iters: 50_000, grad_tol: 1e-11 };
+        let opt_cfg = crate::model::OptimizerConfig { grad_tol: 1e-11, ..Default::default() };
         let (theta, _, _) = crate::train::minimize(&obj, Mat::zeros(4, 3), &opt_cfg);
         let loss2 = ConvexLoss::new(LossKind::MultiLabelSoftMargin, 3);
         let recovered = noise_from_theta(&z, &y, &loss2, lambda_total, &theta);

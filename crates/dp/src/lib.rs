@@ -27,7 +27,6 @@
 pub mod audit;
 pub mod composition;
 pub mod erlang;
-pub mod gaussian_analytic;
 pub mod mechanisms;
 pub mod rdp;
 pub mod special;

@@ -69,7 +69,8 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction — the optimizer the paper
-/// uses for both the encoder and the perturbed-objective minimization.
+/// uses for both the encoder and the perturbed-objective minimization (here
+/// it trains the encoder; `gcon-core` minimizes the objective by Newton).
 #[derive(Clone, Debug)]
 pub struct Adam {
     /// Learning rate.

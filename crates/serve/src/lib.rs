@@ -170,11 +170,7 @@ pub(crate) mod testutil {
                     weight_decay: 1e-5,
                 },
                 steps: vec![PropagationStep::Finite(0), PropagationStep::Finite(2)],
-                optimizer: gcon_core::model::OptimizerConfig {
-                    lr: 0.05,
-                    max_iters: 200,
-                    grad_tol: 1e-7,
-                },
+                optimizer: gcon_core::model::OptimizerConfig { max_iters: 200, grad_tol: 1e-7 },
                 ..Default::default()
             };
             let model =

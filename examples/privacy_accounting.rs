@@ -56,7 +56,7 @@ fn main() {
     }
 
     println!("\n## One-shot (GCON) vs step-composed (DP-SGD) accounting at ε = 1");
-    println!("GCON: Theorem 1 charges the whole ε once — any number of Adam");
+    println!("GCON: Theorem 1 charges the whole ε once — any number of optimizer");
     println!("steps is free. DP-SGD must compose per step (RDP accountant):");
     println!("{:>8} | {:>14} | {:>22}", "steps", "noise mult σ̂", "achieved ε (δ=1e-4)");
     for steps in [10usize, 40, 160, 640] {

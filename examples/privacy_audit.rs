@@ -53,7 +53,7 @@ fn main() {
     let run_once = |zm: &Mat, lambda_total: f64, beta: f64, dir: &Mat, rng: &mut StdRng| {
         let b = sample_noise_matrix(zm.cols(), c, beta, rng);
         let obj = PerturbedObjective::new(zm, &y, ConvexLoss::new(loss_kind, c), lambda_total, &b);
-        let opt = OptimizerConfig { lr: 0.1, max_iters: 4000, grad_tol: 1e-9 };
+        let opt = OptimizerConfig { grad_tol: 1e-9, ..Default::default() };
         let (theta, _, _) = minimize(&obj, Mat::zeros(zm.cols(), c), &opt);
         ops::frobenius_inner(&theta, dir)
     };
@@ -75,7 +75,7 @@ fn main() {
         // The adversary's best projection: the noiseless D/D' difference.
         let zero = Mat::zeros(z.cols(), c);
         let lt = params.lambda_total();
-        let opt = OptimizerConfig { lr: 0.1, max_iters: 4000, grad_tol: 1e-9 };
+        let opt = OptimizerConfig { grad_tol: 1e-9, ..Default::default() };
         let t_d = minimize(
             &PerturbedObjective::new(&z, &y, ConvexLoss::new(loss_kind, c), lt, &zero),
             Mat::zeros(z.cols(), c),

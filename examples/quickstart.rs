@@ -40,8 +40,10 @@ fn main() {
     println!("\n--- privacy report ---");
     print!("{}", model.report);
     println!(
-        "optimizer         : {} iters, final ‖∇‖ = {:.2e}",
-        model.opt_iterations, model.final_grad_norm
+        "optimizer         : {} Newton steps, final ‖∇‖ = {:.2e}, ‖Θ − Θ*‖ ≤ {:.2e}",
+        model.opt_iterations,
+        model.final_grad_norm,
+        model.minimizer_distance_bound()
     );
 
     // 5. Private inference (Eq. 16): each query node uses only its own edges.

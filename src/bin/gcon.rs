@@ -211,8 +211,9 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     );
     println!("loss              : {:?}", model.config.loss);
     println!("Lemma 1 clip p    : {}", model.config.clip_p);
-    println!("optimizer iters   : {}", model.opt_iterations);
+    println!("Newton steps      : {}", model.opt_iterations);
     println!("final ‖∇L_priv‖   : {:.3e}", model.final_grad_norm);
+    println!("‖Θ − Θ*‖ bound    : {:.3e}", model.minimizer_distance_bound());
     Ok(())
 }
 

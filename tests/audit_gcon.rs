@@ -80,7 +80,7 @@ impl Mechanism {
             self.params.lambda_total(),
             b,
         );
-        let opt = OptimizerConfig { lr: 0.1, max_iters: 4000, grad_tol: 1e-9 };
+        let opt = OptimizerConfig { grad_tol: 1e-9, ..Default::default() };
         minimize(&obj, Mat::zeros(d, c), &opt).0
     }
 

@@ -74,11 +74,7 @@ fn trained() -> &'static (TrainedGcon, Graph, Mat) {
                 weight_decay: 1e-5,
             },
             steps: vec![PropagationStep::Finite(0), PropagationStep::Finite(2)],
-            optimizer: gcon::core::model::OptimizerConfig {
-                lr: 0.05,
-                max_iters: 300,
-                grad_tol: 1e-7,
-            },
+            optimizer: gcon::core::model::OptimizerConfig { max_iters: 300, grad_tol: 1e-7 },
             ..Default::default()
         };
         let model = train_gcon(&config, &graph, &x, &labels, &train_idx, 3, 4.0, 1e-3, &mut rng);
@@ -107,11 +103,7 @@ fn trained_inf() -> &'static TrainedGcon {
             },
             steps: vec![PropagationStep::Finite(0), PropagationStep::Infinite],
             ppr_solver: PprSolver::Push,
-            optimizer: gcon::core::model::OptimizerConfig {
-                lr: 0.05,
-                max_iters: 150,
-                grad_tol: 1e-7,
-            },
+            optimizer: gcon::core::model::OptimizerConfig { max_iters: 150, grad_tol: 1e-7 },
             ..Default::default()
         };
         train_gcon(&config, graph, x, &labels, &train_idx, 3, 4.0, 1e-3, &mut rng)
