@@ -23,7 +23,11 @@
 //! ([`crate::ServingModel::slice_bytes`]) in a `ShardAssign` frame, and
 //! from then on the worker answers `ShardQuery` frames for *global* node
 //! ids inside its range. All fleet traffic rides the same fail-closed
-//! [`crate::wire`] protocol as single-process serving.
+//! [`crate::wire`] protocol as single-process serving, through the same
+//! session core: the worker is the second role of the listener behind
+//! [`crate::Server`] (one accept loop, handshake, token check and chunked
+//! logits stream for both), and adds only its assignment and the three
+//! shard frames.
 //!
 //! # Consensus and quarantine
 //!
@@ -60,13 +64,10 @@
 
 use crate::client::GconClient;
 use crate::model::ServingModel;
-use crate::server::{ServerConfig, ServerHandle};
-use crate::wire::{
-    read_frame, write_frame, ErrorCode, Request, Response, ServerInfo, WireError, WireStats,
-    PROTO_VERSION,
-};
+use crate::server::{store_info, Conn, Listener, Role, ServerConfig, ServerHandle};
+use crate::wire::{ErrorCode, Request, Response, ServerInfo, WireError, WireStats, PROTO_VERSION};
 use gcon_linalg::Mat;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -221,18 +222,22 @@ impl From<WireError> for FleetError {
 // Shard worker
 // ====================================================================
 
-/// What an assigned worker holds: its identity and its slice of the
-/// store, re-decoded from the shipped artifact.
+/// What an assigned worker holds: where its slice starts in the fleet's
+/// row space, and the slice itself, re-decoded from the shipped artifact.
+#[derive(Clone)]
 struct ShardState {
-    shard_id: u32,
     row_start: u64,
     model: Arc<ServingModel>,
 }
 
-/// A `gcond --shard` worker: a [`crate::Server`]-shaped TCP daemon that
-/// starts with **no store** and acquires one over the wire via
-/// `ShardAssign`. It answers `ShardQuery` (global node ids inside its
-/// range), `ShardFingerprint` (consensus payload), `Stats`, `Health`;
+/// The refusal of a shard frame that needs an assignment.
+const UNASSIGNED: &str = "no shard assigned to this worker yet";
+
+/// A `gcond --shard` worker: the second role of the session core that
+/// [`crate::Server`] also runs on (same accept loop, handshake, token
+/// check and chunk stream), starting with **no store** and acquiring one
+/// over the wire via `ShardAssign`. It answers `ShardQuery` (global node ids inside
+/// its range), `ShardFingerprint` (consensus payload), `Stats`, `Health`;
 /// plain `Query`/`Bulk` frames get [`ErrorCode::NotAssigned`] — clients
 /// must route through the [`Coordinator`].
 ///
@@ -241,87 +246,57 @@ struct ShardState {
 /// parameter. Assignment is process-global and survives reconnects —
 /// that is what makes the coordinator's reconnect-and-replay safe.
 pub struct ShardWorker {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    config: ServerConfig,
+    listener: Listener,
     state: RwLock<Option<ShardState>>,
-    shutdown: Arc<AtomicBool>,
-    connections: AtomicU64,
     requests: AtomicU64,
-    token_seq: AtomicU64,
 }
 
 impl ShardWorker {
     /// Binds `addr` (port 0 for ephemeral) with no assignment yet.
     pub fn bind(config: ServerConfig, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        assert!(config.max_frame >= 64, "ServerConfig::max_frame must be ≥ 64 bytes");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         Ok(Self {
-            listener,
-            local_addr,
-            config,
+            listener: Listener::bind(config, addr)?,
             state: RwLock::new(None),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
-            token_seq: AtomicU64::new(0x6763_6F6E_6453_0001), // "gcondS" seed
         })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// A clonable handle that can stop this worker from another thread.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle::new(self.shutdown.clone())
+        self.listener.handle()
     }
 
     /// Accepts and serves connections until [`ServerHandle::stop`], then
     /// joins every connection thread and returns (blocks; run on a
     /// dedicated thread).
     pub fn run(&self) -> std::io::Result<()> {
-        std::thread::scope(|scope| {
-            while !self.shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        self.connections.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move || self.serve_connection(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        })
+        self.listener.run(self)
     }
 
-    /// The current assignment's slice, if any (cloned `Arc` so the lock
-    /// is never held across query work).
-    fn assigned(&self) -> Option<(u32, u64, Arc<ServingModel>)> {
-        let guard = self.state.read().unwrap();
-        guard.as_ref().map(|s| (s.shard_id, s.row_start, s.model.clone()))
+    /// Counter snapshot (the worker-side `Stats` answer).
+    pub fn stats(&self) -> WireStats {
+        Role::stats(self)
     }
 
-    /// What `HelloAck` announces: zeros before assignment (the
-    /// coordinator knows the real shape; a worker without a store has
-    /// nothing truthful to claim), the slice's shape after.
-    fn server_info(&self) -> ServerInfo {
+    /// The current assignment (a cloned `Arc`, so the lock is never held
+    /// across query work).
+    fn assigned(&self) -> Option<ShardState> {
+        self.state.read().expect("shard state lock poisoned").clone()
+    }
+}
+
+impl Role for ShardWorker {
+    /// Zeros before assignment (the coordinator knows the real shape; a
+    /// worker without a store has nothing truthful to claim), the slice's
+    /// shape after.
+    fn info(&self) -> ServerInfo {
         match self.assigned() {
-            Some((_, _, model)) => ServerInfo {
-                proto: PROTO_VERSION,
-                mode: model.mode(),
-                dtype: model.store_dtype(),
-                nodes: model.num_nodes() as u64,
-                feature_dim: model.feature_dim() as u32,
-                classes: model.num_classes() as u32,
-            },
+            Some(state) => store_info(&state.model),
             None => ServerInfo {
                 proto: PROTO_VERSION,
                 mode: crate::ServingMode::Public,
@@ -333,234 +308,79 @@ impl ShardWorker {
         }
     }
 
-    /// Counter snapshot (the worker-side `Stats` answer).
-    pub fn stats(&self) -> WireStats {
+    fn healthy(&self) -> bool {
+        true
+    }
+
+    fn stats(&self) -> WireStats {
         WireStats {
-            connections: self.connections.load(Ordering::Relaxed),
+            connections: self.listener.connections(),
             requests: self.requests.load(Ordering::Relaxed),
-            batches: 0,
-            largest_batch: 0,
-            rejected_overload: 0,
-            quarantined: 0,
-            failovers: 0,
-            degraded: false,
+            ..WireStats::default()
         }
     }
 
-    fn serve_connection(&self, stream: TcpStream) {
-        if stream.set_read_timeout(Some(self.config.read_timeout)).is_err()
-            || stream.set_write_timeout(Some(self.config.write_timeout)).is_err()
-            || stream.set_nodelay(true).is_err()
-        {
-            return;
-        }
-        let mut reader = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let mut writer = std::io::BufWriter::new(stream);
-        let _ = self.session_loop(&mut reader, &mut writer);
-        let _ = std::io::Write::flush(&mut writer);
-    }
-
-    /// Same session shape as [`crate::Server`]: `Hello` handshake, token
-    /// check, fail-closed on malformed frames.
-    fn session_loop(
-        &self,
-        reader: &mut TcpStream,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        let mut token: Option<u64> = None;
-        loop {
-            let body = match read_frame(reader, self.config.max_frame) {
-                Ok(Some(body)) => body,
-                Ok(None) => return Ok(()),
-                Err(WireError::FrameTooLarge { .. }) => {
-                    self.reply_error(writer, ErrorCode::TooLarge, "frame exceeds server bound")?;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
-            let request = match Request::decode(&body) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.reply_error(writer, ErrorCode::BadFrame, "undecodable request frame")?;
-                    return Ok(());
-                }
-            };
-            match (request, &mut token) {
-                (Request::Health, _) => {
-                    self.reply(writer, &Response::HealthReply { ok: true })?;
-                }
-                (Request::Bye, _) => return Ok(()),
-                (Request::Hello { proto }, tok @ None) => {
-                    if proto != PROTO_VERSION {
-                        self.reply_error(
-                            writer,
-                            ErrorCode::BadHandshake,
-                            "unsupported protocol version",
-                        )?;
-                        return Ok(());
-                    }
-                    let t = self
-                        .token_seq
-                        .fetch_add(1, Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    *tok = Some(t);
-                    self.reply(writer, &Response::HelloAck { token: t, info: self.server_info() })?;
-                }
-                (Request::Hello { .. }, Some(_)) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "duplicate hello")?;
-                    return Ok(());
-                }
-                (req, Some(t)) => self.serve_authenticated(writer, req, *t)?,
-                (_, None) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "hello required first")?;
-                    return Ok(());
-                }
-            }
-            std::io::Write::flush(writer)?;
-        }
-    }
-
-    fn serve_authenticated(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        request: Request,
-        session_token: u64,
-    ) -> Result<(), WireError> {
-        let presented = match &request {
-            Request::Query { token, .. }
-            | Request::Bulk { token, .. }
-            | Request::Stats { token }
-            | Request::ShardAssign { token, .. }
-            | Request::ShardQuery { token, .. }
-            | Request::ShardFingerprint { token, .. } => *token,
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
-        };
-        if presented != session_token {
-            self.reply_error(writer, ErrorCode::BadToken, "wrong session token")?;
-            return Err(WireError::Malformed("token mismatch"));
-        }
-        self.requests.fetch_add(1, Ordering::Relaxed);
+    fn serve(&self, conn: &mut Conn, request: Request) -> Result<(), WireError> {
         match request {
             Request::ShardAssign { shard_id, row_start, artifact, .. } => {
-                let model = match ServingModel::from_bytes(&artifact) {
-                    Ok(m) => m,
-                    Err(_) => {
-                        // Fail closed, keep the session: the coordinator
-                        // decides whether to re-ship.
-                        return self.reply_error(
-                            writer,
-                            ErrorCode::BadFrame,
-                            "undecodable shard artifact",
-                        );
-                    }
+                // Fail closed, keep the session: the coordinator decides
+                // whether to re-ship.
+                let Ok(model) = ServingModel::from_bytes(&artifact) else {
+                    return conn.error(ErrorCode::BadFrame, "undecodable shard artifact");
                 };
                 let rows = model.num_nodes() as u64;
-                *self.state.write().unwrap() =
-                    Some(ShardState { shard_id, row_start, model: Arc::new(model) });
-                self.reply(writer, &Response::ShardReady { shard_id, rows })
+                *self.state.write().expect("shard state lock poisoned") =
+                    Some(ShardState { row_start, model: Arc::new(model) });
+                conn.reply(&Response::ShardReady { shard_id, rows })
             }
             Request::ShardQuery { nodes, .. } => {
-                let Some((_, row_start, model)) = self.assigned() else {
-                    return self.reply_not_assigned(writer);
+                let Some(ShardState { row_start, model }) = self.assigned() else {
+                    return conn.error(ErrorCode::NotAssigned, UNASSIGNED);
                 };
                 let rows = model.num_nodes() as u64;
                 // Global → local translation; anything outside the
                 // assigned range is the coordinator's routing bug, fail
                 // closed with a typed error.
-                let mut local = Vec::with_capacity(nodes.len());
-                for &node in &nodes {
-                    match node.checked_sub(row_start) {
-                        Some(l) if l < rows => local.push(l as usize),
-                        _ => {
-                            return self.reply_error(
-                                writer,
-                                ErrorCode::NodeOutOfRange,
-                                "node id outside this worker's assigned range",
-                            );
-                        }
-                    }
-                }
-                self.stream_shard_logits(writer, &model, &local)
+                let local: Option<Vec<usize>> = nodes
+                    .iter()
+                    .map(|&node| {
+                        node.checked_sub(row_start).filter(|&l| l < rows).map(|l| l as usize)
+                    })
+                    .collect();
+                let Some(local) = local else {
+                    return conn.error(
+                        ErrorCode::NodeOutOfRange,
+                        "node id outside this worker's assigned range",
+                    );
+                };
+                conn.stream_logits(&model, &local, |start, cols, values| Response::ShardLogits {
+                    start,
+                    cols,
+                    values,
+                })?;
+                self.requests.fetch_add(local.len() as u64, Ordering::Relaxed);
+                Ok(())
             }
             Request::ShardFingerprint { chunk_rows, .. } => {
-                let Some((_, _, model)) = self.assigned() else {
-                    return self.reply_not_assigned(writer);
+                let Some(ShardState { model, .. }) = self.assigned() else {
+                    return conn.error(ErrorCode::NotAssigned, UNASSIGNED);
                 };
-                let Ok(chunk) = usize::try_from(chunk_rows) else {
-                    return self.reply_error(writer, ErrorCode::BadFrame, "chunk size too large");
+                let chunk = match usize::try_from(chunk_rows) {
+                    Ok(0) => return conn.error(ErrorCode::BadFrame, "chunk size must be ≥ 1"),
+                    Ok(chunk) => chunk,
+                    Err(_) => return conn.error(ErrorCode::BadFrame, "chunk size too large"),
                 };
-                if chunk == 0 {
-                    return self.reply_error(writer, ErrorCode::BadFrame, "chunk size must be ≥ 1");
-                }
                 let fingerprints = model.chunk_fingerprints(chunk);
-                self.reply(writer, &Response::ShardFingerprintReply { chunk_rows, fingerprints })
+                conn.reply(&Response::ShardFingerprintReply { chunk_rows, fingerprints })
             }
-            Request::Stats { .. } => self.reply(writer, &Response::StatsReply(self.stats())),
             // Plain client traffic belongs to the coordinator (which knows
             // the global partition); a shard worker answers only for its
             // range and only via shard frames.
-            Request::Query { .. } | Request::Bulk { .. } => self.reply_error(
-                writer,
+            _ => conn.error(
                 ErrorCode::NotAssigned,
                 "plain queries are not served by shard workers; route via the coordinator",
             ),
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
         }
-    }
-
-    /// Answers a `ShardQuery` as a bounded-size `ShardLogits` stream +
-    /// `BulkDone` — the same gathered-forward chunking as
-    /// [`crate::Server`]'s bulk path (a shard query is already a batch),
-    /// so answers are bitwise the batch-composition-invariant store
-    /// logits.
-    fn stream_shard_logits(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        model: &ServingModel,
-        local: &[usize],
-    ) -> Result<(), WireError> {
-        let cols = model.num_classes();
-        let rows_per_chunk = ((self.config.max_frame - 32) / (cols * 8).max(1)).max(1);
-        let mut session = model.session();
-        for (i, chunk) in local.chunks(rows_per_chunk).enumerate() {
-            let logits = session.logits_batch(chunk);
-            self.reply(
-                writer,
-                &Response::ShardLogits {
-                    start: (i * rows_per_chunk) as u64,
-                    cols: cols as u32,
-                    values: logits.as_slice().to_vec(),
-                },
-            )?;
-        }
-        self.reply(writer, &Response::BulkDone { total_rows: local.len() as u64 })
-    }
-
-    fn reply_not_assigned(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        self.reply_error(writer, ErrorCode::NotAssigned, "no shard assigned to this worker yet")
-    }
-
-    fn reply(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        response: &Response,
-    ) -> Result<(), WireError> {
-        write_frame(writer, &response.encode())
-    }
-
-    fn reply_error(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        code: ErrorCode,
-        message: &str,
-    ) -> Result<(), WireError> {
-        self.reply(writer, &Response::Error { code, message: message.to_string() })
     }
 }
 
@@ -1035,6 +855,26 @@ mod tests {
         // coordinator), assigned or not.
         let err = client.logits(0).unwrap_err();
         assert!(matches!(err, WireError::Server { code: ErrorCode::NotAssigned, .. }));
+        teardown(handles, joins);
+    }
+
+    /// `requests` counts answered rows, as on `gcond`: a 3-node shard
+    /// query is 3, and assignment, fingerprints, refusals and the `Stats`
+    /// frame itself are 0.
+    #[test]
+    fn worker_stats_count_answered_rows() {
+        let model = tiny_store();
+        let (addrs, handles, joins) = spawn_workers(1);
+        let mut client = GconClient::connect(addrs[0].as_str()).unwrap();
+        let n = model.num_nodes();
+        client.shard_assign(0, 0, &model.slice_bytes(0, n)).unwrap();
+        let got = client.shard_query(&[0, 3, n as u64 - 1], model.num_classes()).unwrap();
+        assert_eq!(got.rows(), 3);
+        client.shard_fingerprints(64).unwrap();
+        assert!(client.logits(0).is_err(), "plain queries are refused");
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.connections, 1);
         teardown(handles, joins);
     }
 

@@ -4,6 +4,16 @@
 //!
 //! # Design
 //!
+//! * **One session core for both daemon roles** — a crate-private
+//!   `Listener` owns the bind, the accept loop, socket setup and the
+//!   session loop (frame bound, decode, `Hello`/`HelloAck`, the token
+//!   check, `Health`, `Stats`, `Bye`); its `Conn` write half owns the
+//!   replies and the one chunked logits stream. A daemon role implements
+//!   the four-method `Role` trait: what `HelloAck` announces, whether it
+//!   is healthy, its `Stats` counters, and how it answers every other
+//!   authenticated request. [`Server`] (`gcond`) and
+//!   [`ShardWorker`](crate::ShardWorker) (`gcond --shard`) are the two
+//!   roles, so a session fix lands in both at once.
 //! * **Thread-per-connection on `std::net`** — no async runtime, no
 //!   crates.io. Connections are cheap relative to queries here: the
 //!   expected workload is few long-lived clients each multiplexing many
@@ -29,8 +39,8 @@
 //!   is closed. A hostile client can never panic the server.
 //!
 //! The accept loop runs non-blocking with a small poll sleep so
-//! [`ServerHandle::stop`] can interrupt it; worker threads are joined by
-//! scope exit, so [`Server::run`] returns only after every connection
+//! [`ServerHandle::stop`] can interrupt it; connection threads are joined
+//! by scope exit, so [`Server::run`] returns only after every connection
 //! thread finished.
 
 use crate::batch::{BatchConfig, BatchQueue};
@@ -39,7 +49,7 @@ use crate::wire::{
     read_frame, write_frame, ErrorCode, Request, Response, ServerInfo, WireError, WireStats,
     DEFAULT_MAX_FRAME, PROTO_VERSION,
 };
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -164,21 +174,16 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Clonable remote control for a running [`Server`]: lets another thread
-/// (signal handler, test harness) stop the accept loop.
+/// Clonable remote control for a running [`Server`] or
+/// [`ShardWorker`](crate::ShardWorker): lets another thread (signal
+/// handler, test harness) stop the accept loop.
 #[derive(Clone, Debug)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
 }
 
 impl ServerHandle {
-    /// Wraps a shutdown flag (shared with [`crate::fleet::ShardWorker`],
-    /// which reuses this handle type for its own accept loop).
-    pub(crate) fn new(shutdown: Arc<AtomicBool>) -> Self {
-        Self { shutdown }
-    }
-
-    /// Asks the server to stop accepting and return from [`Server::run`]
+    /// Asks the daemon to stop accepting and return from [`Server::run`]
     /// once in-flight connections drain (their sockets still honour the
     /// read timeout, so drain is bounded).
     pub fn stop(&self) {
@@ -186,108 +191,71 @@ impl ServerHandle {
     }
 }
 
-/// A bound `gcond` server: the listener plus the shared serving state.
-/// Construct with [`Server::bind`], then block on [`Server::run`].
-pub struct Server<'m> {
-    queue: BatchQueue<'m>,
+/// What a daemon role answers; [`Listener`] runs the rest of every
+/// session (handshake, token check, `Health`, `Stats`, `Bye`).
+pub(crate) trait Role: Sync {
+    /// The store handshake `HelloAck` announces.
+    fn info(&self) -> ServerInfo;
+    /// What a `Health` probe answers.
+    fn healthy(&self) -> bool;
+    /// The counters a `Stats` frame carries.
+    fn stats(&self) -> WireStats;
+    /// Answers one authenticated request other than `Stats`. A refusal is
+    /// a typed `Error` frame; an `Err` closes the connection.
+    fn serve(&self, conn: &mut Conn, request: Request) -> Result<(), WireError>;
+}
+
+/// The session core of both daemon roles: the bound socket, the accept
+/// loop, per-connection socket setup and the session loop.
+pub(crate) struct Listener {
     listener: TcpListener,
     local_addr: SocketAddr,
     config: ServerConfig,
-    gate: InflightGate,
     shutdown: Arc<AtomicBool>,
-    degraded: Arc<AtomicBool>,
     connections: AtomicU64,
-    requests: AtomicU64,
-    rejected: AtomicU64,
     token_seq: AtomicU64,
 }
 
-impl<'m> Server<'m> {
-    /// Binds `addr` (use port 0 for an ephemeral port; see
-    /// [`Server::local_addr`]) over a frozen store. The store stays
-    /// borrowed for the server's lifetime — queries run through one shared
-    /// [`BatchQueue`] so concurrent connections micro-batch together.
-    pub fn bind(
-        model: &'m ServingModel,
-        config: ServerConfig,
-        addr: impl ToSocketAddrs,
-    ) -> std::io::Result<Self> {
-        assert!(config.max_inflight >= 1, "ServerConfig::max_inflight must be ≥ 1");
+impl Listener {
+    /// Binds `addr` (port 0 for an ephemeral port).
+    pub(crate) fn bind(config: ServerConfig, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         assert!(config.max_frame >= 64, "ServerConfig::max_frame must be ≥ 64 bytes");
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         Ok(Self {
-            queue: BatchQueue::new(model, config.batch),
             listener,
             local_addr,
             config,
-            gate: InflightGate::new(config.max_inflight),
             shutdown: Arc::new(AtomicBool::new(false)),
-            degraded: Arc::new(AtomicBool::new(false)),
             connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             token_seq: AtomicU64::new(0x6763_6F6E_6400_0001), // "gcond" seed
         })
     }
 
-    /// The bound address (resolves port 0 to the actual ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// A clonable handle that can stop this server from another thread.
-    pub fn handle(&self) -> ServerHandle {
+    pub(crate) fn handle(&self) -> ServerHandle {
         ServerHandle { shutdown: self.shutdown.clone() }
     }
 
-    /// The degraded-health flag surfaced in `Stats`/`Health` frames. The
-    /// server latches it when a query batch panics; an embedder serving a
-    /// [`crate::DynamicServingModel`] bridges
-    /// [`is_degraded`](crate::DynamicServingModel::is_degraded) into this
-    /// flag so remote operators see panic recovery.
-    pub fn degraded_flag(&self) -> Arc<AtomicBool> {
-        self.degraded.clone()
+    /// Connections accepted since bind.
+    pub(crate) fn connections(&self) -> u64 {
+        self.connections.load(Ordering::Relaxed)
     }
 
-    /// Counter snapshot (the same numbers a `Stats` frame carries).
-    pub fn stats(&self) -> WireStats {
-        let batch = self.queue.stats();
-        WireStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            batches: batch.batches,
-            largest_batch: batch.largest_batch as u64,
-            rejected_overload: self.rejected.load(Ordering::Relaxed),
-            quarantined: 0,
-            failovers: 0,
-            degraded: self.degraded.load(Ordering::Relaxed),
-        }
-    }
-
-    fn server_info(&self) -> ServerInfo {
-        let model = self.queue.model();
-        ServerInfo {
-            proto: PROTO_VERSION,
-            mode: model.mode(),
-            dtype: model.store_dtype(),
-            nodes: model.num_nodes() as u64,
-            feature_dim: model.feature_dim() as u32,
-            classes: model.num_classes() as u32,
-        }
-    }
-
-    /// Accepts and serves connections until [`ServerHandle::stop`] is
-    /// called, then joins every connection thread and returns. Run this on
-    /// a dedicated thread (it blocks).
-    pub fn run(&self) -> std::io::Result<()> {
+    /// Accepts and serves connections for `role` until
+    /// [`ServerHandle::stop`], then joins every connection thread and
+    /// returns.
+    pub(crate) fn run(&self, role: &dyn Role) -> std::io::Result<()> {
         std::thread::scope(|scope| {
             while !self.shutdown.load(Ordering::SeqCst) {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
                         self.connections.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move || self.serve_connection(stream));
+                        scope.spawn(move || self.serve_connection(role, stream));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(2));
@@ -302,7 +270,7 @@ impl<'m> Server<'m> {
 
     /// One connection's whole lifecycle; all errors end in a close, never
     /// a propagated panic.
-    fn serve_connection(&self, stream: TcpStream) {
+    fn serve_connection(&self, role: &dyn Role, stream: TcpStream) {
         // A connection we cannot even configure is not worth serving.
         if stream.set_read_timeout(Some(self.config.read_timeout)).is_err()
             || stream.set_write_timeout(Some(self.config.write_timeout)).is_err()
@@ -310,187 +278,178 @@ impl<'m> Server<'m> {
         {
             return;
         }
-        let mut reader = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let mut writer = std::io::BufWriter::new(stream);
-        let _ = self.session_loop(&mut reader, &mut writer);
-        let _ = writer.flush();
+        let Ok(mut reader) = stream.try_clone() else { return };
+        let mut conn = Conn { writer: BufWriter::new(stream), max_frame: self.config.max_frame };
+        let _ = self.session_loop(role, &mut reader, &mut conn);
+        let _ = conn.writer.flush();
     }
 
-    /// Reads frames until goodbye/disconnect/error. `Err` means "stop
-    /// serving this connection" — the error itself was already reported to
-    /// the peer where possible.
+    /// Reads frames until goodbye/disconnect/error. A refusal that ends the
+    /// session is reported to the peer (while the socket still works)
+    /// before the connection closes.
     fn session_loop(
         &self,
+        role: &dyn Role,
         reader: &mut TcpStream,
-        writer: &mut std::io::BufWriter<TcpStream>,
+        conn: &mut Conn,
     ) -> Result<(), WireError> {
-        let mut token: Option<u64> = None;
+        let mut session: Option<u64> = None;
         loop {
             let body = match read_frame(reader, self.config.max_frame) {
                 Ok(Some(body)) => body,
                 Ok(None) => return Ok(()), // clean disconnect
+                // The body was never read, so the stream is desynced:
+                // report and close.
                 Err(WireError::FrameTooLarge { .. }) => {
-                    // The body was never read, so the stream is desynced:
-                    // report and close.
-                    self.reply_error(writer, ErrorCode::TooLarge, "frame exceeds server bound")?;
-                    return Ok(());
+                    return conn.error(ErrorCode::TooLarge, "frame exceeds server bound");
                 }
                 Err(e) => return Err(e),
             };
-            let request = match Request::decode(&body) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.reply_error(writer, ErrorCode::BadFrame, "undecodable request frame")?;
-                    return Ok(());
-                }
+            let Ok(request) = Request::decode(&body) else {
+                return conn.error(ErrorCode::BadFrame, "undecodable request frame");
             };
-            match (request, &mut token) {
-                (Request::Health, _) => {
-                    let degraded = self.degraded.load(Ordering::Relaxed);
-                    self.reply(writer, &Response::HealthReply { ok: !degraded })?;
+            match request {
+                Request::Health => conn.reply(&Response::HealthReply { ok: role.healthy() })?,
+                Request::Bye => return Ok(()),
+                Request::Hello { .. } if session.is_some() => {
+                    return conn.error(ErrorCode::BadHandshake, "duplicate hello");
                 }
-                (Request::Bye, _) => return Ok(()),
-                (Request::Hello { proto }, tok @ None) => {
-                    if proto != PROTO_VERSION {
-                        self.reply_error(
-                            writer,
-                            ErrorCode::BadHandshake,
-                            "unsupported protocol version",
-                        )?;
-                        return Ok(());
-                    }
+                Request::Hello { proto } if proto != PROTO_VERSION => {
+                    return conn.error(ErrorCode::BadHandshake, "unsupported protocol version");
+                }
+                Request::Hello { .. } => {
                     // Session token: a cheap per-connection nonce (counter
                     // diffused by the splitmix64 multiplier), not a
                     // credential — it catches desynced/replayed frames.
-                    let t = self
+                    let token = self
                         .token_seq
                         .fetch_add(1, Ordering::Relaxed)
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    *tok = Some(t);
-                    self.reply(writer, &Response::HelloAck { token: t, info: self.server_info() })?;
+                    session = Some(token);
+                    conn.reply(&Response::HelloAck { token, info: role.info() })?;
                 }
-                (Request::Hello { .. }, Some(_)) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "duplicate hello")?;
-                    return Ok(());
+                _ if session.is_none() => {
+                    return conn.error(ErrorCode::BadHandshake, "hello required first");
                 }
-                (req, Some(t)) => self.serve_authenticated(writer, req, *t)?,
-                (_, None) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "hello required first")?;
-                    return Ok(());
+                _ if request.token() != session => {
+                    return conn.error(ErrorCode::BadToken, "wrong session token");
                 }
+                Request::Stats { .. } => conn.reply(&Response::StatsReply(role.stats()))?,
+                request => role.serve(conn, request)?,
             }
-            writer.flush()?;
+            conn.writer.flush()?;
         }
     }
+}
 
-    /// Post-handshake requests. Token mismatches close the connection.
-    fn serve_authenticated(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        request: Request,
-        session_token: u64,
-    ) -> Result<(), WireError> {
-        let presented = match &request {
-            Request::Query { token, .. }
-            | Request::Bulk { token, .. }
-            | Request::Stats { token }
-            | Request::ShardAssign { token, .. }
-            | Request::ShardQuery { token, .. }
-            | Request::ShardFingerprint { token, .. } => *token,
-            // Health/Bye/Hello never reach here (handled by the caller).
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
-        };
-        if presented != session_token {
-            self.reply_error(writer, ErrorCode::BadToken, "wrong session token")?;
-            return Err(WireError::Malformed("token mismatch"));
-        }
-        match request {
-            Request::Query { node, .. } => {
-                let n = self.queue.model().num_nodes() as u64;
-                if node >= n {
-                    return self.reply_error(
-                        writer,
-                        ErrorCode::NodeOutOfRange,
-                        "node id too large",
-                    );
-                }
-                let Some(_permit) = self.acquire_permit() else {
-                    return self.reply_overloaded(writer);
-                };
-                let mut values = Vec::new();
-                if self.queue.try_query_into(node as usize, &mut values).is_err() {
-                    self.degraded.store(true, Ordering::Relaxed);
-                    return self.reply_error(writer, ErrorCode::Internal, "query batch failed");
-                }
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                self.reply(writer, &Response::Logits { values })
-            }
-            Request::Bulk { nodes, .. } => {
-                let n = self.queue.model().num_nodes() as u64;
-                if nodes.iter().any(|&node| node >= n) {
-                    return self.reply_error(
-                        writer,
-                        ErrorCode::NodeOutOfRange,
-                        "node id too large",
-                    );
-                }
-                let Some(_permit) = self.acquire_permit() else {
-                    return self.reply_overloaded(writer);
-                };
-                self.stream_bulk(writer, &nodes)
-            }
-            Request::Stats { .. } => self.reply(writer, &Response::StatsReply(self.stats())),
-            // Fleet frames belong to shard workers (`crate::ShardWorker`);
-            // a plain single-store daemon answers them with a typed error
-            // instead of dropping the connection.
-            Request::ShardAssign { .. }
-            | Request::ShardQuery { .. }
-            | Request::ShardFingerprint { .. } => self.reply_error(
-                writer,
-                ErrorCode::NotAssigned,
-                "shard frames are served by gcond --shard workers",
-            ),
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
-        }
+/// The write half of one connection. Replies are buffered until the
+/// session loop flushes after each request.
+pub(crate) struct Conn {
+    writer: BufWriter<TcpStream>,
+    max_frame: usize,
+}
+
+impl Conn {
+    /// Writes one response frame.
+    pub(crate) fn reply(&mut self, response: &Response) -> Result<(), WireError> {
+        write_frame(&mut self.writer, &response.encode())
     }
 
-    /// Answers a bulk query as a bounded-size `BulkChunk` stream +
-    /// `BulkDone`. A bulk request is already a batch, so each chunk runs
-    /// as **one** gathered head forward on a connection-local
-    /// [`crate::ServingSession`] instead of being serialized through the
-    /// micro-batcher one node at a time — bitwise the same answers (the
-    /// store's logits are batch-composition-invariant), minus the
-    /// per-request combiner hop. The inflight permit held by the caller
-    /// still bounds concurrent bulk work.
-    fn stream_bulk(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        nodes: &[u64],
+    /// Writes a typed `Error` frame.
+    pub(crate) fn error(&mut self, code: ErrorCode, message: &str) -> Result<(), WireError> {
+        self.reply(&Response::Error { code, message: message.to_string() })
+    }
+
+    /// Answers the store rows `rows` of `model` as a stream of bounded
+    /// chunk frames built by `chunk_frame(start, cols, values)` (`BulkChunk`
+    /// or `ShardLogits`), terminated by `BulkDone`. A bulk request is
+    /// already a batch, so each chunk runs as **one** gathered head forward
+    /// on a connection-local [`crate::ServingSession`] — bitwise the same
+    /// answers as single queries (the store's logits are
+    /// batch-composition-invariant).
+    pub(crate) fn stream_logits(
+        &mut self,
+        model: &ServingModel,
+        rows: &[usize],
+        chunk_frame: fn(u64, u32, Vec<f64>) -> Response,
     ) -> Result<(), WireError> {
-        let cols = self.queue.model().num_classes();
+        let cols = model.num_classes();
         // Rows per chunk so a chunk frame stays under max_frame (32 bytes
         // of header slack); ≥ 1 so progress is always made.
-        let rows_per_chunk = ((self.config.max_frame - 32) / (cols * 8).max(1)).max(1);
-        let mut session = self.queue.model().session();
-        let mut batch = Vec::with_capacity(rows_per_chunk.min(nodes.len()));
-        for (i, chunk) in nodes.chunks(rows_per_chunk).enumerate() {
-            batch.clear();
-            batch.extend(chunk.iter().map(|&n| n as usize));
-            let logits = session.logits_batch(&batch);
-            self.requests.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            self.reply(
-                writer,
-                &Response::BulkChunk {
-                    start: (i * rows_per_chunk) as u64,
-                    cols: cols as u32,
-                    values: logits.as_slice().to_vec(),
-                },
-            )?;
+        let rows_per_chunk = ((self.max_frame - 32) / (cols * 8).max(1)).max(1);
+        let mut session = model.session();
+        for (i, chunk) in rows.chunks(rows_per_chunk).enumerate() {
+            let values = session.logits_batch(chunk).as_slice().to_vec();
+            self.reply(&chunk_frame((i * rows_per_chunk) as u64, cols as u32, values))?;
         }
-        self.reply(writer, &Response::BulkDone { total_rows: nodes.len() as u64 })
+        self.reply(&Response::BulkDone { total_rows: rows.len() as u64 })
+    }
+}
+
+/// The `HelloAck` store handshake of `model`.
+pub(crate) fn store_info(model: &ServingModel) -> ServerInfo {
+    ServerInfo {
+        proto: PROTO_VERSION,
+        mode: model.mode(),
+        dtype: model.store_dtype(),
+        nodes: model.num_nodes() as u64,
+        feature_dim: model.feature_dim() as u32,
+        classes: model.num_classes() as u32,
+    }
+}
+
+/// A bound `gcond` server: the session core plus the shared serving state.
+/// Construct with [`Server::bind`], then block on [`Server::run`].
+pub struct Server<'m> {
+    listener: Listener,
+    queue: BatchQueue<'m>,
+    gate: InflightGate,
+    degraded: AtomicBool,
+    requests: AtomicU64,
+    rejected: AtomicU64,
+}
+
+impl<'m> Server<'m> {
+    /// Binds `addr` (use port 0 for an ephemeral port; see
+    /// [`Server::local_addr`]) over a frozen store. The store stays
+    /// borrowed for the server's lifetime — queries run through one shared
+    /// [`BatchQueue`] so concurrent connections micro-batch together.
+    pub fn bind(
+        model: &'m ServingModel,
+        config: ServerConfig,
+        addr: impl ToSocketAddrs,
+    ) -> std::io::Result<Self> {
+        assert!(config.max_inflight >= 1, "ServerConfig::max_inflight must be ≥ 1");
+        Ok(Self {
+            listener: Listener::bind(config, addr)?,
+            queue: BatchQueue::new(model, config.batch),
+            gate: InflightGate::new(config.max_inflight),
+            degraded: AtomicBool::new(false),
+            requests: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+        })
+    }
+
+    /// The bound address (resolves port 0 to the actual ephemeral port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
+    }
+
+    /// A clonable handle that can stop this server from another thread.
+    pub fn handle(&self) -> ServerHandle {
+        self.listener.handle()
+    }
+
+    /// Counter snapshot (the same numbers a `Stats` frame carries).
+    pub fn stats(&self) -> WireStats {
+        Role::stats(self)
+    }
+
+    /// Accepts and serves connections until [`ServerHandle::stop`] is
+    /// called, then joins every connection thread and returns. Run this on
+    /// a dedicated thread (it blocks).
+    pub fn run(&self) -> std::io::Result<()> {
+        self.listener.run(self)
     }
 
     fn acquire_permit(&self) -> Option<Permit<'_>> {
@@ -501,29 +460,75 @@ impl<'m> Server<'m> {
             None
         }
     }
+}
 
-    fn reply(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        response: &Response,
-    ) -> Result<(), WireError> {
-        write_frame(writer, &response.encode())
+impl Role for Server<'_> {
+    fn info(&self) -> ServerInfo {
+        store_info(self.queue.model())
     }
 
-    fn reply_overloaded(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        self.reply_error(writer, ErrorCode::Overloaded, "inflight limit reached; retry")
+    fn healthy(&self) -> bool {
+        !self.degraded.load(Ordering::Relaxed)
     }
 
-    fn reply_error(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        code: ErrorCode,
-        message: &str,
-    ) -> Result<(), WireError> {
-        self.reply(writer, &Response::Error { code, message: message.to_string() })
+    fn stats(&self) -> WireStats {
+        let batch = self.queue.stats();
+        WireStats {
+            connections: self.listener.connections(),
+            requests: self.requests.load(Ordering::Relaxed),
+            batches: batch.batches,
+            largest_batch: batch.largest_batch as u64,
+            rejected_overload: self.rejected.load(Ordering::Relaxed),
+            quarantined: 0,
+            failovers: 0,
+            degraded: !self.healthy(),
+        }
+    }
+
+    fn serve(&self, conn: &mut Conn, request: Request) -> Result<(), WireError> {
+        let model = self.queue.model();
+        let n = model.num_nodes() as u64;
+        match request {
+            Request::Query { node, .. } => {
+                if node >= n {
+                    return conn.error(ErrorCode::NodeOutOfRange, "node id too large");
+                }
+                let Some(_permit) = self.acquire_permit() else {
+                    return conn.error(ErrorCode::Overloaded, "inflight limit reached; retry");
+                };
+                let mut values = Vec::new();
+                if self.queue.try_query_into(node as usize, &mut values).is_err() {
+                    self.degraded.store(true, Ordering::Relaxed);
+                    return conn.error(ErrorCode::Internal, "query batch failed");
+                }
+                self.requests.fetch_add(1, Ordering::Relaxed);
+                conn.reply(&Response::Logits { values })
+            }
+            Request::Bulk { nodes, .. } => {
+                let rows: Option<Vec<usize>> =
+                    nodes.iter().map(|&node| (node < n).then_some(node as usize)).collect();
+                let Some(rows) = rows else {
+                    return conn.error(ErrorCode::NodeOutOfRange, "node id too large");
+                };
+                // The permit bounds concurrent bulk work, which skips the
+                // micro-batcher (see `Conn::stream_logits`).
+                let Some(_permit) = self.acquire_permit() else {
+                    return conn.error(ErrorCode::Overloaded, "inflight limit reached; retry");
+                };
+                conn.stream_logits(model, &rows, |start, cols, values| Response::BulkChunk {
+                    start,
+                    cols,
+                    values,
+                })?;
+                self.requests.fetch_add(rows.len() as u64, Ordering::Relaxed);
+                Ok(())
+            }
+            // Fleet frames belong to shard workers (`crate::ShardWorker`);
+            // a plain single-store daemon answers them with a typed error
+            // instead of dropping the connection.
+            _ => conn
+                .error(ErrorCode::NotAssigned, "shard frames are served by gcond --shard workers"),
+        }
     }
 }
 

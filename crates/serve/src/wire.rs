@@ -222,9 +222,10 @@ pub struct WireStats {
     /// Queries rerouted to another replica after a shard died or timed
     /// out (always 0 on a plain single-store server).
     pub failovers: u64,
-    /// True once the serving path recovered from a panic (see
-    /// [`crate::DynamicServingModel::is_degraded`]); a healthy static
-    /// store always reports `false`.
+    /// On `gcond`, latched by a failed query batch (a forward that
+    /// panicked); `Health` then answers not-ok. A shard worker always
+    /// reports `false`; [`crate::Coordinator::wire_stats`] sets it while
+    /// any replica is quarantined or dead.
     pub degraded: bool,
 }
 
@@ -413,6 +414,20 @@ pub fn write_frame(w: &mut impl std::io::Write, body: &[u8]) -> Result<(), WireE
 // ------------------------------------------------------------- encoding
 
 impl Request {
+    /// The session token an authenticated request carries; `None` for the
+    /// three frames valid without one (`Hello`, `Health`, `Bye`).
+    pub(crate) fn token(&self) -> Option<u64> {
+        match self {
+            Request::Hello { .. } | Request::Health | Request::Bye => None,
+            Request::Query { token, .. }
+            | Request::Bulk { token, .. }
+            | Request::Stats { token }
+            | Request::ShardAssign { token, .. }
+            | Request::ShardQuery { token, .. }
+            | Request::ShardFingerprint { token, .. } => Some(*token),
+        }
+    }
+
     /// Encodes the frame body (opcode + payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
@@ -427,14 +442,7 @@ impl Request {
                 buf.put_u64_le(*token);
                 buf.put_u64_le(*node);
             }
-            Request::Bulk { token, nodes } => {
-                buf.put_u8(0x03);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(u32::try_from(nodes.len()).expect("bulk request too large"));
-                for &n in nodes {
-                    buf.put_u64_le(n);
-                }
-            }
+            Request::Bulk { token, nodes } => put_nodes(&mut buf, 0x03, *token, nodes),
             Request::Stats { token } => {
                 buf.put_u8(0x04);
                 buf.put_u64_le(*token);
@@ -449,14 +457,7 @@ impl Request {
                 buf.put_u32_le(u32::try_from(artifact.len()).expect("shard artifact too large"));
                 buf.put_slice(artifact);
             }
-            Request::ShardQuery { token, nodes } => {
-                buf.put_u8(0x08);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(u32::try_from(nodes.len()).expect("shard query too large"));
-                for &n in nodes {
-                    buf.put_u64_le(n);
-                }
-            }
+            Request::ShardQuery { token, nodes } => put_nodes(&mut buf, 0x08, *token, nodes),
             Request::ShardFingerprint { token, chunk_rows } => {
                 buf.put_u8(0x09);
                 buf.put_u64_le(*token);
@@ -483,16 +484,7 @@ impl Request {
                 Request::Hello { proto: get_u16(&mut buf)? }
             }
             0x02 => Request::Query { token: get_u64(&mut buf)?, node: get_u64(&mut buf)? },
-            0x03 => {
-                let token = get_u64(&mut buf)?;
-                let count = get_u32(&mut buf)? as usize;
-                // Bound the allocation by the bytes actually present.
-                if count.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
-                    return Err(DecodeError::Truncated.into());
-                }
-                let nodes = (0..count).map(|_| buf.get_u64_le()).collect();
-                Request::Bulk { token, nodes }
-            }
+            0x03 => Request::Bulk { token: get_u64(&mut buf)?, nodes: get_nodes(&mut buf)? },
             0x04 => Request::Stats { token: get_u64(&mut buf)? },
             0x05 => Request::Health,
             0x06 => Request::Bye,
@@ -509,15 +501,7 @@ impl Request {
                 buf.copy_to_slice(&mut artifact);
                 Request::ShardAssign { token, shard_id, row_start, artifact }
             }
-            0x08 => {
-                let token = get_u64(&mut buf)?;
-                let count = get_u32(&mut buf)? as usize;
-                if count.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
-                    return Err(DecodeError::Truncated.into());
-                }
-                let nodes = (0..count).map(|_| buf.get_u64_le()).collect();
-                Request::ShardQuery { token, nodes }
-            }
+            0x08 => Request::ShardQuery { token: get_u64(&mut buf)?, nodes: get_nodes(&mut buf)? },
             0x09 => Request::ShardFingerprint {
                 token: get_u64(&mut buf)?,
                 chunk_rows: get_u64(&mut buf)?,
@@ -554,15 +538,7 @@ impl Response {
                 }
             }
             Response::BulkChunk { start, cols, values } => {
-                buf.put_u8(0x83);
-                buf.put_u64_le(*start);
-                let cols_usize = *cols as usize;
-                debug_assert!(cols_usize > 0 && values.len() % cols_usize == 0);
-                buf.put_u32_le(u32::try_from(values.len() / cols_usize).expect("chunk too tall"));
-                buf.put_u32_le(*cols);
-                for &v in values {
-                    buf.put_f64_le(v);
-                }
+                put_chunk(&mut buf, 0x83, *start, *cols, values)
             }
             Response::BulkDone { total_rows } => {
                 buf.put_u8(0x84);
@@ -597,15 +573,7 @@ impl Response {
                 buf.put_u64_le(*rows);
             }
             Response::ShardLogits { start, cols, values } => {
-                buf.put_u8(0x89);
-                buf.put_u64_le(*start);
-                let cols_usize = *cols as usize;
-                debug_assert!(cols_usize > 0 && values.len() % cols_usize == 0);
-                buf.put_u32_le(u32::try_from(values.len() / cols_usize).expect("chunk too tall"));
-                buf.put_u32_le(*cols);
-                for &v in values {
-                    buf.put_f64_le(v);
-                }
+                put_chunk(&mut buf, 0x89, *start, *cols, values)
             }
             Response::ShardFingerprintReply { chunk_rows, fingerprints } => {
                 buf.put_u8(0x8A);
@@ -655,20 +623,8 @@ impl Response {
                 Response::Logits { values: (0..count).map(|_| buf.get_f64_le()).collect() }
             }
             0x83 => {
-                let start = get_u64(&mut buf)?;
-                let rows = get_u32(&mut buf)? as usize;
-                let cols = get_u32(&mut buf)?;
-                let count = rows
-                    .checked_mul(cols as usize)
-                    .ok_or(WireError::Malformed("chunk dimensions overflow"))?;
-                if count.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
-                    return Err(DecodeError::Truncated.into());
-                }
-                Response::BulkChunk {
-                    start,
-                    cols,
-                    values: (0..count).map(|_| buf.get_f64_le()).collect(),
-                }
+                let (start, cols, values) = get_chunk(&mut buf)?;
+                Response::BulkChunk { start, cols, values }
             }
             0x84 => Response::BulkDone { total_rows: get_u64(&mut buf)? },
             0x85 => Response::StatsReply(WireStats {
@@ -705,20 +661,8 @@ impl Response {
             }
             0x88 => Response::ShardReady { shard_id: get_u32(&mut buf)?, rows: get_u64(&mut buf)? },
             0x89 => {
-                let start = get_u64(&mut buf)?;
-                let rows = get_u32(&mut buf)? as usize;
-                let cols = get_u32(&mut buf)?;
-                let count = rows
-                    .checked_mul(cols as usize)
-                    .ok_or(WireError::Malformed("shard chunk dimensions overflow"))?;
-                if count.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
-                    return Err(DecodeError::Truncated.into());
-                }
-                Response::ShardLogits {
-                    start,
-                    cols,
-                    values: (0..count).map(|_| buf.get_f64_le()).collect(),
-                }
+                let (start, cols, values) = get_chunk(&mut buf)?;
+                Response::ShardLogits { start, cols, values }
             }
             0x8A => {
                 let chunk_rows = get_u64(&mut buf)?;
@@ -738,6 +682,54 @@ impl Response {
         }
         Ok(resp)
     }
+}
+
+/// `Bulk`/`ShardQuery` body: opcode, token, `u32` count, the node ids.
+fn put_nodes(buf: &mut BytesMut, op: u8, token: u64, nodes: &[u64]) {
+    buf.put_u8(op);
+    buf.put_u64_le(token);
+    buf.put_u32_le(u32::try_from(nodes.len()).expect("node list too large"));
+    for &n in nodes {
+        buf.put_u64_le(n);
+    }
+}
+
+/// The node list of a `Bulk`/`ShardQuery` body, the allocation bounded by
+/// the bytes actually present.
+fn get_nodes(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
+    let count = get_u32(buf)? as usize;
+    if count.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
+        return Err(DecodeError::Truncated.into());
+    }
+    Ok((0..count).map(|_| buf.get_u64_le()).collect())
+}
+
+/// `BulkChunk`/`ShardLogits` body: opcode, start, rows, cols, the values.
+fn put_chunk(buf: &mut BytesMut, op: u8, start: u64, cols: u32, values: &[f64]) {
+    buf.put_u8(op);
+    buf.put_u64_le(start);
+    let cols_usize = cols as usize;
+    debug_assert!(cols_usize > 0 && values.len().is_multiple_of(cols_usize));
+    buf.put_u32_le(u32::try_from(values.len() / cols_usize).expect("chunk too tall"));
+    buf.put_u32_le(cols);
+    for &v in values {
+        buf.put_f64_le(v);
+    }
+}
+
+/// The `(start, cols, values)` of a `BulkChunk`/`ShardLogits` body; an
+/// overflowing `rows × cols` or a count beyond the bytes present is an
+/// error before any allocation.
+fn get_chunk(buf: &mut Bytes) -> Result<(u64, u32, Vec<f64>), WireError> {
+    let start = get_u64(buf)?;
+    let rows = get_u32(buf)? as usize;
+    let cols = get_u32(buf)?;
+    let count =
+        rows.checked_mul(cols as usize).ok_or(WireError::Malformed("chunk dimensions overflow"))?;
+    if count.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
+        return Err(DecodeError::Truncated.into());
+    }
+    Ok((start, cols, (0..count).map(|_| buf.get_f64_le()).collect()))
 }
 
 fn mode_tag(mode: ServingMode) -> u8 {

@@ -14,58 +14,17 @@
 //! the harness uses (same `--scale`/`--seed` ⇒ same graph), so `infer` can
 //! evaluate an artifact produced by an earlier `train` run.
 
+#[path = "../cli.rs"]
+mod cli;
+
+use cli::{load_dataset, Args};
 use gcon::core::serialize;
 use gcon::core::{GconConfig, LossKind, PropagationStep};
-use gcon::datasets::{metrics, Dataset};
+use gcon::datasets::metrics;
 use gcon::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::process::ExitCode;
-
-/// Parsed `--key value` arguments after the subcommand.
-#[derive(Debug, Default)]
-struct Args {
-    flags: HashMap<String, String>,
-}
-
-impl Args {
-    /// Parses `--key value` pairs; rejects dangling keys and bare words.
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut flags = HashMap::new();
-        let mut it = argv.iter();
-        while let Some(k) = it.next() {
-            let key = k.strip_prefix("--").ok_or_else(|| format!("expected --flag, got `{k}`"))?;
-            let val = it.next().ok_or_else(|| format!("flag --{key} needs a value"))?;
-            if flags.insert(key.to_string(), val.clone()).is_some() {
-                return Err(format!("flag --{key} given twice"));
-            }
-        }
-        Ok(Self { flags })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
-    }
-
-    fn required(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing required flag --{key}"))
-    }
-
-    fn parse_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: not a number: `{v}`")),
-        }
-    }
-
-    fn parse_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: not an integer: `{v}`")),
-        }
-    }
-}
 
 /// Parses the `--loss` flag: `msm` or `huber:<δ>`.
 fn parse_loss(s: &str) -> Result<LossKind, String> {
@@ -91,44 +50,6 @@ fn parse_steps(s: &str) -> Result<Vec<PropagationStep>, String> {
         return Err("--steps: need at least one step".into());
     }
     Ok(steps)
-}
-
-fn load_dataset(args: &Args) -> Result<Dataset, String> {
-    let name = args.required("dataset")?;
-    let scale = args.parse_f64("scale", 0.25)?;
-    let seed = args.parse_u64("seed", 1)?;
-    Ok(match name {
-        "cora-ml" => gcon::datasets::cora_ml(scale, seed),
-        "citeseer" => gcon::datasets::citeseer(scale, seed),
-        "pubmed" => gcon::datasets::pubmed(scale, seed),
-        "actor" => gcon::datasets::actor(scale, seed),
-        "two-moons" => gcon::datasets::two_moons_graph(seed),
-        "file" => {
-            // Real data from disk: --edges/--features/--labels text files
-            // (see gcon::datasets::text_io for the accepted grammars).
-            let edges = args.required("edges")?;
-            let feats = args.required("features")?;
-            let labels = args.required("labels")?;
-            let train_frac = args.parse_f64("train-frac", 0.6)?;
-            let val_frac = args.parse_f64("val-frac", 0.2)?;
-            gcon::datasets::text_io::load_from_files(
-                "file",
-                std::path::Path::new(edges),
-                std::path::Path::new(feats),
-                std::path::Path::new(labels),
-                train_frac,
-                val_frac,
-                seed,
-            )
-            .map_err(|e| format!("loading dataset files: {e}"))?
-        }
-        other => {
-            return Err(format!(
-                "unknown dataset `{other}` \
-                 (expected cora-ml|citeseer|pubmed|actor|two-moons|file)"
-            ))
-        }
-    })
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {

@@ -6,7 +6,9 @@
 //! gcond --store store.gconstore [--addr 127.0.0.1:7464]
 //!
 //! # Cold start: build the store from a model artifact + dataset, serve it,
-//! # and optionally persist it for the next (fast) restart:
+//! # and optionally persist it for the next (fast) restart. The dataset
+//! # flags are `gcon`'s: a synthetic stand-in, or real text files from disk
+//! # via `--dataset file --edges E --features F --labels L`:
 //! gcond --model model.gcon --dataset cora-ml [--mode private|public]
 //!       [--dtype f64|f32] [--scale 0.25] [--seed 1]
 //!       [--save-store store.gconstore] [--addr 127.0.0.1:7464]
@@ -24,43 +26,14 @@
 //! `GCON_SERVER_MAX_FRAME`, plus the usual `GCON_THREADS` /
 //! `GCON_KERNEL_TIER` compute knobs.
 
+#[path = "../cli.rs"]
+mod cli;
+
+use cli::{load_dataset, Args};
 use gcon::core::serialize;
 use gcon::serve::{Server, ServerConfig, ServingMode, ServingModel, ShardWorker, StoreDtype};
-use std::collections::HashMap;
 use std::io::Write;
 use std::process::ExitCode;
-
-/// Parsed `--key value` arguments (same grammar as the `gcon` CLI).
-#[derive(Debug, Default)]
-struct Args {
-    flags: HashMap<String, String>,
-}
-
-impl Args {
-    /// Flags that take no value (presence is the value).
-    const BOOLEAN: &'static [&'static str] = &["shard"];
-
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut flags = HashMap::new();
-        let mut it = argv.iter().peekable();
-        while let Some(k) = it.next() {
-            let key = k.strip_prefix("--").ok_or_else(|| format!("expected --flag, got `{k}`"))?;
-            let val = if Self::BOOLEAN.contains(&key) {
-                "true".to_string()
-            } else {
-                it.next().ok_or_else(|| format!("flag --{key} needs a value"))?.clone()
-            };
-            if flags.insert(key.to_string(), val).is_some() {
-                return Err(format!("flag --{key} given twice"));
-            }
-        }
-        Ok(Self { flags })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
-    }
-}
 
 /// Obtains the serving store per the CLI contract: `--store` loads a
 /// persisted artifact (no propagation at all), `--model` + `--dataset`
@@ -73,26 +46,7 @@ fn obtain_store(args: &Args) -> Result<ServingModel, String> {
         (None, Some(model_path)) => {
             let model = serialize::load(model_path)
                 .map_err(|e| format!("loading model `{model_path}`: {e}"))?;
-            let name = args.get("dataset").ok_or("--model also needs --dataset")?;
-            let scale = args
-                .get("scale")
-                .map_or(Ok(0.25), |v| v.parse().map_err(|_| "--scale: not a number".to_string()))?;
-            let seed = args
-                .get("seed")
-                .map_or(Ok(1), |v| v.parse().map_err(|_| "--seed: not an integer".to_string()))?;
-            let dataset = match name {
-                "cora-ml" => gcon::datasets::cora_ml(scale, seed),
-                "citeseer" => gcon::datasets::citeseer(scale, seed),
-                "pubmed" => gcon::datasets::pubmed(scale, seed),
-                "actor" => gcon::datasets::actor(scale, seed),
-                "two-moons" => gcon::datasets::two_moons_graph(seed),
-                other => {
-                    return Err(format!(
-                        "unknown dataset `{other}` \
-                         (expected cora-ml|citeseer|pubmed|actor|two-moons)"
-                    ))
-                }
-            };
+            let dataset = load_dataset(args)?;
             let mode = match args.get("mode").unwrap_or("private") {
                 "private" => ServingMode::Private,
                 "public" => ServingMode::Public,
@@ -155,6 +109,8 @@ fn main() -> ExitCode {
                 "usage: gcond --store FILE [--addr HOST:PORT]\n\
                  \u{20}      gcond --model FILE --dataset NAME [--mode private|public] \
                  [--dtype f64|f32] [--scale S] [--seed N] [--save-store FILE] [--addr HOST:PORT]\n\
+                 \u{20}      (NAME: cora-ml|citeseer|pubmed|actor|two-moons, or file \
+                 --edges E --features F --labels L [--train-frac 0.6] [--val-frac 0.2])\n\
                  \u{20}      gcond --shard [--addr HOST:PORT]"
             );
             ExitCode::FAILURE

@@ -1,0 +1,100 @@
+//! The command-line grammar and dataset loader shared by the `gcon` and
+//! `gcond` binaries (each includes this file as its `cli` module), so a
+//! model trained with `gcon train --dataset NAME …` can be served with
+//! `gcond --model … --dataset NAME …` under the same flags.
+
+use gcon::datasets::Dataset;
+use std::collections::HashMap;
+
+/// Parsed `--key value` arguments.
+#[derive(Debug)]
+pub struct Args {
+    flags: HashMap<String, String>,
+}
+
+impl Args {
+    /// Flags that take no value (presence is the value).
+    const BOOLEAN: &'static [&'static str] = &["shard"];
+
+    /// Parses `--key value` pairs; rejects dangling keys, bare words and
+    /// repeated flags.
+    pub fn parse(argv: &[String]) -> Result<Self, String> {
+        let mut flags = HashMap::new();
+        let mut it = argv.iter();
+        while let Some(k) = it.next() {
+            let key = k.strip_prefix("--").ok_or_else(|| format!("expected --flag, got `{k}`"))?;
+            let val = if Self::BOOLEAN.contains(&key) {
+                "true".to_string()
+            } else {
+                it.next().ok_or_else(|| format!("flag --{key} needs a value"))?.clone()
+            };
+            if flags.insert(key.to_string(), val).is_some() {
+                return Err(format!("flag --{key} given twice"));
+            }
+        }
+        Ok(Self { flags })
+    }
+
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.flags.get(key).map(|s| s.as_str())
+    }
+
+    pub fn required(&self, key: &str) -> Result<&str, String> {
+        self.get(key).ok_or_else(|| format!("missing required flag --{key}"))
+    }
+
+    pub fn parse_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("--{key}: not a number: `{v}`")),
+        }
+    }
+
+    pub fn parse_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("--{key}: not an integer: `{v}`")),
+        }
+    }
+}
+
+/// The dataset named by `--dataset`: a deterministic synthetic stand-in
+/// (same `--scale`/`--seed` ⇒ same graph), or `file` with
+/// `--edges`/`--features`/`--labels` text files from disk.
+pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
+    let name = args.required("dataset")?;
+    let scale = args.parse_f64("scale", 0.25)?;
+    let seed = args.parse_u64("seed", 1)?;
+    Ok(match name {
+        "cora-ml" => gcon::datasets::cora_ml(scale, seed),
+        "citeseer" => gcon::datasets::citeseer(scale, seed),
+        "pubmed" => gcon::datasets::pubmed(scale, seed),
+        "actor" => gcon::datasets::actor(scale, seed),
+        "two-moons" => gcon::datasets::two_moons_graph(seed),
+        "file" => {
+            // Real data from disk: --edges/--features/--labels text files
+            // (see gcon::datasets::text_io for the accepted grammars).
+            let edges = args.required("edges")?;
+            let feats = args.required("features")?;
+            let labels = args.required("labels")?;
+            let train_frac = args.parse_f64("train-frac", 0.6)?;
+            let val_frac = args.parse_f64("val-frac", 0.2)?;
+            gcon::datasets::text_io::load_from_files(
+                "file",
+                std::path::Path::new(edges),
+                std::path::Path::new(feats),
+                std::path::Path::new(labels),
+                train_frac,
+                val_frac,
+                seed,
+            )
+            .map_err(|e| format!("loading dataset files: {e}"))?
+        }
+        other => {
+            return Err(format!(
+                "unknown dataset `{other}` \
+                 (expected cora-ml|citeseer|pubmed|actor|two-moons|file)"
+            ))
+        }
+    })
+}

@@ -93,6 +93,64 @@ fn text_files_through_algorithm1_and_release() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `gcond` takes `gcon`'s dataset grammar: a model trained on text files
+/// is served by `gcond --model … --dataset file …`, and a bulk read over
+/// the wire is bitwise the in-process private logits.
+#[test]
+fn gcond_serves_a_model_trained_on_text_files() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("gcon_real_data_gcond_{}", std::process::id()));
+    let (e, f, l) = write_text_dataset(&dir);
+    // gcond's defaults for `--dataset file`: 0.6/0.2 split, seed 1.
+    let dataset =
+        gcon::datasets::text_io::load_from_files("file", &e, &f, &l, 0.6, 0.2, 1).unwrap();
+    let mut cfg = GconConfig::default();
+    cfg.encoder.epochs = 20;
+    let mut rng = StdRng::seed_from_u64(5);
+    let model = train_gcon(
+        &cfg,
+        &dataset.graph,
+        &dataset.features,
+        &dataset.labels,
+        &dataset.split.train,
+        dataset.num_classes,
+        4.0,
+        dataset.default_delta(),
+        &mut rng,
+    );
+    let path = dir.join("model.gcon");
+    serialize::save(&model, &path).unwrap();
+    let reference = gcon::core::infer::private_logits(&model, &dataset.graph, &dataset.features);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gcond"))
+        .arg("--model")
+        .arg(&path)
+        .args(["--dataset", "file", "--dtype", "f64", "--addr", "127.0.0.1:0"])
+        .arg("--edges")
+        .arg(&e)
+        .arg("--features")
+        .arg(&f)
+        .arg("--labels")
+        .arg(&l)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawning gcond");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+    let answer = banner.trim().strip_prefix("listening on ").map(|addr| {
+        let nodes: Vec<u64> = (0..dataset.num_nodes() as u64).collect();
+        gcon::serve::GconClient::connect(addr).and_then(|mut c| c.logits_bulk(&nodes))
+    });
+    let _ = child.kill();
+    let _ = child.wait();
+    std::fs::remove_dir_all(&dir).ok();
+    let bulk = answer.unwrap_or_else(|| panic!("unexpected gcond banner {banner:?}")).unwrap();
+    assert_eq!(bulk.as_slice(), reference.as_slice(), "served logits must be bitwise");
+}
+
 #[test]
 fn text_loader_matches_direct_construction() {
     // The same graph assembled via text files and via Graph::from_edges

@@ -12,6 +12,10 @@
 //! - idle connections are reclaimed by the read timeout;
 //! - a `ServingModel` persisted to a v3 store file restores bitwise and is
 //!   exactly what the daemon serves after an O(open) restart.
+//!
+//! The session contract (hostile frames, forged tokens, idle reclamation)
+//! is one session core shared by both daemon roles, so those tests run
+//! against `gcond --store` and `gcond --shard` alike.
 
 use gcon::core::infer::private_logits;
 use gcon::core::train::train_gcon;
@@ -69,23 +73,40 @@ fn fixture() -> &'static (TrainedGcon, Graph, Mat, std::path::PathBuf) {
     })
 }
 
-/// A running `gcond` child serving the fixture store on an ephemeral port;
-/// killed on drop so failing tests don't leak daemons.
+/// The two `gcond` roles the session-conformance tests run against.
+#[derive(Clone, Copy, Debug)]
+enum Role {
+    /// `gcond --store` over the fixture store.
+    Store,
+    /// `gcond --shard`, unassigned until a test ships it the fixture store.
+    Shard,
+}
+
+const ROLES: [Role; 2] = [Role::Store, Role::Shard];
+
+impl Role {
+    fn spawn(self, env: &[(&str, &str)]) -> Daemon {
+        match self {
+            Role::Store => {
+                let store_path = fixture().3.to_str().expect("utf-8 temp path");
+                Daemon::spawn(&["--store", store_path], env)
+            }
+            Role::Shard => Daemon::spawn(&["--shard"], env),
+        }
+    }
+}
+
+/// A running `gcond` child on an ephemeral port; killed on drop so
+/// failing tests don't leak daemons.
 struct Daemon {
     child: Child,
     addr: String,
 }
 
 impl Daemon {
-    fn spawn() -> Self {
-        Self::spawn_with_env(&[])
-    }
-
-    fn spawn_with_env(env: &[(&str, &str)]) -> Self {
-        let (_, _, _, store_path) = fixture();
+    fn spawn(args: &[&str], env: &[(&str, &str)]) -> Self {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_gcond"));
-        cmd.arg("--store")
-            .arg(store_path)
+        cmd.args(args)
             .arg("--addr")
             .arg("127.0.0.1:0")
             .stdout(Stdio::piped())
@@ -114,11 +135,40 @@ impl Drop for Daemon {
     }
 }
 
+/// The survivor check: a healthy client is still served bitwise vs
+/// in-process inference. `gcond --store` answers single queries; a
+/// `gcond --shard` worker adopts the fixture store and answers a shard
+/// query.
+fn assert_serves_bitwise(role: Role, daemon: &Daemon) {
+    let (model, graph, x, store_path) = fixture();
+    let reference = private_logits(model, graph, x);
+    let mut client = GconClient::connect(&daemon.addr).expect("connect");
+    assert!(client.health().expect("health"), "{role:?}: healthy");
+    let nodes = [5u64, 0, graph.num_nodes() as u64 - 1];
+    match role {
+        Role::Store => {
+            for &node in &nodes {
+                let logits = client.logits(node).expect("query");
+                assert_eq!(logits.as_slice(), reference.row(node as usize), "node {node}");
+            }
+        }
+        Role::Shard => {
+            let store = ServingModel::load(store_path).expect("loading store");
+            let n = store.num_nodes();
+            client.shard_assign(0, 0, &store.slice_bytes(0, n)).expect("shard assign");
+            let got = client.shard_query(&nodes, store.num_classes()).expect("shard query");
+            for (r, &node) in nodes.iter().enumerate() {
+                assert_eq!(got.row(r), reference.row(node as usize), "shard: node {node}");
+            }
+        }
+    }
+}
+
 #[test]
 fn remote_answers_match_infer_bitwise_under_concurrent_clients() {
     let (model, graph, x, _) = fixture();
     let reference = private_logits(model, graph, x);
-    let daemon = Daemon::spawn();
+    let daemon = Role::Store.spawn(&[]);
     let n = graph.num_nodes();
 
     std::thread::scope(|scope| {
@@ -167,7 +217,7 @@ fn loaded_store_serves_exactly_what_build_produced() {
         "persisted store must restore bitwise-equal to build"
     );
     assert_eq!(loaded.mode(), built.mode());
-    let daemon = Daemon::spawn();
+    let daemon = Role::Store.spawn(&[]);
     let mut client = GconClient::connect(&daemon.addr).expect("connect");
     for node in [0usize, 1, graph.num_nodes() - 1] {
         assert_eq!(client.logits(node as u64).expect("query"), built.logits(node));
@@ -176,7 +226,7 @@ fn loaded_store_serves_exactly_what_build_produced() {
 
 #[test]
 fn server_stats_and_health_flow_over_the_wire() {
-    let daemon = Daemon::spawn();
+    let daemon = Role::Store.spawn(&[]);
     let mut client = GconClient::connect(&daemon.addr).expect("connect");
     assert!(client.health().expect("health"), "fresh static store is healthy");
     let _ = client.logits(3).expect("query");
@@ -189,7 +239,7 @@ fn server_stats_and_health_flow_over_the_wire() {
 
 #[test]
 fn out_of_range_and_wrong_token_are_typed_errors() {
-    let daemon = Daemon::spawn();
+    let daemon = Role::Store.spawn(&[]);
     let mut client = GconClient::connect(&daemon.addr).expect("connect");
     let n = client.info().nodes;
     match client.logits(n + 5) {
@@ -200,109 +250,118 @@ fn out_of_range_and_wrong_token_are_typed_errors() {
     let classes = client.info().classes as usize;
     assert_eq!(client.logits(0).expect("query after error").len(), classes);
 
-    // …but a forged token closes it, after a BadToken error frame.
-    let mut raw = TcpStream::connect(&daemon.addr).expect("raw connect");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write_frame(&mut raw, &Request::Hello { proto: PROTO_VERSION }.encode()).unwrap();
-    let ack = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("hello ack");
-    let token = match Response::decode(&ack).unwrap() {
-        Response::HelloAck { token, .. } => token,
-        other => panic!("expected HelloAck, got {other:?}"),
-    };
-    write_frame(&mut raw, &Request::Query { token: token ^ 1, node: 0 }.encode()).unwrap();
-    let body = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("error frame");
-    match Response::decode(&body).unwrap() {
-        Response::Error { code: ErrorCode::BadToken, .. } => {}
-        other => panic!("expected BadToken, got {other:?}"),
+    // …but a forged token closes it, after a BadToken error frame — on
+    // either role, before the role sees the request.
+    for role in ROLES {
+        let daemon = role.spawn(&[]);
+        let mut raw = TcpStream::connect(&daemon.addr).expect("raw connect");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut raw, &Request::Hello { proto: PROTO_VERSION }.encode()).unwrap();
+        let ack = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("hello ack");
+        let token = match Response::decode(&ack).unwrap() {
+            Response::HelloAck { token, .. } => token ^ 1,
+            other => panic!("{role:?}: expected HelloAck, got {other:?}"),
+        };
+        let forged = match role {
+            Role::Store => Request::Query { token, node: 0 },
+            Role::Shard => Request::ShardQuery { token, nodes: vec![0] },
+        };
+        write_frame(&mut raw, &forged.encode()).unwrap();
+        let body = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("error frame");
+        match Response::decode(&body).unwrap() {
+            Response::Error { code: ErrorCode::BadToken, .. } => {}
+            other => panic!("{role:?}: expected BadToken, got {other:?}"),
+        }
+        assert!(read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().is_none(), "{role:?}: closed");
     }
 }
 
 /// Hostile framing: oversized, truncated, and bit-flipped traffic must be
-/// rejected (typed error or dropped connection) and must never take the
-/// server down — a healthy client checks bitwise answers after the attacks.
+/// rejected (typed error or dropped connection) and must never take
+/// either daemon role down — a healthy client checks bitwise answers
+/// after the attacks.
 #[test]
 fn hostile_frames_are_rejected_and_server_survives() {
-    let daemon = Daemon::spawn();
+    for role in ROLES {
+        let daemon = role.spawn(&[]);
 
-    // 1. Oversized frame header → TooLarge error, connection closed
-    //    (64 MiB announced against the 8 MiB default bound).
-    {
-        let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        raw.write_all(&(64u32 << 20).to_le_bytes()).unwrap();
-        let body = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("error frame");
-        match Response::decode(&body).unwrap() {
-            Response::Error { code: ErrorCode::TooLarge, .. } => {}
-            other => panic!("expected TooLarge, got {other:?}"),
+        // 1. Oversized frame header → TooLarge error, connection closed
+        //    (64 MiB announced against the 8 MiB default bound).
+        {
+            let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
+            raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            raw.write_all(&(64u32 << 20).to_le_bytes()).unwrap();
+            let body = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("error frame");
+            match Response::decode(&body).unwrap() {
+                Response::Error { code: ErrorCode::TooLarge, .. } => {}
+                other => panic!("{role:?}: expected TooLarge, got {other:?}"),
+            }
         }
-    }
 
-    // 2. Garbage opcode, truncated payload, wrong protocol version →
-    //    typed errors.
-    for hostile in [vec![0xEEu8], vec![0x02u8, 1, 2, 3], Request::Hello { proto: 9 }.encode()] {
-        let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut raw, &hostile).unwrap();
-        let body = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("error frame");
-        match Response::decode(&body).unwrap() {
-            Response::Error { code: ErrorCode::BadFrame | ErrorCode::BadHandshake, .. } => {}
-            other => panic!("expected BadFrame/BadHandshake for {hostile:?}, got {other:?}"),
+        // 2. Garbage opcode, truncated payload, wrong protocol version →
+        //    typed errors.
+        for hostile in [vec![0xEEu8], vec![0x02u8, 1, 2, 3], Request::Hello { proto: 9 }.encode()] {
+            let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
+            raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            write_frame(&mut raw, &hostile).unwrap();
+            let body = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().expect("error frame");
+            match Response::decode(&body).unwrap() {
+                Response::Error { code: ErrorCode::BadFrame | ErrorCode::BadHandshake, .. } => {}
+                other => panic!(
+                    "{role:?}: expected BadFrame/BadHandshake for {hostile:?}, got {other:?}"
+                ),
+            }
         }
-    }
 
-    // 3. Bit-flip every byte of a valid handshake frame, one connection
-    //    each. Any outcome except a server crash is acceptable.
-    let hello = Request::Hello { proto: PROTO_VERSION }.encode();
-    for i in 0..hello.len() {
-        let mut flipped = hello.clone();
-        flipped[i] ^= 0x40;
-        let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut raw, &flipped).unwrap();
-        let mut sink = Vec::new();
-        let _ = raw.read_to_end(&mut sink); // whatever the server said; it may just close
-    }
+        // 3. Bit-flip every byte of a valid handshake frame, one connection
+        //    each. Any outcome except a server crash is acceptable.
+        let hello = Request::Hello { proto: PROTO_VERSION }.encode();
+        for i in 0..hello.len() {
+            let mut flipped = hello.clone();
+            flipped[i] ^= 0x40;
+            let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
+            raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            write_frame(&mut raw, &flipped).unwrap();
+            let mut sink = Vec::new();
+            let _ = raw.read_to_end(&mut sink); // whatever the server said; it may just close
+        }
 
-    // 4. A torn frame: the header promises more bytes than are ever sent,
-    //    then the socket drops — the server's framing treats the mid-frame
-    //    disconnect as malformed and reclaims the thread.
-    {
-        let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
-        raw.write_all(&100u32.to_le_bytes()).unwrap();
-        raw.write_all(&[1, 2, 3]).unwrap();
-    }
+        // 4. A torn frame: the header promises more bytes than are ever
+        //    sent, then the socket drops — the server's framing treats the
+        //    mid-frame disconnect as malformed and reclaims the thread.
+        {
+            let mut raw = TcpStream::connect(&daemon.addr).expect("connect");
+            raw.write_all(&100u32.to_le_bytes()).unwrap();
+            raw.write_all(&[1, 2, 3]).unwrap();
+        }
 
-    // After all of the above, the server still answers a healthy client —
-    // bitwise vs in-process inference.
-    let (model, graph, x, _) = fixture();
-    let reference = private_logits(model, graph, x);
-    let mut client = GconClient::connect(&daemon.addr).expect("connect after hostility");
-    assert!(client.health().expect("health"));
-    let logits = client.logits(5).expect("query after hostility");
-    assert_eq!(logits.as_slice(), reference.row(5), "still bitwise-correct after attacks");
+        // After all of the above, the daemon still serves a healthy client.
+        assert_serves_bitwise(role, &daemon);
+    }
 }
 
 /// The timeout path: with a 200 ms read timeout, an idle raw connection is
-/// reclaimed by the server (closed) instead of pinning its thread forever,
-/// and well-behaved clients are unaffected.
+/// reclaimed by either daemon role (closed) instead of pinning its thread
+/// forever, and well-behaved clients are unaffected.
 #[test]
 fn idle_connections_are_reclaimed_by_read_timeout() {
-    let daemon = Daemon::spawn_with_env(&[("GCON_SERVER_READ_TIMEOUT_MS", "200")]);
-    let mut idle = TcpStream::connect(&daemon.addr).expect("connect");
-    idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    // Send nothing; within ~200 ms the server must drop us — observed as
-    // EOF (or reset) on our side, well before our own 10 s read timeout.
-    let mut sink = Vec::new();
-    let started = std::time::Instant::now();
-    let _ = idle.read_to_end(&mut sink);
-    assert!(
-        started.elapsed() < Duration::from_secs(8),
-        "idle connection should be closed by the server's read timeout"
-    );
-    // A prompt client on the same server still gets served.
-    let mut client = GconClient::connect(&daemon.addr).expect("connect");
-    assert!(client.health().expect("health"));
-    assert!(!client.logits(1).expect("query").is_empty());
+    for role in ROLES {
+        let daemon = role.spawn(&[("GCON_SERVER_READ_TIMEOUT_MS", "200")]);
+        let mut idle = TcpStream::connect(&daemon.addr).expect("connect");
+        idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // Send nothing; within ~200 ms the server must drop us — observed
+        // as EOF (or reset) on our side, well before our own 10 s read
+        // timeout.
+        let mut sink = Vec::new();
+        let started = std::time::Instant::now();
+        let _ = idle.read_to_end(&mut sink);
+        assert!(
+            started.elapsed() < Duration::from_secs(8),
+            "{role:?}: idle connection should be closed by the server's read timeout"
+        );
+        // A prompt client on the same daemon still gets served.
+        assert_serves_bitwise(role, &daemon);
+    }
 }
 
 /// The reconnect/retry path: a server-side idle drop (read timeout
@@ -314,7 +373,7 @@ fn idle_connections_are_reclaimed_by_read_timeout() {
 /// of hanging.
 #[test]
 fn client_retry_survives_server_side_drop_with_fresh_handshake() {
-    let daemon = Daemon::spawn_with_env(&[("GCON_SERVER_READ_TIMEOUT_MS", "200")]);
+    let daemon = Role::Store.spawn(&[("GCON_SERVER_READ_TIMEOUT_MS", "200")]);
     let (model, graph, x, _) = fixture();
     let reference = private_logits(model, graph, x);
     let mut plain = GconClient::connect(&daemon.addr).expect("connect");
@@ -352,7 +411,7 @@ fn client_retry_survives_server_side_drop_with_fresh_handshake() {
 /// rejection counter must agree exactly with what clients observed.
 #[test]
 fn inflight_gate_rejects_with_overloaded_under_pressure() {
-    let daemon = Daemon::spawn_with_env(&[("GCON_SERVER_MAX_INFLIGHT", "1")]);
+    let daemon = Role::Store.spawn(&[("GCON_SERVER_MAX_INFLIGHT", "1")]);
     let rejections = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|scope| {
         for t in 0..8usize {
