@@ -7,7 +7,17 @@
 //! (`d₀ → hidden → d₁`, ReLU hidden, tanh output = `H_mlp`) trained jointly
 //! with a linear classification head (`d₁ → c`, the `W₂` of the paper) under
 //! softmax cross-entropy.
+//!
+//! Raw features are sparse bag-of-words, so the first layer's product
+//! `X·W₀` runs as a CSR product ([`Csr::from_dense`] then [`Csr::spmm`]) in
+//! every forward: each epoch of [`FeatureEncoder::train`], and
+//! [`FeatureEncoder::encode`]/[`FeatureEncoder::predict`] for any input.
+//! There is one path, with no density gate, so a row's embedding never
+//! depends on which rows are encoded with it (`gcon-serve` splices the
+//! encodings of onboarded rows into a full-graph encoding). Layers ≥ 1 are
+//! dense.
 
+use gcon_graph::Csr;
 use gcon_linalg::Mat;
 use gcon_nn::loss::softmax_cross_entropy_into;
 use gcon_nn::{Activation, Adam, Linear, LinearGrads, Mlp, MlpConfig, MlpWorkspace, Optimizer};
@@ -73,8 +83,12 @@ impl FeatureEncoder {
         let mut dlogits = Mat::zeros(0, 0);
         let mut demb = Mat::zeros(0, 0);
         let mut head_grads = LinearGrads::zeros(0, 0);
+        // The labeled rows are the same every epoch: one CSR build for the
+        // first layer's forward product. The layer-0 weight gradient reads
+        // the dense rows (`t_matmul`), cached by the workspace.
+        let x_csr = Csr::from_dense(x_labeled);
         for _ in 0..cfg.epochs {
-            net.forward_cached_ws(x_labeled, &mut ws);
+            net.forward_cached_ws_with(x_labeled, &mut ws, |w0, out| x_csr.spmm_into(w0, out));
             head.forward_into(ws.output(), &mut logits);
             let _ = softmax_cross_entropy_into(&logits, labels, &mut dlogits);
             head.backward_into(ws.output(), &dlogits, &mut demb, &mut head_grads);
@@ -90,14 +104,20 @@ impl FeatureEncoder {
 
     /// Encodes features into the `d₁`-dimensional space (Algorithm 3 line 5).
     pub fn encode(&self, x: &Mat) -> Mat {
-        self.net.forward(x)
+        self.net.forward_from_product(Csr::from_dense(x).spmm(&self.net.layers[0].w))
     }
 
     /// Class predictions from the encoder head alone (used as pseudo-labels
     /// when the training set is expanded to all nodes, per Appendix Q).
     pub fn predict(&self, x: &Mat) -> Vec<usize> {
-        let emb = self.encode(x);
-        gcon_linalg::reduce::row_argmax(&self.head.forward(&emb))
+        self.head_argmax(&self.encode(x))
+    }
+
+    /// The head's class predictions on an embedding from
+    /// [`FeatureEncoder::encode`] (before row normalization), so
+    /// `head_argmax(&encode(x))` is `predict(x)`.
+    pub(crate) fn head_argmax(&self, emb: &Mat) -> Vec<usize> {
+        gcon_linalg::reduce::row_argmax(&self.head.forward(emb))
     }
 
     /// Output dimension d₁.
@@ -147,6 +167,113 @@ mod tests {
         assert_eq!(enc.d1(), 8);
         // tanh output stays in (−1, 1)
         assert!(emb.max_abs() <= 1.0);
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An encoder of `depth` layers over `d0` inputs, built with
+    /// `Mlp::from_parts` as a decoded artifact is, with nonzero biases.
+    fn encoder_of_depth(depth: usize, d0: usize, rng: &mut StdRng) -> FeatureEncoder {
+        let widths = [9, 6, 4];
+        let dims: Vec<usize> =
+            std::iter::once(d0).chain(widths[3 - depth..].iter().copied()).collect();
+        let layers = dims
+            .windows(2)
+            .map(|w| {
+                let mut layer = Linear::xavier(w[0], w[1], rng);
+                layer.b = (0..w[1]).map(|k| 0.1 * k as f64 - 0.2).collect();
+                layer
+            })
+            .collect();
+        let net = Mlp::from_parts(layers, Activation::Relu, Activation::Tanh);
+        FeatureEncoder { net, head: Linear::xavier(4, 3, rng) }
+    }
+
+    /// Bag-of-words-like input: a `density` share of the entries drawn by
+    /// `value`, the rest zero; row 3 is all zero.
+    fn sparse_input(
+        n: usize,
+        d0: usize,
+        density: f64,
+        rng: &mut StdRng,
+        mut value: impl FnMut(&mut StdRng) -> f64,
+    ) -> Mat {
+        Mat::from_fn(
+            n,
+            d0,
+            |i, _| if i != 3 && rng.gen::<f64>() < density { value(rng) } else { 0.0 },
+        )
+    }
+
+    /// The sparse first layer agrees with the dense forward of the same
+    /// network (the test reference) to rounding, at every depth a decoded
+    /// artifact may carry, on dense, sparse 0/1, signed and `-0.0` inputs.
+    #[test]
+    fn encode_matches_the_dense_forward_at_every_depth() {
+        let mut rng = StdRng::seed_from_u64(74);
+        let (n, d0) = (50, 37);
+        let dense = Mat::uniform(n, d0, 1.0, &mut rng);
+        let binary = sparse_input(n, d0, 0.04, &mut rng, |_| 1.0);
+        let signed = sparse_input(n, d0, 0.1, &mut rng, |r| r.gen_range(-3.0..-0.5));
+        let mut negzero = binary.clone();
+        negzero.map_inplace(|v| if v == 0.0 { -0.0 } else { v });
+        for depth in 1..=3 {
+            let enc = encoder_of_depth(depth, d0, &mut rng);
+            for (name, x) in
+                [("dense", &dense), ("binary", &binary), ("signed", &signed), ("-0", &negzero)]
+            {
+                let (got, want) = (enc.encode(x), enc.net.forward(x));
+                assert_eq!(got.shape(), (n, 4));
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert!((a - b).abs() <= 1e-12, "depth {depth} {name}: {a} vs {b}");
+                }
+                assert_eq!(enc.predict(x), enc.head_argmax(&got), "depth {depth} {name}");
+            }
+            // `-0.0` entries are dropped: the same bits as `+0.0`.
+            assert_eq!(bits(&enc.encode(&negzero)), bits(&enc.encode(&binary)), "depth {depth}");
+        }
+    }
+
+    /// A row's embedding does not depend on the rows encoded with it: the
+    /// encoding of selected rows (an all-zero row, a repeat, reversed order)
+    /// is bitwise the selection of the full encoding, whose first-layer
+    /// product is large enough to run on the worker pool. Every 50th row is
+    /// fully dense, row 11 is 3.5 % nonzero and the rest about 5 %, so the
+    /// selections range from 0 % to 100 % nonzero against the full
+    /// matrix's 7 %: a path chosen by density would differ for some
+    /// selection.
+    #[test]
+    fn encode_is_bitwise_independent_of_row_position() {
+        let mut rng = StdRng::seed_from_u64(75);
+        let (n, d0) = (2000, 200);
+        let x = Mat::from_fn(n, d0, |i, j| {
+            if i % 50 == 7 {
+                rng.gen_range(-1.0..1.0)
+            } else if i == 11 {
+                if j % 30 == 1 {
+                    rng.gen_range(0.5..2.0)
+                } else {
+                    0.0
+                }
+            } else if i != 3 && rng.gen::<f64>() < 0.05 {
+                rng.gen_range(0.5..2.0)
+            } else {
+                0.0
+            }
+        });
+        assert!(x.row(3).iter().all(|&v| v == 0.0));
+        let mut mixed = vec![3, 17, 17, 1999];
+        mixed.extend((0..40).rev());
+        for depth in 1..=3 {
+            let enc = encoder_of_depth(depth, d0, &mut rng);
+            let full = enc.encode(&x);
+            for idx in [vec![3], vec![11], vec![1907, 7, 57, 57], mixed.clone()] {
+                let part = enc.encode(&x.select_rows(&idx));
+                assert_eq!(bits(&part), bits(&full.select_rows(&idx)), "depth {depth} {idx:?}");
+            }
+        }
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub fn train_gcon_on_adjacency<R: Rng + ?Sized>(
     let y_labeled: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
     let encoder = FeatureEncoder::train(&config.encoder, &x_labeled, &y_labeled, num_classes, rng);
     let mut x_enc = encoder.encode(features);
+    // One encoder forward serves the pseudo-labels too: the head's argmax
+    // on the embedding before normalization is `encoder.predict(features)`.
+    let pseudo = config.expand_train_set.then(|| encoder.head_argmax(&x_enc));
     x_enc.normalize_rows_l2();
 
     // Lines 4–7: single-pass multi-scale propagation and concatenation
@@ -186,9 +189,7 @@ pub fn train_gcon_on_adjacency<R: Rng + ?Sized>(
     // Training rows: the labeled set, optionally expanded with encoder
     // pseudo-labels (n₁ ∈ {n₀, n} in Appendix Q). Pseudo-labels are derived
     // from features only, so they stay edge-free.
-    let (rows, row_labels): (Vec<usize>, Vec<usize>) = if config.expand_train_set {
-        let pseudo = encoder.predict(features);
-        let mut lbls = pseudo;
+    let (rows, row_labels): (Vec<usize>, Vec<usize>) = if let Some(mut lbls) = pseudo {
         for &i in train_idx {
             lbls[i] = labels[i];
         }
@@ -397,6 +398,79 @@ mod tests {
         });
         let train_idx: Vec<usize> = (0..30).collect();
         (g, x, labels, train_idx)
+    }
+
+    /// With an expanded training set, `train_gcon` takes the pseudo-labels
+    /// from its one encoder forward, before row normalization. Its Θ is
+    /// bitwise that of a replica running `FeatureEncoder::{train, encode,
+    /// predict}` as separate calls (the stages `gconbench`'s traced replica
+    /// times), on sparse 0/1 features. On this data the head's argmax on the
+    /// normalized embedding differs from `predict` on unlabeled rows, so
+    /// labels taken after normalization would fail the test.
+    #[test]
+    fn fused_pseudo_labels_equal_the_two_call_replica() {
+        use crate::propagation::concat_features;
+        use gcon_graph::generators::{sbm_homophily, SbmConfig};
+        let (n, c) = (80, 3);
+        let mut rng = StdRng::seed_from_u64(101);
+        let sbm =
+            SbmConfig { n, num_edges: 200, num_classes: c, homophily: 0.9, degree_exponent: 2.5 };
+        let (g, labels) = sbm_homophily(&sbm, &mut rng);
+        let x = Mat::from_fn(n, 40, |i, j| {
+            let h = (i * 131 + j * 71) % 97;
+            if h < 5 || (j % c == labels[i] && h < 12) {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let idx: Vec<usize> = (0..20).collect();
+        let mut cfg = crate::GconConfig { expand_train_set: true, ..Default::default() };
+        cfg.encoder.epochs = 30;
+        let (eps, delta) = (2.0, 1e-4);
+        let model =
+            train_gcon(&cfg, &g, &x, &labels, &idx, c, eps, delta, &mut StdRng::seed_from_u64(103));
+
+        let mut rng = StdRng::seed_from_u64(103);
+        let y_labeled: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
+        let x_labeled = x.select_rows(&idx);
+        let encoder = FeatureEncoder::train(&cfg.encoder, &x_labeled, &y_labeled, c, &mut rng);
+        let mut x_enc = encoder.encode(&x);
+        x_enc.normalize_rows_l2();
+        let z = concat_features(&row_stochastic(&g, cfg.clip_p), &x_enc, cfg.alpha, &cfg.steps);
+        let mut pseudo = encoder.predict(&x);
+        let after_normalization = encoder.head_argmax(&x_enc);
+        assert!(
+            (idx.len()..n).any(|i| pseudo[i] != after_normalization[i]),
+            "the data no longer tells pre- from post-normalization pseudo-labels"
+        );
+        for &i in &idx {
+            pseudo[i] = labels[i];
+        }
+        let mut y = Mat::zeros(n, c);
+        for (r, &label) in pseudo.iter().enumerate() {
+            y.set(r, label, 1.0);
+        }
+        let loss = ConvexLoss::new(cfg.loss, c);
+        let psi = psi_z_clipped(cfg.alpha, &cfg.steps, cfg.clip_p);
+        let params = TheoremOneParams::compute(&CalibrationInput {
+            eps,
+            delta,
+            omega: cfg.omega,
+            lambda: cfg.lambda,
+            n1: n,
+            num_classes: c,
+            dim: z.cols(),
+            bounds: loss.bounds(),
+            psi,
+        });
+        let b = sample_noise_matrix(z.cols(), c, params.beta, &mut rng);
+        let obj = PerturbedObjective::new(&z, &y, loss, params.lambda_total(), &b);
+        let (theta, _, _) = minimize(&obj, Mat::zeros(z.cols(), c), &cfg.optimizer);
+
+        assert_eq!(model.report.n1, n);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&model.theta), bits(&theta));
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! Compressed sparse row matrices and the threaded sparse×dense product that
 //! implements every graph-convolution step in the workspace.
 //!
+//! A [`Csr`] holds either a normalized adjacency `Ã` or raw node features:
+//! the bag-of-words feature matrices are a few percent nonzero, so
+//! `gcon-core`'s feature encoder multiplies its first layer as
+//! `Csr::from_dense(X).spmm(W₀)`.
+//!
 //! [`Csr`] is generic over the element dtype through [`CsrScalar`] (an
 //! extension of `gcon_linalg`'s sealed [`Scalar`] — f64 + f32, with f64 as
 //! the default type parameter so `Csr` written bare is the double-precision
@@ -13,7 +18,10 @@
 //! process-wide counter exposed by [`spmm_ops_performed`]. Counting at the
 //! kernel layer (rather than at call sites) means no product can escape the
 //! accounting: the op-count acceptance tests for single-pass propagation
-//! read deltas of this counter.
+//! read deltas of this counter. Encoder products count too (one per fit
+//! epoch, one per encode), so a reader that wants propagation products
+//! alone takes the delta around the propagation call, with no encoder
+//! running in between, as those tests do.
 
 use gcon_linalg::{Mat, Scalar};
 use serde::{Deserialize, Serialize};
@@ -48,7 +56,8 @@ pub trait CsrScalar: Scalar {
 /// Used for the normalized adjacency `Ã` so that one propagation step
 /// `Z ← Ã Z` costs O(nnz · d) instead of O(n² · d). The paper never needs the
 /// dense `R_m` (Eq. 9) explicitly — `gcon-core` carries `Z_m = R_m X` through
-/// the recursion `Z_m = (1-α) Ã Z_{m-1} + α X`.
+/// the recursion `Z_m = (1-α) Ã Z_{m-1} + α X`. Also used for sparse raw
+/// features ([`Csr::from_dense`]) in the encoder's first layer.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Csr<S: CsrScalar = f64> {
     rows: usize,
@@ -78,6 +87,36 @@ impl<S: CsrScalar> Csr<S> {
                     indices.push(j);
                     values.push(v);
                     last = Some(j);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        Self { rows, cols, indptr, indices, values }
+    }
+
+    /// The CSR form of a dense matrix: its nonzero entries, each row's
+    /// columns in ascending order, in one pass over `m` (no per-row buffer,
+    /// no sort).
+    ///
+    /// An entry is kept when `v != 0`. So a `-0.0` entry is dropped, like
+    /// `+0.0`, and `to_dense` gives it back as `+0.0`; in a product it only
+    /// ever added a signed zero. A `NaN` entry is kept, so it still reaches
+    /// every product it enters.
+    ///
+    /// # Panics
+    /// Panics if `m` has more columns than a `u32` index can name.
+    pub fn from_dense(m: &Mat<S>) -> Self {
+        let (rows, cols) = m.shape();
+        assert!(u32::try_from(cols).is_ok(), "from_dense: {cols} columns overflow u32 indices");
+        let mut indptr = Vec::with_capacity(rows + 1);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        indptr.push(0);
+        for i in 0..rows {
+            for (j, &v) in m.row(i).iter().enumerate() {
+                if v != S::ZERO {
+                    indices.push(j as u32);
+                    values.push(v);
                 }
             }
             indptr.push(indices.len());
@@ -452,6 +491,53 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "row {i}: {x} vs {y}");
             }
         }
+    }
+
+    /// `from_dense` keeps exactly the nonzero entries, columns ascending:
+    /// `to_dense` gives the matrix back by value, `nnz` counts its nonzeros,
+    /// and the structure equals a `from_row_entries` build. A `NaN` entry is
+    /// kept; a `-0.0` entry is dropped and comes back as `+0.0`.
+    #[test]
+    fn from_dense_keeps_exactly_the_nonzeros() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(14);
+        let m: Mat = Mat::from_fn(23, 19, |i, j| {
+            if i == 5 {
+                0.0
+            } else if rng.gen::<f64>() < 0.2 {
+                rng.gen_range(-2.0..2.0)
+            } else if (i + j) % 7 == 0 {
+                -0.0
+            } else {
+                0.0
+            }
+        });
+        let sp = Csr::from_dense(&m);
+        assert_eq!(sp.to_dense(), m);
+        assert_eq!(sp.nnz(), m.as_slice().iter().filter(|&&v| v != 0.0).count());
+        let entries = (0..m.rows())
+            .map(|i| {
+                let row = m.row(i).iter().enumerate();
+                row.filter(|(_, &v)| v != 0.0).map(|(j, &v)| (j as u32, v)).collect()
+            })
+            .collect();
+        assert_eq!(sp, Csr::from_row_entries(23, 19, entries));
+        assert_eq!(sp.row(5).0.len(), 0);
+
+        let odd: Mat = Mat::from_rows(&[&[f64::NAN, -0.0, 1.5], &[0.0, -0.0, 0.0]]);
+        let sp = Csr::from_dense(&odd);
+        assert_eq!(sp.nnz(), 2);
+        assert_eq!(sp.row(0).0, &[0, 2]);
+        assert!(sp.row(0).1[0].is_nan());
+        assert_eq!(sp.row(0).1[1], 1.5);
+        assert!(sp.row(1).0.is_empty());
+        assert_eq!(sp.to_dense().get(0, 1).to_bits(), 0.0f64.to_bits());
+
+        let narrow: Csr<f32> = Csr::from_dense(&Mat::<f32>::zeros(4, 0));
+        assert_eq!((narrow.rows(), narrow.cols(), narrow.nnz()), (4, 0, 0));
+        let empty: Csr = Csr::from_dense(&Mat::zeros(0, 3));
+        assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (0, 3, 0));
     }
 
     #[test]

@@ -62,6 +62,11 @@ impl Linear {
     /// Forward pass written into `y` (reshaped, backing buffer reused).
     pub fn forward_into(&self, x: &Mat, y: &mut Mat) {
         ops::matmul_into(x, &self.w, y);
+        self.add_bias(y);
+    }
+
+    /// Adds `b` to every row of the product `y = X·W`.
+    pub(crate) fn add_bias(&self, y: &mut Mat) {
         for i in 0..y.rows() {
             let row = y.row_mut(i);
             for (v, &bv) in row.iter_mut().zip(&self.b) {

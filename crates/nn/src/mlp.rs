@@ -9,7 +9,7 @@ use crate::activations::Activation;
 use crate::linear::{Linear, LinearGrads};
 use crate::loss::softmax_cross_entropy_into;
 use crate::optim::{Adam, Optimizer};
-use gcon_linalg::Mat;
+use gcon_linalg::{ops, Mat};
 use rand::Rng;
 
 /// Reusable buffers for one network's forward/backward sweep.
@@ -136,8 +136,18 @@ impl Mlp {
 
     /// Forward pass returning only the output.
     pub fn forward(&self, x: &Mat) -> Mat {
-        let mut a = x.clone();
-        for (l, layer) in self.layers.iter().enumerate() {
+        self.forward_from_product(ops::matmul(x, &self.layers[0].w))
+    }
+
+    /// Forward pass from the first layer's product `xw0 = X·W₀` (bias not
+    /// yet added), which the caller computed: adds `b₀`, applies layer 0's
+    /// activation and runs layers ≥ 1. A caller whose input is sparse
+    /// passes a sparse product here; [`Mlp::forward`] passes the dense one.
+    pub fn forward_from_product(&self, xw0: Mat) -> Mat {
+        let mut a = xw0;
+        self.layers[0].add_bias(&mut a);
+        self.activation_at(0).apply(&mut a);
+        for (l, layer) in self.layers.iter().enumerate().skip(1) {
             a = layer.forward(&a);
             self.activation_at(l).apply(&mut a);
         }
@@ -159,9 +169,25 @@ impl Mlp {
     /// Forward pass with caches written into `ws` (buffer-reusing twin of
     /// [`Mlp::forward_cached`]); the output is `ws.output()`.
     pub fn forward_cached_ws(&self, x: &Mat, ws: &mut MlpWorkspace) {
+        self.forward_cached_ws_with(x, ws, |w0, out| ops::matmul_into(x, w0, out));
+    }
+
+    /// [`Mlp::forward_cached_ws`] with the first layer's product `X·W₀`
+    /// written by `first_product(W₀, out)` (reshaping `out`), so a sparse
+    /// input can take a sparse product. `x` is still cached as given: the
+    /// backward pass reads it for the layer-0 weight gradient.
+    pub fn forward_cached_ws_with(
+        &self,
+        x: &Mat,
+        ws: &mut MlpWorkspace,
+        first_product: impl FnOnce(&Mat, &mut Mat),
+    ) {
         ws.cache.resize_with(self.layers.len() + 1, || Mat::zeros(0, 0));
         ws.cache[0].copy_from(x);
-        for (l, layer) in self.layers.iter().enumerate() {
+        first_product(&self.layers[0].w, &mut ws.cache[1]);
+        self.layers[0].add_bias(&mut ws.cache[1]);
+        self.activation_at(0).apply(&mut ws.cache[1]);
+        for (l, layer) in self.layers.iter().enumerate().skip(1) {
             let (before, after) = ws.cache.split_at_mut(l + 1);
             layer.forward_into(&before[l], &mut after[0]);
             self.activation_at(l).apply(&mut after[0]);
@@ -243,7 +269,7 @@ impl Mlp {
         assert_eq!(grads.len(), self.layers.len());
         for (l, (layer, g)) in self.layers.iter_mut().zip(grads).enumerate() {
             if weight_decay > 0.0 {
-                gcon_linalg::ops::add_scaled_assign(&mut g.dw, weight_decay, &layer.w);
+                ops::add_scaled_assign(&mut g.dw, weight_decay, &layer.w);
             }
             opt.update(base_idx + 2 * l, layer.w.as_mut_slice(), g.dw.as_slice());
             opt.update(base_idx + 2 * l + 1, &mut layer.b, &g.db);
@@ -472,6 +498,7 @@ mod tests {
             net.forward_cached_ws(&x, &mut ws);
             let cache = net.forward_cached(&x);
             assert_eq!(ws.output().as_slice(), cache.last().unwrap().as_slice());
+            assert_eq!(net.forward(&x).as_slice(), cache.last().unwrap().as_slice());
             net.backward_ws(&mut ws, &dout);
             let (dx, grads) = net.backward(&cache, dout.clone());
             assert_eq!(ws.grads().len(), net.depth());
