@@ -122,7 +122,7 @@ mod tests {
         let pred = train_and_predict_dpsgd(
             &DpSgdConfig::default(),
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,
@@ -148,7 +148,7 @@ mod tests {
         let pred = train_and_predict_dpsgd(
             &cfg,
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,

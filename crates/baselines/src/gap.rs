@@ -97,7 +97,7 @@ pub fn perturbed_aggregation<R: Rng + ?Sized>(
 pub fn train_and_predict_gap<R: Rng + ?Sized>(
     cfg: &GapConfig,
     graph: &Graph,
-    x: &Mat,
+    x: &Csr,
     labels: &[usize],
     train_idx: &[usize],
     num_classes: usize,
@@ -156,7 +156,7 @@ mod tests {
     fn aggregation_cache_has_hops_plus_one_entries() {
         let d = two_moons_graph(51);
         let mut rng = StdRng::seed_from_u64(52);
-        let cached = perturbed_aggregation(&d.graph, &d.features, 3, 0.1, &mut rng);
+        let cached = perturbed_aggregation(&d.graph, &d.features.to_dense(), 3, 0.1, &mut rng);
         assert_eq!(cached.len(), 4);
         for m in &cached {
             assert_eq!(m.shape(), (d.num_nodes(), d.features.cols()));
@@ -172,8 +172,8 @@ mod tests {
         let d = two_moons_graph(53);
         let mut r1 = StdRng::seed_from_u64(1);
         let mut r2 = StdRng::seed_from_u64(2);
-        let a = perturbed_aggregation(&d.graph, &d.features, 2, 0.0, &mut r1);
-        let b = perturbed_aggregation(&d.graph, &d.features, 2, 0.0, &mut r2);
+        let a = perturbed_aggregation(&d.graph, &d.features.to_dense(), 2, 0.0, &mut r1);
+        let b = perturbed_aggregation(&d.graph, &d.features.to_dense(), 2, 0.0, &mut r2);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.as_slice(), y.as_slice());
         }

@@ -188,14 +188,14 @@ mod tests {
         let model = train_gcn(
             &cfg,
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,
             &mut rng,
         );
         let a_hat = symmetric(&d.graph);
-        let pred = model.predict(&a_hat, &d.features);
+        let pred = model.predict(&a_hat, &d.features.to_dense());
         let test_pred: Vec<usize> = d.split.test.iter().map(|&i| pred[i]).collect();
         let f1 = micro_f1(&test_pred, &d.test_labels());
         assert!(f1 > 0.8, "GCN test micro-F1 {f1}");
@@ -219,7 +219,7 @@ mod tests {
             w2: Linear::xavier(8, 2, &mut rng),
         };
         let a_hat = symmetric(&d.graph);
-        let out = model.forward(&a_hat, &d.features);
+        let out = model.forward(&a_hat, &d.features.to_dense());
         assert_eq!(out.shape(), (d.num_nodes(), 2));
         assert!(out.is_finite());
     }

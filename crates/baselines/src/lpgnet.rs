@@ -125,7 +125,7 @@ mod tests {
         let pred = train_and_predict_lpgnet(
             &cfg,
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,

@@ -65,7 +65,8 @@ impl Baseline {
 }
 
 /// Trains the baseline under `(eps, delta)` edge-DP and returns the
-/// micro-F1 on the dataset's test split.
+/// micro-F1 on the dataset's test split. GAP's encoder reads the sparse
+/// features as GCON's does; the other baselines take them dense.
 pub fn evaluate_baseline<R: Rng + ?Sized>(
     baseline: Baseline,
     dataset: &Dataset,
@@ -76,20 +77,21 @@ pub fn evaluate_baseline<R: Rng + ?Sized>(
     let d = dataset;
     let pred_all: Vec<usize> = match baseline {
         Baseline::GcnNonDp => {
+            let x = d.features.to_dense();
             let model = train_gcn(
                 &GcnConfig::default(),
                 &d.graph,
-                &d.features,
+                &x,
                 &d.labels,
                 &d.split.train,
                 d.num_classes,
                 rng,
             );
-            model.predict(&symmetric(&d.graph), &d.features)
+            model.predict(&symmetric(&d.graph), &x)
         }
         Baseline::Mlp => train_and_predict_mlp(
             &MlpBaselineConfig::default(),
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,
@@ -98,7 +100,7 @@ pub fn evaluate_baseline<R: Rng + ?Sized>(
         Baseline::DpSgd => train_and_predict_dpsgd(
             &DpSgdConfig::default(),
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,
@@ -107,23 +109,24 @@ pub fn evaluate_baseline<R: Rng + ?Sized>(
             rng,
         ),
         Baseline::Dpgcn => {
+            let x = d.features.to_dense();
             let (model, noisy) = train_dpgcn(
                 &GcnConfig::default(),
                 DpgcnMechanism::LapGraph,
                 &d.graph,
-                &d.features,
+                &x,
                 &d.labels,
                 &d.split.train,
                 d.num_classes,
                 eps,
                 rng,
             );
-            model.predict(&symmetric(&noisy), &d.features)
+            model.predict(&symmetric(&noisy), &x)
         }
         Baseline::LpGnet => train_and_predict_lpgnet(
             &LpgnetConfig::default(),
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,
@@ -144,7 +147,7 @@ pub fn evaluate_baseline<R: Rng + ?Sized>(
         Baseline::ProGap => train_and_predict_progap(
             &ProgapConfig::default(),
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,

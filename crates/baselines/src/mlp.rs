@@ -56,7 +56,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let pred = train_and_predict_mlp(
             &MlpBaselineConfig::default(),
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,

@@ -149,7 +149,7 @@ mod tests {
         let pred = train_and_predict_progap(
             &cfg,
             &d.graph,
-            &d.features,
+            &d.features.to_dense(),
             &d.labels,
             &d.split.train,
             d.num_classes,
@@ -168,9 +168,15 @@ mod tests {
         let d = two_moons_graph(63);
         let mut rng = StdRng::seed_from_u64(64);
         let cfg = ProgapConfig { epochs: 120, ..Default::default() };
-        let stage =
-            train_stage(&d.features, &d.labels, &d.split.train, d.num_classes, &cfg, &mut rng);
-        let emb = stage.net.forward(&d.features.select_rows(&d.split.train));
+        let stage = train_stage(
+            &d.features.to_dense(),
+            &d.labels,
+            &d.split.train,
+            d.num_classes,
+            &cfg,
+            &mut rng,
+        );
+        let emb = stage.net.forward(&d.features.to_dense().select_rows(&d.split.train));
         let logits = stage.head.forward(&emb);
         let pred = gcon_linalg::reduce::row_argmax(&logits);
         let gold = d.train_labels();

@@ -10,7 +10,7 @@ use gcon_graph::normalize::row_stochastic_default;
 fn bench_propagation(c: &mut Criterion) {
     let dataset = cora_ml(0.1, 0);
     let a_tilde = row_stochastic_default(&dataset.graph);
-    let mut x = dataset.features.clone();
+    let mut x = dataset.features.to_dense();
     x.normalize_rows_l2();
 
     let mut group = c.benchmark_group("fig2_propagation");

@@ -22,7 +22,7 @@ use gcon_linalg::Mat;
 fn bench_runtime(c: &mut Criterion) {
     let dataset = cora_ml(0.2, 0);
     let a_tilde = row_stochastic_default(&dataset.graph);
-    let mut x = dataset.features.clone();
+    let mut x = dataset.features.to_dense();
     x.normalize_rows_l2();
     let (n, d) = x.shape();
 

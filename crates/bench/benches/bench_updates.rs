@@ -41,7 +41,7 @@
 use gcon_bench::median_time_ns as time_ns;
 use gcon_core::train::train_gcon;
 use gcon_core::{GconConfig, InfRefreshKind, PprSolver, PropagationStep};
-use gcon_graph::{CsrDelta, Graph};
+use gcon_graph::{Csr, CsrDelta, Graph};
 use gcon_linalg::Mat;
 use gcon_serve::{
     CoalesceConfig, DeltaCoalescer, DynamicServingModel, ServingMode, ServingModel, StoreDtype,
@@ -209,6 +209,7 @@ fn main() {
         delta.add_nodes(1);
         delta.insert_edge(next as u32, (next % n) as u32);
         let feats = Mat::from_fn(1, d0, |_, c| ((next * 13 + c * 5) % 17) as f64 / 17.0 - 0.4);
+        let feats = Csr::from_dense(&feats);
         let outcome = dynamic.apply_delta(&delta, Some(&feats));
         sink ^= outcome.onboarded.start as usize;
         next += 1;

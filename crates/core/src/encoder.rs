@@ -8,14 +8,17 @@
 //! with a linear classification head (`d₁ → c`, the `W₂` of the paper) under
 //! softmax cross-entropy.
 //!
-//! Raw features are sparse bag-of-words, so the first layer's product
-//! `X·W₀` runs as a CSR product ([`Csr::from_dense`] then [`Csr::spmm`]) in
-//! every forward: each epoch of [`FeatureEncoder::train`], and
+//! Raw features are sparse bag-of-words and arrive as a [`Csr`], so the
+//! first layer's product `X·W₀` is [`Csr::spmm`] in every forward: each
+//! epoch of [`FeatureEncoder::train`], and
 //! [`FeatureEncoder::encode`]/[`FeatureEncoder::predict`] for any input.
 //! There is one path, with no density gate, so a row's embedding never
 //! depends on which rows are encoded with it (`gcon-serve` splices the
-//! encodings of onboarded rows into a full-graph encoding). Layers ≥ 1 are
-//! dense.
+//! encodings of onboarded rows into a full-graph encoding). Training forms
+//! the first layer's weight gradient `Xᵀ·δ` from the transpose of the
+//! labeled rows, built once, with [`Csr::spmm_sequential_into`]: samples
+//! summed in ascending order, the order of the dense `t_matmul`'s zero-skip
+//! path, which every block of bag-of-words rows takes. Layers ≥ 1 are dense.
 
 use gcon_graph::Csr;
 use gcon_linalg::Mat;
@@ -57,7 +60,7 @@ impl FeatureEncoder {
     /// `x_labeled` is `n₁ × d₀`, `labels` holds class indices in `0..c`.
     pub fn train<R: Rng + ?Sized>(
         cfg: &EncoderConfig,
-        x_labeled: &Mat,
+        x_labeled: &Csr,
         labels: &[usize],
         num_classes: usize,
         rng: &mut R,
@@ -83,16 +86,17 @@ impl FeatureEncoder {
         let mut dlogits = Mat::zeros(0, 0);
         let mut demb = Mat::zeros(0, 0);
         let mut head_grads = LinearGrads::zeros(0, 0);
-        // The labeled rows are the same every epoch: one CSR build for the
-        // first layer's forward product. The layer-0 weight gradient reads
-        // the dense rows (`t_matmul`), cached by the workspace.
-        let x_csr = Csr::from_dense(x_labeled);
+        // The labeled rows are the same every epoch: one transpose for the
+        // layer-0 weight gradient `Xᵀ·δ`.
+        let x_t = x_labeled.transpose();
         for _ in 0..cfg.epochs {
-            net.forward_cached_ws_with(x_labeled, &mut ws, |w0, out| x_csr.spmm_into(w0, out));
+            net.forward_cached_ws_with(&mut ws, |w0, out| x_labeled.spmm_into(w0, out));
             head.forward_into(ws.output(), &mut logits);
             let _ = softmax_cross_entropy_into(&logits, labels, &mut dlogits);
             head.backward_into(ws.output(), &dlogits, &mut demb, &mut head_grads);
-            net.backward_ws_weights_only(&mut ws, &demb);
+            net.backward_ws_weights_only_with(&mut ws, &demb, |delta, dw| {
+                x_t.spmm_sequential_into(delta, dw)
+            });
             opt.begin_step();
             net.apply_grads_ws(&mut ws, &mut opt, cfg.weight_decay, 0);
             gcon_linalg::ops::add_scaled_assign(&mut head_grads.dw, cfg.weight_decay, &head.w);
@@ -103,13 +107,13 @@ impl FeatureEncoder {
     }
 
     /// Encodes features into the `d₁`-dimensional space (Algorithm 3 line 5).
-    pub fn encode(&self, x: &Mat) -> Mat {
-        self.net.forward_from_product(Csr::from_dense(x).spmm(&self.net.layers[0].w))
+    pub fn encode(&self, x: &Csr) -> Mat {
+        self.net.forward_from_product(x.spmm(&self.net.layers[0].w))
     }
 
     /// Class predictions from the encoder head alone (used as pseudo-labels
     /// when the training set is expanded to all nodes, per Appendix Q).
-    pub fn predict(&self, x: &Mat) -> Vec<usize> {
+    pub fn predict(&self, x: &Csr) -> Vec<usize> {
         self.head_argmax(&self.encode(x))
     }
 
@@ -133,7 +137,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// Linearly separable blobs in d₀ = 10.
-    fn blobs(n: usize, c: usize, rng: &mut StdRng) -> (Mat, Vec<usize>) {
+    fn blobs(n: usize, c: usize, rng: &mut StdRng) -> (Csr, Vec<usize>) {
         let labels: Vec<usize> = (0..n).map(|i| i % c).collect();
         let x = Mat::from_fn(n, 10, |i, j| {
             let class = labels[i] as f64;
@@ -141,7 +145,7 @@ mod tests {
             center + 0.3 * (((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5) + 0.01 * class
         });
         let _ = rng;
-        (x, labels)
+        (Csr::from_dense(&x), labels)
     }
 
     #[test]
@@ -224,14 +228,16 @@ mod tests {
             for (name, x) in
                 [("dense", &dense), ("binary", &binary), ("signed", &signed), ("-0", &negzero)]
             {
-                let (got, want) = (enc.encode(x), enc.net.forward(x));
+                let sparse = Csr::from_dense(x);
+                let (got, want) = (enc.encode(&sparse), enc.net.forward(x));
                 assert_eq!(got.shape(), (n, 4));
                 for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                     assert!((a - b).abs() <= 1e-12, "depth {depth} {name}: {a} vs {b}");
                 }
-                assert_eq!(enc.predict(x), enc.head_argmax(&got), "depth {depth} {name}");
+                assert_eq!(enc.predict(&sparse), enc.head_argmax(&got), "depth {depth} {name}");
             }
             // `-0.0` entries are dropped: the same bits as `+0.0`.
+            let (negzero, binary) = (Csr::from_dense(&negzero), Csr::from_dense(&binary));
             assert_eq!(bits(&enc.encode(&negzero)), bits(&enc.encode(&binary)), "depth {depth}");
         }
     }
@@ -264,6 +270,7 @@ mod tests {
             }
         });
         assert!(x.row(3).iter().all(|&v| v == 0.0));
+        let x = Csr::from_dense(&x);
         let mut mixed = vec![3, 17, 17, 1999];
         mixed.extend((0..40).rev());
         for depth in 1..=3 {
@@ -289,5 +296,59 @@ mod tests {
         let e1 = FeatureEncoder::train(&cfg, &x, &labels, 2, &mut r1);
         let e2 = FeatureEncoder::train(&cfg, &x2, &labels2, 2, &mut r2);
         assert_eq!(e1.encode(&x).as_slice(), e2.encode(&x2).as_slice());
+    }
+
+    /// Training on bag-of-words rows (more than `TM_IB` of them) gives
+    /// bitwise the weights of the reference loop kept here, whose layer-0
+    /// weight gradient is the dense `t_matmul` over the same rows.
+    #[test]
+    fn train_matches_the_dense_gradient_reference_bitwise() {
+        use gcon_linalg::ops::{t_matmul_into, TM_IB};
+        use gcon_nn::MlpConfig;
+        let mut rng = StdRng::seed_from_u64(76);
+        let (n, d0, c) = (2 * TM_IB + 45, 120, 3);
+        let labels: Vec<usize> = (0..n).map(|i| (i * 7 + i / 5) % c).collect();
+        let dense = sparse_input(n, d0, 0.03, &mut rng, |_| 1.0);
+        let x = Csr::from_dense(&dense);
+        let cfg = EncoderConfig { epochs: 25, ..Default::default() };
+        let got = FeatureEncoder::train(&cfg, &x, &labels, c, &mut StdRng::seed_from_u64(77));
+
+        let mut rng = StdRng::seed_from_u64(77);
+        let dims = vec![d0, cfg.hidden, cfg.d1];
+        let mut net = Mlp::new(
+            &MlpConfig {
+                dims,
+                hidden_activation: Activation::Relu,
+                output_activation: Activation::Tanh,
+            },
+            &mut rng,
+        );
+        let mut head = Linear::xavier(cfg.d1, c, &mut rng);
+        let mut opt = Adam::new(cfg.lr);
+        let mut ws = MlpWorkspace::new();
+        let (mut logits, mut dlogits, mut demb) = (Mat::default(), Mat::default(), Mat::default());
+        let mut head_grads = LinearGrads::zeros(0, 0);
+        let slots = 2 * net.depth();
+        for _ in 0..cfg.epochs {
+            net.forward_cached_ws_with(&mut ws, |w0, out| x.spmm_into(w0, out));
+            head.forward_into(ws.output(), &mut logits);
+            let _ = softmax_cross_entropy_into(&logits, &labels, &mut dlogits);
+            head.backward_into(ws.output(), &dlogits, &mut demb, &mut head_grads);
+            net.backward_ws_weights_only_with(&mut ws, &demb, |delta, dw| {
+                t_matmul_into(&dense, delta, dw)
+            });
+            opt.begin_step();
+            net.apply_grads_ws(&mut ws, &mut opt, cfg.weight_decay, 0);
+            gcon_linalg::ops::add_scaled_assign(&mut head_grads.dw, cfg.weight_decay, &head.w);
+            opt.update(slots, head.w.as_mut_slice(), head_grads.dw.as_slice());
+            opt.update(slots + 1, &mut head.b, &head_grads.db);
+        }
+        let vbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (l, (a, b)) in got.net.layers.iter().zip(&net.layers).enumerate() {
+            assert_eq!(bits(&a.w), bits(&b.w), "layer {l} weights");
+            assert_eq!(vbits(&a.b), vbits(&b.b), "layer {l} bias");
+        }
+        assert_eq!(bits(&got.head.w), bits(&head.w));
+        assert_eq!(vbits(&got.head.b), vbits(&head.b));
     }
 }

@@ -36,11 +36,11 @@
 use crate::model::TrainedGcon;
 use crate::propagation::{concat_features, PropagationStep};
 use gcon_graph::normalize::row_stochastic;
-use gcon_graph::Graph;
+use gcon_graph::{Csr, Graph};
 use gcon_linalg::{ops, reduce, Mat};
 
 /// Encodes and row-normalizes raw features with the model's public encoder.
-fn encode_normalized(model: &TrainedGcon, features: &Mat) -> Mat {
+fn encode_normalized(model: &TrainedGcon, features: &Csr) -> Mat {
     let mut x = model.encoder.encode(features);
     x.normalize_rows_l2();
     x
@@ -54,7 +54,7 @@ fn encode_normalized(model: &TrainedGcon, features: &Mat) -> Mat {
 /// Row `i` of the result depends only on `X̄` rows adjacent to node `i` (and
 /// `X̄ᵢ` itself), which is what makes this stage admissible under edge DP.
 /// [`private_logits`] is this followed by [`head_logits`].
-pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat {
+pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     let x = encode_normalized(model, features);
     let a_tilde = row_stochastic(graph, model.config.clip_p);
     let alpha_i = model.config.alpha_inference;
@@ -87,7 +87,7 @@ pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Mat) -> M
 ///
 /// This is the whole-graph computation a serving layer precomputes once;
 /// [`public_logits`] is this followed by [`head_logits`].
-pub fn public_features(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat {
+pub fn public_features(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     let x = encode_normalized(model, features);
     let a_tilde = row_stochastic(graph, model.config.clip_p);
     concat_features(&a_tilde, &x, model.config.alpha, &model.config.steps)
@@ -122,6 +122,7 @@ pub fn head_logits(model: &TrainedGcon, z: &Mat) -> Mat {
 /// #                       degree_exponent: 2.5 };
 /// # let (graph, labels) = sbm_homophily(&cfg, &mut rng);
 /// # let features = Mat::from_fn(30, 6, |i, j| if j % 2 == labels[i] { 1.0 } else { 0.0 });
+/// # let features = gcon_graph::Csr::from_dense(&features);
 /// # let train_idx: Vec<usize> = (0..30).collect();
 /// # let mut config = GconConfig::default();
 /// # config.encoder.epochs = 5;
@@ -135,7 +136,7 @@ pub fn head_logits(model: &TrainedGcon, z: &Mat) -> Mat {
 /// // `private_predict` is the row-wise argmax of exactly these logits.
 /// assert_eq!(private_predict(&model, &graph, &features).len(), graph.num_nodes());
 /// ```
-pub fn private_logits(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat {
+pub fn private_logits(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     head_logits(model, &private_features(model, graph, features))
 }
 
@@ -154,6 +155,7 @@ pub fn private_logits(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat
 /// #                       degree_exponent: 2.5 };
 /// # let (graph, labels) = sbm_homophily(&cfg, &mut rng);
 /// # let features = Mat::from_fn(30, 6, |i, j| if j % 2 == labels[i] { 1.0 } else { 0.0 });
+/// # let features = gcon_graph::Csr::from_dense(&features);
 /// # let train_idx: Vec<usize> = (0..30).collect();
 /// # let mut config = GconConfig::default();
 /// # config.encoder.epochs = 5;
@@ -164,7 +166,7 @@ pub fn private_logits(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat
 /// let pred = private_predict(&model, &graph, &features);
 /// assert!(pred.iter().all(|&c| c < model.num_classes));
 /// ```
-pub fn private_predict(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Vec<usize> {
+pub fn private_predict(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Vec<usize> {
     reduce::row_argmax(&private_logits(model, graph, features))
 }
 
@@ -184,6 +186,7 @@ pub fn private_predict(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Ve
 /// #                       degree_exponent: 2.5 };
 /// # let (graph, labels) = sbm_homophily(&cfg, &mut rng);
 /// # let features = Mat::from_fn(30, 6, |i, j| if j % 2 == labels[i] { 1.0 } else { 0.0 });
+/// # let features = gcon_graph::Csr::from_dense(&features);
 /// # let train_idx: Vec<usize> = (0..30).collect();
 /// # let mut config = GconConfig::default();
 /// # config.encoder.epochs = 5;
@@ -197,7 +200,7 @@ pub fn private_predict(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Ve
 /// let logits = public_logits(&model, &graph, &features);
 /// assert_eq!(head_logits(&model, &z), logits);
 /// ```
-pub fn public_logits(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat {
+pub fn public_logits(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     head_logits(model, &public_features(model, graph, features))
 }
 
@@ -216,6 +219,7 @@ pub fn public_logits(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat 
 /// #                       degree_exponent: 2.5 };
 /// # let (graph, labels) = sbm_homophily(&cfg, &mut rng);
 /// # let features = Mat::from_fn(30, 6, |i, j| if j % 2 == labels[i] { 1.0 } else { 0.0 });
+/// # let features = gcon_graph::Csr::from_dense(&features);
 /// # let train_idx: Vec<usize> = (0..30).collect();
 /// # let mut config = GconConfig::default();
 /// # config.encoder.epochs = 5;
@@ -226,7 +230,7 @@ pub fn public_logits(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Mat 
 /// let pred = public_predict(&model, &graph, &features);
 /// assert_eq!(pred.len(), graph.num_nodes());
 /// ```
-pub fn public_predict(model: &TrainedGcon, graph: &Graph, features: &Mat) -> Vec<usize> {
+pub fn public_predict(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Vec<usize> {
     reduce::row_argmax(&public_logits(model, graph, features))
 }
 
@@ -239,7 +243,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn toy_setup(seed: u64) -> (Graph, Mat, Vec<usize>, Vec<usize>) {
+    fn toy_setup(seed: u64) -> (Graph, Csr, Vec<usize>, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = SbmConfig {
             n: 90,
@@ -255,7 +259,7 @@ mod tests {
             (if hit { 1.5 } else { 0.0 }) + 0.4 * (((i * 13 + j * 7) % 17) as f64 / 17.0 - 0.5)
         });
         let train_idx: Vec<usize> = (0..90).step_by(3).collect();
-        (g, x, labels, train_idx)
+        (g, Csr::from_dense(&x), labels, train_idx)
     }
 
     fn quick_config() -> GconConfig {

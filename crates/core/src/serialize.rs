@@ -770,7 +770,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn trained_model(seed: u64) -> (TrainedGcon, gcon_graph::Graph, Mat) {
+    fn trained_model(seed: u64) -> (TrainedGcon, gcon_graph::Graph, gcon_graph::Csr) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (g, labels) = gcon_graph::generators::sbm_homophily(
             &gcon_graph::generators::SbmConfig {
@@ -783,6 +783,7 @@ mod tests {
             &mut rng,
         );
         let x = Mat::from_fn(50, 6, |i, j| if labels[i] == j % 3 { 1.0 } else { 0.2 });
+        let x = gcon_graph::Csr::from_dense(&x);
         let idx: Vec<usize> = (0..25).collect();
         let mut cfg = GconConfig::default();
         cfg.encoder.epochs = 20;

@@ -27,7 +27,7 @@ use crate::params::{CalibrationInput, TheoremOneParams};
 use crate::propagation::concat_features;
 use crate::sensitivity::psi_z_clipped;
 use gcon_graph::normalize::row_stochastic;
-use gcon_graph::Graph;
+use gcon_graph::{Csr, Graph};
 use gcon_linalg::lu::Lu;
 use gcon_linalg::{ops, Mat};
 use rand::Rng;
@@ -123,7 +123,7 @@ fn newton_direction(obj: &PerturbedObjective<'_>, theta: &Mat, grad: &Mat) -> Op
 pub fn train_gcon<R: Rng + ?Sized>(
     config: &GconConfig,
     graph: &Graph,
-    features: &Mat,
+    features: &Csr,
     labels: &[usize],
     train_idx: &[usize],
     num_classes: usize,
@@ -156,8 +156,8 @@ pub fn train_gcon<R: Rng + ?Sized>(
 pub fn train_gcon_on_adjacency<R: Rng + ?Sized>(
     config: &GconConfig,
     graph: &Graph,
-    a_tilde: &gcon_graph::Csr,
-    features: &Mat,
+    a_tilde: &Csr,
+    features: &Csr,
     labels: &[usize],
     train_idx: &[usize],
     num_classes: usize,
@@ -380,7 +380,7 @@ mod tests {
         assert!(grad.frobenius_norm() < 1e-8);
     }
 
-    fn tiny_dataset(seed: u64) -> (gcon_graph::Graph, Mat, Vec<usize>, Vec<usize>) {
+    fn tiny_dataset(seed: u64) -> (gcon_graph::Graph, Csr, Vec<usize>, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (g, labels) = gcon_graph::generators::sbm_homophily(
             &gcon_graph::generators::SbmConfig {
@@ -397,7 +397,7 @@ mod tests {
             base + 0.05 * ((i * 7 + j * 3) % 10) as f64
         });
         let train_idx: Vec<usize> = (0..30).collect();
-        (g, x, labels, train_idx)
+        (g, Csr::from_dense(&x), labels, train_idx)
     }
 
     /// With an expanded training set, `train_gcon` takes the pseudo-labels
@@ -416,14 +416,14 @@ mod tests {
         let sbm =
             SbmConfig { n, num_edges: 200, num_classes: c, homophily: 0.9, degree_exponent: 2.5 };
         let (g, labels) = sbm_homophily(&sbm, &mut rng);
-        let x = Mat::from_fn(n, 40, |i, j| {
+        let x = Csr::from_dense(&Mat::from_fn(n, 40, |i, j| {
             let h = (i * 131 + j * 71) % 97;
             if h < 5 || (j % c == labels[i] && h < 12) {
                 1.0
             } else {
                 0.0
             }
-        });
+        }));
         let idx: Vec<usize> = (0..20).collect();
         let mut cfg = crate::GconConfig { expand_train_set: true, ..Default::default() };
         cfg.encoder.epochs = 30;

@@ -17,8 +17,7 @@ use crate::model::GconConfig;
 use crate::train::train_gcon_on_adjacency;
 use crate::TrainedGcon;
 use gcon_graph::normalize::row_stochastic;
-use gcon_graph::Graph;
-use gcon_linalg::Mat;
+use gcon_graph::{Csr, Graph};
 use rand::Rng;
 
 /// The candidate grid. Defaults mirror the paper's Appendix Q ranges,
@@ -74,7 +73,7 @@ pub fn tune_gcon<R: Rng + ?Sized>(
     base: &GconConfig,
     grid: &TuningGrid,
     graph: &Graph,
-    features: &Mat,
+    features: &Csr,
     labels: &[usize],
     train_idx: &[usize],
     val_idx: &[usize],
@@ -88,8 +87,7 @@ pub fn tune_gcon<R: Rng + ?Sized>(
     let mut trace = Vec::new();
     // Ã depends only on (graph, clip_p): normalize once per swept clip and
     // share the CSR across every candidate in the inner loops.
-    let a_tildes: Vec<gcon_graph::Csr> =
-        grid.clip_p.iter().map(|&p| row_stochastic(graph, p)).collect();
+    let a_tildes: Vec<Csr> = grid.clip_p.iter().map(|&p| row_stochastic(graph, p)).collect();
     for &alpha_i in &grid.alpha_inference {
         for &expand in &grid.expand_train_set {
             for &lambda in &grid.lambda {
@@ -160,8 +158,9 @@ mod tests {
     }
 
     /// (graph, features, labels, train_idx, val_idx)
-    fn gcon_test_dataset() -> (Graph, Mat, Vec<usize>, Vec<usize>, Vec<usize>) {
+    fn gcon_test_dataset() -> (Graph, Csr, Vec<usize>, Vec<usize>, Vec<usize>) {
         use gcon_graph::generators::{sbm_homophily, SbmConfig};
+        use gcon_linalg::Mat;
         let mut rng = StdRng::seed_from_u64(1);
         let (g, labels) = sbm_homophily(
             &SbmConfig {
@@ -179,6 +178,6 @@ mod tests {
         });
         let train: Vec<usize> = (0..120).step_by(4).collect();
         let val: Vec<usize> = (1..120).step_by(4).collect();
-        (g, x, labels, train, val)
+        (g, Csr::from_dense(&x), labels, train, val)
     }
 }

@@ -1,7 +1,6 @@
 //! The dataset container and its summary statistics.
 
-use gcon_graph::{homophily_ratio, Graph};
-use gcon_linalg::Mat;
+use gcon_graph::{homophily_ratio, Csr, Graph};
 
 /// Train/validation/test node-index split (Appendix P).
 #[derive(Clone, Debug, Default)]
@@ -21,8 +20,9 @@ pub struct Dataset {
     pub name: String,
     /// The (private-edge) graph.
     pub graph: Graph,
-    /// Node features, `n × d₀`.
-    pub features: Mat,
+    /// Node features, `n × d₀`, sparse: the bag-of-words rows are a few
+    /// percent nonzero.
+    pub features: Csr,
     /// Class index per node.
     pub labels: Vec<usize>,
     /// Number of classes `c`.
@@ -102,13 +102,14 @@ impl Dataset {
 mod tests {
     use super::*;
     use gcon_graph::generators;
+    use gcon_linalg::Mat;
 
     fn tiny() -> Dataset {
         let graph = generators::cycle(10);
         Dataset {
             name: "tiny".into(),
             graph,
-            features: Mat::from_fn(10, 3, |i, j| (i * 3 + j) as f64),
+            features: Csr::from_dense(&Mat::from_fn(10, 3, |i, j| (i * 3 + j) as f64)),
             labels: (0..10).map(|i| i % 2).collect(),
             num_classes: 2,
             split: Split { train: vec![0, 1, 2, 3], val: vec![4, 5], test: vec![6, 7, 8, 9] },

@@ -21,13 +21,28 @@
 //! the MLP floor and non-DP GCN ceiling land near the paper's Figure 1
 //! values. The `scale` knob shrinks n, |E|, d₀ and the split sizes
 //! proportionally for tractable sweeps; `scale = 1.0` matches Table II.
-//! The signature size is fixed (not a fraction of d₀), so classification
-//! difficulty stays roughly scale-invariant.
+//!
+//! The signature size is fixed (not a fraction of d₀), but the background
+//! noise is `p_noise · d₀` words per row: it grows with `scale`, so the
+//! share of signature words in a row falls and difficulty is not
+//! scale-invariant. Mean nonzeros per row
+//! (`nnz() / rows()` of the generated features, seed 1):
+//!
+//! | Dataset  | scale 0.25 | scale 0.5 | scale 1 |
+//! |----------|------------|-----------|---------|
+//! | Cora-ML  | 9.9        | 17.1      | 31.5    |
+//! | CiteSeer | 11.5       | 20.8      | 39.3    |
+//! | PubMed   | 7.8        | 11.5      | 19.0    |
+//! | Actor    | 8.1        | 15.1      | 29.1    |
+//!
+//! against `SIG_DIMS · p_signal` = 1.6–4.5 expected signature words. The
+//! features are emitted as a [`Csr`] row by row, each row drawing one
+//! uniform per column in column order.
 
 use crate::dataset::Dataset;
 use crate::splits::{planetoid_split, proportional_split};
 use gcon_graph::generators::{sbm_homophily, SbmConfig};
-use gcon_linalg::Mat;
+use gcon_graph::Csr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -205,12 +220,12 @@ fn bag_of_words_features<R: Rng + ?Sized>(
     p_noise: f64,
     corrupt_frac: f64,
     rng: &mut R,
-) -> Mat {
+) -> Csr {
     assert!((0.0..1.0).contains(&corrupt_frac));
     let block = (d0 / classes).max(1);
     let sig = SIG_DIMS.min(block);
-    let mut x = Mat::zeros(labels.len(), d0);
-    for (i, &label) in labels.iter().enumerate() {
+    let mut x = Csr::new(d0);
+    for &label in labels {
         let effective = if rng.gen::<f64>() < corrupt_frac {
             let mut other = rng.gen_range(0..classes - 1);
             if other >= label {
@@ -222,13 +237,11 @@ fn bag_of_words_features<R: Rng + ?Sized>(
         };
         let sig_start = effective * block;
         let sig_end = (sig_start + sig).min(d0);
-        let row = x.row_mut(i);
-        for (j, v) in row.iter_mut().enumerate() {
-            let p = if (sig_start..sig_end).contains(&j) { p_signal } else { p_noise };
-            if rng.gen::<f64>() < p {
-                *v = 1.0;
-            }
-        }
+        let fires = (0..d0).filter(|j| {
+            let p = if (sig_start..sig_end).contains(j) { p_signal } else { p_noise };
+            rng.gen::<f64>() < p
+        });
+        x.push_row(fires.map(|j| (j as u32, 1.0)));
     }
     x
 }
@@ -263,23 +276,25 @@ pub fn all_benchmarks(scale: f64, seed: u64) -> Vec<Dataset> {
     ]
 }
 
+/// The [`two_moons_graph`] spec.
+const TWO_MOONS: SyntheticSpec = SyntheticSpec {
+    name: "two-moons-graph",
+    n: 240,
+    num_edges: 720,
+    d0: 64,
+    classes: 2,
+    homophily: 0.9,
+    degree_exponent: 2.5,
+    p_signal: 0.30,
+    p_noise: 0.02,
+    corrupt_frac: 0.10,
+    split: SplitKind::Planetoid { per_class: 20, val: 40, test: 120 },
+};
+
 /// A small, fast, strongly homophilous 2-class dataset used by the
 /// quickstart example and smoke tests (not part of Table II).
 pub fn two_moons_graph(seed: u64) -> Dataset {
-    let spec = SyntheticSpec {
-        name: "two-moons-graph",
-        n: 240,
-        num_edges: 720,
-        d0: 64,
-        classes: 2,
-        homophily: 0.9,
-        degree_exponent: 2.5,
-        p_signal: 0.30,
-        p_noise: 0.02,
-        corrupt_frac: 0.10,
-        split: SplitKind::Planetoid { per_class: 20, val: 40, test: 120 },
-    };
-    spec.build(1.0, seed)
+    TWO_MOONS.build(1.0, seed)
 }
 
 #[cfg(test)]
@@ -354,8 +369,68 @@ mod tests {
         let b = citeseer(0.1, 9);
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.graph.edges(), b.graph.edges());
-        assert_eq!(a.features.as_slice(), b.features.as_slice());
+        assert_eq!(a.features, b.features);
         assert_eq!(a.split.train, b.split.train);
+    }
+
+    /// A dense copy of the generator, kept as the reference: the same draws
+    /// from the same RNG state, written into a matrix.
+    fn dense_reference(spec: &SyntheticSpec, scale: f64, seed: u64) -> gcon_linalg::Mat {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = ((spec.n as f64 * scale).round() as usize).max(spec.classes * 40);
+        let num_edges = ((spec.num_edges as f64 * scale).round() as usize).max(n);
+        let d0 = ((spec.d0 as f64 * scale).round() as usize).max(64);
+        let sbm = SbmConfig {
+            n,
+            num_edges,
+            num_classes: spec.classes,
+            homophily: spec.homophily,
+            degree_exponent: spec.degree_exponent,
+        };
+        let (_, labels) = sbm_homophily(&sbm, &mut rng);
+        let (classes, block) = (spec.classes, (d0 / spec.classes).max(1));
+        let sig = SIG_DIMS.min(block);
+        let mut x = gcon_linalg::Mat::zeros(labels.len(), d0);
+        for (i, &label) in labels.iter().enumerate() {
+            let effective = if rng.gen::<f64>() < spec.corrupt_frac {
+                let mut other = rng.gen_range(0..classes - 1);
+                if other >= label {
+                    other += 1;
+                }
+                other
+            } else {
+                label
+            };
+            let sig_start = effective * block;
+            let sig_end = (sig_start + sig).min(d0);
+            for (j, v) in x.row_mut(i).iter_mut().enumerate() {
+                let p =
+                    if (sig_start..sig_end).contains(&j) { spec.p_signal } else { spec.p_noise };
+                if rng.gen::<f64>() < p {
+                    *v = 1.0;
+                }
+            }
+        }
+        x
+    }
+
+    /// Every stand-in's CSR features are exactly `from_dense` of the dense
+    /// generator's matrix for the same spec, scale and seed.
+    #[test]
+    fn csr_features_equal_the_dense_generator() {
+        let cases = [
+            (&CORA_ML, 0.1, 4),
+            (&CITESEER, 0.1, 5),
+            (&PUBMED, 0.1, 6),
+            (&ACTOR, 0.1, 7),
+            (&TWO_MOONS, 1.0, 8),
+        ];
+        for (spec, scale, seed) in cases {
+            let got = spec.build(scale, seed).features;
+            let want = Csr::from_dense(&dense_reference(spec, scale, seed));
+            assert!(got.nnz() > 0, "{}", spec.name);
+            assert_eq!(got, want, "{} at scale {scale}", spec.name);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   `#`-prefixed comment lines ignored; node ids are arbitrary
 //!   non-negative integers and are compacted to `0..n`;
 //! - **features** — one node per line: `id v₁ v₂ … v_d` (dense), or the
-//!   sparse `id idx:val …` form;
+//!   sparse `id idx:val …` form, parsed straight into a [`Csr`];
 //! - **labels** — one `id label` pair per line; string labels are interned
 //!   in first-appearance order.
 //!
@@ -19,8 +19,7 @@
 
 use crate::dataset::Dataset;
 use crate::splits::stratified_split;
-use gcon_graph::Graph;
-use gcon_linalg::Mat;
+use gcon_graph::{Csr, Graph};
 use std::collections::HashMap;
 
 /// Errors from the text loaders.
@@ -33,6 +32,15 @@ pub enum TextError {
     Parse(usize, String),
     /// The three files disagree (unknown node id, missing features, …).
     Inconsistent(String),
+    /// A feature file gives a node id a second row; carries (line number,
+    /// node id).
+    RepeatedRow(usize, u64),
+    /// A sparse feature row names an index twice; carries (line number,
+    /// index).
+    RepeatedIndex(usize, u32),
+    /// A sparse feature index is `2³²` or more, beyond a `u32` column;
+    /// carries (line number, index).
+    IndexTooLarge(usize, u64),
 }
 
 impl std::fmt::Display for TextError {
@@ -41,6 +49,15 @@ impl std::fmt::Display for TextError {
             TextError::Io(e) => write!(f, "io error: {e}"),
             TextError::Parse(line, what) => write!(f, "line {line}: {what}"),
             TextError::Inconsistent(what) => write!(f, "inconsistent inputs: {what}"),
+            TextError::RepeatedRow(line, id) => {
+                write!(f, "line {line}: second feature row for node {id}")
+            }
+            TextError::RepeatedIndex(line, idx) => {
+                write!(f, "line {line}: feature index {idx} given twice")
+            }
+            TextError::IndexTooLarge(line, idx) => {
+                write!(f, "line {line}: feature index {idx} does not fit a u32 column")
+            }
         }
     }
 }
@@ -120,77 +137,87 @@ pub fn parse_edge_list(text: &str) -> Result<(Vec<(u32, u32)>, NodeVocab), TextE
 }
 
 /// Parses a feature file against an existing vocabulary. Supports dense
-/// (`id v …`) and sparse (`id idx:val …`) rows; rows for unknown ids are an
-/// error, missing rows become zero vectors. Returns an `n × d` matrix.
-pub fn parse_features(text: &str, vocab: &mut NodeVocab) -> Result<Mat, TextError> {
-    struct Row {
-        node: u32,
-        dense: Vec<f64>,
-        sparse: Vec<(usize, f64)>,
-    }
-    let mut rows: Vec<Row> = Vec::new();
+/// (`id v …`) and sparse (`id idx:val …`) rows. A row for an id the
+/// vocabulary has not seen interns it (an isolated node); nodes without a
+/// row get a zero row. Zero values are not stored, so the result is
+/// `Csr::from_dense` of the `n × d` matrix the file describes.
+///
+/// Besides malformed tokens, rejects a file that mixes the two grammars,
+/// dense rows of different widths, a second row for one id
+/// ([`TextError::RepeatedRow`]), an index given twice in a sparse row
+/// ([`TextError::RepeatedIndex`]) and an index of `2³²` or more
+/// ([`TextError::IndexTooLarge`]).
+pub fn parse_features(text: &str, vocab: &mut NodeVocab) -> Result<Csr, TextError> {
+    // Per node, its row's entries sorted by index, zeros dropped.
+    let mut rows: Vec<Option<Vec<(u32, f64)>>> = Vec::new();
     let mut dim = 0usize;
-    let mut any_sparse = false;
-    let mut any_dense = false;
+    let mut dense_width: Option<usize> = None;
+    let (mut any_sparse, mut any_dense) = (false, false);
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let lineno = lineno + 1;
         let mut parts = line.split_whitespace();
         let id: u64 = parts
             .next()
             .unwrap()
             .parse()
-            .map_err(|_| TextError::Parse(lineno + 1, format!("bad node id in `{line}`")))?;
-        let node = vocab.intern(id);
-        let mut dense = Vec::new();
-        let mut sparse = Vec::new();
+            .map_err(|_| TextError::Parse(lineno, format!("bad node id in `{line}`")))?;
+        let node = vocab.intern(id) as usize;
+        let mut entries = Vec::new();
+        let mut width = 0u32;
         for tok in parts {
             if let Some((i, v)) = tok.split_once(':') {
-                let idx: usize = i.parse().map_err(|_| {
-                    TextError::Parse(lineno + 1, format!("bad sparse index `{tok}`"))
-                })?;
-                let val: f64 = v.parse().map_err(|_| {
-                    TextError::Parse(lineno + 1, format!("bad sparse value `{tok}`"))
-                })?;
-                sparse.push((idx, val));
-                dim = dim.max(idx + 1);
+                let idx: u64 = i
+                    .parse()
+                    .map_err(|_| TextError::Parse(lineno, format!("bad sparse index `{tok}`")))?;
+                let idx = u32::try_from(idx).map_err(|_| TextError::IndexTooLarge(lineno, idx))?;
+                let val: f64 = v
+                    .parse()
+                    .map_err(|_| TextError::Parse(lineno, format!("bad sparse value `{tok}`")))?;
+                entries.push((idx, val));
+                dim = dim.max(idx as usize + 1);
                 any_sparse = true;
             } else {
-                let val: f64 = tok.parse().map_err(|_| {
-                    TextError::Parse(lineno + 1, format!("bad feature value `{tok}`"))
-                })?;
-                dense.push(val);
+                let val: f64 = tok
+                    .parse()
+                    .map_err(|_| TextError::Parse(lineno, format!("bad feature value `{tok}`")))?;
+                entries.push((width, val));
+                width += 1;
                 any_dense = true;
             }
         }
-        if !dense.is_empty() {
-            dim = dim.max(dense.len());
+        if any_sparse && any_dense {
+            return Err(TextError::Inconsistent("feature file mixes dense and sparse rows".into()));
         }
-        rows.push(Row { node, dense, sparse });
+        if width > 0 {
+            let width = width as usize;
+            let first = *dense_width.get_or_insert(width);
+            if width != first {
+                return Err(TextError::Inconsistent(format!(
+                    "dense feature rows have inconsistent widths ({width} vs {first})"
+                )));
+            }
+            dim = width;
+        }
+        entries.sort_unstable_by_key(|&(j, _)| j);
+        if let Some(pair) = entries.windows(2).find(|p| p[0].0 == p[1].0) {
+            return Err(TextError::RepeatedIndex(lineno, pair[0].0));
+        }
+        entries.retain(|&(_, v)| v != 0.0);
+        if rows.len() <= node {
+            rows.resize(node + 1, None);
+        }
+        if rows[node].replace(entries).is_some() {
+            return Err(TextError::RepeatedRow(lineno, id));
+        }
     }
-    if any_sparse && any_dense {
-        return Err(TextError::Inconsistent("feature file mixes dense and sparse rows".into()));
-    }
-    for r in &rows {
-        if !r.dense.is_empty() && r.dense.len() != dim {
-            return Err(TextError::Inconsistent(format!(
-                "dense feature rows have inconsistent widths ({} vs {dim})",
-                r.dense.len()
-            )));
-        }
-    }
-    let n = vocab.len();
-    let mut x = Mat::zeros(n, dim);
-    for r in rows {
-        let out = x.row_mut(r.node as usize);
-        for (j, &v) in r.dense.iter().enumerate() {
-            out[j] = v;
-        }
-        for &(j, v) in &r.sparse {
-            out[j] = v;
-        }
+    let mut x = Csr::new(dim);
+    rows.resize(vocab.len(), None);
+    for row in rows {
+        x.push_row(row.unwrap_or_default());
     }
     Ok(x)
 }
@@ -251,45 +278,14 @@ pub fn assemble(
     seed: u64,
 ) -> Result<Dataset, TextError> {
     let (edges, mut vocab) = parse_edge_list(edge_text)?;
-    let x = parse_features(feature_text, &mut vocab)?;
+    let mut x = parse_features(feature_text, &mut vocab)?;
     let (labels, num_classes, labeled) = parse_labels(label_text, &mut vocab)?;
     let n = vocab.len();
-    if x.rows() != n {
-        // parse_features sized the matrix before the label file introduced
-        // new ids: re-pad.
-        let mut padded = Mat::zeros(n, x.cols());
-        for i in 0..x.rows() {
-            padded.row_mut(i).copy_from_slice(x.row(i));
-        }
-        return assemble_inner(
-            name,
-            n,
-            edges,
-            padded,
-            labels,
-            num_classes,
-            &labeled,
-            train_frac,
-            val_frac,
-            seed,
-        );
+    // Ids the label file introduced after the features were parsed get
+    // zero rows.
+    while x.rows() < n {
+        x.push_row([]);
     }
-    assemble_inner(name, n, edges, x, labels, num_classes, &labeled, train_frac, val_frac, seed)
-}
-
-#[allow(clippy::too_many_arguments)] // internal seam, mirrors assemble()'s inputs
-fn assemble_inner(
-    name: &str,
-    n: usize,
-    edges: Vec<(u32, u32)>,
-    x: Mat,
-    labels: Vec<usize>,
-    num_classes: usize,
-    labeled: &[u32],
-    train_frac: f64,
-    val_frac: f64,
-    seed: u64,
-) -> Result<Dataset, TextError> {
     if n == 0 {
         return Err(TextError::Inconsistent("no nodes in input".into()));
     }
@@ -346,8 +342,66 @@ mod tests {
         let (_, mut v2) = parse_edge_list(EDGES).unwrap();
         let d = parse_features(FEATS_DENSE, &mut v1).unwrap();
         let s = parse_features(FEATS_SPARSE, &mut v2).unwrap();
-        assert_eq!(d.shape(), (3, 2));
-        assert_eq!(d.as_slice(), s.as_slice());
+        assert_eq!((d.rows(), d.cols()), (3, 2));
+        assert_eq!(d, s);
+    }
+
+    /// An accepted file parses to `from_dense` of the matrix it describes:
+    /// zeros (`-0` too) are not stored, sparse indices may come in any
+    /// order, and an id-only line or a node without a row is a zero row.
+    #[test]
+    fn parsed_features_equal_from_dense_of_the_described_matrix() {
+        use gcon_linalg::Mat;
+        let want = Mat::from_rows(&[&[1.5, 0.0, 0.0], &[0.0, 0.0, 0.0], &[0.0, 0.0, 2.0]]);
+        let (_, mut vocab) = parse_edge_list(EDGES).unwrap();
+        let dense = parse_features("10 1.5 0 -0\n30 0.0 0.0 2\n", &mut vocab).unwrap();
+        assert_eq!(dense, Csr::from_dense(&want));
+        let (_, mut vocab) = parse_edge_list(EDGES).unwrap();
+        let sparse = parse_features("30 2:2 0:0\n10 0:1.5 1:-0\n20\n", &mut vocab).unwrap();
+        assert_eq!(sparse, Csr::from_dense(&want));
+    }
+
+    #[test]
+    fn repeated_rows_are_rejected_in_both_grammars() {
+        let mut v = NodeVocab::default();
+        let r = parse_features("1 1.0 2.0\n2 0 0\n1 3.0 4.0\n", &mut v);
+        assert!(matches!(r, Err(TextError::RepeatedRow(3, 1))), "{r:?}");
+        let mut v = NodeVocab::default();
+        let r = parse_features("7 0:1.0\n# note\n7 1:1.0\n", &mut v);
+        assert!(matches!(r, Err(TextError::RepeatedRow(3, 7))), "{r:?}");
+    }
+
+    #[test]
+    fn repeated_sparse_index_is_rejected() {
+        let mut v = NodeVocab::default();
+        let r = parse_features("1 3:1.0 0:2.0 3:5.0\n", &mut v);
+        assert!(matches!(r, Err(TextError::RepeatedIndex(1, 3))), "{r:?}");
+        // Also when one of the two values is zero.
+        let mut v = NodeVocab::default();
+        let r = parse_features("1 1:4\n2 0:0 0:2\n", &mut v);
+        assert!(matches!(r, Err(TextError::RepeatedIndex(2, 0))), "{r:?}");
+    }
+
+    /// An index of 2³² is rejected; the largest `u32` index is a column
+    /// like any other and allocates nothing for the columns below it.
+    #[test]
+    fn sparse_index_beyond_u32_is_rejected() {
+        let mut v = NodeVocab::default();
+        let r = parse_features("1 4294967296:1.0\n", &mut v);
+        assert!(matches!(r, Err(TextError::IndexTooLarge(1, 4_294_967_296))), "{r:?}");
+        let mut v = NodeVocab::default();
+        let x = parse_features("1 4294967295:1.0\n", &mut v).unwrap();
+        assert_eq!((x.rows(), x.cols(), x.nnz()), (1, 1 << 32, 1));
+    }
+
+    /// A feature row for an id no edge names interns it: an isolated node.
+    #[test]
+    fn feature_rows_for_unknown_ids_become_isolated_nodes() {
+        let (_, mut vocab) = parse_edge_list(EDGES).unwrap();
+        let x = parse_features("10 1.0\n99 2.0\n", &mut vocab).unwrap();
+        assert_eq!((vocab.len(), x.rows()), (4, 4));
+        assert_eq!(x.row(3), (&[0u32][..], &[2.0][..]));
+        assert!(x.row(1).0.is_empty());
     }
 
     #[test]
@@ -379,7 +433,7 @@ mod tests {
         assert_eq!(d.num_nodes(), 3);
         assert_eq!(d.graph.num_edges(), 3);
         assert_eq!(d.num_classes, 2);
-        assert_eq!(d.features.shape(), (3, 2));
+        assert_eq!((d.features.rows(), d.features.cols()), (3, 2));
         // Every labeled node appears in exactly one split bucket.
         let mut all: Vec<usize> =
             d.split.train.iter().chain(&d.split.val).chain(&d.split.test).copied().collect();
@@ -394,7 +448,8 @@ mod tests {
         let labels = "10 cat\n20 dog\n30 cat\n40 dog\n";
         let d = assemble("toy", EDGES, FEATS_DENSE, labels, 0.5, 0.25, 3).unwrap();
         assert_eq!(d.num_nodes(), 4);
-        assert!(d.features.row(3).iter().all(|&v| v == 0.0));
+        assert_eq!(d.features.rows(), 4);
+        assert!(d.features.row(3).0.is_empty());
     }
 
     #[test]

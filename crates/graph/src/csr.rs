@@ -2,9 +2,11 @@
 //! implements every graph-convolution step in the workspace.
 //!
 //! A [`Csr`] holds either a normalized adjacency `Ã` or raw node features:
-//! the bag-of-words feature matrices are a few percent nonzero, so
-//! `gcon-core`'s feature encoder multiplies its first layer as
-//! `Csr::from_dense(X).spmm(W₀)`.
+//! the bag-of-words feature matrices are a few percent nonzero, so datasets
+//! keep them as CSR from generator or parser on, and `gcon-core`'s feature
+//! encoder multiplies its first layer as `X.spmm(W₀)` and forms that
+//! layer's weight gradient as `Xᵀ·δ` with [`Csr::spmm_sequential_into`] on
+//! the [`Csr::transpose`] of the labeled rows.
 //!
 //! [`Csr`] is generic over the element dtype through [`CsrScalar`] (an
 //! extension of `gcon_linalg`'s sealed [`Scalar`] — f64 + f32, with f64 as
@@ -18,10 +20,11 @@
 //! process-wide counter exposed by [`spmm_ops_performed`]. Counting at the
 //! kernel layer (rather than at call sites) means no product can escape the
 //! accounting: the op-count acceptance tests for single-pass propagation
-//! read deltas of this counter. Encoder products count too (one per fit
-//! epoch, one per encode), so a reader that wants propagation products
-//! alone takes the delta around the propagation call, with no encoder
-//! running in between, as those tests do.
+//! read deltas of this counter. Encoder products count too (two per fit
+//! epoch, forward and weight gradient, and one per encode), so a reader
+//! that wants propagation products alone takes the delta around the
+//! propagation call, with no encoder running in between, as those tests
+//! do.
 
 use gcon_linalg::{Mat, Scalar};
 use serde::{Deserialize, Serialize};
@@ -32,8 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static SPMM_OPS: AtomicU64 = AtomicU64::new(0);
 
 /// Total sparse products performed since process start. A
-/// `Csr::spmm`/`spmm_into` call counts 1 (one sparse×dense product, whatever
-/// the dense width).
+/// `Csr::spmm`/`spmm_into`/`spmm_sequential_into` call counts 1 (one
+/// sparse×dense product, whatever the dense width).
 pub fn spmm_ops_performed() -> usize {
     SPMM_OPS.load(Ordering::Relaxed) as usize
 }
@@ -46,8 +49,16 @@ pub fn spmm_ops_performed() -> usize {
 /// [`gcon_runtime::tier_dispatch!`] — implementation plumbing, not a
 /// user-facing API; call the `Csr` methods instead.
 pub trait CsrScalar: Scalar {
-    /// Tier-dispatched row-block stage of [`Csr::spmm_into`].
-    fn kernel_spmm_block(sp: &Csr<Self>, b: &Mat<Self>, out: &mut [Self], start: usize, end: usize);
+    /// Tier-dispatched row-block stage of [`Csr::spmm_into`] (`grouped`)
+    /// and [`Csr::spmm_sequential_into`].
+    fn kernel_spmm_block(
+        sp: &Csr<Self>,
+        b: &Mat<Self>,
+        out: &mut [Self],
+        start: usize,
+        end: usize,
+        grouped: bool,
+    );
 }
 
 /// A sparse matrix in compressed sparse row format, generic over the
@@ -56,8 +67,8 @@ pub trait CsrScalar: Scalar {
 /// Used for the normalized adjacency `Ã` so that one propagation step
 /// `Z ← Ã Z` costs O(nnz · d) instead of O(n² · d). The paper never needs the
 /// dense `R_m` (Eq. 9) explicitly — `gcon-core` carries `Z_m = R_m X` through
-/// the recursion `Z_m = (1-α) Ã Z_{m-1} + α X`. Also used for sparse raw
-/// features ([`Csr::from_dense`]) in the encoder's first layer.
+/// the recursion `Z_m = (1-α) Ã Z_{m-1} + α X`. Also holds a dataset's raw
+/// features, built row by row with [`Csr::push_row`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Csr<S: CsrScalar = f64> {
     rows: usize,
@@ -68,6 +79,40 @@ pub struct Csr<S: CsrScalar = f64> {
 }
 
 impl<S: CsrScalar> Csr<S> {
+    /// An empty `0 × cols` matrix, grown row by row with [`Csr::push_row`].
+    pub fn new(cols: usize) -> Self {
+        Self { rows: 0, cols, indptr: vec![0], indices: Vec::new(), values: Vec::new() }
+    }
+
+    /// Appends a row given as `(column, value)` entries in strictly
+    /// ascending column order. Values are stored as given (an explicit
+    /// zero too).
+    ///
+    /// # Panics
+    /// Panics if a column is out of range or not above the previous one.
+    pub fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, S)>) {
+        let start = self.indices.len();
+        for (j, v) in entries {
+            assert!((j as usize) < self.cols, "push_row: column {j} out of range");
+            assert!(
+                self.indices.len() == start || self.indices[self.indices.len() - 1] < j,
+                "push_row: columns must be strictly ascending"
+            );
+            self.indices.push(j);
+            self.values.push(v);
+        }
+        self.indptr.push(self.indices.len());
+        self.rows += 1;
+    }
+
+    /// Appends the nonzero entries of a dense row of `cols()` values, by the
+    /// rule of [`Csr::from_dense`].
+    pub fn push_dense_row(&mut self, row: &[S]) {
+        assert_eq!(row.len(), self.cols, "push_dense_row: row length mismatch");
+        let nonzeros = row.iter().enumerate().filter(|(_, &v)| v != S::ZERO);
+        self.push_row(nonzeros.map(|(j, &v)| (j as u32, v)));
+    }
+
     /// Builds a CSR matrix from per-row `(column, value)` pairs. Pairs within
     /// a row need not be sorted; duplicates are summed.
     pub fn from_row_entries(rows: usize, cols: usize, row_entries: Vec<Vec<(u32, S)>>) -> Self {
@@ -96,7 +141,8 @@ impl<S: CsrScalar> Csr<S> {
 
     /// The CSR form of a dense matrix: its nonzero entries, each row's
     /// columns in ascending order, in one pass over `m` (no per-row buffer,
-    /// no sort).
+    /// no sort). Datasets build their features sparse from the start; this
+    /// is for tests and for inputs that arrive dense.
     ///
     /// An entry is kept when `v != 0`. So a `-0.0` entry is dropped, like
     /// `+0.0`, and `to_dense` gives it back as `+0.0`; in a product it only
@@ -108,20 +154,11 @@ impl<S: CsrScalar> Csr<S> {
     pub fn from_dense(m: &Mat<S>) -> Self {
         let (rows, cols) = m.shape();
         assert!(u32::try_from(cols).is_ok(), "from_dense: {cols} columns overflow u32 indices");
-        let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
+        let mut x = Self::new(cols);
         for i in 0..rows {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                if v != S::ZERO {
-                    indices.push(j as u32);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
+            x.push_dense_row(m.row(i));
         }
-        Self { rows, cols, indptr, indices, values }
+        x
     }
 
     /// Rebuilds the matrix with the given rows replaced — and, when
@@ -213,6 +250,57 @@ impl<S: CsrScalar> Csr<S> {
         }
     }
 
+    /// The rows `idx`, in that order (repeats allowed), copied span by
+    /// span.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub fn select_rows(&self, idx: &[usize]) -> Self {
+        assert!(idx.iter().all(|&i| i < self.rows), "select_rows: row index out of range");
+        let nnz = idx.iter().map(|&i| self.indptr[i + 1] - self.indptr[i]).sum();
+        let mut indptr = Vec::with_capacity(idx.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
+        for &i in idx {
+            let (s, e) = (self.indptr[i], self.indptr[i + 1]);
+            indices.extend_from_slice(&self.indices[s..e]);
+            values.extend_from_slice(&self.values[s..e]);
+            indptr.push(indices.len());
+        }
+        Self { rows: idx.len(), cols: self.cols, indptr, indices, values }
+    }
+
+    /// The transpose, by an O(nnz + rows + cols) counting sort. Row `j` of
+    /// the result lists the rows of `self` that have column `j`, in
+    /// ascending order.
+    ///
+    /// # Panics
+    /// Panics if `self` has more rows than a `u32` index can name.
+    pub fn transpose(&self) -> Self {
+        assert!(u32::try_from(self.rows).is_ok(), "transpose: {} rows overflow u32", self.rows);
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &j in &self.indices {
+            indptr[j as usize + 1] += 1;
+        }
+        for j in 0..self.cols {
+            indptr[j + 1] += indptr[j];
+        }
+        let mut next = indptr[..self.cols].to_vec();
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![S::ZERO; self.nnz()];
+        for i in 0..self.rows {
+            let (cols, vals) = self.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let slot = &mut next[j as usize];
+                indices[*slot] = i as u32;
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        Self { rows: self.cols, cols: self.rows, indptr, indices, values }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -278,13 +366,30 @@ impl<S: CsrScalar> Csr<S> {
     /// lets the APPR recursion ping-pong between two long-lived buffers
     /// instead of allocating a fresh matrix per step.
     pub fn spmm_into(&self, b: &Mat<S>, out: &mut Mat<S>) {
+        self.product_into(b, out, true);
+    }
+
+    /// Dense `self · B` written into `out` like [`Csr::spmm_into`], but
+    /// each output row adds its nonzeros' scaled `B` rows one at a time, in
+    /// column order, starting from zero: no 4-wide grouping.
+    ///
+    /// On `self = Xᵀ` from [`Csr::transpose`] this is `XᵀB` summed over
+    /// the samples (rows of `X`) in ascending order, which is the order of
+    /// `gcon_linalg::ops::t_matmul_into`'s zero-skip path. So the encoder's
+    /// first-layer weight gradient has the bits of the dense `t_matmul` on
+    /// bag-of-words input, where every sample block takes that path.
+    pub fn spmm_sequential_into(&self, b: &Mat<S>, out: &mut Mat<S>) {
+        self.product_into(b, out, false);
+    }
+
+    fn product_into(&self, b: &Mat<S>, out: &mut Mat<S>, grouped: bool) {
         assert_eq!(self.cols, b.rows(), "spmm: dimension mismatch");
         SPMM_OPS.fetch_add(1, Ordering::Relaxed);
         let d = b.cols();
         out.reset_to_zeros(self.rows, d);
         let work = self.nnz() * d;
         gcon_runtime::parallel_rows(out.as_mut_slice(), self.rows, d, work, |block, start, end| {
-            S::kernel_spmm_block(self, b, block, start, end);
+            S::kernel_spmm_block(self, b, block, start, end, grouped);
         });
     }
 
@@ -301,7 +406,8 @@ impl<S: CsrScalar> Csr<S> {
         }
     }
 
-    /// Converts to a dense matrix (small graphs / tests only).
+    /// Converts to a dense matrix: tests, and callers whose own input is
+    /// dense (the baselines' feature matrices).
     pub fn to_dense(&self) -> Mat<S> {
         let mut m = Mat::zeros(self.rows, self.cols);
         for i in 0..self.rows {
@@ -314,21 +420,29 @@ impl<S: CsrScalar> Csr<S> {
     }
 }
 
-/// The `spmm` kernel body. Four nonzeros of a CSR row are consumed per pass
-/// over the dense output row: one read-modify-write of `out` carries four
-/// scaled `B` rows (independent accumulators per column, so LLVM vectorizes
-/// across the feature dimension — at the dtype's full lane width — and the
-/// four products overlap). The 4-group structure depends only on the row's
-/// nonzero count — never on the thread partition, which splits whole rows —
-/// so results are byte-identical across `GCON_THREADS` values (and across
-/// dispatch tiers, which compile this same body).
+/// The `spmm` kernel body. When `grouped`, four nonzeros of a CSR row are
+/// consumed per pass over the dense output row: one read-modify-write of
+/// `out` carries four scaled `B` rows (independent accumulators per column,
+/// so LLVM vectorizes across the feature dimension — at the dtype's full
+/// lane width — and the four products overlap). Otherwise every nonzero
+/// takes the one-at-a-time tail loop. The 4-group structure depends only on
+/// the row's nonzero count — never on the thread partition, which splits
+/// whole rows — so results are byte-identical across `GCON_THREADS` values
+/// (and across dispatch tiers, which compile this same body).
 #[inline(always)]
-fn spmm_block_body<S: CsrScalar>(sp: &Csr<S>, b: &Mat<S>, out: &mut [S], start: usize, end: usize) {
+fn spmm_block_body<S: CsrScalar>(
+    sp: &Csr<S>,
+    b: &Mat<S>,
+    out: &mut [S],
+    start: usize,
+    end: usize,
+    grouped: bool,
+) {
     let d = b.cols();
     for i in start..end {
         let (cols, vals) = sp.row(i);
         let orow = &mut out[(i - start) * d..(i - start + 1) * d];
-        let main = cols.len() - cols.len() % 4;
+        let main = if grouped { cols.len() - cols.len() % 4 } else { 0 };
         for (cj, cv) in cols[..main].chunks_exact(4).zip(vals[..main].chunks_exact(4)) {
             let b0 = b.row(cj[0] as usize);
             let b1 = b.row(cj[1] as usize);
@@ -353,36 +467,64 @@ fn spmm_block_body<S: CsrScalar>(sp: &Csr<S>, b: &Mat<S>, out: &mut [S], start: 
 gcon_runtime::tier_dispatch! {
     /// f64 row-block stage of [`Csr::spmm_into`] — see [`spmm_block_body`].
     fn spmm_block_f64 / spmm_block_f64_avx2 / spmm_block_f64_impl(
-        sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize)
+        sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize, grouped: bool)
 }
 
 #[inline(always)]
-fn spmm_block_f64_impl(sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize) {
-    spmm_block_body(sp, b, out, start, end)
+fn spmm_block_f64_impl(
+    sp: &Csr<f64>,
+    b: &Mat<f64>,
+    out: &mut [f64],
+    start: usize,
+    end: usize,
+    grouped: bool,
+) {
+    spmm_block_body(sp, b, out, start, end, grouped)
 }
 
 gcon_runtime::tier_dispatch! {
     /// f32 row-block stage of [`Csr::spmm_into`] — see [`spmm_block_body`].
     fn spmm_block_f32 / spmm_block_f32_avx2 / spmm_block_f32_impl(
-        sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize)
+        sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize, grouped: bool)
 }
 
 #[inline(always)]
-fn spmm_block_f32_impl(sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize) {
-    spmm_block_body(sp, b, out, start, end)
+fn spmm_block_f32_impl(
+    sp: &Csr<f32>,
+    b: &Mat<f32>,
+    out: &mut [f32],
+    start: usize,
+    end: usize,
+    grouped: bool,
+) {
+    spmm_block_body(sp, b, out, start, end, grouped)
 }
 
 impl CsrScalar for f64 {
     #[inline]
-    fn kernel_spmm_block(sp: &Csr<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize) {
-        spmm_block_f64(sp, b, out, start, end)
+    fn kernel_spmm_block(
+        sp: &Csr<f64>,
+        b: &Mat<f64>,
+        out: &mut [f64],
+        start: usize,
+        end: usize,
+        grouped: bool,
+    ) {
+        spmm_block_f64(sp, b, out, start, end, grouped)
     }
 }
 
 impl CsrScalar for f32 {
     #[inline]
-    fn kernel_spmm_block(sp: &Csr<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize) {
-        spmm_block_f32(sp, b, out, start, end)
+    fn kernel_spmm_block(
+        sp: &Csr<f32>,
+        b: &Mat<f32>,
+        out: &mut [f32],
+        start: usize,
+        end: usize,
+        grouped: bool,
+    ) {
+        spmm_block_f32(sp, b, out, start, end, grouped)
     }
 }
 
@@ -538,6 +680,119 @@ mod tests {
         assert_eq!((narrow.rows(), narrow.cols(), narrow.nnz()), (4, 0, 0));
         let empty: Csr = Csr::from_dense(&Mat::zeros(0, 3));
         assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (0, 3, 0));
+    }
+
+    /// A 37 × 23 matrix, about 15 % nonzero, with an all-zero row 4 and
+    /// an all-zero column 9.
+    fn sparse_dense_pair(seed: u64) -> (Mat, Csr) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m: Mat = Mat::from_fn(37, 23, |i, j| {
+            if i != 4 && j != 9 && rng.gen::<f64>() < 0.15 {
+                rng.gen_range(-2.0..2.0)
+            } else {
+                0.0
+            }
+        });
+        let sp = Csr::from_dense(&m);
+        (m, sp)
+    }
+
+    /// Rows pushed one at a time build the same matrix as the other
+    /// constructors; `push_dense_row` keeps the nonzeros as `from_dense`
+    /// does.
+    #[test]
+    fn push_row_builds_row_by_row() {
+        let mut m = Csr::new(3);
+        m.push_row([(0, 1.0), (2, 2.0)]);
+        m.push_row([]);
+        m.push_dense_row(&[3.0, 4.0, -0.0]);
+        assert_eq!(m, sample());
+        let (dense, sp) = sparse_dense_pair(17);
+        let mut rebuilt = Csr::new(dense.cols());
+        for i in 0..dense.rows() {
+            rebuilt.push_dense_row(dense.row(i));
+        }
+        assert_eq!(rebuilt, sp);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn push_row_rejects_a_repeated_column() {
+        Csr::new(3).push_row([(1, 1.0), (1, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn push_row_rejects_a_column_out_of_range() {
+        Csr::new(3).push_row([(3, 1.0)]);
+    }
+
+    /// `select_rows` with repeated, reversed and empty index lists equals
+    /// the CSR of the dense selection.
+    #[test]
+    fn select_rows_matches_the_dense_selection() {
+        let (m, sp) = sparse_dense_pair(18);
+        let reversed: Vec<usize> = (0..m.rows()).rev().collect();
+        for idx in [vec![], vec![4], vec![5, 5, 0, 4], reversed, vec![36, 2, 36, 36, 1]] {
+            assert_eq!(sp.select_rows(&idx), Csr::from_dense(&m.select_rows(&idx)), "{idx:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn select_rows_rejects_an_index_out_of_range() {
+        sample().select_rows(&[0, 3]);
+    }
+
+    /// `transpose` equals the CSR of the dense transpose (so each row lists
+    /// its columns in ascending order) and round-trips.
+    #[test]
+    fn transpose_round_trips() {
+        let (m, sp) = sparse_dense_pair(19);
+        let t = sp.transpose();
+        assert_eq!((t.rows(), t.cols(), t.nnz()), (23, 37, sp.nnz()));
+        assert_eq!(t, Csr::from_dense(&m.transpose()));
+        assert_eq!(t.transpose(), sp);
+        let empty: Csr = Csr::new(5);
+        assert_eq!(empty.transpose(), Csr::from_dense(&Mat::zeros(5, 0)));
+    }
+
+    /// `Xᵀ·δ` as `X.transpose().spmm_sequential_into(δ)` is bitwise
+    /// `t_matmul` on its zero-skip path, over more than `TM_IB` samples
+    /// with an all-zero row and a fully dense one; on bag-of-words rows,
+    /// where every sample block takes that path, it is bitwise `t_matmul`'s
+    /// default path too. Both products are large enough to run on the
+    /// pool. The grouped `spmm` sums in another order and differs.
+    #[test]
+    fn sequential_product_on_the_transpose_is_the_skip_path_t_matmul() {
+        use gcon_linalg::ops::{t_matmul_into_with, TmPath, TM_IB};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        let (n, d0, h) = (3 * TM_IB + 37, 90, 64);
+        let mixed: Mat = Mat::from_fn(n, d0, |i, _| match i {
+            5 => 0.0,
+            200 => rng.gen_range(-1.0..1.0),
+            _ if rng.gen::<f64>() < 0.04 => rng.gen_range(0.5..2.0),
+            _ => 0.0,
+        });
+        let words: Mat = Mat::from_fn(n, d0, |_, _| (rng.gen::<f64>() < 0.03) as u8 as f64);
+        let delta: Mat = Mat::uniform(n, h, 1.0, &mut rng);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (x, paths) in [(&mixed, &[TmPath::Skip][..]), (&words, &[TmPath::Skip, TmPath::Auto])] {
+            let xt = Csr::from_dense(x).transpose();
+            assert!(xt.nnz() * h > gcon_runtime::PAR_THRESHOLD);
+            let mut got = Mat::full(2, 3, f64::NAN);
+            xt.spmm_sequential_into(&delta, &mut got);
+            for &path in paths {
+                let mut want = Mat::default();
+                t_matmul_into_with(x, &delta, &mut want, path);
+                assert_eq!(bits(&got), bits(&want), "{path:?}");
+            }
+            assert_ne!(bits(&xt.spmm(&delta)), bits(&got), "grouped order");
+        }
     }
 
     #[test]

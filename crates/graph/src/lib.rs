@@ -35,7 +35,8 @@
 //! `GCON_THREADS` *and* across tiers within one dtype, and differ from a
 //! strictly sequential reduction only by reassociation (≤ 1e-9 relative vs
 //! the naive reference, pinned by `tests/kernel_properties.rs` at every
-//! available tier).
+//! available tier). `Csr::spmm_sequential_into` runs the same body without
+//! the grouping: each output row is that strictly sequential reduction.
 
 pub mod csr;
 pub mod delta;

@@ -98,8 +98,21 @@ impl Linear {
     /// (it is a full `n × d_in` GEMM that would be discarded).
     pub fn backward_weights_into(&self, x: &Mat, dy: &Mat, grads: &mut LinearGrads) {
         assert_eq!(x.rows(), dy.rows(), "backward: batch mismatch");
+        self.backward_weights_with(dy, grads, |dy, dw| ops::t_matmul_into(x, dy, dw));
+    }
+
+    /// [`Linear::backward_weights_into`] with `∂L/∂W = Xᵀ·δ` written by
+    /// `xt_product(δ, dW)` (reshaping `dW`), for a caller that holds the
+    /// input `X` in another form (a sparse `Xᵀ`).
+    pub fn backward_weights_with(
+        &self,
+        dy: &Mat,
+        grads: &mut LinearGrads,
+        xt_product: impl FnOnce(&Mat, &mut Mat),
+    ) {
         assert_eq!(dy.cols(), self.d_out(), "backward: output dim mismatch");
-        ops::t_matmul_into(x, dy, &mut grads.dw);
+        xt_product(dy, &mut grads.dw);
+        assert_eq!(grads.dw.shape(), self.w.shape(), "backward: weight gradient shape mismatch");
         gcon_linalg::reduce::col_sums_into(dy, &mut grads.db);
     }
 

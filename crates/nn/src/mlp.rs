@@ -15,13 +15,15 @@ use rand::Rng;
 /// Reusable buffers for one network's forward/backward sweep.
 ///
 /// A training loop owns one workspace per network and threads it through
-/// [`Mlp::forward_cached_ws`] / [`Mlp::backward_ws`]; after the first epoch
+/// [`Mlp::forward_cached_ws`] / [`Mlp::backward_ws`] (or the `_with` pair
+/// for an input the caller multiplies itself); after the first epoch
 /// every buffer has reached its steady-state capacity and no per-iteration
 /// matrix allocation happens. A fresh (empty) workspace is valid for any
 /// network — buffers are shaped on first use.
 #[derive(Clone, Debug, Default)]
 pub struct MlpWorkspace {
-    /// Post-activation cache `[x, a₁, …, a_L]`.
+    /// Post-activation cache `[x, a₁, …, a_L]` (`x` empty after
+    /// [`Mlp::forward_cached_ws_with`]).
     cache: Vec<Mat>,
     /// Upstream-gradient ping-pong pair for the backward sweep.
     delta: Mat,
@@ -169,21 +171,23 @@ impl Mlp {
     /// Forward pass with caches written into `ws` (buffer-reusing twin of
     /// [`Mlp::forward_cached`]); the output is `ws.output()`.
     pub fn forward_cached_ws(&self, x: &Mat, ws: &mut MlpWorkspace) {
-        self.forward_cached_ws_with(x, ws, |w0, out| ops::matmul_into(x, w0, out));
+        self.forward_cached_ws_with(ws, |w0, out| ops::matmul_into(x, w0, out));
+        ws.cache[0].copy_from(x);
     }
 
-    /// [`Mlp::forward_cached_ws`] with the first layer's product `X·W₀`
-    /// written by `first_product(W₀, out)` (reshaping `out`), so a sparse
-    /// input can take a sparse product. `x` is still cached as given: the
-    /// backward pass reads it for the layer-0 weight gradient.
+    /// [`Mlp::forward_cached_ws`] for an input the caller keeps: the first
+    /// layer's product `X·W₀` is written by `first_product(W₀, out)`
+    /// (reshaping `out`), so a sparse input can take a sparse product. `X`
+    /// is not cached, so the backward pass is
+    /// [`Mlp::backward_ws_weights_only_with`], whose caller forms the
+    /// layer-0 weight gradient from its own copy.
     pub fn forward_cached_ws_with(
         &self,
-        x: &Mat,
         ws: &mut MlpWorkspace,
         first_product: impl FnOnce(&Mat, &mut Mat),
     ) {
         ws.cache.resize_with(self.layers.len() + 1, || Mat::zeros(0, 0));
-        ws.cache[0].copy_from(x);
+        ws.cache[0].reset_to_zeros(0, 0);
         first_product(&self.layers[0].w, &mut ws.cache[1]);
         self.layers[0].add_bias(&mut ws.cache[1]);
         self.activation_at(0).apply(&mut ws.cache[1]);
@@ -198,7 +202,9 @@ impl Mlp {
     /// [`Mlp::backward`]. Per-layer gradients land in `ws.grads()` and the
     /// input gradient in `ws.input_grad()`.
     pub fn backward_ws(&self, ws: &mut MlpWorkspace, dout: &Mat) {
-        self.backward_ws_impl(ws, dout, true);
+        self.backward_to_first_layer(ws, dout);
+        self.layers[0].backward_into(&ws.cache[0], &ws.delta, &mut ws.delta_next, &mut ws.grads[0]);
+        std::mem::swap(&mut ws.delta, &mut ws.delta_next);
     }
 
     /// [`Mlp::backward_ws`] without the layer-0 input-gradient product.
@@ -208,10 +214,28 @@ impl Mlp {
     /// `n × d_in` GEMM per step — the weights-only form skips it.
     /// `ws.input_grad()` is NOT meaningful after this call.
     pub fn backward_ws_weights_only(&self, ws: &mut MlpWorkspace, dout: &Mat) {
-        self.backward_ws_impl(ws, dout, false);
+        self.backward_to_first_layer(ws, dout);
+        self.layers[0].backward_weights_into(&ws.cache[0], &ws.delta, &mut ws.grads[0]);
     }
 
-    fn backward_ws_impl(&self, ws: &mut MlpWorkspace, dout: &Mat, need_input_grad: bool) {
+    /// [`Mlp::backward_ws_weights_only`] after
+    /// [`Mlp::forward_cached_ws_with`]: `first_grad(δ, dW₀)` writes the
+    /// layer-0 weight gradient `Xᵀ·δ` (reshaping `dW₀`) from the caller's
+    /// copy of the input.
+    pub fn backward_ws_weights_only_with(
+        &self,
+        ws: &mut MlpWorkspace,
+        dout: &Mat,
+        first_grad: impl FnOnce(&Mat, &mut Mat),
+    ) {
+        self.backward_to_first_layer(ws, dout);
+        self.layers[0].backward_weights_with(&ws.delta, &mut ws.grads[0], first_grad);
+    }
+
+    /// Backpropagates `dout` through layers `L−1, …, 1` (their gradients
+    /// land in `ws.grads`) and through layer 0's activation, leaving
+    /// `∂L/∂(X·W₀ + b₀)` in `ws.delta`.
+    fn backward_to_first_layer(&self, ws: &mut MlpWorkspace, dout: &Mat) {
         assert_eq!(
             ws.cache.len(),
             self.layers.len() + 1,
@@ -221,20 +245,17 @@ impl Mlp {
         // workspace can be reused across networks of different depth).
         ws.grads.resize_with(self.layers.len(), || LinearGrads::zeros(0, 0));
         ws.delta.copy_from(dout);
-        for l in (0..self.layers.len()).rev() {
+        for l in (1..self.layers.len()).rev() {
             self.activation_at(l).backprop_inplace(&ws.cache[l + 1], &mut ws.delta);
-            if l == 0 && !need_input_grad {
-                self.layers[0].backward_weights_into(&ws.cache[0], &ws.delta, &mut ws.grads[0]);
-            } else {
-                self.layers[l].backward_into(
-                    &ws.cache[l],
-                    &ws.delta,
-                    &mut ws.delta_next,
-                    &mut ws.grads[l],
-                );
-                std::mem::swap(&mut ws.delta, &mut ws.delta_next);
-            }
+            self.layers[l].backward_into(
+                &ws.cache[l],
+                &ws.delta,
+                &mut ws.delta_next,
+                &mut ws.grads[l],
+            );
+            std::mem::swap(&mut ws.delta, &mut ws.delta_next);
         }
+        self.activation_at(0).backprop_inplace(&ws.cache[1], &mut ws.delta);
     }
 
     /// Backward pass from the gradient w.r.t. the network *output*
@@ -504,6 +525,18 @@ mod tests {
             assert_eq!(ws.grads().len(), net.depth());
             assert_eq!(ws.input_grad().as_slice(), dx.as_slice());
             for (a, b) in ws.grads().iter().zip(&grads) {
+                assert_eq!(a.dw.as_slice(), b.dw.as_slice());
+                assert_eq!(a.db, b.db);
+            }
+            // The `_with` pair, with the caller supplying the dense first-layer
+            // products, gives the same output and weight gradients.
+            let mut ws_with = MlpWorkspace::new();
+            net.forward_cached_ws_with(&mut ws_with, |w0, out| ops::matmul_into(&x, w0, out));
+            assert_eq!(ws_with.output().as_slice(), cache.last().unwrap().as_slice());
+            net.backward_ws_weights_only_with(&mut ws_with, &dout, |d, dw| {
+                ops::t_matmul_into(&x, d, dw)
+            });
+            for (a, b) in ws_with.grads().iter().zip(&grads) {
                 assert_eq!(a.dw.as_slice(), b.dw.as_slice());
                 assert_eq!(a.db, b.db);
             }

@@ -36,8 +36,7 @@
 
 use crate::combine::{CombineError, Combiner, Pass};
 use crate::dynamic::{DeltaOutcome, DynamicServingModel};
-use gcon_graph::CsrDelta;
-use gcon_linalg::Mat;
+use gcon_graph::{Csr, CsrDelta};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -96,7 +95,7 @@ pub struct CoalesceStats {
 /// pass fills.
 struct Edit {
     delta: CsrDelta,
-    feats: Option<Mat>,
+    feats: Option<Csr>,
     outcome: Option<DeltaOutcome>,
 }
 
@@ -104,7 +103,7 @@ struct Edit {
 struct DeltaPass<'m> {
     model: &'m DynamicServingModel,
     /// The pass's onboard feature blocks, FIFO (reused across passes).
-    blocks: Vec<Mat>,
+    blocks: Vec<Csr>,
     cancelled: Arc<AtomicU64>,
 }
 
@@ -183,10 +182,10 @@ impl<'m> DeltaCoalescer<'m> {
     pub fn try_submit(
         &self,
         delta: CsrDelta,
-        onboard_features: Option<Mat>,
+        onboard_features: Option<Csr>,
     ) -> Result<DeltaOutcome, CombineError> {
         let num_new = delta.num_new_nodes();
-        let provided = onboard_features.as_ref().map_or(0, Mat::rows);
+        let provided = onboard_features.as_ref().map_or(0, Csr::rows);
         assert_eq!(
             provided, num_new,
             "DeltaCoalescer::submit: delta onboards {num_new} nodes but {provided} feature rows \
@@ -201,25 +200,26 @@ impl<'m> DeltaCoalescer<'m> {
     ///
     /// # Panics
     /// Panics on a feature row count mismatch, or if the pass panicked.
-    pub fn submit(&self, delta: CsrDelta, onboard_features: Option<Mat>) -> DeltaOutcome {
+    pub fn submit(&self, delta: CsrDelta, onboard_features: Option<Csr>) -> DeltaOutcome {
         self.try_submit(delta, onboard_features).unwrap_or_else(|e| panic!("DeltaCoalescer: {e}"))
     }
 }
 
 /// Vertically stacks a pass's onboard feature blocks in FIFO order — the
 /// order `CsrDelta::merge` concatenated the onboard counts in.
-fn vstack(blocks: &[Mat]) -> Option<Mat> {
-    let total: usize = blocks.iter().map(Mat::rows).sum();
+fn vstack(blocks: &[Csr]) -> Option<Csr> {
+    let total: usize = blocks.iter().map(Csr::rows).sum();
     if total == 0 {
         return None;
     }
     let d = blocks.iter().find(|b| b.rows() > 0).expect("total > 0").cols();
-    let mut out = Mat::zeros(total, d);
-    let mut at = 0;
+    let mut out = Csr::new(d);
     for b in blocks.iter().filter(|b| b.rows() > 0) {
         assert_eq!(b.cols(), d, "DeltaCoalescer: ragged onboard feature widths in one pass");
-        out.as_mut_slice()[at * d..(at + b.rows()) * d].copy_from_slice(b.as_slice());
-        at += b.rows();
+        for i in 0..b.rows() {
+            let (cols, vals) = b.row(i);
+            out.push_row(cols.iter().copied().zip(vals.iter().copied()));
+        }
     }
     Some(out)
 }
@@ -230,6 +230,7 @@ mod tests {
     use crate::model::{ServingMode, StoreDtype};
     use crate::testutil::tiny_trained;
     use gcon_graph::Graph;
+    use gcon_linalg::Mat;
 
     fn fresh() -> (DynamicServingModel, Graph) {
         let (model, graph, x) = tiny_trained();
@@ -260,20 +261,21 @@ mod tests {
     }
 
     /// One raw onboard feature row per seed.
-    fn feature_row(seed: usize) -> Mat {
+    fn feature_row(seed: usize) -> Csr {
         let d0 = tiny_trained().2.cols();
-        Mat::from_fn(1, d0, |_, j| (((seed * 31 + j * 7) % 23) as f64 / 23.0) - 0.4)
+        let row = Mat::from_fn(1, d0, |_, j| (((seed * 31 + j * 7) % 23) as f64 / 23.0) - 0.4);
+        Csr::from_dense(&row)
     }
 
     /// Holds the coalescer, submits `edits` one at a time in this order,
     /// releases, and returns every submitter's result in submission order.
     fn held_burst(
         c: &DeltaCoalescer<'_>,
-        edits: Vec<(CsrDelta, Option<Mat>)>,
+        edits: Vec<(CsrDelta, Option<Csr>)>,
     ) -> Vec<Result<DeltaOutcome, CombineError>> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = c.combiner.held(|_| {
-                let spawn = |(i, (delta, feats)): (usize, (CsrDelta, Option<Mat>))| {
+                let spawn = |(i, (delta, feats)): (usize, (CsrDelta, Option<Csr>))| {
                     let handle = scope.spawn(move || c.try_submit(delta, feats));
                     c.combiner.wait_queued(i + 1);
                     handle
@@ -391,7 +393,7 @@ mod tests {
         d1.add_nodes(1).insert_edge(n0, 3);
         let mut d2 = CsrDelta::new();
         d2.add_nodes(1).insert_edge(n0 + 1, 4);
-        let wide = Mat::zeros(1, feature_row(0).cols() + 1);
+        let wide = Csr::from_dense(&Mat::zeros(1, feature_row(0).cols() + 1));
         let failed = held_burst(&coalescer, vec![(d1, Some(feature_row(1))), (d2, Some(wide))]);
         for outcome in failed {
             let error = outcome.expect_err("the pass panicked");

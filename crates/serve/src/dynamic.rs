@@ -170,7 +170,7 @@ impl DynamicServingModel {
     /// Builds generation 0 in the process-wide default dtype
     /// ([`StoreDtype::from_env`]). Takes the graph by value — the dynamic
     /// model owns and mutates it from here on.
-    pub fn build(model: &TrainedGcon, graph: Graph, features: &Mat, mode: ServingMode) -> Self {
+    pub fn build(model: &TrainedGcon, graph: Graph, features: &Csr, mode: ServingMode) -> Self {
         Self::build_with_dtype(model, graph, features, mode, StoreDtype::from_env())
     }
 
@@ -184,7 +184,7 @@ impl DynamicServingModel {
     pub fn build_with_dtype(
         model: &TrainedGcon,
         graph: Graph,
-        features: &Mat,
+        features: &Csr,
         mode: ServingMode,
         dtype: StoreDtype,
     ) -> Self {
@@ -280,7 +280,7 @@ impl DynamicServingModel {
     /// is bitwise unchanged, so the returned outcome carries the *current*
     /// generation and zero work counters instead of burning a generation on
     /// a no-op.
-    pub fn apply_delta(&self, delta: &CsrDelta, onboard_features: Option<&Mat>) -> DeltaOutcome {
+    pub fn apply_delta(&self, delta: &CsrDelta, onboard_features: Option<&Csr>) -> DeltaOutcome {
         let mut state = self.state.lock().expect("refresh state poisoned");
         let result = {
             let RefreshState { graph, a_tilde, .. } = &mut *state;
@@ -288,7 +288,7 @@ impl DynamicServingModel {
         };
         let onboarded = result.onboarded.clone();
         let num_new = (onboarded.end - onboarded.start) as usize;
-        let provided = onboard_features.map_or(0, Mat::rows);
+        let provided = onboard_features.map_or(0, Csr::rows);
         assert_eq!(
             provided, num_new,
             "apply_delta: delta onboards {num_new} nodes but {provided} feature rows were given"
@@ -382,10 +382,12 @@ impl DynamicServingModel {
         let d1 = state.x_enc.cols();
         let n = state.x_enc.rows();
         let d0 = queries.first().map_or(0, |q| q.features.len());
-        let mut raw = Mat::zeros(queries.len(), d0);
-        for (r, q) in queries.iter().enumerate() {
+        // Query rows arrive dense (the wire format); the encoder reads their
+        // nonzero entries.
+        let mut raw = Csr::new(d0);
+        for q in queries {
             assert_eq!(q.features.len(), d0, "onboard_logits: ragged feature rows");
-            raw.row_mut(r).copy_from_slice(&q.features);
+            raw.push_dense_row(&q.features);
         }
         let mut xq = self.model.encoder.encode(&raw);
         xq.normalize_rows_l2();
@@ -700,7 +702,7 @@ mod tests {
         let mut delta = CsrDelta::new();
         delta.add_nodes(2);
         delta.insert_edge(n0 as u32, 0).insert_edge(n0 as u32 + 1, n0 as u32);
-        let new_feats = Mat::from_fn(2, d0, |r, c| onboard_row(r + 1, d0)[c]);
+        let new_feats = Csr::from_dense(&Mat::from_fn(2, d0, |r, c| onboard_row(r + 1, d0)[c]));
         let outcome = dynamic.apply_delta(&delta, Some(&new_feats));
         assert_eq!(outcome.onboarded, n0 as u32..n0 as u32 + 2);
         let snap = dynamic.snapshot();
@@ -713,12 +715,10 @@ mod tests {
         d2.add_nodes(2);
         d2.insert_edge(n0 as u32, 0).insert_edge(n0 as u32 + 1, n0 as u32);
         let _ = d2.apply(&mut g2, &a0, model.config.clip_p);
-        let mut x2 = Mat::zeros(n0 + 2, d0);
-        x2.as_mut_slice()[..n0 * d0].copy_from_slice(x.as_slice());
+        let mut x2 = x.clone();
         for r in 0..2 {
-            for c in 0..d0 {
-                x2.set(n0 + r, c, new_feats.get(r, c));
-            }
+            let (cols, vals) = new_feats.row(r);
+            x2.push_row(cols.iter().copied().zip(vals.iter().copied()));
         }
         let rebuilt =
             ServingModel::build_with_dtype(model, &g2, &x2, ServingMode::Public, StoreDtype::F64);
@@ -769,7 +769,7 @@ mod tests {
         // than the pooled kernel, so compare to tolerance, not bitwise.
         let node = 5u32;
         let query = OnboardQuery {
-            features: x.row(node as usize).to_vec(),
+            features: x.to_dense().row(node as usize).to_vec(),
             neighbors: graph.neighbors(node).to_vec(),
         };
         let got = dynamic.onboard_logits(&[query]);

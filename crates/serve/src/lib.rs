@@ -89,6 +89,7 @@
 //! #                       degree_exponent: 2.5 };
 //! # let (graph, labels) = sbm_homophily(&cfg, &mut rng);
 //! # let features = Mat::from_fn(30, 6, |i, j| if j % 2 == labels[i] { 1.0 } else { 0.0 });
+//! # let features = gcon_graph::Csr::from_dense(&features);
 //! # let train_idx: Vec<usize> = (0..30).collect();
 //! # let mut config = GconConfig::default();
 //! # config.encoder.epochs = 5;
@@ -138,14 +139,14 @@ pub(crate) mod testutil {
     use gcon_core::train::train_gcon;
     use gcon_core::{GconConfig, PropagationStep, TrainedGcon};
     use gcon_graph::generators::{sbm_homophily, SbmConfig};
-    use gcon_graph::Graph;
+    use gcon_graph::{Csr, Graph};
     use gcon_linalg::Mat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::OnceLock;
 
-    pub(crate) fn tiny_trained() -> &'static (TrainedGcon, Graph, Mat) {
-        static MODEL: OnceLock<(TrainedGcon, Graph, Mat)> = OnceLock::new();
+    pub(crate) fn tiny_trained() -> &'static (TrainedGcon, Graph, Csr) {
+        static MODEL: OnceLock<(TrainedGcon, Graph, Csr)> = OnceLock::new();
         MODEL.get_or_init(|| {
             let mut rng = StdRng::seed_from_u64(1234);
             let cfg = SbmConfig {
@@ -156,10 +157,10 @@ pub(crate) mod testutil {
                 degree_exponent: 2.5,
             };
             let (graph, labels) = sbm_homophily(&cfg, &mut rng);
-            let x = Mat::from_fn(48, 9, |i, j| {
+            let x = Csr::from_dense(&Mat::from_fn(48, 9, |i, j| {
                 (if j % 3 == labels[i] { 1.2 } else { 0.0 })
                     + 0.3 * (((i * 11 + j * 5) % 13) as f64 / 13.0 - 0.5)
-            });
+            }));
             let train_idx: Vec<usize> = (0..48).collect();
             let config = GconConfig {
                 encoder: gcon_core::encoder::EncoderConfig {

@@ -2,7 +2,7 @@
 
 use gcon_core::infer::{private_features, public_features};
 use gcon_core::{serialize, TrainedGcon};
-use gcon_graph::Graph;
+use gcon_graph::{Csr, Graph};
 use gcon_linalg::{reduce, Dtype, Mat};
 use gcon_nn::HeadWorkspace;
 use std::sync::OnceLock;
@@ -183,7 +183,7 @@ impl ServingModel {
     /// point (the propagation itself always runs in `f64`; an f32 store is
     /// quantized from its result, once); every subsequent query is a
     /// dense-head forward.
-    pub fn build(model: &TrainedGcon, graph: &Graph, features: &Mat, mode: ServingMode) -> Self {
+    pub fn build(model: &TrainedGcon, graph: &Graph, features: &Csr, mode: ServingMode) -> Self {
         Self::build_with_dtype(model, graph, features, mode, StoreDtype::from_env())
     }
 
@@ -192,7 +192,7 @@ impl ServingModel {
     pub fn build_with_dtype(
         model: &TrainedGcon,
         graph: &Graph,
-        features: &Mat,
+        features: &Csr,
         mode: ServingMode,
         dtype: StoreDtype,
     ) -> Self {

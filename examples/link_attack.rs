@@ -30,6 +30,8 @@ fn main() {
     );
 
     let pairs = 400;
+    // The GCN and the influence attack's feature nudges work on dense rows.
+    let x = dataset.features.to_dense();
     let test_f1 = |pred: &[usize]| {
         let t: Vec<usize> = dataset.split.test.iter().map(|&i| pred[i]).collect();
         micro_f1(&t, &dataset.test_labels())
@@ -40,25 +42,20 @@ fn main() {
     let gcn = train_gcn(
         &GcnConfig::default(),
         &dataset.graph,
-        &dataset.features,
+        &x,
         &dataset.labels,
         &dataset.split.train,
         dataset.num_classes,
         &mut rng,
     );
     let a_hat = symmetric(&dataset.graph);
-    let gcn_logits = gcn.forward(&a_hat, &dataset.features);
+    let gcn_logits = gcn.forward(&a_hat, &x);
     let gcn_auc = posterior_similarity_attack_auc(&gcn_logits, &dataset.graph, pairs, &mut rng);
     // The LinkTeller-style influence attack treats the released model as a
     // black box: nudge u's features, watch v's logits. The non-private GCN's
     // forward pass routes influence along every private edge.
-    let gcn_infl = influence_attack_auc(
-        &dataset.features,
-        &dataset.graph,
-        |feat| gcn.forward(&a_hat, feat),
-        80,
-        &mut rng,
-    );
+    let gcn_infl =
+        influence_attack_auc(&x, &dataset.graph, |feat| gcn.forward(&a_hat, feat), 80, &mut rng);
     let gcn_pred = gcon::linalg::reduce::row_argmax(&gcn_logits);
     println!("\n{:<22} {:>9} {:>12} {:>14}", "model", "micro-F1", "posterior AUC", "influence AUC");
     println!(
@@ -91,10 +88,10 @@ fn main() {
         // Influence through Θ_priv alone (no graph at inference): the DP
         // guarantee says this path must leak (almost) nothing about edges.
         let infl = influence_attack_auc(
-            &dataset.features,
+            &x,
             &dataset.graph,
             |feat| {
-                let encoded = model.encoder.encode(feat);
+                let encoded = model.encoder.encode(&Csr::from_dense(feat));
                 let s = model.config.steps.len();
                 let zero_hop = gcon::linalg::ops::matmul(
                     &gcon::linalg::Mat::hcat_all(&vec![&encoded; s]),

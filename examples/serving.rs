@@ -188,7 +188,7 @@ fn main() {
     // A node the store has never seen can still be answered immediately:
     // a batched one-hop gather over its own edges, no store mutation.
     let unseen = gcon::serve::OnboardQuery {
-        features: dataset.features.row(7).to_vec(),
+        features: dataset.features.to_dense().row(7).to_vec(),
         neighbors: dataset.graph.neighbors(7).to_vec(),
     };
     let logits = dynamic.onboard_logits(&[unseen]);

@@ -44,6 +44,8 @@ fn main() {
             0.0
         }
     });
+    // Datasets keep features sparse; dense data enters through `from_dense`.
+    let features = Csr::from_dense(&features);
     // Proportional split as in the paper's Actor setup (Appendix P).
     let split = gcon::datasets::splits::proportional_split(1200, 0.3, 0.2, &mut rng);
     let dataset =

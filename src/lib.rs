@@ -13,7 +13,9 @@
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
-//! // A small homophilous node-classification dataset.
+//! // A small homophilous node-classification dataset. Its features are a
+//! // sparse `Csr` (bag-of-words rows); dense data enters through
+//! // `Csr::from_dense`.
 //! let dataset = gcon::datasets::two_moons_graph(0);
 //! let mut rng = StdRng::seed_from_u64(0);
 //!
@@ -108,7 +110,7 @@ pub mod prelude {
     pub use gcon_core::{GconConfig, LossKind, PprSolver, PropagationStep, TrainedGcon};
     pub use gcon_datasets::metrics::micro_f1;
     pub use gcon_datasets::Dataset;
-    pub use gcon_graph::Graph;
+    pub use gcon_graph::{Csr, Graph};
     pub use gcon_linalg::Mat;
     pub use gcon_serve::{BatchConfig, BatchQueue, ServingMode, ServingModel, StoreDtype};
 }

@@ -13,8 +13,7 @@
 use gcon::core::infer::private_logits;
 use gcon::core::train::train_gcon;
 use gcon::core::{GconConfig, TrainedGcon};
-use gcon::graph::Graph;
-use gcon::linalg::Mat;
+use gcon::graph::{Csr, Graph};
 use gcon::serve::{Coordinator, FleetConfig, FleetError, ServingMode, ServingModel, StoreDtype};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,8 +23,8 @@ use std::sync::OnceLock;
 
 /// Train once per test binary; both store dtypes are built from the same
 /// trained model so every matrix leg shares one ground truth.
-fn fixture() -> &'static (TrainedGcon, Graph, Mat, ServingModel, ServingModel) {
-    static FIXTURE: OnceLock<(TrainedGcon, Graph, Mat, ServingModel, ServingModel)> =
+fn fixture() -> &'static (TrainedGcon, Graph, Csr, ServingModel, ServingModel) {
+    static FIXTURE: OnceLock<(TrainedGcon, Graph, Csr, ServingModel, ServingModel)> =
         OnceLock::new();
     FIXTURE.get_or_init(|| {
         let dataset = gcon::datasets::two_moons_graph(7);

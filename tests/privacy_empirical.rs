@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 #[test]
 fn lemma2_bound_on_cora_like_graph() {
     let dataset = gcon::datasets::cora_ml(0.08, 23);
-    let mut x = dataset.features.clone();
+    let mut x = dataset.features.to_dense();
     x.normalize_rows_l2();
     let steps = [PropagationStep::Finite(2), PropagationStep::Infinite];
     let alpha = 0.4;
@@ -41,7 +41,7 @@ fn lemma2_bound_on_cora_like_graph() {
 #[test]
 fn feature_rows_stay_unit_bounded_through_pipeline() {
     let dataset = gcon::datasets::citeseer(0.08, 25);
-    let mut x = dataset.features.clone();
+    let mut x = dataset.features.to_dense();
     x.normalize_rows_l2();
     let a = row_stochastic_default(&dataset.graph);
     for steps in [

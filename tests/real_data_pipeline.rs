@@ -184,13 +184,13 @@ fn text_loader_matches_direct_construction() {
     let a2 = gcon::graph::normalize::row_stochastic_default(&direct);
     let z1 = gcon::core::propagation::propagate(
         &a1,
-        &dataset.features,
+        &dataset.features.to_dense(),
         0.5,
         gcon::core::PropagationStep::Finite(3),
     );
     let z2 = gcon::core::propagation::propagate(
         &a2,
-        &dataset.features,
+        &dataset.features.to_dense(),
         0.5,
         gcon::core::PropagationStep::Finite(3),
     );

@@ -27,6 +27,7 @@ fn model_bytes() -> &'static [u8] {
         let mut rng = StdRng::seed_from_u64(11);
         let graph = gcon::graph::generators::erdos_renyi_gnm(24, 48, &mut rng);
         let x = Mat::from_fn(24, 6, |i, j| ((i * 7 + j * 5) % 13) as f64 / 13.0 - 0.4);
+        let x = gcon::graph::Csr::from_dense(&x);
         let labels: Vec<usize> = (0..24).map(|i| i % 2).collect();
         let train_idx: Vec<usize> = (0..24).step_by(2).collect();
         let mut config = GconConfig::default();

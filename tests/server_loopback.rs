@@ -20,8 +20,7 @@
 use gcon::core::infer::private_logits;
 use gcon::core::train::train_gcon;
 use gcon::core::{GconConfig, TrainedGcon};
-use gcon::graph::Graph;
-use gcon::linalg::Mat;
+use gcon::graph::{Csr, Graph};
 use gcon::serve::wire::{
     read_frame, write_frame, ErrorCode, Request, Response, WireError, DEFAULT_MAX_FRAME,
     PROTO_VERSION,
@@ -39,8 +38,8 @@ use std::time::Duration;
 /// graph, features, and persisted (private-mode, f64) store file. The
 /// store dtype is pinned to f64 so the bitwise-vs-`infer` assertions hold
 /// under any ambient `GCON_STORE_DTYPE`.
-fn fixture() -> &'static (TrainedGcon, Graph, Mat, std::path::PathBuf) {
-    static FIXTURE: OnceLock<(TrainedGcon, Graph, Mat, std::path::PathBuf)> = OnceLock::new();
+fn fixture() -> &'static (TrainedGcon, Graph, Csr, std::path::PathBuf) {
+    static FIXTURE: OnceLock<(TrainedGcon, Graph, Csr, std::path::PathBuf)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let dataset = gcon::datasets::two_moons_graph(7);
         let mut rng = StdRng::seed_from_u64(3);

@@ -34,8 +34,8 @@ use gcon::core::train::train_gcon;
 use gcon::core::{GconConfig, PropagationStep, TrainedGcon};
 use gcon::core::{InfRefreshKind, PprSolver};
 use gcon::graph::generators::{sbm_homophily, SbmConfig};
-use gcon::graph::CsrDelta;
 use gcon::graph::Graph;
+use gcon::graph::{Csr, CsrDelta};
 use gcon::linalg::Mat;
 use gcon::serve::{
     BatchConfig, BatchQueue, DynamicServingModel, ServingMode, ServingModel, StoreDtype,
@@ -48,8 +48,8 @@ use std::sync::OnceLock;
 
 /// One deterministic trained model per test process (kernels are bitwise
 /// reproducible across threads/tiers, so every process trains the same one).
-fn trained() -> &'static (TrainedGcon, Graph, Mat) {
-    static MODEL: OnceLock<(TrainedGcon, Graph, Mat)> = OnceLock::new();
+fn trained() -> &'static (TrainedGcon, Graph, Csr) {
+    static MODEL: OnceLock<(TrainedGcon, Graph, Csr)> = OnceLock::new();
     MODEL.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(2024);
         let cfg = SbmConfig {
@@ -60,10 +60,10 @@ fn trained() -> &'static (TrainedGcon, Graph, Mat) {
             degree_exponent: 2.5,
         };
         let (graph, labels) = sbm_homophily(&cfg, &mut rng);
-        let x = Mat::from_fn(60, 10, |i, j| {
+        let x = Csr::from_dense(&Mat::from_fn(60, 10, |i, j| {
             (if j % 3 == labels[i] { 1.4 } else { 0.0 })
                 + 0.35 * (((i * 17 + j * 3) % 19) as f64 / 19.0 - 0.5)
-        });
+        }));
         let train_idx: Vec<usize> = (0..60).step_by(2).collect();
         let config = GconConfig {
             encoder: gcon::core::encoder::EncoderConfig {
@@ -285,7 +285,7 @@ fn serving_fingerprint() -> Vec<u8> {
             }
             let n0 = graph.num_nodes() as u32;
             delta.add_nodes(1).insert_edge(n0, 7);
-            let feats = Mat::from_fn(1, x.cols(), |_, j| 0.3 + 0.1 * j as f64);
+            let feats = Csr::from_dense(&Mat::from_fn(1, x.cols(), |_, j| 0.3 + 0.1 * j as f64));
             let outcome = dynamic.apply_delta(&delta, Some(&feats));
             bytes.extend_from_slice(&outcome.generation.to_le_bytes());
             push(&mut bytes, &[outcome.staleness_bound]);

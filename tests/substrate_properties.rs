@@ -122,7 +122,7 @@ proptest! {
         let back = gcon::datasets::io::decode_dataset(&bytes).unwrap();
         prop_assert_eq!(back.labels, d.labels);
         prop_assert_eq!(back.graph.edges(), d.graph.edges());
-        prop_assert_eq!(back.features.as_slice(), d.features.as_slice());
+        prop_assert_eq!(&back.features, &d.features);
         prop_assert_eq!(back.split.test, d.split.test);
     }
 
