@@ -23,6 +23,13 @@
 //! two row kinds apart (`f64` rows compare scalar-vs-tiled, `f32` rows
 //! compare f64-vs-f32 tiled).
 //!
+//! A **fork-join section** records what the worker pool costs and buys at
+//! pool widths 1 and 2: an empty 8-chunk `Pool::run` (p50 and p99, back to
+//! back and after 200 µs and 1 ms idle), the encoder-sized `t_matmul` of
+//! `19717×16ᵀ · 19717×48` behind the Hessian blocks, and a 32,000-parameter
+//! `Adam::update` (the encoder's `W₀`). The width is latched per process, so
+//! the bench re-runs itself as a child per width.
+//!
 //! Results are printed per shape × tier and written machine-readably to
 //! `BENCH_linalg.json` at the workspace root (override with
 //! `GCON_BENCH_OUT`), stamped with the host they were measured on
@@ -36,6 +43,7 @@ use gcon_linalg::{ops, Mat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// One before/after comparison row of the JSON report.
 ///
@@ -164,11 +172,103 @@ fn sweep_tiers(
     });
 }
 
+/// The argument a fork-join child runs under; its pool width comes from
+/// `GCON_THREADS`, set by the parent.
+const FORK_JOIN_CHILD: &str = "--fork-join-child";
+
+/// p50 and p99 of `reps` timed calls of `f` in µs, each after `idle` of
+/// sleep (none for back-to-back calls).
+fn fork_join_percentiles(reps: usize, idle: Duration, mut f: impl FnMut()) -> (f64, f64) {
+    f();
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            if !idle.is_zero() {
+                std::thread::sleep(idle);
+            }
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64 / 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+    (at(0.5), at(0.99))
+}
+
+/// Child side: prints one JSON row per fork-join measurement at this
+/// process's pool width.
+fn fork_join_child(quick: bool) {
+    use gcon_nn::{Adam, Optimizer};
+    let width = gcon_runtime::configured_width();
+    let scale = if quick { 10 } else { 1 };
+    let row = |case: &str, idle_us: u64, (p50, p99): (f64, f64)| {
+        println!(
+            "{{\"width\": {width}, \"case\": \"{case}\", \"idle_us\": {idle_us}, \
+             \"p50_us\": {p50:.2}, \"p99_us\": {p99:.2}}}"
+        );
+    };
+    let pool = gcon_runtime::pool();
+    for (idle_us, reps) in [(0, 4000), (200, 1000), (1000, 400)] {
+        let idle = Duration::from_micros(idle_us);
+        row(
+            "empty_run_8_chunks",
+            idle_us,
+            fork_join_percentiles(reps / scale, idle, || {
+                pool.run(8, &|_| {});
+            }),
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(5);
+    let n = if quick { 2000 } else { 19717 };
+    let z: Mat = Mat::uniform(n, 16, 1.0, &mut rng);
+    let weighted: Mat = Mat::uniform(n, 48, 1.0, &mut rng);
+    let mut out = Mat::default();
+    let case = format!("t_matmul_{n}x16T_{n}x48");
+    row(
+        &case,
+        0,
+        fork_join_percentiles(200 / scale, Duration::ZERO, || {
+            ops::t_matmul_into(black_box(&z), black_box(&weighted), &mut out);
+        }),
+    );
+    let mut opt = Adam::new(0.01);
+    let mut param: Vec<f64> = (0..32_000).map(|i| (i as f64 * 0.37).sin()).collect();
+    let grad: Vec<f64> = (0..32_000).map(|i| (i as f64 * 0.11).cos()).collect();
+    row(
+        "adam_update_32000",
+        0,
+        fork_join_percentiles(2000 / scale, Duration::ZERO, || {
+            opt.begin_step();
+            opt.update(0, black_box(&mut param), black_box(&grad));
+        }),
+    );
+}
+
+/// Parent side: runs a child per pool width and collects its rows.
+fn fork_join_rows() -> Vec<String> {
+    let exe = std::env::current_exe().expect("current_exe");
+    let mut rows = Vec::new();
+    for width in [1, 2] {
+        let out = std::process::Command::new(&exe)
+            .arg(FORK_JOIN_CHILD)
+            .env("GCON_THREADS", width.to_string())
+            .output()
+            .expect("failed to run the fork-join child");
+        assert!(out.status.success(), "fork-join child at width {width} failed");
+        rows.extend(String::from_utf8_lossy(&out.stdout).lines().map(str::to_string));
+    }
+    rows
+}
+
 fn main() {
     // Quick mode only for a truthy setting: `GCON_BENCH_QUICK=0` (or empty)
     // must run the full sweep, since that regenerates the committed file.
     let quick =
         std::env::var("GCON_BENCH_QUICK").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
+    if std::env::args().any(|a| a == FORK_JOIN_CHILD) {
+        fork_join_child(quick);
+        return;
+    }
     let threads = gcon_runtime::configured_width();
     let tiers = gcon_runtime::available_tiers();
     // Full-sweep medians feed the committed trajectory file; 9 reps keeps
@@ -338,6 +438,8 @@ fn main() {
         );
     }
 
+    let fork_join = fork_join_rows();
+
     // Report.
     let tier_names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
     println!(
@@ -355,6 +457,11 @@ fn main() {
             r.ns_after,
             r.speedup()
         );
+    }
+
+    println!("fork-join cost and pooled passes (µs):");
+    for r in &fork_join {
+        println!("  {r}");
     }
 
     // Machine-readable trajectory file.
@@ -382,7 +489,9 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n  \"fork_join\": {\n    \"unit\": \"us\",\n    \"rows\": [\n");
+    json.push_str(&fork_join.iter().map(|r| format!("      {r}")).collect::<Vec<_>>().join(",\n"));
+    json.push_str("\n    ]\n  }\n}\n");
     let out_path = std::env::var("GCON_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_linalg.json", env!("CARGO_MANIFEST_DIR")));
     std::fs::write(&out_path, &json).expect("failed to write BENCH_linalg.json");

@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn encode_is_bitwise_independent_of_row_position() {
         let mut rng = StdRng::seed_from_u64(75);
-        let (n, d0) = (2000, 200);
+        let (n, d0) = (6000, 200);
         let x = Mat::from_fn(n, d0, |i, j| {
             if i % 50 == 7 {
                 rng.gen_range(-1.0..1.0)
@@ -271,10 +271,12 @@ mod tests {
         });
         assert!(x.row(3).iter().all(|&v| v == 0.0));
         let x = Csr::from_dense(&x);
-        let mut mixed = vec![3, 17, 17, 1999];
+        let mut mixed = vec![3, 17, 17, n - 1];
         mixed.extend((0..40).rev());
         for depth in 1..=3 {
             let enc = encoder_of_depth(depth, d0, &mut rng);
+            let work = x.nnz() * enc.net.layers[0].w.cols();
+            assert!(work >= gcon_linalg::PAR_THRESHOLD, "depth {depth}: product runs on the pool");
             let full = enc.encode(&x);
             for idx in [vec![3], vec![11], vec![1907, 7, 57, 57], mixed.clone()] {
                 let part = enc.encode(&x.select_rows(&idx));

@@ -12,7 +12,11 @@
 //! stationarity condition of Eq. (40) in the paper's analysis.
 
 use crate::loss::ConvexLoss;
-use gcon_linalg::{ops, Mat};
+use gcon_linalg::{ops, parallel_rows, parallel_zip, Mat};
+
+/// Cost of one loss term (`ℓ` and `ℓ′`, or `ℓ″`: an `exp` and a `ln_1p`,
+/// or a square root and a power) in multiply-adds of the dense kernels.
+const LOSS_TERM_OPS: usize = 128;
 
 /// The perturbed training objective, with everything fixed except `Θ`.
 pub struct PerturbedObjective<'a> {
@@ -48,17 +52,21 @@ impl<'a> PerturbedObjective<'a> {
     pub fn value_and_grad(&self, theta: &Mat) -> (f64, Mat) {
         let n1 = self.n1() as f64;
         let scores = ops::matmul(self.z, theta); // n₁ × c
-        let mut data_loss = 0.0;
+        let (all_s, all_y) = (scores.as_slice(), self.y.as_slice());
+        // ℓ and ℓ′/n₁ of every score on the pool, then the loss terms
+        // summed serially in row-major order.
         let mut dscores = Mat::zeros(scores.rows(), scores.cols());
-        for i in 0..scores.rows() {
-            let srow = scores.row(i);
-            let yrow = self.y.row(i);
-            let drow = dscores.row_mut(i);
-            for ((d, &s), &y) in drow.iter_mut().zip(srow).zip(yrow) {
-                data_loss += self.loss.value(s, y);
+        let mut terms = vec![0.0; all_s.len()];
+        let work = terms.len() * LOSS_TERM_OPS;
+        parallel_zip([dscores.as_mut_slice(), &mut terms], work, |[dc, tc], start| {
+            let range = start..start + dc.len();
+            let (s, y) = (&all_s[range.clone()], &all_y[range]);
+            for (((d, t), &s), &y) in dc.iter_mut().zip(tc).zip(s).zip(y) {
+                *t = self.loss.value(s, y);
                 *d = self.loss.d1(s, y) / n1;
             }
-        }
+        });
+        let data_loss = terms.iter().fold(0.0, |acc, &t| acc + t);
         // ∇ = Zᵀ·dscores + λ_total·Θ + B/n₁
         let mut grad = ops::t_matmul(self.z, &dscores);
         ops::add_scaled_assign(&mut grad, self.lambda_total, theta);
@@ -90,16 +98,19 @@ impl<'a> PerturbedObjective<'a> {
         let (d, c) = theta.shape();
         let scores = ops::matmul(self.z, theta); // n₁ × c
         let mut weighted = Mat::zeros(self.n1(), c * d);
-        for i in 0..self.n1() {
-            let zrow = self.z.row(i);
-            let (srow, yrow) = (scores.row(i), self.y.row(i));
-            for (j, wrow) in weighted.row_mut(i).chunks_exact_mut(d).enumerate() {
-                let w = self.loss.d2(srow[j], yrow[j]) / n1;
-                for (out, &zv) in wrow.iter_mut().zip(zrow) {
-                    *out = w * zv;
+        let work = self.n1() * c * (LOSS_TERM_OPS + d);
+        parallel_rows(weighted.as_mut_slice(), self.n1(), c * d, work, |block, start, _| {
+            for (i, wrows) in (start..).zip(block.chunks_exact_mut(c * d)) {
+                let zrow = self.z.row(i);
+                let (srow, yrow) = (scores.row(i), self.y.row(i));
+                for (j, wrow) in wrows.chunks_exact_mut(d).enumerate() {
+                    let w = self.loss.d2(srow[j], yrow[j]) / n1;
+                    for (out, &zv) in wrow.iter_mut().zip(zrow) {
+                        *out = w * zv;
+                    }
                 }
             }
-        }
+        });
         let all = ops::t_matmul(self.z, &weighted); // d × (c·d)
         (0..c)
             .map(|j| {
@@ -223,6 +234,74 @@ mod tests {
                 for (a, o) in block.as_slice().iter().zip(oracle.as_slice()) {
                     assert!((a - o / 9.0).abs() < 1e-12, "{kind:?} block {j}: {a} vs {}", o / 9.0);
                 }
+            }
+        }
+    }
+
+    /// `value_and_grad` and `hessian_blocks` with the loss terms computed
+    /// one element at a time in row-major order, as before they ran on the
+    /// pool.
+    fn serial_reference(obj: &PerturbedObjective, theta: &Mat) -> (f64, Mat, Vec<Mat>) {
+        let n1 = obj.n1() as f64;
+        let (d, c) = theta.shape();
+        let scores = ops::matmul(obj.z, theta);
+        let mut data_loss = 0.0;
+        let mut dscores = Mat::zeros(scores.rows(), scores.cols());
+        let mut weighted = Mat::zeros(obj.n1(), c * d);
+        for i in 0..obj.n1() {
+            for j in 0..c {
+                let (s, y) = (scores.get(i, j), obj.y.get(i, j));
+                data_loss += obj.loss.value(s, y);
+                dscores.set(i, j, obj.loss.d1(s, y) / n1);
+                let w = obj.loss.d2(s, y) / n1;
+                for a in 0..d {
+                    weighted.set(i, j * d + a, w * obj.z.get(i, a));
+                }
+            }
+        }
+        let mut grad = ops::t_matmul(obj.z, &dscores);
+        ops::add_scaled_assign(&mut grad, obj.lambda_total, theta);
+        ops::add_scaled_assign(&mut grad, 1.0 / n1, obj.b);
+        let value = data_loss / n1
+            + 0.5 * obj.lambda_total * theta.frobenius_norm_sq()
+            + ops::frobenius_inner(obj.b, theta) / n1;
+        let all = ops::t_matmul(obj.z, &weighted);
+        let blocks = (0..c)
+            .map(|j| {
+                let mut block = Mat::from_fn(d, d, |a, b| all.get(a, j * d + b));
+                for a in 0..d {
+                    block.add_at(a, a, obj.lambda_total);
+                }
+                block
+            })
+            .collect();
+        (value, grad, blocks)
+    }
+
+    /// With `n₁ · c` loss terms enough for the pool, the value, the
+    /// gradient and the Hessian blocks are bitwise the serial reference's,
+    /// for both losses.
+    #[test]
+    fn pooled_loss_terms_are_bitwise_the_serial_reference() {
+        let (n1, d, c) = (1001, 16, 3);
+        assert!(n1 * c * LOSS_TERM_OPS >= gcon_linalg::PAR_THRESHOLD, "loss terms run on the pool");
+        assert!(n1 * c * (LOSS_TERM_OPS + d) >= gcon_linalg::PAR_THRESHOLD, "Hessian rows too");
+        let mut rng = StdRng::seed_from_u64(70);
+        let mut z = Mat::uniform(n1, d, 1.0, &mut rng);
+        z.normalize_rows_l2();
+        let y = Mat::from_fn(n1, c, |i, j| (i % c == j) as u8 as f64);
+        let b = Mat::uniform(d, c, 0.5, &mut rng);
+        let theta = Mat::uniform(d, c, 3.0, &mut rng);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in [LossKind::MultiLabelSoftMargin, LossKind::PseudoHuber { delta: 0.3 }] {
+            let obj = PerturbedObjective::new(&z, &y, ConvexLoss::new(kind, c), 0.7, &b);
+            let (value, grad) = obj.value_and_grad(&theta);
+            let (want_value, want_grad, want_blocks) = serial_reference(&obj, &theta);
+            assert_eq!(value.to_bits(), want_value.to_bits(), "{kind:?} value");
+            assert_eq!(bits(&grad), bits(&want_grad), "{kind:?} gradient");
+            for (j, (got, want)) in obj.hessian_blocks(&theta).iter().zip(&want_blocks).enumerate()
+            {
+                assert_eq!(bits(got), bits(want), "{kind:?} block {j}");
             }
         }
     }

@@ -81,7 +81,15 @@ pub struct Csr<S: CsrScalar = f64> {
 impl<S: CsrScalar> Csr<S> {
     /// An empty `0 × cols` matrix, grown row by row with [`Csr::push_row`].
     pub fn new(cols: usize) -> Self {
-        Self { rows: 0, cols, indptr: vec![0], indices: Vec::new(), values: Vec::new() }
+        Self::with_capacity(cols, 0, 0)
+    }
+
+    /// [`Csr::new`] with room for `rows` rows of `nnz` entries in all.
+    pub fn with_capacity(cols: usize, rows: usize, nnz: usize) -> Self {
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        let (indices, values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        Self { rows: 0, cols, indptr, indices, values }
     }
 
     /// Appends a row given as `(column, value)` entries in strictly
@@ -609,7 +617,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(12);
-        let n = 300;
+        let n = 600;
         let mut entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         for row in entries.iter_mut() {
             for j in 0..n as u32 {
@@ -620,6 +628,7 @@ mod tests {
         }
         let sp = Csr::from_row_entries(n, n, entries);
         let b: Mat = Mat::uniform(n, 32, 1.0, &mut rng);
+        assert!(sp.nnz() * b.cols() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         let full = sp.spmm(&b);
         for i in 0..n {
             let (cols, vals) = sp.row(i);
@@ -771,7 +780,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(16);
-        let (n, d0, h) = (3 * TM_IB + 37, 90, 64);
+        let (n, d0, h) = (8 * TM_IB + 37, 180, 64);
         let mixed: Mat = Mat::from_fn(n, d0, |i, _| match i {
             5 => 0.0,
             200 => rng.gen_range(-1.0..1.0),

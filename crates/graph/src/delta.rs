@@ -18,9 +18,9 @@
 //!
 //! The patched matrix is **bitwise identical** to a from-scratch
 //! [`normalize::row_stochastic`] on the mutated graph (same clip `p`):
-//! untouched rows are byte copies, and touched rows replicate the rebuild's
-//! exact arithmetic — including accumulating the off-diagonal sum by `k`
-//! repeated additions, not a single multiply — so the downstream
+//! untouched rows are byte copies, and touched rows come from the rebuild's
+//! own row code — including its off-diagonal sum of `k` repeated
+//! additions, not a single multiply — so the downstream
 //! propagation refresh starts from the very matrix a cold rebuild would
 //! see. This equality is pinned per-application here and for random delta
 //! sequences by the `dynamic_properties` proptest suite.
@@ -230,32 +230,10 @@ impl CsrDelta {
 }
 
 /// Row `u` of the row-stochastic normalization with clip `p`, emitted
-/// column-sorted, replicating [`normalize::row_stochastic`]'s arithmetic
-/// exactly (see the module docs for why the off-diagonal sum is accumulated
-/// by repeated addition).
+/// column-sorted by the very code [`normalize::row_stochastic`] builds its
+/// rows with.
 fn normalized_row<S: CsrScalar>(graph: &Graph, u: u32, p: f64) -> Vec<(u32, S)> {
-    let k = graph.degree(u);
-    let off = (1.0 / (k as f64 + 1.0)).min(p);
-    // `row_stochastic` accumulates `off_sum += off` once per neighbor; a
-    // single multiply `k as f64 * off` rounds differently for some k, which
-    // would break the bitwise-equality contract on the self-loop weight.
-    let mut off_sum = 0.0;
-    for _ in 0..k {
-        off_sum += off;
-    }
-    let nbrs = graph.neighbors(u);
-    // The self-loop lands at its sorted position among the neighbors —
-    // exactly where `from_row_entries`'s sort would place it.
-    let pos = nbrs.partition_point(|&v| v < u);
-    let mut entries = Vec::with_capacity(k + 1);
-    for &v in &nbrs[..pos] {
-        entries.push((v, S::from_f64(off)));
-    }
-    entries.push((u, S::from_f64(1.0 - off_sum)));
-    for &v in &nbrs[pos..] {
-        entries.push((v, S::from_f64(off)));
-    }
-    entries
+    normalize::row_stochastic_entries(graph, u, p).map(|(v, x)| (v, S::from_f64(x))).collect()
 }
 
 /// Convenience check used by tests and debug assertions: the patched matrix

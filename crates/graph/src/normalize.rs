@@ -29,20 +29,35 @@ use crate::{Csr, Graph};
 pub fn row_stochastic(graph: &Graph, p: f64) -> Csr {
     assert!(p > 0.0 && p <= 0.5, "row_stochastic: clip p must lie in (0, 0.5], got {p}");
     let n = graph.num_nodes();
-    let mut rows = Vec::with_capacity(n);
+    // One pass over the sorted adjacency, straight into the CSR arrays.
+    let mut a = Csr::with_capacity(n, n, 2 * graph.num_edges() + n);
     for u in 0..n as u32 {
-        let k = graph.degree(u);
-        let off = (1.0 / (k as f64 + 1.0)).min(p);
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(k + 1);
-        let mut off_sum = 0.0;
-        for &v in graph.neighbors(u) {
-            entries.push((v, off));
-            off_sum += off;
-        }
-        entries.push((u, 1.0 - off_sum));
-        rows.push(entries);
+        a.push_row(row_stochastic_entries(graph, u, p));
     }
-    Csr::from_row_entries(n, n, rows)
+    a
+}
+
+/// Row `u` of [`row_stochastic`] as `(column, value)` entries in column
+/// order: `off = min(1/(k+1), p)` for each of the `k` neighbors, and the
+/// self-loop `1 − off_sum` at its sorted position among them. `off_sum`
+/// adds `off` once per neighbor; a single multiply `k · off` rounds
+/// differently for some `k`. `delta` emits its patched rows from here too,
+/// so a patched `Ã` is bitwise a rebuilt one.
+pub(crate) fn row_stochastic_entries(
+    graph: &Graph,
+    u: u32,
+    p: f64,
+) -> impl Iterator<Item = (u32, f64)> + '_ {
+    let nbrs = graph.neighbors(u);
+    let off = (1.0 / (nbrs.len() as f64 + 1.0)).min(p);
+    let off_sum = nbrs.iter().fold(0.0, |acc, _| acc + off);
+    let (below, above) = nbrs.split_at(nbrs.partition_point(|&v| v < u));
+    let entry = move |&v: &u32| (v, off);
+    below
+        .iter()
+        .map(entry)
+        .chain(std::iter::once((u, 1.0 - off_sum)))
+        .chain(above.iter().map(entry))
 }
 
 /// The plain `Ã = D⁻¹(A + I)` of Sec. IV-C2 (clip `p = 1/2` is inactive).
@@ -148,6 +163,61 @@ mod tests {
                 let k = g.degree(i as u32) as f64;
                 let bound = ((k + 1.0) * p).max(1.0);
                 assert!(s <= bound + 1e-12, "col {i}: {s} > bound {bound} at p={p}");
+            }
+        }
+    }
+
+    /// The construction `row_stochastic` had before it built rows in one
+    /// pass: a per-row entry list (neighbors, then the self-loop), sorted
+    /// and summed by `from_row_entries`.
+    fn row_stochastic_by_sorting(graph: &Graph, p: f64) -> Csr {
+        let n = graph.num_nodes();
+        let mut rows = Vec::with_capacity(n);
+        for u in 0..n as u32 {
+            let k = graph.degree(u);
+            let off = (1.0 / (k as f64 + 1.0)).min(p);
+            let mut entries: Vec<(u32, f64)> = Vec::with_capacity(k + 1);
+            let mut off_sum = 0.0;
+            for &v in graph.neighbors(u) {
+                entries.push((v, off));
+                off_sum += off;
+            }
+            entries.push((u, 1.0 - off_sum));
+            rows.push(entries);
+        }
+        Csr::from_row_entries(n, n, rows)
+    }
+
+    /// The one-pass build is bitwise the sorted one: on isolated nodes, on
+    /// nodes whose neighbors all lie below or all above them, on mixed
+    /// ones, and on a random graph of degrees up to about 25, at the
+    /// unclipped `p` and at one that clips every degree up to 3.
+    #[test]
+    fn one_pass_build_is_bitwise_the_sorted_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 0: isolated; 1: neighbors all above; 9: all below; 5: both sides;
+        // 10: isolated, last.
+        let shaped = Graph::from_edges(
+            11,
+            &[(1, 2), (1, 4), (1, 7), (3, 9), (6, 9), (8, 9), (5, 2), (5, 8), (5, 3)],
+        );
+        let mut rng = StdRng::seed_from_u64(29);
+        let edges: Vec<(u32, u32)> =
+            (0..2000).map(|_| (rng.gen_range(0..300), rng.gen_range(0..300))).collect();
+        let random = Graph::from_edges(300, &edges);
+        assert!((0..300).any(|u| random.degree(u) >= 10));
+        for g in [&shaped, &random] {
+            for p in [0.5, 0.2] {
+                let (fast, slow) = (row_stochastic(g, p), row_stochastic_by_sorting(g, p));
+                assert_eq!(fast.nnz(), 2 * g.num_edges() + g.num_nodes());
+                for u in 0..g.num_nodes() {
+                    let ((fc, fv), (sc, sv)) = (fast.row(u), slow.row(u));
+                    assert_eq!(fc, sc, "row {u} columns at p={p}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(fv), bits(sv), "row {u} values at p={p}");
+                }
+                assert_eq!(fast, slow);
             }
         }
     }

@@ -66,6 +66,9 @@ pub mod vecops;
 
 pub use mat::Mat;
 pub use scalar::{Dtype, Scalar};
+// The worker pool's row and elementwise splits, for the crates above this
+// one (the optimizer step, the activations, the objective's loss terms).
+pub use gcon_runtime::{parallel_rows, parallel_zip, PAR_THRESHOLD};
 
 /// Absolute tolerance used by the test suites across the workspace when
 /// comparing floating-point kernels against naive reference implementations.

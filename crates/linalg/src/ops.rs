@@ -794,9 +794,10 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(2);
-        // Big enough to trigger the threaded path (m*k*n >= 2^16).
-        let a: Mat = Mat::uniform(128, 64, 1.0, &mut rng);
+        // Big enough to trigger the threaded path (m·k·n ≥ PAR_THRESHOLD).
+        let a: Mat = Mat::uniform(256, 64, 1.0, &mut rng);
         let b: Mat = Mat::uniform(64, 32, 1.0, &mut rng);
+        assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
         let fast = matmul(&a, &b);
         let slow = naive_matmul(&a, &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
@@ -970,9 +971,10 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(41);
-        // m·k·n far above PAR_THRESHOLD, so the pool splits the rows.
+        // m·k·n above PAR_THRESHOLD, so the pool splits the rows.
         let a: Mat = Mat::uniform(67, KC + 9, 1.0, &mut rng);
         let b: Mat = Mat::uniform(KC + 9, 2 * NR_F32 + 5, 1.0, &mut rng);
+        assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }
@@ -985,6 +987,7 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(43);
         let (n_samples, d_in, d_out) = (2 * TM_IB + 44, 67, 2 * NR + 5);
+        assert!(n_samples * d_in * d_out >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         let a: Mat = Mat::uniform(n_samples, d_in, 1.0, &mut rng);
         let b: Mat = Mat::uniform(n_samples, d_out, 1.0, &mut rng);
         for path in [TmPath::Tiled, TmPath::Skip] {
@@ -1013,8 +1016,9 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(47);
-        let a: Mat = Mat::uniform(61, 131, 1.0, &mut rng);
+        let a: Mat = Mat::uniform(121, 131, 1.0, &mut rng);
         let b: Mat = Mat::uniform(27, 131, 1.0, &mut rng);
+        assert!(a.rows() * a.cols() * b.rows() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }

@@ -2,7 +2,7 @@
 //! the *output* value, so the backward pass only needs the cached forward
 //! activations.
 
-use gcon_linalg::Mat;
+use gcon_linalg::{parallel_zip, Mat};
 
 /// Activation functions supported by the stack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,12 +49,29 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to a matrix in place.
+    /// Applies the activation to a matrix in place, on the worker pool when
+    /// the matrix is large (each element gets the same expression on any
+    /// thread, so the result is the serial map's, bitwise).
     pub fn apply(self, m: &mut Mat) {
         if self == Activation::Identity {
             return;
         }
-        m.map_inplace(|v| self.apply_scalar(v));
+        let work = m.as_slice().len() * self.ops_per_element();
+        parallel_zip([m.as_mut_slice()], work, |[chunk], _| {
+            for v in chunk {
+                *v = self.apply_scalar(*v);
+            }
+        });
+    }
+
+    /// Cost of one [`Activation::apply_scalar`] in multiply-adds of the
+    /// dense kernels, measured: a ReLU moves memory, a tanh or sigmoid
+    /// calls into libm for about 20 ns against 0.15 ns a multiply-add.
+    fn ops_per_element(self) -> usize {
+        match self {
+            Activation::Relu | Activation::Identity => 4,
+            Activation::Tanh | Activation::Sigmoid => 128,
+        }
     }
 
     /// Multiplies `grad` in place by σ'(x) computed from the cached output.
@@ -112,6 +129,23 @@ mod tests {
         let mut grad = Mat::from_rows(&[&[5.0, 5.0]]);
         Activation::Relu.backprop_inplace(&m, &mut grad);
         assert_eq!(grad.row(0), &[0.0, 5.0]);
+    }
+
+    /// `apply` on a matrix large enough for the pool is bitwise the serial
+    /// map of `apply_scalar`, for every activation.
+    #[test]
+    fn pooled_apply_is_bitwise_the_serial_map() {
+        let (rows, cols) = (301, 251);
+        let m = Mat::from_fn(rows, cols, |i, j| ((i * cols + j) as f64 * 0.013).sin() * 4.0);
+        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
+            let work = rows * cols * act.ops_per_element();
+            assert!(work >= gcon_linalg::PAR_THRESHOLD, "{act:?} pooled");
+            let want = m.map(|v| act.apply_scalar(v));
+            let mut got = m.clone();
+            act.apply(&mut got);
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{act:?}");
+        }
     }
 
     #[test]

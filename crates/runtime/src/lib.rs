@@ -12,8 +12,12 @@
 //! [`pool()`] instead exposes one lazily-initialized, process-wide worker
 //! pool. Kernels submit row-block jobs through [`parallel_rows`] (or the
 //! lower-level [`Pool::run`]); workers are parked between jobs and reused
-//! across calls, so the steady-state cost of a parallel kernel is one
-//! condvar wake-up instead of `threads` × `spawn`.
+//! across calls. A job is done when a latch that counts finished chunks
+//! reaches the chunk count, not when every worker has checked in, so the
+//! submitter never waits for a parked worker to wake: the steady-state cost
+//! of a parallel kernel is publishing the job and one condvar notify, plus
+//! a thread wake-up only when the submitter has to wait for a chunk that
+//! another thread is still running.
 //!
 //! The pool width defaults to the hardware parallelism and can be pinned
 //! with the `GCON_THREADS` environment variable (read once, at first use;
@@ -22,6 +26,17 @@
 //!
 //! Work submitted while *on* a pool worker (nested parallelism) runs inline
 //! on the calling thread — the pool never deadlocks on reentrancy.
+//!
+//! # Splits
+//!
+//! [`parallel_rows`] gives each thread one contiguous block of rows, and
+//! [`parallel_zip`] splits an elementwise pass over several equal-length
+//! buffers the same way. Each chunk of a dense product streams a whole
+//! operand, so more chunks only add traffic; smaller blocks claimed as
+//! threads free up (for skewed sparse rows, or to cover a worker's late
+//! wake-up) bought nothing measurable on sparse products, the Adam step or
+//! end-to-end training. Neither split decides a value: a chunk boundary
+//! only chooses which thread computes an element, never how.
 //!
 //! # Kernel dispatch tiers
 //!
@@ -44,41 +59,74 @@
 
 pub mod envknob;
 
+use std::any::Any;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::Thread;
 
 /// Minimum number of scalar operations (e.g. `nnz · d` or `m·k·n`) below
-/// which parallel kernels should run single-threaded; splitting tiny
-/// products across threads costs more in wake-ups than it saves.
-pub const PAR_THRESHOLD: usize = 1 << 16;
+/// which parallel kernels run single-threaded.
+///
+/// Publishing a job costs about a microsecond, but a parked worker starts
+/// its first chunk 20–60 µs later on a 2-vCPU VM, and a submitter left
+/// waiting for the last chunk wakes about 12 µs after it ends. So a split
+/// pays once the serial product takes some 50–100 µs. Measured at width 2
+/// against width 1 (`bench_linalg` records the fork-join cost), the pool
+/// broke even at about 400k multiply-adds for `matmul`, 300k for
+/// `t_matmul`, 150k for `matmul_bt` and 180k for a sparse product, whose
+/// operations are the slowest; 2¹⁸ sits between them.
+pub const PAR_THRESHOLD: usize = 1 << 18;
 
-/// A chunked job: workers repeatedly claim chunk indices from `cursor` until
-/// `num_chunks` is exhausted, calling the type-erased closure on each.
+/// A chunked job: threads repeatedly claim chunk indices from `cursor` until
+/// `num_chunks` is exhausted, calling the type-erased closure on each, and
+/// count every finished chunk in `done`, the completion latch.
 struct Job {
     /// Type-erased `&(dyn Fn(usize) + Sync)` with the lifetime transmuted
-    /// away. Valid only while the submitting `Pool::run` call is blocked,
-    /// which `Pool::run` guarantees by waiting for all workers to retire the
-    /// job before returning.
+    /// away. Valid while a claimed chunk is not yet counted in `done`:
+    /// `Pool::run` does not return before `done` reaches `num_chunks`, and
+    /// a thread dereferences the pointer only after claiming an index below
+    /// `num_chunks`, so a worker that wakes after the job finished never
+    /// touches it.
     func: *const (dyn Fn(usize) + Sync),
     cursor: AtomicUsize,
     num_chunks: usize,
+    /// Chunks finished, panicked ones included.
+    done: AtomicUsize,
+    /// The first panic payload of a chunk, re-raised on the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The submitting thread, unparked by whichever worker finishes the
+    /// last chunk.
+    submitter: Thread,
 }
 
 // SAFETY: `func` points at a `Sync` closure, and the raw pointer is only
-// dereferenced while the submitting thread keeps the closure alive.
+// dereferenced while the submitting thread keeps the closure alive (see
+// `Job::func`). Every other field is `Send + Sync` on its own.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// Claims and runs chunks until the cursor runs out.
-    fn drain(&self) {
-        let f = unsafe { &*self.func };
+    /// Claims and runs chunks until the cursor runs out. A chunk's panic is
+    /// caught and stored, so the chunk still counts as finished and the
+    /// thread goes on claiming.
+    fn drain(&self, on_submitter: bool) {
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= self.num_chunks {
                 return;
             }
-            f(i);
+            // SAFETY: chunk `i` is claimed and not yet counted in `done`,
+            // so the submitter is still inside `run` and the closure alive.
+            let f = unsafe { &*self.func };
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
+                lock_ignore_poison(&self.panic).get_or_insert(payload);
+            }
+            // Release: the chunk's writes happen-before the submitter's
+            // acquire load that sees the latch full.
+            let finished = self.done.fetch_add(1, Ordering::AcqRel) + 1;
+            if finished == self.num_chunks && !on_submitter {
+                self.submitter.unpark();
+            }
         }
     }
 }
@@ -88,27 +136,23 @@ struct Shared {
     slot: Mutex<JobSlot>,
     /// Workers wait here for a new generation.
     work_cv: Condvar,
-    /// The submitter waits here for `active` to reach zero.
-    done_cv: Condvar,
 }
 
 struct JobSlot {
     /// Incremented once per submitted job so parked workers can tell a new
     /// job from a spurious wake-up.
     generation: u64,
+    /// The latest job. It stays here after it finished; a worker that takes
+    /// it late finds its cursor exhausted.
     job: Option<Arc<Job>>,
-    /// Workers still attached to the current generation.
-    active: usize,
-    /// Set when any worker's chunk closure panicked during this generation.
-    panicked: bool,
     /// Set by `Pool::drop`; workers exit their loop on the next wake-up.
     shutting_down: bool,
 }
 
 /// Locks a pool mutex, recovering from poisoning. Safe here because every
-/// critical section only performs single-field assignments on the job-slot
-/// bookkeeping (no invariant can be left half-updated by a panic), and job
-/// panics themselves are caught before any lock is taken.
+/// critical section only performs single-field assignments (no invariant
+/// can be left half-updated by a panic), and job panics themselves are
+/// caught before any lock is taken.
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -142,15 +186,8 @@ impl Pool {
     pub fn with_threads(width: usize) -> Self {
         let workers = width.max(1) - 1;
         let shared = Arc::new(Shared {
-            slot: Mutex::new(JobSlot {
-                generation: 0,
-                job: None,
-                active: 0,
-                panicked: false,
-                shutting_down: false,
-            }),
+            slot: Mutex::new(JobSlot { generation: 0, job: None, shutting_down: false }),
             work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -172,7 +209,11 @@ impl Pool {
 
     /// Runs `f(0), f(1), …, f(num_chunks - 1)` across the pool, returning
     /// once every chunk has completed. Chunks are claimed dynamically, so
-    /// uneven chunk costs balance automatically.
+    /// uneven chunk costs balance automatically, and the submitting thread
+    /// claims chunks too, so a job whose workers wake late runs on it.
+    ///
+    /// If chunks panic, the other chunks still run, and the first panic is
+    /// re-raised here once all have finished; the pool stays usable.
     ///
     /// Calls from within a pool worker (nested parallelism) and trivial jobs
     /// (`num_chunks <= 1`, or a pool with no workers) run inline.
@@ -189,43 +230,42 @@ impl Pool {
         }
         let _submission = lock_ignore_poison(&self.submit);
         // SAFETY: we erase the closure's lifetime to park it in the shared
-        // slot; `run` does not return — or unwind — until every worker has
-        // retired the job (active == 0): the submitter's own drain runs
-        // under catch_unwind and the join loop below executes on both the
-        // normal and the panic path, so the borrow outlives all uses.
+        // slot; `run` does not return — or unwind — until the latch counts
+        // every chunk finished: each chunk runs under catch_unwind and the
+        // wait below executes on every path, so the borrow outlives every
+        // dereference (see `Job::func`).
         let erased: *const (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
         };
-        let job = Arc::new(Job { func: erased, cursor: AtomicUsize::new(0), num_chunks });
+        let job = Arc::new(Job {
+            func: erased,
+            cursor: AtomicUsize::new(0),
+            num_chunks,
+            done: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            submitter: std::thread::current(),
+        });
         {
             let mut slot = lock_ignore_poison(&self.shared.slot);
             slot.generation += 1;
             slot.job = Some(Arc::clone(&job));
-            slot.active = self.workers;
-            slot.panicked = false;
         }
         self.shared.work_cv.notify_all();
-        // The submitting thread is a full participant. A panicking chunk
-        // must not unwind past the job while workers still hold the erased
-        // pointer, so capture it and re-raise only after the join. The
-        // IS_SUBMITTING flag routes any nested submission from a chunk on
-        // this thread to the inline path above.
+        // The submitting thread is a full participant. The IS_SUBMITTING
+        // flag routes any nested submission from a chunk on this thread to
+        // the inline path above.
         IS_SUBMITTING.with(|s| s.set(true));
-        let caller_panic =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.drain())).err();
+        job.drain(true);
         IS_SUBMITTING.with(|s| s.set(false));
-        let worker_panicked = {
-            let mut slot = lock_ignore_poison(&self.shared.slot);
-            while slot.active > 0 {
-                slot = self.shared.done_cv.wait(slot).unwrap_or_else(|p| p.into_inner());
-            }
-            slot.job = None;
-            slot.panicked
-        };
-        if let Some(panic) = caller_panic {
-            std::panic::resume_unwind(panic);
+        // Wait for chunks other threads still run. A stale unpark from an
+        // earlier job only costs one more check of the latch.
+        while job.done.load(Ordering::Acquire) < num_chunks {
+            std::thread::park();
         }
-        assert!(!worker_panicked, "gcon-runtime: a pool worker panicked while running a job");
+        let panic = lock_ignore_poison(&job.panic).take();
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -262,19 +302,8 @@ fn worker_loop(shared: &Shared) {
             seen_generation = slot.generation;
             slot.job.clone()
         };
-        // A panicking job must not kill the worker before it checks in:
-        // that would leave `active > 0` forever and deadlock the submitter.
-        // Catch, record, and let the submitter re-raise after the join.
-        let panicked = if let Some(job) = job {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.drain())).is_err()
-        } else {
-            false
-        };
-        let mut slot = lock_ignore_poison(&shared.slot);
-        slot.panicked |= panicked;
-        slot.active -= 1;
-        if slot.active == 0 {
-            shared.done_cv.notify_one();
+        if let Some(job) = job {
+            job.drain(false);
         }
     }
 }
@@ -306,10 +335,10 @@ pub fn configured_width() -> usize {
     })
 }
 
-/// Splits the row-major buffer `out` (`n` rows × `d` columns) into contiguous
-/// row blocks and invokes `f(block, start_row, end_row)` for each block in
-/// parallel on the process-wide pool. `block` covers exactly rows
-/// `[start_row, end_row)` of `out`.
+/// Splits the row-major buffer `out` (`n` rows × `d` columns) into one
+/// contiguous row block per thread and invokes `f(block, start_row,
+/// end_row)` for each block in parallel on the process-wide pool. `block`
+/// covers exactly rows `[start_row, end_row)` of `out`.
 ///
 /// `work` is the caller's estimate of total scalar operations; jobs below
 /// [`PAR_THRESHOLD`] run inline on the calling thread. Degenerate shapes
@@ -319,53 +348,61 @@ where
     T: Send,
     F: Fn(&mut [T], usize, usize) + Sync,
 {
-    assert_eq!(out.len(), n * d, "parallel_rows: buffer is not n × d");
+    let f = |[block]: [&mut [T]; 1], start| f(block, start, start + block.len() / d);
+    split_rows([out], n, d, work, &f);
+}
+
+/// Runs an elementwise pass over `K` buffers of equal length, cut into one
+/// contiguous index range per thread as [`parallel_rows`] cuts rows: each
+/// chunk calls `f(chunks, start)` with the range `[start, start + len)` of
+/// every buffer. Read-only inputs of the same length are indexed by the
+/// same range inside `f`.
+///
+/// `work` and the inline rule are those of [`parallel_rows`].
+///
+/// # Panics
+/// Panics if the buffers differ in length.
+pub fn parallel_zip<T, const K: usize, F>(bufs: [&mut [T]; K], work: usize, f: F)
+where
+    T: Send,
+    F: Fn([&mut [T]; K], usize) + Sync,
+{
+    let len = bufs.first().map_or(0, |b| b.len());
+    assert!(bufs.iter().all(|b| b.len() == len), "parallel_zip: buffers differ in length");
+    split_rows(bufs, len, 1, work, &f);
+}
+
+/// Cuts `K` buffers of `n` rows × `d` into the same contiguous row blocks
+/// and runs `f(blocks, start_row)` once per block: one block, inline, below
+/// the threshold or on one thread, otherwise one block per thread on the
+/// pool. The blocks are disjoint borrows (`chunks_mut`), handed to the
+/// pool's chunks through a queue, so no raw pointer is needed.
+fn split_rows<T: Send, const K: usize>(
+    bufs: [&mut [T]; K],
+    n: usize,
+    d: usize,
+    work: usize,
+    f: &(dyn Fn([&mut [T]; K], usize) + Sync),
+) {
+    assert!(bufs.iter().all(|b| b.len() == n * d), "parallel_rows: buffer is not n × d");
     if n == 0 || d == 0 {
         return;
     }
-    // Decide inline-vs-parallel from the configured width so that a process
-    // doing only sub-threshold work never pays pool startup.
     let threads = configured_width().min(n);
-    if threads <= 1 || work < PAR_THRESHOLD {
-        f(out, 0, n);
-        return;
+    let rows = if threads <= 1 || work < PAR_THRESHOLD { n } else { n.div_ceil(threads) };
+    let mut blocks = bufs.map(|b| b.chunks_mut(rows * d));
+    let mut parts = (0..n.div_ceil(rows))
+        .map(|c| (std::array::from_fn(|k| blocks[k].next().expect("n rows each")), c * rows));
+    if rows == n {
+        let (block, start) = parts.next().expect("one block");
+        return f(block, start);
     }
-    let pool = pool();
-    // Over-decompose relative to the thread count so dynamic chunk claiming
-    // can balance uneven rows (e.g. skewed CSR degree distributions).
-    let chunks = (threads * 4).min(n);
-    let rows_per_chunk = n.div_ceil(chunks);
-    // Raw-pointer newtype so the closure can share the base across threads
-    // without an int-to-pointer round trip (provenance-preserving).
-    struct BasePtr<T>(*mut T);
-    unsafe impl<T: Send> Send for BasePtr<T> {}
-    unsafe impl<T: Send> Sync for BasePtr<T> {}
-    impl<T> BasePtr<T> {
-        // Accessor (rather than direct field use in the closure) so the
-        // closure captures the Sync newtype, not the raw `*mut T` field.
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-    let base = BasePtr(out.as_mut_ptr());
-    let run = |chunk: usize| {
-        let start = chunk * rows_per_chunk;
-        let end = ((chunk + 1) * rows_per_chunk).min(n);
-        if start >= end {
-            return;
-        }
-        // SAFETY: chunks index disjoint row ranges of `out`, and `out` is
-        // borrowed mutably for the duration of `pool.run`.
-        let block =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(start * d), (end - start) * d) };
-        f(block, start, end);
-    };
-    pool.run(start_to_chunks(n, rows_per_chunk), &run);
-}
-
-#[inline]
-fn start_to_chunks(n: usize, rows_per_chunk: usize) -> usize {
-    n.div_ceil(rows_per_chunk)
+    let num_chunks = n.div_ceil(rows);
+    let queue = Mutex::new(parts.collect::<Vec<_>>().into_iter());
+    pool().run(num_chunks, &|_| {
+        let (block, start) = lock_ignore_poison(&queue).next().expect("one block per chunk");
+        f(block, start);
+    });
 }
 
 thread_local! {
@@ -649,10 +686,13 @@ macro_rules! tier_dispatch {
 mod tests {
     use super::*;
 
+    /// Rows `n × d` with `n · d` at or above the threshold, so the pool
+    /// (when the configured width allows it) splits them.
+    const POOLED_ROWS: (usize, usize) = (1000, PAR_THRESHOLD / 1000 + 1);
+
     #[test]
     fn parallel_rows_fills_every_row_once() {
-        let n = 1000;
-        let d = 100; // n * d > PAR_THRESHOLD → parallel path
+        let (n, d) = POOLED_ROWS;
         let mut out = vec![0.0; n * d];
         parallel_rows(&mut out, n, d, n * d, |block, start, end| {
             assert_eq!(block.len(), (end - start) * d);
@@ -665,6 +705,28 @@ mod tests {
         for (i, row) in out.chunks(d).enumerate() {
             assert!(row.iter().all(|&v| v == i as f64), "row {i} wrong or touched twice");
         }
+    }
+
+    /// `parallel_rows` cuts blocks of `⌈n / threads⌉` rows, covering the
+    /// rows contiguously in order: one block per thread, or fewer when
+    /// rounding leaves the last thread none (10 rows at width 6 make five
+    /// blocks of two).
+    #[test]
+    fn parallel_rows_cuts_one_block_per_thread() {
+        let (n, d) = POOLED_ROWS;
+        let threads = configured_width().min(n);
+        let rows = n.div_ceil(threads);
+        let blocks = Mutex::new(Vec::new());
+        let mut out = vec![0.0; n * d];
+        parallel_rows(&mut out, n, d, n * d, |_, start, end| {
+            blocks.lock().unwrap().push((start, end))
+        });
+        let mut blocks = blocks.into_inner().unwrap();
+        blocks.sort_unstable();
+        assert_eq!(blocks.len(), n.div_ceil(rows), "at width {threads}");
+        assert_eq!((blocks[0].0, blocks[blocks.len() - 1].1), (0, n));
+        assert!(blocks.windows(2).all(|w| w[0].1 == w[1].0), "{blocks:?}");
+        assert!(blocks.iter().all(|&(start, end)| end - start <= rows), "{blocks:?}");
     }
 
     #[test]
@@ -682,6 +744,33 @@ mod tests {
         let mut empty: Vec<f64> = Vec::new();
         parallel_rows(&mut empty, 0, 5, 0, |_, _, _| panic!("must not run"));
         parallel_rows(&mut empty, 5, 0, 0, |_, _, _| panic!("must not run"));
+        parallel_zip([&mut empty[..]], PAR_THRESHOLD, |_, _| panic!("must not run"));
+    }
+
+    /// Every index of every buffer is visited once, at its own offset, for
+    /// lengths around the thread count and one far above the threshold.
+    #[test]
+    fn parallel_zip_visits_every_index_once_in_step() {
+        for len in [1usize, 2, 3, 7, PAR_THRESHOLD + 3] {
+            let mut a = vec![0usize; len];
+            let mut b = vec![0usize; len];
+            parallel_zip([&mut a[..], &mut b[..]], PAR_THRESHOLD, |[ca, cb], start| {
+                assert_eq!(ca.len(), cb.len());
+                for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
+                    *x += start + i;
+                    *y += 2 * (start + i);
+                }
+            });
+            assert!(a.iter().enumerate().all(|(i, &v)| v == i), "len {len}");
+            assert!(b.iter().enumerate().all(|(i, &v)| v == 2 * i), "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn parallel_zip_rejects_unequal_lengths() {
+        let (mut a, mut b) = (vec![0.0; 3], vec![0.0; 4]);
+        parallel_zip([&mut a[..], &mut b[..]], 0, |_, _| {});
     }
 
     #[test]
@@ -706,6 +795,52 @@ mod tests {
             });
             assert_eq!(sum.load(Ordering::Relaxed), (0..17).sum::<usize>() + 17 * round);
         }
+    }
+
+    /// `run` returns on the latch, not on worker check-in, so workers wake
+    /// after jobs have returned. None of them may run a chunk of a returned
+    /// job: each job's counters read one hit per chunk when it returns and
+    /// still do after 10,000 later jobs.
+    #[test]
+    fn late_wakers_run_no_chunk_of_a_returned_job() {
+        const JOBS: usize = 10_000;
+        const CHUNKS: usize = 8;
+        let pool = Pool::with_threads(4);
+        let hits: Vec<AtomicUsize> = (0..JOBS * CHUNKS).map(|_| AtomicUsize::new(0)).collect();
+        let job_hits = |j: usize| -> Vec<usize> {
+            hits[j * CHUNKS..(j + 1) * CHUNKS].iter().map(|h| h.load(Ordering::Relaxed)).collect()
+        };
+        for j in 0..JOBS {
+            pool.run(CHUNKS, &|i| {
+                hits[j * CHUNKS + i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(job_hits(j), [1; CHUNKS], "job {j} on return");
+        }
+        for j in 0..JOBS {
+            assert_eq!(job_hits(j), [1; CHUNKS], "job {j} after the later jobs");
+        }
+    }
+
+    /// Threads submitting to one pool at once each get their own chunks
+    /// run exactly once; a stale unpark from one job lands on whichever
+    /// thread submitted it and costs only a recheck of the latch.
+    #[test]
+    fn concurrent_submitters_each_get_their_own_results() {
+        let pool = Pool::with_threads(3);
+        std::thread::scope(|scope| {
+            for t in 0..3 {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 0..500 {
+                        let hits: Vec<AtomicUsize> = (0..7).map(|_| AtomicUsize::new(0)).collect();
+                        pool.run(7, &|i| {
+                            hits[i].fetch_add(t * 1000 + round, Ordering::Relaxed);
+                        });
+                        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == t * 1000 + round));
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -733,7 +868,7 @@ mod tests {
     fn pool_survives_panicking_jobs() {
         let pool = Pool::with_threads(4);
         // A chunk panics (it may land on a worker or on the submitter);
-        // run() must join every thread, then re-raise exactly one panic.
+        // run() must wait out every chunk, then re-raise exactly one panic.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run(32, &|i| {
                 if i == 13 {
@@ -743,7 +878,7 @@ mod tests {
         }));
         assert!(result.is_err(), "the panic must propagate to the submitter");
         // The pool stays fully usable afterwards: no dead workers, no
-        // poisoned bookkeeping, no stale `panicked` flag.
+        // poisoned bookkeeping, no stale panic payload.
         for _ in 0..5 {
             let sum = AtomicUsize::new(0);
             pool.run(16, &|i| {
@@ -751,6 +886,62 @@ mod tests {
             });
             assert_eq!(sum.load(Ordering::Relaxed), (0..16).sum::<usize>());
         }
+    }
+
+    /// Runs a two-chunk job on a one-worker pool in which the two chunks
+    /// wait for each other, so the submitter runs one and the worker the
+    /// other; the chunk on the side `worker_panics` names panics. Returns
+    /// the panic message that reached the submitter.
+    fn panic_on_one_side(pool: &Pool, worker_panics: bool) -> String {
+        let arrived = Mutex::new(0usize);
+        let both = Condvar::new();
+        let submitter = std::thread::current().id();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(2, &|_| {
+                let mut n = lock_ignore_poison(&arrived);
+                *n += 1;
+                both.notify_all();
+                let timeout = std::time::Duration::from_secs(60);
+                let (n, wait) = both.wait_timeout_while(n, timeout, |n| *n < 2).unwrap();
+                assert!(!wait.timed_out(), "the other chunk never started");
+                drop(n);
+                let on_worker = std::thread::current().id() != submitter;
+                if on_worker == worker_panics {
+                    panic!("injected on the {}", if on_worker { "worker" } else { "submitter" });
+                }
+            });
+        }));
+        let payload = result.expect_err("the chunk's panic must reach the submitter");
+        payload.downcast_ref::<String>().cloned().expect("a formatted panic message")
+    }
+
+    /// A panic in a worker's chunk and one in the submitter's own chunk
+    /// each reach the submitter with their own message, and the pool runs
+    /// jobs afterwards.
+    #[test]
+    fn chunk_panics_reach_the_submitter_from_either_side() {
+        let pool = Pool::with_threads(2);
+        assert_eq!(panic_on_one_side(&pool, true), "injected on the worker");
+        assert_eq!(panic_on_one_side(&pool, false), "injected on the submitter");
+        for round in 0..50 {
+            let sum = AtomicUsize::new(0);
+            pool.run(8, &|i| {
+                sum.fetch_add(i * round, Ordering::Relaxed);
+            });
+            assert_eq!(sum.load(Ordering::Relaxed), 28 * round);
+        }
+    }
+
+    /// Dropping a pool joins its workers: once `drop` returns, no worker
+    /// thread still holds the shared job slot.
+    #[test]
+    fn drop_joins_every_worker() {
+        let pool = Pool::with_threads(4);
+        pool.run(8, &|_| {});
+        let shared = Arc::downgrade(&pool.shared);
+        assert_eq!(shared.strong_count(), 4, "the pool and its three workers");
+        drop(pool);
+        assert_eq!(shared.strong_count(), 0);
     }
 
     #[test]
@@ -785,8 +976,7 @@ mod tests {
 
     #[test]
     fn parallel_rows_is_generic_over_the_element_type() {
-        let n = 600;
-        let d = 120; // above PAR_THRESHOLD → parallel path
+        let (n, d) = POOLED_ROWS;
         let mut out = vec![0.0f32; n * d];
         parallel_rows(&mut out, n, d, n * d, |block, start, end| {
             for (r, row) in block.chunks_mut(d).enumerate() {

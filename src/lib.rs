@@ -67,12 +67,16 @@
 //! - **Persistent worker pool.** [`runtime::pool()`] lazily spawns one
 //!   process-wide set of workers (width from the `GCON_THREADS` environment
 //!   variable, default: hardware parallelism) and parks them between jobs.
-//!   Kernels submit row-block work through [`runtime::parallel_rows`]; no
-//!   kernel spawns threads of its own, so the steady-state cost of a
-//!   parallel product is a condvar wake-up rather than per-call thread
-//!   creation. Layering: `linalg::ops::{matmul, matmul_bt}` and
-//!   `graph::Csr::spmm` parallelize on the pool; `nn`, `core` and
-//!   `baselines` inherit it through those kernels.
+//!   Kernels submit work through [`runtime::parallel_rows`] (row blocks)
+//!   and [`runtime::parallel_zip`] (elementwise passes over several
+//!   buffers), one block per thread; no kernel spawns threads of its own.
+//!   A job returns when a latch counts its last chunk finished, so the
+//!   submitter never waits for a parked worker to wake: publishing a job
+//!   costs about a microsecond. Layering: `linalg::ops::{matmul, t_matmul,
+//!   matmul_bt}` and `graph::Csr::spmm` parallelize on the pool, and
+//!   `linalg` re-exports both splits for the elementwise passes of `nn`
+//!   (the Adam step, the activations) and `core` (the loss terms of the
+//!   perturbed objective); `baselines` inherit it through those.
 //! - **Buffer-reusing `_into` kernels.** Every allocating kernel has a twin
 //!   writing into a caller-owned [`Mat`](linalg::Mat) that is reshaped in place
 //!   (`matmul_into`, `spmm_into`, `forward_into`/`backward_into`,

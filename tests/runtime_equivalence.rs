@@ -180,19 +180,28 @@ proptest! {
     }
 }
 
+fn push(bytes: &mut Vec<u8>, m: &Mat) {
+    for v in m.as_slice() {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn push32(bytes: &mut Vec<u8>, m: &Mat<f32>) {
+    for v in m.as_slice() {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Runs every rewritten kernel on fixed awkward-shaped inputs and returns
-/// the concatenated little-endian bytes of all results. Shapes are chosen to
-/// exceed `PAR_THRESHOLD` (so the pool actually partitions) and to be far
-/// from multiples of the MR/NR tile sizes (so tile tails land differently
-/// under different partitions).
+/// the concatenated little-endian bytes of all results. Shapes are far from
+/// multiples of the MR/NR tile sizes (so tile tails land differently under
+/// different partitions). The inputs are frozen, because the SHA-256 of
+/// these bytes is the kernel fingerprint changes are checked against; the
+/// products among them that fall under `PAR_THRESHOLD` run inline, and
+/// [`pooled_fingerprint`] repeats them at sizes the pool splits.
 fn kernel_fingerprint() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(424242);
     let mut bytes = Vec::new();
-    fn push(bytes: &mut Vec<u8>, m: &Mat) {
-        for v in m.as_slice() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
 
     // Dense GEMM family. The second matmul crosses the KC cache-block
     // boundary so the K-blocked accumulate-into-C path is fingerprinted.
@@ -240,11 +249,6 @@ fn kernel_fingerprint() -> Vec<u8> {
     // raw f32 bits. Appending this to the same fingerprint extends the
     // subprocess matrix below to the full dtype × tier × thread-count cube:
     // determinism is claimed (and pinned) *within* each dtype.
-    fn push32(bytes: &mut Vec<u8>, m: &Mat<f32>) {
-        for v in m.as_slice() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
     let (a32, b32) = (a.convert::<f32>(), b.convert::<f32>());
     push32(&mut bytes, &ops::matmul(&a32, &b32));
     // KC-crossing K: the blocked accumulate-into-C path, f32 flavor.
@@ -270,6 +274,32 @@ fn kernel_fingerprint() -> Vec<u8> {
     bytes
 }
 
+/// The products of [`kernel_fingerprint`] that run inline under
+/// `PAR_THRESHOLD` (the KC-crossing `matmul`, the sparse product and the
+/// propagation), again at sizes above it, so the thread-count matrix also
+/// compares them split across the pool.
+fn pooled_fingerprint() -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(515151);
+    let mut bytes = Vec::new();
+    let pooled = |work: usize| assert!(work >= gcon_runtime::PAR_THRESHOLD, "{work} runs inline");
+    let ak = Mat::uniform(67, ops::KC + 37, 1.0, &mut rng);
+    let bk = Mat::uniform(ops::KC + 37, 21, 1.0, &mut rng);
+    pooled(ak.rows() * ak.cols() * bk.cols());
+    push(&mut bytes, &ops::matmul(&ak, &bk));
+    push32(&mut bytes, &ops::matmul(&ak.convert::<f32>(), &bk.convert::<f32>()));
+    let sp = random_csr(601, 601, 0.05, &mut rng);
+    let feats = Mat::uniform(601, 23, 1.0, &mut rng);
+    pooled(sp.nnz() * feats.cols());
+    push(&mut bytes, &sp.spmm(&feats));
+    push32(&mut bytes, &sp.convert::<f32>().spmm(&feats.convert::<f32>()));
+    let g = gcon::graph::generators::erdos_renyi_gnm(2600, 15_000, &mut rng);
+    let at = row_stochastic_default(&g);
+    let px = Mat::uniform(2600, 19, 1.0, &mut rng);
+    pooled(at.nnz() * px.cols());
+    push(&mut bytes, &propagate(&at, &px, 0.3, PropagationStep::Finite(4)));
+    bytes
+}
+
 /// **Determinism policy test.** The tiled kernels reassociate accumulation
 /// (so they differ from the old scalar kernels within tolerance), but for a
 /// given input the result must be byte-identical over the whole
@@ -292,7 +322,9 @@ fn kernel_fingerprint() -> Vec<u8> {
 #[test]
 fn kernels_byte_identical_across_thread_counts_and_tiers() {
     if let Ok(path) = std::env::var("GCON_FINGERPRINT_OUT") {
-        std::fs::write(path, kernel_fingerprint()).expect("fingerprint write failed");
+        std::fs::write(&path, kernel_fingerprint()).expect("fingerprint write failed");
+        std::fs::write(format!("{path}.pooled"), pooled_fingerprint())
+            .expect("fingerprint write failed");
         return;
     }
     let exe = std::env::current_exe().expect("current_exe");
@@ -301,7 +333,10 @@ fn kernels_byte_identical_across_thread_counts_and_tiers() {
         for threads in ["1", "2", "4"] {
             let path = std::env::temp_dir()
                 .join(format!("gcon-fingerprint-{}-{tier}-t{threads}", std::process::id()));
-            let status = std::process::Command::new(&exe)
+            // The child's output is captured, not inherited: its libtest
+            // lines would otherwise interleave with the parent's on the
+            // shared stdout.
+            let child = std::process::Command::new(&exe)
                 .args([
                     "kernels_byte_identical_across_thread_counts_and_tiers",
                     "--exact",
@@ -310,12 +345,20 @@ fn kernels_byte_identical_across_thread_counts_and_tiers() {
                 .env("GCON_THREADS", threads)
                 .env("GCON_KERNEL_TIER", tier.name())
                 .env("GCON_FINGERPRINT_OUT", &path)
-                .status()
+                .output()
                 .expect("failed to respawn test binary");
-            assert!(status.success(), "tier={tier} GCON_THREADS={threads} child failed");
-            let data = std::fs::read(&path).expect("fingerprint read failed");
+            assert!(
+                child.status.success(),
+                "tier={tier} GCON_THREADS={threads} child failed:\n{}{}",
+                String::from_utf8_lossy(&child.stdout),
+                String::from_utf8_lossy(&child.stderr)
+            );
+            let pooled_path = format!("{}.pooled", path.display());
+            let mut data = std::fs::read(&path).expect("fingerprint read failed");
             assert!(!data.is_empty(), "tier={tier} GCON_THREADS={threads} produced no fingerprint");
+            data.extend(std::fs::read(&pooled_path).expect("pooled fingerprint read failed"));
             let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&pooled_path);
             outputs.push((tier, threads, data));
         }
     }

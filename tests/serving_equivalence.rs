@@ -380,7 +380,10 @@ fn serving_byte_identical_across_thread_counts_and_tiers() {
         for threads in ["1", "2", "4"] {
             let path = std::env::temp_dir()
                 .join(format!("gcon-serve-fp-{}-{tier}-t{threads}", std::process::id()));
-            let status = std::process::Command::new(&exe)
+            // The child's output is captured, not inherited: its libtest
+            // lines would otherwise interleave with the parent's on the
+            // shared stdout.
+            let child = std::process::Command::new(&exe)
                 .args([
                     "serving_byte_identical_across_thread_counts_and_tiers",
                     "--exact",
@@ -389,9 +392,14 @@ fn serving_byte_identical_across_thread_counts_and_tiers() {
                 .env("GCON_THREADS", threads)
                 .env("GCON_KERNEL_TIER", tier.name())
                 .env("GCON_SERVE_FINGERPRINT_OUT", &path)
-                .status()
+                .output()
                 .expect("failed to respawn test binary");
-            assert!(status.success(), "tier={tier} GCON_THREADS={threads} child failed");
+            assert!(
+                child.status.success(),
+                "tier={tier} GCON_THREADS={threads} child failed:\n{}{}",
+                String::from_utf8_lossy(&child.stdout),
+                String::from_utf8_lossy(&child.stderr)
+            );
             let data = std::fs::read(&path).expect("fingerprint read failed");
             assert!(!data.is_empty(), "tier={tier} GCON_THREADS={threads} empty fingerprint");
             let _ = std::fs::remove_file(&path);
