@@ -10,7 +10,7 @@
 use gcon_graph::normalize::symmetric;
 use gcon_graph::{Csr, Graph};
 use gcon_linalg::{reduce, Mat};
-use gcon_nn::{Activation, Adam, Linear, Optimizer};
+use gcon_nn::{Activation, Adam, Linear};
 use rand::Rng;
 
 /// Hyperparameters for the GCN baseline.

@@ -15,7 +15,7 @@ use gcon_dp::rdp::calibrate_noise_multiplier;
 use gcon_graph::Graph;
 use gcon_linalg::Mat;
 use gcon_nn::loss::softmax_cross_entropy_into;
-use gcon_nn::{Activation, Adam, Linear, LinearGrads, Mlp, MlpConfig, MlpWorkspace, Optimizer};
+use gcon_nn::{Activation, Adam, Linear, LinearGrads, Mlp, MlpConfig, MlpWorkspace};
 use rand::Rng;
 
 /// Hyperparameters for ProGAP-EDP.

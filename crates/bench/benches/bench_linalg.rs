@@ -198,7 +198,7 @@ fn fork_join_percentiles(reps: usize, idle: Duration, mut f: impl FnMut()) -> (f
 /// Child side: prints one JSON row per fork-join measurement at this
 /// process's pool width.
 fn fork_join_child(quick: bool) {
-    use gcon_nn::{Adam, Optimizer};
+    use gcon_nn::Adam;
     let width = gcon_runtime::configured_width();
     let scale = if quick { 10 } else { 1 };
     let row = |case: &str, idle_us: u64, (p50, p99): (f64, f64)| {

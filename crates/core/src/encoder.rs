@@ -23,7 +23,7 @@
 use gcon_graph::Csr;
 use gcon_linalg::Mat;
 use gcon_nn::loss::softmax_cross_entropy_into;
-use gcon_nn::{Activation, Adam, Linear, LinearGrads, Mlp, MlpConfig, MlpWorkspace, Optimizer};
+use gcon_nn::{Activation, Adam, Linear, LinearGrads, Mlp, MlpConfig, MlpWorkspace};
 use rand::Rng;
 
 /// Hyperparameters for the encoder.
@@ -122,6 +122,11 @@ impl FeatureEncoder {
     /// `head_argmax(&encode(x))` is `predict(x)`.
     pub(crate) fn head_argmax(&self, emb: &Mat) -> Vec<usize> {
         gcon_linalg::reduce::row_argmax(&self.head.forward(emb))
+    }
+
+    /// Input dimension d₀: the raw feature width it was trained on.
+    pub fn d0(&self) -> usize {
+        self.net.layers[0].d_in()
     }
 
     /// Output dimension d₁.

@@ -45,7 +45,10 @@ impl ConvexLoss {
     pub fn new(kind: LossKind, num_classes: usize) -> Self {
         assert!(num_classes >= 2, "ConvexLoss: need at least 2 classes");
         if let LossKind::PseudoHuber { delta } = kind {
-            assert!(delta > 0.0, "ConvexLoss: pseudo-Huber δ_l must be positive");
+            assert!(
+                delta > 0.0 && delta.is_finite(),
+                "ConvexLoss: pseudo-Huber δ_l must be positive and finite"
+            );
         }
         Self { kind, c: num_classes as f64 }
     }

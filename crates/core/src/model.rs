@@ -107,8 +107,8 @@ impl GconConfig {
             return Err(format!("budget divider ω must lie in (0, 1), got {}", self.omega));
         }
         if let LossKind::PseudoHuber { delta } = self.loss {
-            if !(delta > 0.0) {
-                return Err(format!("pseudo-Huber δ_l must be positive, got {delta}"));
+            if !(delta > 0.0 && delta.is_finite()) {
+                return Err(format!("pseudo-Huber δ_l must be positive and finite, got {delta}"));
             }
         }
         if !(self.clip_p > 0.0 && self.clip_p <= 0.5) {

@@ -69,11 +69,12 @@ impl TheoremOneParams {
     /// Runs the full Eq. (17)–(24) chain.
     ///
     /// # Panics
-    /// Panics on invalid inputs (non-positive budgets, ω ∉ (0,1), …).
+    /// Panics on invalid inputs (non-positive or infinite ε, δ ∉ (0,1),
+    /// ω ∉ (0,1), …).
     pub fn compute(input: &CalibrationInput) -> Self {
         let CalibrationInput { eps, delta, omega, lambda, n1, num_classes, dim, bounds, psi } =
             *input;
-        assert!(eps > 0.0, "calibration: ε must be positive");
+        assert!(eps > 0.0 && eps.is_finite(), "calibration: ε must be positive and finite");
         assert!(delta > 0.0 && delta < 1.0, "calibration: δ must lie in (0, 1)");
         assert!(omega > 0.0 && omega < 1.0, "calibration: ω must lie in (0, 1)");
         assert!(lambda > 0.0, "calibration: Λ must be positive");
@@ -245,6 +246,13 @@ mod tests {
         assert!(p.is_noise_free());
         assert_eq!(p.lambda_prime, 0.0);
         assert_eq!(p.lambda_total(), 0.2);
+    }
+
+    /// ε = ∞ would pass a bare `ε > 0` check and come out as c_θ = β = NaN.
+    #[test]
+    #[should_panic(expected = "ε must be positive and finite")]
+    fn infinite_eps_panics() {
+        let _ = TheoremOneParams::compute(&CalibrationInput { eps: f64::INFINITY, ..base_input() });
     }
 
     #[test]

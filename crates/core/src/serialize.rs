@@ -146,14 +146,6 @@ pub fn get_f64(buf: &mut Bytes) -> Result<f64, DecodeError> {
     Ok(buf.get_f64_le())
 }
 
-/// Reads a little-endian `f32`, fail-closed on truncation.
-pub fn get_f32(buf: &mut Bytes) -> Result<f32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_f32_le())
-}
-
 /// Checks that `count` elements of `elem_size` bytes are actually present
 /// before any allocation happens. The arithmetic is checked: a hostile
 /// header advertising `u32::MAX × u32::MAX` elements must yield
@@ -736,8 +728,8 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<PersistedStore, DecodeError> {
     Ok(PersistedStore { mode_tag, data })
 }
 
-/// Writes a serving store to a file (the `gcon-serve::ServingModel::save`
-/// backend).
+/// Writes a serving store to a file. `gcon-serve`'s `ServingModel::save`
+/// writes its own bytes and does not call this.
 pub fn save_store(
     persisted: &PersistedStore,
     path: impl AsRef<std::path::Path>,

@@ -278,7 +278,7 @@ mod tests {
     /// within the sum of the two bounds.
     #[test]
     fn newton_and_adam_agree_on_the_minimizer() {
-        use gcon_nn::{Adam, Optimizer};
+        use gcon_nn::Adam;
         let mut rng = StdRng::seed_from_u64(83);
         let mut z = Mat::uniform(25, 5, 1.0, &mut rng);
         z.normalize_rows_l2();

@@ -93,11 +93,6 @@ impl CsrDelta {
         self.edge_inserts.is_empty() && self.edge_removes.is_empty() && self.new_nodes == 0
     }
 
-    /// Number of queued edge operations (inserts + removes).
-    pub fn num_edge_ops(&self) -> usize {
-        self.edge_inserts.len() + self.edge_removes.len()
-    }
-
     /// Number of queued node onboardings.
     pub fn num_new_nodes(&self) -> usize {
         self.new_nodes
@@ -440,7 +435,7 @@ mod tests {
         d2.remove_edge(absent.1, absent.0); // opposite endpoint order
         d1.merge(&d2);
         // Netting keeps the final remove (sound for any start state)...
-        assert_eq!(d1.num_edge_ops(), 1);
+        assert_eq!((d1.edge_inserts.len(), d1.edge_removes.len()), (0, 1));
         // ...and pruning against the concrete graph discards it: the edge
         // was absent, so the whole window is a no-op.
         d1.prune(&g);
@@ -456,7 +451,7 @@ mod tests {
         let mut d2 = CsrDelta::new();
         d2.insert_edge(u, v);
         d1.merge(&d2);
-        assert_eq!(d1.num_edge_ops(), 1); // nets to the insert
+        assert_eq!((d1.edge_inserts.len(), d1.edge_removes.len()), (1, 0)); // nets to the insert
         d1.prune(&g);
         assert!(d1.is_empty()); // ...which is a no-op: edge already present
     }
@@ -469,7 +464,8 @@ mod tests {
         d.prune(&g);
         // The self-loop dies, the onboard edge survives (node 15 does not
         // exist yet, so it cannot be judged against the pre-delta graph).
-        assert_eq!(d.num_edge_ops(), 1);
+        assert_eq!(d.edge_inserts, vec![(15, 3)]);
+        assert!(d.edge_removes.is_empty());
         assert_eq!(d.num_new_nodes(), 1);
         assert!(!d.is_empty());
     }

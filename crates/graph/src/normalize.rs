@@ -87,9 +87,9 @@ pub fn symmetric(graph: &Graph) -> Csr {
 ///
 /// Special cases: `r = 0` is the row-stochastic `D⁻¹Â` GCON trains with,
 /// `r = 1/2` is the symmetric Kipf–Welling `D^{-1/2}ÂD^{-1/2}`, and `r = 1`
-/// is the column-stochastic `ÂD⁻¹`. The paper fixes `r = 0`; this routine
-/// exists so the normalization ablation (and the Lemma 1 "row sums = 1"
-/// precondition, which *only* holds at `r = 0`) can be exercised directly.
+/// is the column-stochastic `ÂD⁻¹`. The paper fixes `r = 0`, and no
+/// harness calls this routine; its tests check the special cases and that
+/// the Lemma 1 "row sums = 1" precondition holds *only* at `r = 0`.
 ///
 /// # Panics
 /// Panics if `r` is outside `[0, 1]`.

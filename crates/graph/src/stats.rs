@@ -1,9 +1,9 @@
 //! Structural graph statistics: components, degree distribution, clustering.
 //!
-//! Used by the dataset reporting (alongside the Table II row) and by the
-//! generator tests to confirm the synthetic stand-ins have citation-like
-//! structure (heavy-tailed degrees, a dominant connected component,
-//! non-trivial clustering).
+//! No pipeline, harness or dataset code calls this module. Its own tests
+//! confirm the synthetic stand-ins have citation-like structure
+//! (heavy-tailed degrees, a dominant connected component, non-trivial
+//! clustering).
 
 use crate::{traversal, Graph};
 

@@ -1,15 +1,9 @@
 //! Breadth-first traversal utilities: hop distances, k-hop neighborhoods,
 //! and connected components.
 //!
-//! These back two pieces of the reproduction:
-//!
-//! - the **sensitivity analysis**: the paper's Challenge 1 argues that an
-//!   edge affects the aggregations of all `(m−1)`-hop neighbors of its
-//!   endpoints — the empirical Lemma 2 tests use [`k_hop_neighborhood`] to
-//!   localize where `Z` and `Z'` may differ;
-//! - the **edge-inference attacks**: LinkTeller-style influence analysis
-//!   scores candidate node pairs, and hop distance is the natural stratifier
-//!   when reporting attack AUC by distance.
+//! Neither the sensitivity analysis (the Lemma 2 tests) nor the
+//! edge-inference attacks call these; only [`crate::stats`] and the tests
+//! do.
 
 use crate::Graph;
 

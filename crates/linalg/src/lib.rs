@@ -70,13 +70,14 @@ pub use scalar::{Dtype, Scalar};
 // one (the optimizer step, the activations, the objective's loss terms).
 pub use gcon_runtime::{parallel_rows, parallel_zip, PAR_THRESHOLD};
 
-/// Absolute tolerance used by the test suites across the workspace when
-/// comparing floating-point kernels against naive reference implementations.
-pub const TEST_TOL: f64 = 1e-9;
+/// Absolute tolerance the unit tests use when comparing floating-point
+/// kernels against naive reference implementations.
+#[cfg(test)]
+pub(crate) const TEST_TOL: f64 = 1e-9;
 
 /// Returns true when `a` and `b` are within `tol` of each other, treating
 /// NaN as never close.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+#[cfg(test)]
+pub(crate) fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol
 }

@@ -168,11 +168,6 @@ impl<S: Scalar> Mat<S> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<S> {
-        self.data
-    }
-
     /// Reshapes to `rows × cols` and zero-fills, reusing the backing
     /// allocation whenever its capacity suffices. This is the entry point of
     /// every `_into` kernel: an output buffer threaded through a training

@@ -47,14 +47,6 @@ impl Dtype {
             Dtype::F32 => "f32",
         }
     }
-
-    /// Bytes per element (8 / 4).
-    pub fn size_bytes(self) -> usize {
-        match self {
-            Dtype::F64 => 8,
-            Dtype::F32 => 4,
-        }
-    }
 }
 
 impl std::fmt::Display for Dtype {
@@ -326,8 +318,6 @@ mod tests {
         assert_eq!(Dtype::F64.name(), "f64");
         assert_eq!(Dtype::F32.name(), "f32");
         assert_eq!(Dtype::F64.to_string(), "f64");
-        assert_eq!(Dtype::F64.size_bytes(), 8);
-        assert_eq!(Dtype::F32.size_bytes(), 4);
     }
 
     #[test]

@@ -247,18 +247,6 @@ pub fn dist2<S: Scalar>(a: &[S], b: &[S]) -> S {
     S::kernel_dist2(a, b)
 }
 
-/// L1 norm.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// L∞ norm.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
-}
-
 /// Scales `x` in place by `alpha`.
 #[inline]
 pub fn scale(x: &mut [f64], alpha: f64) {
@@ -361,8 +349,6 @@ mod tests {
     fn norms() {
         let x = [3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm1(&x), 7.0);
-        assert_eq!(norm_inf(&x), 4.0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Inverted dropout.
 //!
-//! The Kipf–Welling GCN recipe applies dropout 0.5 between layers; our GCN
-//! baseline exposes it as an option (off by default so the Figure 1 sweeps
-//! stay deterministic given a seed budget). Inverted scaling (`1/(1−p)` at
-//! train time) keeps the inference path an identity.
+//! The Kipf–Welling GCN recipe applies dropout 0.5 between layers; no model
+//! in the workspace does (the GCN baseline trains without it). Inverted
+//! scaling (`1/(1−p)` at train time) keeps the inference path an identity.
 
 use gcon_linalg::Mat;
 use rand::Rng;

@@ -62,22 +62,6 @@ impl<S: Scalar> HeadWorkspace<S> {
         &self.logits
     }
 
-    /// [`HeadWorkspace::forward`] followed by a per-row argmax written into
-    /// `out` (cleared and refilled; the allocation is reused across calls).
-    /// The argmax is dtype-independent: `f32 → f64` widening is monotone,
-    /// so an `f32` workspace predicts exactly what its widened logits would.
-    pub fn forward_argmax_into(
-        &mut self,
-        features: &Mat<S>,
-        rows: &[usize],
-        weights: &Mat<S>,
-        out: &mut Vec<usize>,
-    ) {
-        self.forward(features, rows, weights);
-        out.clear();
-        out.extend(self.logits.rows_iter().map(gcon_linalg::vecops::argmax));
-    }
-
     /// The logits of the last [`HeadWorkspace::forward`] call (`batch × c`).
     pub fn logits(&self) -> &Mat<S> {
         &self.logits
@@ -142,14 +126,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let features: Mat = Mat::uniform(20, 6, 1.0, &mut rng);
         let weights: Mat = Mat::uniform(6, 3, 1.0, &mut rng);
+        let full_preds = reduce::row_argmax(&ops::matmul(&features, &weights));
         let mut ws = HeadWorkspace::new();
-        let mut preds = Vec::new();
         for size in [20usize, 1, 7, 20] {
             let rows: Vec<usize> = (0..size).collect();
-            ws.forward_argmax_into(&features, &rows, &weights, &mut preds);
-            assert_eq!(preds.len(), size);
+            ws.forward(&features, &rows, &weights);
             assert_eq!(ws.logits().shape(), (size, 3));
-            assert_eq!(ws.predictions(), preds);
+            assert_eq!(ws.predictions(), full_preds[..size]);
         }
     }
 

@@ -31,4 +31,4 @@ pub use activations::Activation;
 pub use head::HeadWorkspace;
 pub use linear::{Linear, LinearGrads};
 pub use mlp::{Mlp, MlpConfig, MlpWorkspace};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;

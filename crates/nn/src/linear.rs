@@ -115,12 +115,6 @@ impl Linear {
         assert_eq!(grads.dw.shape(), self.w.shape(), "backward: weight gradient shape mismatch");
         gcon_linalg::reduce::col_sums_into(dy, &mut grads.db);
     }
-
-    /// Squared Frobenius norm of the weights (for L2 regularization; biases
-    /// are conventionally not decayed).
-    pub fn weight_norm_sq(&self) -> f64 {
-        self.w.frobenius_norm_sq()
-    }
 }
 
 #[cfg(test)]

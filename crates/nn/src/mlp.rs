@@ -8,17 +8,17 @@
 use crate::activations::Activation;
 use crate::linear::{Linear, LinearGrads};
 use crate::loss::softmax_cross_entropy_into;
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use gcon_linalg::{ops, Mat};
 use rand::Rng;
 
 /// Reusable buffers for one network's forward/backward sweep.
 ///
 /// A training loop owns one workspace per network and threads it through
-/// [`Mlp::forward_cached_ws`] / [`Mlp::backward_ws`] (or the `_with` pair
-/// for an input the caller multiplies itself); after the first epoch
-/// every buffer has reached its steady-state capacity and no per-iteration
-/// matrix allocation happens. A fresh (empty) workspace is valid for any
+/// [`Mlp::forward_cached_ws`] / [`Mlp::backward_ws_weights_only`] (or the
+/// `_with` pair for an input the caller multiplies itself); after the first
+/// epoch every buffer has reached its steady-state capacity and no
+/// per-iteration matrix allocation happens. A fresh (empty) workspace is valid for any
 /// network — buffers are shaped on first use.
 #[derive(Clone, Debug, Default)]
 pub struct MlpWorkspace {
@@ -46,13 +46,8 @@ impl MlpWorkspace {
         self.cache.last().expect("MlpWorkspace::output: no forward pass recorded")
     }
 
-    /// Gradient w.r.t. the network *input* from the last
-    /// [`Mlp::backward_ws`] call.
-    pub fn input_grad(&self) -> &Mat {
-        &self.delta
-    }
-
-    /// Per-layer gradients from the last [`Mlp::backward_ws`] call.
+    /// Per-layer gradients from the last backward pass through this
+    /// workspace.
     pub fn grads(&self) -> &[LinearGrads] {
         &self.grads
     }
@@ -199,20 +194,12 @@ impl Mlp {
     }
 
     /// Backward pass from `dout = ∂L/∂output`, the buffer-reusing twin of
-    /// [`Mlp::backward`]. Per-layer gradients land in `ws.grads()` and the
-    /// input gradient in `ws.input_grad()`.
-    pub fn backward_ws(&self, ws: &mut MlpWorkspace, dout: &Mat) {
-        self.backward_to_first_layer(ws, dout);
-        self.layers[0].backward_into(&ws.cache[0], &ws.delta, &mut ws.delta_next, &mut ws.grads[0]);
-        std::mem::swap(&mut ws.delta, &mut ws.delta_next);
-    }
-
-    /// [`Mlp::backward_ws`] without the layer-0 input-gradient product.
+    /// [`Mlp::backward`] without its input gradient. Per-layer gradients
+    /// land in `ws.grads()`.
     ///
     /// Training loops that own the network's raw input (every epoch loop in
     /// the workspace) never read `∂L/∂input`, yet computing it is a full
-    /// `n × d_in` GEMM per step — the weights-only form skips it.
-    /// `ws.input_grad()` is NOT meaningful after this call.
+    /// `n × d_in` GEMM per step — this form skips it.
     pub fn backward_ws_weights_only(&self, ws: &mut MlpWorkspace, dout: &Mat) {
         self.backward_to_first_layer(ws, dout);
         self.layers[0].backward_weights_into(&ws.cache[0], &ws.delta, &mut ws.grads[0]);
@@ -239,7 +226,7 @@ impl Mlp {
         assert_eq!(
             ws.cache.len(),
             self.layers.len() + 1,
-            "backward_ws: run forward_cached_ws first"
+            "backward_ws_weights_only: run forward_cached_ws first"
         );
         // Match the slot count to *this* network (truncating too, so one
         // workspace can be reused across networks of different depth).
@@ -283,7 +270,7 @@ impl Mlp {
     pub fn apply_grads(
         &mut self,
         grads: &mut [LinearGrads],
-        opt: &mut dyn Optimizer,
+        opt: &mut Adam,
         weight_decay: f64,
         base_idx: usize,
     ) {
@@ -301,16 +288,11 @@ impl Mlp {
     pub fn apply_grads_ws(
         &mut self,
         ws: &mut MlpWorkspace,
-        opt: &mut dyn Optimizer,
+        opt: &mut Adam,
         weight_decay: f64,
         base_idx: usize,
     ) {
         self.apply_grads(&mut ws.grads, opt, weight_decay, base_idx);
-    }
-
-    /// Total number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w.rows() * l.w.cols() + l.b.len()).sum()
     }
 
     /// Full-batch Adam training with softmax cross-entropy. Returns the loss
@@ -342,59 +324,6 @@ impl Mlp {
     pub fn predict(&self, x: &Mat) -> Vec<usize> {
         gcon_linalg::reduce::row_argmax(&self.forward(x))
     }
-
-    /// Cross-entropy training with early stopping: after every epoch the
-    /// validation loss is evaluated, and training stops once it has failed
-    /// to improve for `patience` consecutive epochs; the best-validation
-    /// weights are restored. Returns `(epochs run, best validation loss)`.
-    #[allow(clippy::too_many_arguments)] // a training entry point takes the full data tuple
-    pub fn train_cross_entropy_early_stopping(
-        &mut self,
-        x_train: &Mat,
-        y_train: &[usize],
-        x_val: &Mat,
-        y_val: &[usize],
-        max_epochs: usize,
-        patience: usize,
-        lr: f64,
-        weight_decay: f64,
-    ) -> (usize, f64) {
-        assert!(patience >= 1, "early stopping needs patience ≥ 1");
-        let mut opt = Adam::new(lr);
-        let mut best_loss = f64::INFINITY;
-        let mut best_weights: Option<Vec<Linear>> = None;
-        let mut stale = 0usize;
-        let mut epochs_run = 0usize;
-        let mut ws = MlpWorkspace::new();
-        let mut val_ws = MlpWorkspace::new();
-        let mut dlogits = Mat::zeros(0, 0);
-        let mut val_grad = Mat::zeros(0, 0);
-        for epoch in 0..max_epochs {
-            epochs_run = epoch + 1;
-            self.forward_cached_ws(x_train, &mut ws);
-            let _ = softmax_cross_entropy_into(ws.output(), y_train, &mut dlogits);
-            self.backward_ws_weights_only(&mut ws, &dlogits);
-            opt.begin_step();
-            self.apply_grads_ws(&mut ws, &mut opt, weight_decay, 0);
-
-            self.forward_cached_ws(x_val, &mut val_ws);
-            let val_loss = softmax_cross_entropy_into(val_ws.output(), y_val, &mut val_grad);
-            if val_loss < best_loss - 1e-12 {
-                best_loss = val_loss;
-                best_weights = Some(self.layers.clone());
-                stale = 0;
-            } else {
-                stale += 1;
-                if stale >= patience {
-                    break;
-                }
-            }
-        }
-        if let Some(w) = best_weights {
-            self.layers = w;
-        }
-        (epochs_run, best_loss)
-    }
 }
 
 #[cfg(test)]
@@ -412,7 +341,6 @@ mod tests {
         let x = Mat::uniform(7, 10, 1.0, &mut rng);
         assert_eq!(mlp.forward(&x).shape(), (7, 4));
         assert_eq!(mlp.depth(), 2);
-        assert_eq!(mlp.num_params(), 10 * 16 + 16 + 16 * 4 + 4);
     }
 
     /// End-to-end gradient check through two layers + ReLU.
@@ -477,32 +405,6 @@ mod tests {
         assert!(losses.last().unwrap() < &losses[0]);
     }
 
-    #[test]
-    fn early_stopping_halts_before_max_and_restores_best() {
-        let mut rng = StdRng::seed_from_u64(26);
-        // Tiny train set + disjoint val set with the same rule: overfitting
-        // sets in quickly, so early stopping must trigger well before 2000.
-        let x_train = Mat::from_fn(8, 4, |i, j| if j == i % 2 { 1.0 } else { 0.1 * j as f64 });
-        let y_train: Vec<usize> = (0..8).map(|i| i % 2).collect();
-        let x_val = Mat::from_fn(20, 4, |i, j| {
-            (if j == i % 2 { 1.0 } else { 0.1 * j as f64 })
-                + 0.3 * (((i * 7 + j) % 5) as f64 / 5.0 - 0.4)
-        });
-        // 30% label noise: as the net drives the train loss to zero it grows
-        // over-confident on exactly these points, so the validation loss
-        // eventually rises — the regime early stopping exists for.
-        let y_val: Vec<usize> =
-            (0..20).map(|i| if i % 3 == 0 { (i + 1) % 2 } else { i % 2 }).collect();
-        let mut mlp = Mlp::new(&MlpConfig::relu_classifier(vec![4, 32, 2]), &mut rng);
-        let (epochs, best) = mlp.train_cross_entropy_early_stopping(
-            &x_train, &y_train, &x_val, &y_val, 2000, 25, 0.05, 0.0,
-        );
-        assert!(epochs < 2000, "early stopping never triggered ({epochs} epochs)");
-        // The restored weights reproduce the reported best validation loss.
-        let (val_loss, _) = softmax_cross_entropy(&mlp.forward(&x_val), &y_val);
-        assert!((val_loss - best).abs() < 1e-9, "restored {val_loss} vs best {best}");
-    }
-
     /// One workspace reused across networks of different depth (and the
     /// workspace path must reproduce the allocating path bit-for-bit).
     #[test]
@@ -520,10 +422,9 @@ mod tests {
             let cache = net.forward_cached(&x);
             assert_eq!(ws.output().as_slice(), cache.last().unwrap().as_slice());
             assert_eq!(net.forward(&x).as_slice(), cache.last().unwrap().as_slice());
-            net.backward_ws(&mut ws, &dout);
-            let (dx, grads) = net.backward(&cache, dout.clone());
+            net.backward_ws_weights_only(&mut ws, &dout);
+            let (_, grads) = net.backward(&cache, dout.clone());
             assert_eq!(ws.grads().len(), net.depth());
-            assert_eq!(ws.input_grad().as_slice(), dx.as_slice());
             for (a, b) in ws.grads().iter().zip(&grads) {
                 assert_eq!(a.dw.as_slice(), b.dw.as_slice());
                 assert_eq!(a.db, b.db);

@@ -1,72 +1,10 @@
-//! First-order optimizers.
+//! The first-order optimizer, Adam.
 //!
-//! The optimizers operate on flat `&mut [f64]` parameter slices identified by
-//! a stable index, so any model (MLP, GCN, GCON's Θ) can drive them without a
-//! parameter-registry abstraction. Per Theorem 1 of the paper, GCON's privacy
-//! guarantee is *independent* of the optimizer — these are pure utility.
-
-/// Common interface: one `update` call per parameter tensor per step, after a
-/// single `begin_step`.
-pub trait Optimizer {
-    /// Advances the internal step counter (call once per optimization step).
-    fn begin_step(&mut self);
-    /// Applies the update rule for parameter tensor `idx`.
-    fn update(&mut self, idx: usize, param: &mut [f64], grad: &[f64]);
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f64) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-
-    fn slot(&mut self, idx: usize, len: usize) -> &mut Vec<f64> {
-        while self.velocity.len() <= idx {
-            self.velocity.push(Vec::new());
-        }
-        let v = &mut self.velocity[idx];
-        if v.len() != len {
-            *v = vec![0.0; len];
-        }
-        v
-    }
-}
-
-impl Optimizer for Sgd {
-    fn begin_step(&mut self) {}
-
-    fn update(&mut self, idx: usize, param: &mut [f64], grad: &[f64]) {
-        assert_eq!(param.len(), grad.len());
-        if self.momentum == 0.0 {
-            for (p, &g) in param.iter_mut().zip(grad) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        let momentum = self.momentum;
-        let lr = self.lr;
-        let v = self.slot(idx, param.len());
-        for ((p, &g), vel) in param.iter_mut().zip(grad).zip(v.iter_mut()) {
-            *vel = momentum * *vel + g;
-            *p -= lr * *vel;
-        }
-    }
-}
+//! It operates on flat `&mut [f64]` parameter slices identified by a stable
+//! index, so any model (the encoder, the MLP and GCN baselines) can drive it
+//! without a parameter-registry abstraction. Per Theorem 1 of the paper,
+//! GCON's privacy guarantee is *independent* of the optimizer — this is
+//! pure utility.
 
 /// Adam (Kingma & Ba, 2015) with bias correction — the optimizer the paper
 /// uses for both the encoder and the perturbed-objective minimization (here
@@ -103,14 +41,16 @@ impl Adam {
         }
         (&mut self.m[idx], &mut self.v[idx])
     }
-}
 
-impl Optimizer for Adam {
-    fn begin_step(&mut self) {
+    /// Advances the step counter: call once per optimization step, before
+    /// that step's [`Adam::update`] calls.
+    pub fn begin_step(&mut self) {
         self.t += 1;
     }
 
-    fn update(&mut self, idx: usize, param: &mut [f64], grad: &[f64]) {
+    /// Applies the update rule to parameter tensor `idx`, one call per
+    /// tensor per step.
+    pub fn update(&mut self, idx: usize, param: &mut [f64], grad: &[f64]) {
         assert_eq!(param.len(), grad.len());
         assert!(self.t > 0, "Adam::update before begin_step");
         let (lr, b1, b2, eps, t) = (self.lr, self.beta1, self.beta2, self.eps, self.t);
@@ -146,7 +86,7 @@ mod tests {
     use super::*;
 
     /// Minimize f(x) = (x-3)² and check convergence.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    fn minimize(opt: &mut Adam, steps: usize) -> f64 {
         let mut x = [0.0_f64];
         for _ in 0..steps {
             opt.begin_step();
@@ -154,20 +94,6 @@ mod tests {
             opt.update(0, &mut x, &grad);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = minimize(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let x = minimize(&mut opt, 400);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #[path = "../cli.rs"]
 mod cli;
 
-use cli::{load_dataset, Args};
+use cli::{check_model_fits, load_dataset, Args};
 use gcon::core::serialize;
 use gcon::core::{GconConfig, LossKind, PropagationStep};
 use gcon::datasets::metrics;
@@ -33,8 +33,8 @@ fn parse_loss(s: &str) -> Result<LossKind, String> {
     }
     if let Some(d) = s.strip_prefix("huber:") {
         let delta: f64 = d.parse().map_err(|_| format!("--loss huber:<δ>: bad δ `{d}`"))?;
-        if delta <= 0.0 {
-            return Err("--loss huber δ must be positive".into());
+        if !(delta > 0.0 && delta.is_finite()) {
+            return Err(format!("--loss huber δ must be positive and finite, got {delta}"));
         }
         return Ok(LossKind::PseudoHuber { delta });
     }
@@ -53,10 +53,16 @@ fn parse_steps(s: &str) -> Result<Vec<PropagationStep>, String> {
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
-    let dataset = load_dataset(args)?;
     let eps = args.required("eps")?.parse::<f64>().map_err(|_| "--eps: not a number")?;
+    if !(eps > 0.0 && eps.is_finite()) {
+        return Err(format!("--eps must be positive and finite, got {eps}"));
+    }
     let out = args.required("out")?;
+    let dataset = load_dataset(args)?;
     let delta = args.parse_f64("delta", dataset.default_delta())?;
+    if !(delta > 0.0 && delta < 1.0) {
+        return Err(format!("--delta must lie in (0, 1), got {delta}"));
+    }
     let seed = args.parse_u64("seed", 1)?;
 
     let mut cfg = GconConfig::default();
@@ -102,6 +108,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let model_path = args.required("model")?;
     let model = serialize::load(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
     let dataset = load_dataset(args)?;
+    check_model_fits(&model, &dataset)?;
     let mode = args.get("mode").unwrap_or("private");
     let pred = match mode {
         "private" => private_predict(&model, &dataset.graph, &dataset.features),
@@ -214,6 +221,7 @@ mod tests {
         assert_eq!(parse_loss("msm").unwrap(), LossKind::MultiLabelSoftMargin);
         assert_eq!(parse_loss("huber:0.3").unwrap(), LossKind::PseudoHuber { delta: 0.3 });
         assert!(parse_loss("huber:-1").is_err());
+        assert!(parse_loss("huber:inf").is_err());
         assert!(parse_loss("hinge").is_err());
     }
 

@@ -29,7 +29,7 @@
 #[path = "../cli.rs"]
 mod cli;
 
-use cli::{load_dataset, Args};
+use cli::{check_model_fits, load_dataset, Args};
 use gcon::core::serialize;
 use gcon::serve::{Server, ServerConfig, ServingMode, ServingModel, ShardWorker, StoreDtype};
 use std::io::Write;
@@ -47,6 +47,7 @@ fn obtain_store(args: &Args) -> Result<ServingModel, String> {
             let model = serialize::load(model_path)
                 .map_err(|e| format!("loading model `{model_path}`: {e}"))?;
             let dataset = load_dataset(args)?;
+            check_model_fits(&model, &dataset)?;
             let mode = match args.get("mode").unwrap_or("private") {
                 "private" => ServingMode::Private,
                 "public" => ServingMode::Public,

@@ -3,6 +3,7 @@
 //! model trained with `gcon train --dataset NAME …` can be served with
 //! `gcond --model … --dataset NAME …` under the same flags.
 
+use gcon::core::TrainedGcon;
 use gcon::datasets::Dataset;
 use std::collections::HashMap;
 
@@ -64,6 +65,9 @@ impl Args {
 pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
     let name = args.required("dataset")?;
     let scale = args.parse_f64("scale", 0.25)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("--scale must lie in (0, 1], got {scale}"));
+    }
     let seed = args.parse_u64("seed", 1)?;
     Ok(match name {
         "cora-ml" => gcon::datasets::cora_ml(scale, seed),
@@ -97,4 +101,23 @@ pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
             ))
         }
     })
+}
+
+/// Checks that `model` can run on `dataset`: the raw feature width d₀ and
+/// the class count must both be the ones the model was trained with.
+pub fn check_model_fits(model: &TrainedGcon, dataset: &Dataset) -> Result<(), String> {
+    let (d0, width) = (model.encoder.d0(), dataset.features.cols());
+    if width != d0 {
+        return Err(format!(
+            "--dataset {} has {width} features per node, the model was trained on {d0}",
+            dataset.name
+        ));
+    }
+    if dataset.num_classes != model.num_classes {
+        return Err(format!(
+            "--dataset {} has {} classes, the model was trained on {}",
+            dataset.name, dataset.num_classes, model.num_classes
+        ));
+    }
+    Ok(())
 }

@@ -48,8 +48,11 @@ fn config_rejects_omega_at_boundaries() {
 
 #[test]
 fn config_rejects_degenerate_pseudo_huber() {
-    let cfg = GconConfig { loss: LossKind::PseudoHuber { delta: 0.0 }, ..GconConfig::default() };
-    assert!(cfg.validate().unwrap_err().contains("pseudo-Huber"));
+    // δ_l = ∞ zeroes the loss bounds Theorem 1's calibration divides by.
+    for delta in [0.0, f64::INFINITY, f64::NAN] {
+        let cfg = GconConfig { loss: LossKind::PseudoHuber { delta }, ..GconConfig::default() };
+        assert!(cfg.validate().unwrap_err().contains("pseudo-Huber"), "δ_l = {delta}");
+    }
 }
 
 #[test]
