@@ -95,55 +95,6 @@ pub fn posterior_similarity_attack_auc<R: Rng + ?Sized>(
     auc(&pos, &neg)
 }
 
-/// Posterior-similarity attack with **hard negatives**: the non-edge pairs
-/// are sampled from 2-hop neighborhoods (nodes that share a neighbor but
-/// are not connected) instead of uniformly at random. This is the
-/// LinkTeller evaluation protocol's harder setting — 2-hop pairs receive
-/// correlated smoothing through their common neighbor, so the similarity
-/// signal that separates true edges from them is much weaker, and the AUC
-/// reported here lower-bounds the easy-negative variant.
-pub fn posterior_similarity_attack_auc_hard<R: Rng + ?Sized>(
-    logits: &Mat,
-    graph: &Graph,
-    num_pairs: usize,
-    rng: &mut R,
-) -> f64 {
-    assert_eq!(logits.rows(), graph.num_nodes(), "attack: logits/graph mismatch");
-    let post = posteriors(logits);
-    let edges = graph.edges();
-    assert!(!edges.is_empty(), "attack: graph has no edges");
-    let k = num_pairs.min(edges.len());
-
-    let mut pos = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (u, v) = edges[rng.gen_range(0..edges.len())];
-        pos.push(cosine(post.row(u as usize), post.row(v as usize)));
-    }
-    // 2-hop non-edges: walk u → n → w with w ∉ N(u), w ≠ u.
-    let n = graph.num_nodes() as u32;
-    let mut neg = Vec::with_capacity(k);
-    let mut attempts = 0;
-    while neg.len() < k && attempts < 200 * k + 2000 {
-        attempts += 1;
-        let u = rng.gen_range(0..n);
-        let nu = graph.neighbors(u);
-        if nu.is_empty() {
-            continue;
-        }
-        let mid = nu[rng.gen_range(0..nu.len())];
-        let nm = graph.neighbors(mid);
-        if nm.is_empty() {
-            continue;
-        }
-        let w = nm[rng.gen_range(0..nm.len())];
-        if w == u || graph.has_edge(u, w) {
-            continue;
-        }
-        neg.push(cosine(post.row(u as usize), post.row(w as usize)));
-    }
-    auc(&pos, &neg)
-}
-
 /// LinkTeller-style **influence attack** (Wu et al., S&P 2022): to test the
 /// candidate edge `(u, v)`, nudge node `u`'s features and measure how much
 /// node `v`'s output moves. Graph convolution transports influence along
@@ -270,10 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn hard_negatives_are_harder_than_random_ones() {
-        // On graph-smoothed posteriors, 2-hop pairs look more like edges
-        // than uniformly random pairs do, so the hard-negative AUC must be
-        // at most the random-negative AUC (up to sampling noise).
+    fn attack_leaks_on_graph_smoothed_logits() {
+        // Two-hop smoothing of class logits over a homophilous graph makes
+        // connected nodes' posteriors alike, so the attack must beat chance.
         let mut rng = StdRng::seed_from_u64(95);
         let (graph, labels) = gcon_graph::generators::sbm_homophily(
             &gcon_graph::generators::SbmConfig {
@@ -285,26 +235,11 @@ mod tests {
             },
             &mut rng,
         );
-        // Smooth one-hot class logits over the graph: edge-correlated output.
         let a = gcon_graph::normalize::row_stochastic_default(&graph);
         let onehot = Mat::from_fn(300, 3, |i, j| if labels[i] == j { 4.0 } else { 0.0 });
         let logits = a.spmm(&a.spmm(&onehot));
         let easy = posterior_similarity_attack_auc(&logits, &graph, 250, &mut rng);
-        let hard = posterior_similarity_attack_auc_hard(&logits, &graph, 250, &mut rng);
-        assert!(
-            hard <= easy + 0.05,
-            "hard-negative AUC {hard} should not exceed easy-negative {easy}"
-        );
         assert!(easy > 0.6, "smoothed logits should leak: easy AUC {easy}");
-    }
-
-    #[test]
-    fn hard_attack_is_chance_on_flat_outputs() {
-        let mut rng = StdRng::seed_from_u64(96);
-        let graph = gcon_graph::generators::erdos_renyi_gnm(200, 600, &mut rng);
-        let logits = Mat::zeros(200, 3);
-        let a = posterior_similarity_attack_auc_hard(&logits, &graph, 150, &mut rng);
-        assert!((a - 0.5).abs() < 0.1, "hard attack AUC {a} should be ≈ 0.5");
     }
 
     #[test]

@@ -78,6 +78,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         cfg.loss = parse_loss(l)?;
     }
     cfg.validate()?;
+    args.reject_unread("gcon train")?;
 
     eprintln!(
         "training GCON on {} (n={}, |E|={}) at (ε={eps}, δ={delta:.3e})…",
@@ -108,8 +109,9 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let model_path = args.required("model")?;
     let model = serialize::load(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
     let dataset = load_dataset(args)?;
-    check_model_fits(&model, &dataset)?;
     let mode = args.get("mode").unwrap_or("private");
+    args.reject_unread("gcon infer")?;
+    check_model_fits(&model, &dataset)?;
     let pred = match mode {
         "private" => private_predict(&model, &dataset.graph, &dataset.features),
         "public" => public_predict(&model, &dataset.graph, &dataset.features),
@@ -128,6 +130,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
 
 fn cmd_report(args: &Args) -> Result<(), String> {
     let model_path = args.required("model")?;
+    args.reject_unread("gcon report")?;
     let model = serialize::load(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
     println!("{}", model.report);
     println!("classes           : {}", model.num_classes);
@@ -150,12 +153,13 @@ const USAGE: &str = "usage:
   gcon infer  --model <path> --dataset <name> [--mode private|public]
   gcon report --model <path>
 
-datasets: cora-ml | citeseer | pubmed | actor | two-moons
+datasets: cora-ml | citeseer | pubmed | actor [--scale <f>] | two-moons
           | file --edges <p> --features <p> --labels <p>
                  [--train-frac 0.6] [--val-frac 0.2]
 train options: --delta <δ> --alpha <α> --alpha-i <α_I> --steps <m1,m2,…|inf>
                --lambda <Λ> --omega <ω> --clip-p <p> --loss <msm|huber:δ>
-               --scale <f> --seed <n>";
+               --seed <n>
+A flag the command does not use is an error.";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -170,6 +174,7 @@ fn main() -> ExitCode {
             "infer" => cmd_infer(&args),
             "report" => cmd_report(&args),
             "help" | "--help" | "-h" => {
+                args.reject_unread("gcon help")?;
                 println!("{USAGE}");
                 Ok(())
             }
@@ -238,6 +243,7 @@ mod tests {
     #[test]
     fn unknown_dataset_rejected() {
         let a = Args::parse(&argv(&["--dataset", "imagenet"])).unwrap();
-        assert!(load_dataset(&a).unwrap_err().contains("unknown dataset"));
+        let err = String::from(load_dataset(&a).unwrap_err());
+        assert!(err.contains("unknown dataset"), "{err}");
     }
 }

@@ -5,12 +5,39 @@
 
 use gcon::core::TrainedGcon;
 use gcon::datasets::Dataset;
-use std::collections::HashMap;
+use std::cell::Cell;
 
-/// Parsed `--key value` arguments.
+/// Why a command failed: `Usage` when the command line is at fault (a
+/// malformed, unknown, missing or out-of-domain flag), `Run` when a
+/// well-formed command could not do its work (a file that does not load,
+/// a model that does not fit the dataset, an address that does not bind).
+/// A bare message converts to `Usage`.
+#[derive(Debug)]
+pub enum CliError {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<CliError> for String {
+    fn from(e: CliError) -> Self {
+        match e {
+            CliError::Usage(msg) | CliError::Run(msg) => msg,
+        }
+    }
+}
+
+/// Parsed `--key value` arguments in command-line order, each with whether
+/// the command has read it, so [`Args::reject_unread`] can name the ones it
+/// never reads.
 #[derive(Debug)]
 pub struct Args {
-    flags: HashMap<String, String>,
+    flags: Vec<(String, String, Cell<bool>)>,
 }
 
 impl Args {
@@ -20,7 +47,7 @@ impl Args {
     /// Parses `--key value` pairs; rejects dangling keys, bare words and
     /// repeated flags.
     pub fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut flags = HashMap::new();
+        let mut flags: Vec<(String, String, Cell<bool>)> = Vec::new();
         let mut it = argv.iter();
         while let Some(k) = it.next() {
             let key = k.strip_prefix("--").ok_or_else(|| format!("expected --flag, got `{k}`"))?;
@@ -29,15 +56,35 @@ impl Args {
             } else {
                 it.next().ok_or_else(|| format!("flag --{key} needs a value"))?.clone()
             };
-            if flags.insert(key.to_string(), val).is_some() {
+            if flags.iter().any(|(k, ..)| k == key) {
                 return Err(format!("flag --{key} given twice"));
             }
+            flags.push((key.to_string(), val, Cell::new(false)));
         }
         Ok(Self { flags })
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
+        let (_, val, read) = self.flags.iter().find(|(k, ..)| k == key)?;
+        read.set(true);
+        Some(val)
+    }
+
+    /// Fails with the flags given that `command` has not looked up. A
+    /// command calls this once it has read every flag it uses, before it
+    /// writes anything, so a misspelt or inapplicable flag is an error
+    /// instead of being ignored.
+    pub fn reject_unread(&self, command: &str) -> Result<(), String> {
+        let unread: Vec<String> = self
+            .flags
+            .iter()
+            .filter(|(.., read)| !read.get())
+            .map(|(key, ..)| format!("--{key}"))
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        Err(format!("{command} does not take {}", unread.join(", ")))
     }
 
     pub fn required(&self, key: &str) -> Result<&str, String> {
@@ -60,20 +107,23 @@ impl Args {
 }
 
 /// The dataset named by `--dataset`: a deterministic synthetic stand-in
-/// (same `--scale`/`--seed` ⇒ same graph), or `file` with
-/// `--edges`/`--features`/`--labels` text files from disk.
-pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
+/// (same `--scale`/`--seed` ⇒ same graph; `two-moons` has no `--scale`),
+/// or `file` with `--edges`/`--features`/`--labels` text files from disk.
+pub fn load_dataset(args: &Args) -> Result<Dataset, CliError> {
     let name = args.required("dataset")?;
-    let scale = args.parse_f64("scale", 0.25)?;
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(format!("--scale must lie in (0, 1], got {scale}"));
-    }
     let seed = args.parse_u64("seed", 1)?;
+    let scale = || -> Result<f64, String> {
+        let scale = args.parse_f64("scale", 0.25)?;
+        if !(scale > 0.0 && scale <= 1.0) {
+            return Err(format!("--scale must lie in (0, 1], got {scale}"));
+        }
+        Ok(scale)
+    };
     Ok(match name {
-        "cora-ml" => gcon::datasets::cora_ml(scale, seed),
-        "citeseer" => gcon::datasets::citeseer(scale, seed),
-        "pubmed" => gcon::datasets::pubmed(scale, seed),
-        "actor" => gcon::datasets::actor(scale, seed),
+        "cora-ml" => gcon::datasets::cora_ml(scale()?, seed),
+        "citeseer" => gcon::datasets::citeseer(scale()?, seed),
+        "pubmed" => gcon::datasets::pubmed(scale()?, seed),
+        "actor" => gcon::datasets::actor(scale()?, seed),
         "two-moons" => gcon::datasets::two_moons_graph(seed),
         "file" => {
             // Real data from disk: --edges/--features/--labels text files
@@ -83,6 +133,12 @@ pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
             let labels = args.required("labels")?;
             let train_frac = args.parse_f64("train-frac", 0.6)?;
             let val_frac = args.parse_f64("val-frac", 0.2)?;
+            if !(train_frac > 0.0 && val_frac >= 0.0 && train_frac + val_frac <= 1.0) {
+                return Err(CliError::Usage(format!(
+                    "--train-frac {train_frac} and --val-frac {val_frac} must be a split: \
+                     train > 0, val ≥ 0, train + val ≤ 1"
+                )));
+            }
             gcon::datasets::text_io::load_from_files(
                 "file",
                 std::path::Path::new(edges),
@@ -92,13 +148,13 @@ pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
                 val_frac,
                 seed,
             )
-            .map_err(|e| format!("loading dataset files: {e}"))?
+            .map_err(|e| CliError::Run(format!("loading dataset files: {e}")))?
         }
         other => {
-            return Err(format!(
+            return Err(CliError::Usage(format!(
                 "unknown dataset `{other}` \
                  (expected cora-ml|citeseer|pubmed|actor|two-moons|file)"
-            ))
+            )))
         }
     })
 }

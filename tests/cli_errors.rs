@@ -1,9 +1,10 @@
 //! The command-line error contract, checked on the spawned binaries: a flag
-//! outside the domain the library asserts, or a model run on a dataset of
-//! another shape, exits 1 with an `error:` line that names the flag, and
-//! `gcon train` writes no model file.
+//! outside the domain the library asserts, a flag the command does not
+//! read, or a model run on a dataset of another shape, exits 1 with an
+//! `error:` line that names the flag, and nothing is written. `gcond`
+//! follows a command-line error, and only that, with its usage text.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -12,6 +13,15 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 fn gcon(args: &[&str]) -> Output {
     run(env!("CARGO_BIN_EXE_gcon"), args)
+}
+
+fn gcond(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_gcond"), args)
+}
+
+/// True when stderr carries `gcond`'s usage text.
+fn prints_usage(out: &Output) -> bool {
+    String::from_utf8_lossy(&out.stderr).lines().any(|l| l.starts_with("usage:"))
 }
 
 /// A fresh directory for one test's files.
@@ -77,9 +87,9 @@ fn a_model_on_a_dataset_of_another_shape_exits_1() {
     let moons = dir.join("moons.bin");
     let cora = dir.join("cora.bin");
     let (moons, cora) = (moons.to_str().unwrap(), cora.to_str().unwrap());
-    for (dataset, out) in [("two-moons", moons), ("cora-ml", cora)] {
+    for (out, dataset) in [(moons, &["two-moons"][..]), (cora, &["cora-ml", "--scale", "0.02"])] {
         let trained =
-            gcon(&["train", "--dataset", dataset, "--scale", "0.02", "--eps", "2", "--out", out]);
+            gcon(&[&["train", "--eps", "2", "--out", out, "--dataset"][..], dataset].concat());
         assert!(trained.status.success(), "{}", String::from_utf8_lossy(&trained.stderr));
     }
 
@@ -87,11 +97,9 @@ fn a_model_on_a_dataset_of_another_shape_exits_1() {
     let wide = ["--dataset", "cora-ml", "--scale", "0.05"];
     let out = gcon(&[&["infer", "--model", moons][..], &wide].concat());
     assert_named_error(&out, "error:", "--dataset", "two-moons model on cora-ml");
-    let out = run(
-        env!("CARGO_BIN_EXE_gcond"),
-        &[&["--model", moons, "--addr", "127.0.0.1:0"][..], &wide].concat(),
-    );
+    let out = gcond(&[&["--model", moons, "--addr", "127.0.0.1:0"][..], &wide].concat());
     assert_named_error(&out, "gcond:", "--dataset", "gcond: two-moons model on cora-ml");
+    assert!(!prints_usage(&out), "a well-formed command printed usage");
 
     // Class count: Cora-ML at scale 0.02 and PubMed at scale 0.05 both have
     // d₀ = 64, but 7 classes against 3.
@@ -100,5 +108,83 @@ fn a_model_on_a_dataset_of_another_shape_exits_1() {
 
     let out = gcon(&["infer", "--model", cora, "--dataset", "cora-ml", "--scale", "0.02"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn gcond_prints_usage_after_a_command_line_error() {
+    let out = gcond(&[]);
+    assert_named_error(&out, "gcond:", "--store", "gcond with no flags");
+    assert!(prints_usage(&out), "no usage after a missing --store");
+}
+
+/// Writes a 30-node, 3-class `--dataset file` triple into `dir`.
+fn write_text_dataset(dir: &Path) -> [String; 3] {
+    let n = 30;
+    let edges: String = (0..n).map(|i| format!("{i} {}\n", (i + 3) % n)).collect();
+    let features: String =
+        (0..n).map(|i| format!("{i} {}\n", if i % 3 == 0 { "1 0" } else { "0 1" })).collect();
+    let labels: String = (0..n).map(|i| format!("{i} c{}\n", i % 3)).collect();
+    [("edges.txt", edges), ("features.txt", features), ("labels.txt", labels)].map(
+        |(name, text)| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        },
+    )
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_exits_1_and_writes_nothing() {
+    let dir = scratch_dir("unread");
+    let [edges, features, labels] = write_text_dataset(&dir);
+    let file = ["file", "--edges", &edges, "--features", &features, "--labels", &labels];
+    let model = dir.join("model.bin");
+    let train = ["train", "--eps", "2", "--out", model.to_str().unwrap(), "--dataset"];
+    let cases: [(&str, &[&str]); 5] = [
+        ("--alpah", &["cora-ml", "--scale", "0.05", "--alpah", "0.5"]),
+        ("--train-frac", &["cora-ml", "--scale", "0.05", "--train-frac", "0.5"]),
+        ("--scale", &["two-moons", "--scale", "0.02"]),
+        ("--scale", &[&file[..], &["--scale", "0.5"]].concat()),
+        // Read, but outside its domain: a split needs train + val ≤ 1.
+        ("--train-frac", &[&file[..], &["--train-frac", "2"]].concat()),
+    ];
+    for (flag, dataset) in cases {
+        let case = dataset.join(" ");
+        assert_named_error(&gcon(&[&train[..], dataset].concat()), "error:", flag, &case);
+        assert!(!model.exists(), "{case}: wrote {}", model.display());
+    }
+    assert_named_error(&gcon(&["help", "--scale", "0.5"]), "error:", "--scale", "help --scale");
+
+    // `gcond --store` reads no dataset, mode or dtype flag; the check runs
+    // before the store is opened.
+    let absent = dir.join("absent.gconstore");
+    for (flag, value) in [("--mode", "public"), ("--dtype", "f32"), ("--seed", "3")] {
+        let out = gcond(&["--store", absent.to_str().unwrap(), flag, value]);
+        assert_named_error(&out, "gcond:", flag, &format!("gcond --store {flag}"));
+    }
+
+    // `gcond --model` builds no store, and saves none, for an unread flag.
+    // Port 99999 cannot be bound, so a daemon that ignored the flag would
+    // exit on its bind error instead of serving forever.
+    let moons = dir.join("moons.bin");
+    let trained =
+        gcon(&["train", "--eps", "2", "--out", moons.to_str().unwrap(), "--dataset", "two-moons"]);
+    assert!(trained.status.success(), "{}", String::from_utf8_lossy(&trained.stderr));
+    let store = dir.join("store.gconstore");
+    let out = gcond(&[
+        "--model",
+        moons.to_str().unwrap(),
+        "--dataset",
+        "two-moons",
+        "--scale",
+        "0.5",
+        "--save-store",
+        store.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:99999",
+    ]);
+    assert_named_error(&out, "gcond:", "--scale", "gcond --model two-moons --scale");
+    assert!(!store.exists(), "wrote {}", store.display());
     let _ = std::fs::remove_dir_all(&dir);
 }
