@@ -13,8 +13,10 @@
 //!
 //! All binaries accept `--scale S` (default 0.25: proportional shrink of the
 //! Table II sizes, see `gcon-datasets`), `--runs R`, `--seed N` and
-//! `--quick` (smaller grids for smoke runs). Criterion microbenches live in
-//! `benches/`.
+//! `--quick` (smaller grids for smoke runs); a bad value or an unknown flag
+//! exits 1 with an `error:` line naming it. The `benches/` directory holds
+//! microbenches that each write a `BENCH_*.json` record (`bench_linalg`,
+//! `bench_serve`, `bench_server`, `bench_updates`, `bench_fleet`).
 
 use gcon_core::infer::{private_predict, public_predict};
 use gcon_core::train::train_gcon;
@@ -54,49 +56,57 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--scale`, `--runs`, `--seed`, `--quick` from `std::env::args`.
-    pub fn from_env() -> Self {
+    /// Parses `--scale S` (in (0, 1]), `--runs R` (≥ 1), `--seed N` and
+    /// `--quick` from the arguments after the program name. A missing or
+    /// malformed value, a value outside its domain, or an unknown `--flag`
+    /// is an error that names the flag. `--bench`, which `cargo bench`
+    /// appends, and bare words are ignored.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut out = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = |what: &str| {
+                it.next().ok_or_else(|| format!("{flag} needs {what}")).map(String::as_str)
+            };
+            match flag.as_str() {
                 "--scale" => {
-                    out.scale = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--scale needs a number in (0,1]");
-                    i += 1;
+                    let v = value("a number in (0, 1]")?;
+                    out.scale = v
+                        .parse()
+                        .ok()
+                        .filter(|s| *s > 0.0 && *s <= 1.0)
+                        .ok_or_else(|| format!("--scale must lie in (0, 1], got `{v}`"))?;
                 }
                 "--runs" => {
-                    out.runs = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--runs needs a positive integer");
-                    i += 1;
+                    let v = value("an integer ≥ 1")?;
+                    out.runs = v
+                        .parse()
+                        .ok()
+                        .filter(|&r| r >= 1)
+                        .ok_or_else(|| format!("--runs must be an integer ≥ 1, got `{v}`"))?;
                 }
                 "--seed" => {
-                    out.seed = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seed needs an integer");
-                    i += 1;
+                    let v = value("an integer")?;
+                    out.seed =
+                        v.parse().map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
                 }
                 "--quick" => out.quick = true,
-                "--bench" => {} // ignore cargo-bench artifacts
-                other => {
-                    if !other.starts_with("--") {
-                        // positional junk from cargo; ignore
-                    } else {
-                        eprintln!("warning: unknown flag {other}");
-                    }
-                }
+                "--bench" => {}
+                other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+                _ => {}
             }
-            i += 1;
         }
-        assert!(out.scale > 0.0 && out.scale <= 1.0, "--scale must lie in (0, 1]");
-        assert!(out.runs >= 1, "--runs must be ≥ 1");
-        out
+        Ok(out)
+    }
+
+    /// [`HarnessArgs::parse`] over the process arguments. An error prints
+    /// `error: …` and exits with status 1, as `gcon` does.
+    pub fn from_env() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
     }
 }
 
@@ -305,6 +315,45 @@ mod tests {
             ["nproc", "cpu_model", "kernel_tier_selected", "gcon_threads_env", "git_revision"]
         {
             assert!(stamp.contains(&format!("\"{key}\": ")), "{key} missing from {stamp}");
+        }
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn harness_args_parse_every_flag() {
+        let args = parse(&["--scale", "0.05", "--runs", "2", "--seed", "9", "--quick"]).unwrap();
+        assert_eq!((args.scale, args.runs, args.seed, args.quick), (0.05, 2, 9, true));
+        let args = parse(&["--bench", "word", "--scale", "1"]).unwrap();
+        let default = HarnessArgs::default();
+        assert_eq!((args.scale, args.runs, args.seed), (1.0, default.runs, default.seed));
+        assert!(!args.quick);
+    }
+
+    /// Each bad value, a missing value and an unknown flag is an error that
+    /// names the flag, not a panic.
+    #[test]
+    fn harness_args_errors_name_the_flag() {
+        let cases: [(&[&str], &str); 13] = [
+            (&["--scale", "0"], "--scale"),
+            (&["--scale", "-1"], "--scale"),
+            (&["--scale", "1.5"], "--scale"),
+            (&["--scale", "NaN"], "--scale"),
+            (&["--scale", "big"], "--scale"),
+            (&["--scale"], "--scale"),
+            (&["--runs", "0"], "--runs"),
+            (&["--runs", "-2"], "--runs"),
+            (&["--runs", "two"], "--runs"),
+            (&["--runs"], "--runs"),
+            (&["--seed", "1.5"], "--seed"),
+            (&["--quick", "--seed"], "--seed"),
+            (&["--sacle", "0.5"], "--sacle"),
+        ];
+        for (args, flag) in cases {
+            let err = parse(args).expect_err(&format!("{args:?} parsed"));
+            assert!(err.contains(flag), "{args:?}: `{err}` does not name {flag}");
         }
     }
 

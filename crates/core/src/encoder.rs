@@ -9,9 +9,10 @@
 //! softmax cross-entropy.
 //!
 //! Raw features are sparse bag-of-words and arrive as a [`Csr`], so the
-//! first layer's product `X·W₀` is [`Csr::spmm`] in every forward: each
+//! first layer's product `X·W₀` is a sparse product in every forward: each
 //! epoch of [`FeatureEncoder::train`], and
-//! [`FeatureEncoder::encode`]/[`FeatureEncoder::predict`] for any input.
+//! [`FeatureEncoder::encode`]/[`FeatureEncoder::predict`] for any input,
+//! where it runs one row block at a time with the rest of the network.
 //! There is one path, with no density gate, so a row's embedding never
 //! depends on which rows are encoded with it (`gcon-serve` splices the
 //! encodings of onboarded rows into a full-graph encoding). Training forms
@@ -107,8 +108,21 @@ impl FeatureEncoder {
     }
 
     /// Encodes features into the `d₁`-dimensional space (Algorithm 3 line 5).
+    ///
+    /// One pass over row blocks ([`Csr::spmm_row_blocks`]): each block's
+    /// first-layer product `X·W₀` goes through the rest of the network
+    /// ([`Mlp::forward_block`]) while it is in cache, so only the `n × d₁`
+    /// output is allocated. Each element has the bits of the layer-by-layer
+    /// forward `net.forward_from_product(x.spmm(W₀))`.
     pub fn encode(&self, x: &Csr) -> Mat {
-        self.net.forward_from_product(x.spmm(&self.net.layers[0].w))
+        let net = &self.net;
+        let d1 = net.layers[net.depth() - 1].d_out();
+        let mut out = Mat::zeros(x.rows(), d1);
+        let work = x.rows() * net.forward_block_work();
+        x.spmm_row_blocks(&net.layers[0].w, out.as_mut_slice(), d1, work, |xw0, rows, _| {
+            net.forward_block(xw0, rows)
+        });
+        out
     }
 
     /// Class predictions from the encoder head alone (used as pseudo-labels
@@ -286,6 +300,50 @@ mod tests {
             for idx in [vec![3], vec![11], vec![1907, 7, 57, 57], mixed.clone()] {
                 let part = enc.encode(&x.select_rows(&idx));
                 assert_eq!(bits(&part), bits(&full.select_rows(&idx)), "depth {depth} {idx:?}");
+            }
+        }
+    }
+
+    /// The fused row-block encode is bitwise the layer-by-layer forward
+    /// `forward_from_product(X·W₀)` kept here as the reference, at depths
+    /// 1–3 with nonzero biases, on row counts that are multiples of neither
+    /// [`ROW_BLOCK`] nor pool width 2 or 4 (an all-zero row among them), with
+    /// inputs large enough that the pass runs on the pool; and on inputs
+    /// of fewer rows than one block, down to none.
+    #[test]
+    fn encode_is_bitwise_the_layer_by_layer_forward() {
+        use gcon_graph::csr::ROW_BLOCK;
+        let mut rng = StdRng::seed_from_u64(78);
+        let d0 = 300;
+        let reference = |enc: &FeatureEncoder, x: &Csr| {
+            enc.net.forward_from_product(x.spmm(&enc.net.layers[0].w))
+        };
+        for n in [16 * ROW_BLOCK + 45, 3 * ROW_BLOCK + 7, ROW_BLOCK - 1, 5, 1, 0] {
+            assert!(n % ROW_BLOCK != 0 || n == 0);
+            let x =
+                Csr::from_dense(&sparse_input(n, d0, 0.05, &mut rng, |r| r.gen_range(0.5..2.0)));
+            for depth in 1..=3 {
+                let widths = [64, 24, 16];
+                let dims: Vec<usize> =
+                    std::iter::once(d0).chain(widths[3 - depth..].iter().copied()).collect();
+                let layers = dims
+                    .windows(2)
+                    .map(|w| {
+                        let mut layer = Linear::xavier(w[0], w[1], &mut rng);
+                        layer.b = (0..w[1]).map(|k| 0.05 * k as f64 - 0.3).collect();
+                        layer
+                    })
+                    .collect();
+                let net = Mlp::from_parts(layers, Activation::Relu, Activation::Tanh);
+                let enc = FeatureEncoder { net, head: Linear::xavier(16, 3, &mut rng) };
+                if n > 1000 {
+                    assert!(n % 2 == 1, "n = {n} is a multiple of pool width 2 or 4");
+                    let work = x.nnz() * enc.net.layers[0].w.cols();
+                    assert!(work >= gcon_linalg::PAR_THRESHOLD, "n = {n} depth {depth}: pooled");
+                }
+                let got = enc.encode(&x);
+                assert_eq!(got.shape(), (n, 16));
+                assert_eq!(bits(&got), bits(&reference(&enc, &x)), "n = {n} depth {depth}");
             }
         }
     }

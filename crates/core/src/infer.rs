@@ -34,7 +34,7 @@
 //! path is **bitwise identical** to calling the entry points here.
 
 use crate::model::TrainedGcon;
-use crate::propagation::{concat_features, PropagationStep};
+use crate::propagation::{appr_step_into, concat_features, PropagationStep};
 use gcon_graph::normalize::row_stochastic;
 use gcon_graph::{Csr, Graph};
 use gcon_linalg::{ops, reduce, Mat};
@@ -56,23 +56,29 @@ fn encode_normalized(model: &TrainedGcon, features: &Csr) -> Mat {
 /// [`private_logits`] is this followed by [`head_logits`].
 pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     let x = encode_normalized(model, features);
-    let a_tilde = row_stochastic(graph, model.config.clip_p);
-    let alpha_i = model.config.alpha_inference;
     let steps = &model.config.steps;
+    // The one-hop aggregate, computed once if any m_i > 0: one APPR step
+    // from X̄ at α_I, its `(1−α_I)·v + α_I·x` applied to each row block of
+    // the sparse product while it is in cache.
+    let one_hop = steps.iter().any(|&s| s != PropagationStep::Finite(0)).then(|| {
+        let a_tilde = row_stochastic(graph, model.config.clip_p);
+        let mut h = Mat::default();
+        appr_step_into(&a_tilde, &x, &x, model.config.alpha_inference, &mut h);
+        h
+    });
+    if let [step] = steps[..] {
+        // One scale: the feature matrix is that block itself (`1/s = 1`).
+        return match step {
+            PropagationStep::Finite(0) => x,
+            _ => one_hop.expect("a step m > 0 aggregates"),
+        };
+    }
     let (n, d) = x.shape();
     let mut z = Mat::zeros(n, steps.len() * d);
-    // One-hop aggregate, computed at most once and written straight into
-    // every m_i > 0 column block of the concatenation.
-    let mut one_hop: Option<Mat> = None;
     for (i, &step) in steps.iter().enumerate() {
         let part = match step {
             PropagationStep::Finite(0) => &x,
-            _ => &*one_hop.get_or_insert_with(|| {
-                let mut h = a_tilde.spmm(&x);
-                h.map_inplace(|v| v * (1.0 - alpha_i));
-                ops::add_scaled_assign(&mut h, alpha_i, &x);
-                h
-            }),
+            _ => one_hop.as_ref().expect("a step m > 0 aggregates"),
         };
         z.copy_into_columns(i * d, part);
     }
@@ -393,6 +399,70 @@ mod tests {
         let want = ops::matmul(&h, &model.theta);
         for (a_, b_) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a_ - b_).abs() < 1e-10, "clipped inference mismatch");
+        }
+    }
+
+    /// Private features as whole-matrix passes, the reference for the fused
+    /// one-hop: the sparse product, a `·(1−α_I)` map and a `+ α_I·x` axpy,
+    /// then every scale copied into an `n × s·d` matrix scaled by `1/s`.
+    fn private_features_reference(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
+        let mut x = model.encoder.encode(features);
+        x.normalize_rows_l2();
+        let alpha_i = model.config.alpha_inference;
+        let mut h = row_stochastic(graph, model.config.clip_p).spmm(&x);
+        h.map_inplace(|v| v * (1.0 - alpha_i));
+        ops::add_scaled_assign(&mut h, alpha_i, &x);
+        let steps = &model.config.steps;
+        let d = x.cols();
+        let mut z = Mat::zeros(x.rows(), steps.len() * d);
+        for (i, &step) in steps.iter().enumerate() {
+            z.copy_into_columns(i * d, if step == PropagationStep::Finite(0) { &x } else { &h });
+        }
+        let inv_s = 1.0 / steps.len() as f64;
+        z.map_inplace(|v| v * inv_s);
+        z
+    }
+
+    /// The fused one-hop, and the feature matrix a single scale returns
+    /// without assembly, are bitwise the reference, for one and several
+    /// scales, on the training graph and on a graph large enough that the
+    /// encode and the one-hop run on the pool.
+    #[test]
+    fn private_features_are_bitwise_the_whole_matrix_reference() {
+        use PropagationStep::{Finite, Infinite};
+        let (g, x, labels, train_idx) = toy_setup(107);
+        let mut rng = StdRng::seed_from_u64(108);
+        let model =
+            train_gcon(&quick_config(), &g, &x, &labels, &train_idx, 3, 4.0, 1e-3, &mut rng);
+        let n = 4001;
+        let big_graph = gcon_graph::generators::erdos_renyi_gnm(n, 5 * n, &mut rng);
+        let big_features = Csr::from_dense(&Mat::from_fn(n, 12, |i, j| {
+            if (i * 7 + j * 3) % 5 == 0 {
+                1.0 + ((i + j) % 3) as f64
+            } else {
+                0.0
+            }
+        }));
+        let net = &model.encoder.net;
+        let encode_work = big_features.nnz() * net.layers[0].d_out() + n * net.forward_block_work();
+        assert!(encode_work >= gcon_linalg::PAR_THRESHOLD, "encode runs on the pool");
+        let hop_work = (n + 2 * big_graph.num_edges()) * model.encoder.d1();
+        assert!(hop_work >= gcon_linalg::PAR_THRESHOLD, "the one-hop runs on the pool");
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for steps in [
+            vec![Finite(2)],
+            vec![Finite(0)],
+            vec![Infinite],
+            vec![Finite(0), Finite(2)],
+            vec![Finite(1), Infinite, Finite(0)],
+        ] {
+            let mut m = model.clone();
+            m.config.steps = steps.clone();
+            for (graph, features) in [(&g, &x), (&big_graph, &big_features)] {
+                let got = private_features(&m, graph, features);
+                let want = private_features_reference(&m, graph, features);
+                assert_eq!(bits(&got), bits(&want), "{steps:?} on {} nodes", graph.num_nodes());
+            }
         }
     }
 

@@ -46,7 +46,7 @@
 //! [`crate::refresh`].
 
 use gcon_graph::Csr;
-use gcon_linalg::{ops, Mat};
+use gcon_linalg::Mat;
 
 /// A propagation step count `m ∈ [0, ∞]` (Eq. 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,9 +108,10 @@ pub fn propagate(a_tilde: &Csr, x: &Mat, alpha: f64, step: PropagationStep) -> M
 
 /// Computes `Z_m = R_m X` into the caller-owned ping-pong pair
 /// `(z, scratch)`, reusing both backing buffers across calls. On return `z`
-/// holds the result and `scratch` holds the penultimate iterate; both are
-/// reshaped as needed. The buffers may start empty (`Mat::zeros(0, 0)`) —
-/// they grow to `x`'s shape on first use and are never reallocated after.
+/// holds the result; `scratch` is working space. Both are reshaped as
+/// needed. The buffers may start empty (`Mat::zeros(0, 0)`) — they grow to
+/// `x`'s shape on first use and are never reallocated after. A finite
+/// `m ≥ 1` reads `X` in its first step instead of copying it into `z`.
 pub fn propagate_into(
     a_tilde: &Csr,
     x: &Mat,
@@ -124,29 +125,64 @@ pub fn propagate_into(
         "propagate: restart probability α must lie in (0, 1], got {alpha}"
     );
     assert_eq!(a_tilde.rows(), x.rows(), "propagate: dimension mismatch");
-    z.copy_from(x);
     match step {
+        PropagationStep::Finite(0) => z.copy_from(x),
         PropagationStep::Finite(m) => {
-            for _ in 0..m {
-                step_once_into(a_tilde, z, scratch, x, alpha);
+            for k in 0..m {
+                step_from(a_tilde, k, z, scratch, x, alpha);
             }
         }
         PropagationStep::Infinite => {
+            z.copy_from(x);
             run_to_fixed_point(a_tilde, z, scratch, x, alpha);
         }
     }
 }
 
+/// Advances `z` from `Z_k` to `Z_{k+1}`. At `k = 0` the step reads `x`
+/// itself, so `z` only receives the result and needs no copy of `X`.
+fn step_from(a_tilde: &Csr, k: usize, z: &mut Mat, scratch: &mut Mat, x: &Mat, alpha: f64) {
+    if k == 0 {
+        appr_step_into(a_tilde, x, x, alpha, z);
+    } else {
+        step_once_into(a_tilde, z, scratch, x, alpha);
+    }
+}
+
 /// One APPR sweep in place: `z ← (1−α) Ã z + α x`, with `scratch` receiving
 /// the previous iterate (the buffers are swapped, not copied).
-///
-/// `pub(crate)` so the incremental refresh layer (`crate::refresh`) can
-/// replicate the batch sweep bit-for-bit when building its iterate chain.
-pub(crate) fn step_once_into(a_tilde: &Csr, z: &mut Mat, scratch: &mut Mat, x: &Mat, alpha: f64) {
-    a_tilde.spmm_into(z, scratch);
-    scratch.map_inplace(|v| v * (1.0 - alpha));
-    ops::add_scaled_assign(scratch, alpha, x);
+fn step_once_into(a_tilde: &Csr, z: &mut Mat, scratch: &mut Mat, x: &Mat, alpha: f64) {
+    appr_step_into(a_tilde, z, x, alpha, scratch);
     std::mem::swap(z, scratch);
+}
+
+/// `out ← (1−α)·Ã·z + α·x` in one pass: each row block of the sparse
+/// product gets [`appr_element`] while it is in cache
+/// ([`Csr::spmm_row_blocks`]). Every element of `out` is overwritten, so a
+/// buffer of the right shape is not zeroed first; one of another shape is
+/// replaced by a fresh one. This is the step of every APPR sweep, of the
+/// incremental refresh's iterate chain (`crate::refresh`) and, with
+/// `z = x` and `α = α_I`, the one-hop `R̂X̄` of private inference (Eq. 16).
+pub(crate) fn appr_step_into(a_tilde: &Csr, z: &Mat, x: &Mat, alpha: f64, out: &mut Mat) {
+    assert_eq!(x.shape(), z.shape(), "APPR step: iterate and features differ in shape");
+    let d = z.cols();
+    if out.shape() != (a_tilde.rows(), d) {
+        *out = Mat::zeros(a_tilde.rows(), d);
+    }
+    a_tilde.spmm_row_blocks(z, out.as_mut_slice(), d, 2 * x.as_slice().len(), |az, rows, start| {
+        let x_rows = &x.as_slice()[start * d..][..az.len()];
+        for ((o, &v), &xi) in rows.iter_mut().zip(&*az).zip(x_rows) {
+            *o = appr_element(v, xi, alpha);
+        }
+    });
+}
+
+/// The elementwise end of an APPR step: `v·(1−α) + α·x` for an element `v`
+/// of the sparse product `Ã·z` and the matching feature `x`, in this
+/// association (the `·(1−α)` map, then the `+ α·x` axpy).
+#[inline]
+pub(crate) fn appr_element(v: f64, x: f64, alpha: f64) -> f64 {
+    v * (1.0 - alpha) + alpha * x
 }
 
 /// Iterates `z` to the PPR fixed point (Eq. 5), leaving the result in `z`.
@@ -268,6 +304,10 @@ pub fn propagate_multi(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationS
         "propagate_multi: restart probability α must lie in (0, 1], got {alpha}"
     );
     assert_eq!(a_tilde.rows(), x.rows(), "propagate_multi: dimension mismatch");
+    if let [step] = *steps {
+        // One scale: the concatenation is the iterate itself.
+        return propagate(a_tilde, x, alpha, step);
+    }
     let (n, d) = x.shape();
     let mut out = Mat::zeros(n, steps.len() * d);
     let max_finite = steps
@@ -276,7 +316,8 @@ pub fn propagate_multi(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationS
             PropagationStep::Finite(m) => Some(*m),
             PropagationStep::Infinite => None,
         })
-        .max();
+        .max()
+        .unwrap_or(0);
     let has_infinite = steps.contains(&PropagationStep::Infinite);
 
     let snapshot = |out: &mut Mat, z: &Mat, reached: PropagationStep| {
@@ -288,13 +329,15 @@ pub fn propagate_multi(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationS
     };
 
     snapshot(&mut out, x, PropagationStep::Finite(0));
-    let mut z = x.clone();
-    let mut scratch = Mat::zeros(0, 0);
-    for k in 1..=max_finite.unwrap_or(0) {
-        step_once_into(a_tilde, &mut z, &mut scratch, x, alpha);
+    let (mut z, mut scratch) = (Mat::default(), Mat::default());
+    for k in 1..=max_finite {
+        step_from(a_tilde, k - 1, &mut z, &mut scratch, x, alpha);
         snapshot(&mut out, &z, PropagationStep::Finite(k));
     }
     if has_infinite {
+        if max_finite == 0 {
+            z.copy_from(x);
+        }
         run_to_fixed_point(a_tilde, &mut z, &mut scratch, x, alpha);
         snapshot(&mut out, &z, PropagationStep::Infinite);
     }
@@ -307,11 +350,15 @@ pub fn propagate_multi(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationS
 /// The `1/s` weighting keeps each row's L2 norm ≤ 1 when the rows of `x` are
 /// unit-normalized (each `Z_m` row is a convex combination of unit rows).
 /// All scales are computed by the single-pass [`propagate_multi`] sweep.
+/// With one scale the result is the iterate itself: `1/s = 1` changes no
+/// bit, so no pass applies it.
 pub fn concat_features(a_tilde: &Csr, x: &Mat, alpha: f64, steps: &[PropagationStep]) -> Mat {
     assert!(!steps.is_empty(), "concat_features: need at least one step");
     let mut z = propagate_multi(a_tilde, x, alpha, steps);
-    let inv_s = 1.0 / steps.len() as f64;
-    z.map_inplace(|v| v * inv_s);
+    if steps.len() > 1 {
+        let inv_s = 1.0 / steps.len() as f64;
+        z.map_inplace(|v| v * inv_s);
+    }
     z
 }
 
@@ -421,6 +468,7 @@ mod tests {
     use super::*;
     use gcon_graph::generators;
     use gcon_graph::normalize::row_stochastic_default;
+    use gcon_linalg::ops;
     use gcon_linalg::reduce::row_norms2;
     use rand::SeedableRng;
 
@@ -818,6 +866,113 @@ mod tests {
     fn propagate_rejects_a_restart_probability_of_zero() {
         let (_, a) = small_graph();
         let _ = propagate(&a, &Mat::full(6, 2, 1.0), 0.0, PropagationStep::Infinite);
+    }
+
+    /// The APPR step as three whole-matrix passes, the reference for the
+    /// fused step: the sparse product, a `·(1−α)` map, a `+ α·x` axpy.
+    fn step_reference(a: &Csr, z: &Mat, x: &Mat, alpha: f64) -> Mat {
+        let mut next = a.spmm(z);
+        next.map_inplace(|v| v * (1.0 - alpha));
+        ops::add_scaled_assign(&mut next, alpha, x);
+        next
+    }
+
+    /// The multi-scale assembly on reference steps, for any number of
+    /// scales: each `Z_m` copied into its column block of an `n × s·d`
+    /// matrix, then every element scaled by `1/s`.
+    fn concat_reference(a: &Csr, x: &Mat, alpha: f64, steps: &[PropagationStep]) -> Mat {
+        let d = x.cols();
+        let mut out = Mat::zeros(x.rows(), steps.len() * d);
+        let snapshot = |out: &mut Mat, z: &Mat, reached| {
+            for (i, _) in steps.iter().enumerate().filter(|(_, &s)| s == reached) {
+                out.copy_into_columns(i * d, z);
+            }
+        };
+        let mut z = x.clone();
+        snapshot(&mut out, &z, PropagationStep::Finite(0));
+        let max_finite = steps.iter().filter_map(|s| match s {
+            PropagationStep::Finite(m) => Some(*m),
+            PropagationStep::Infinite => None,
+        });
+        for k in 1..=max_finite.max().unwrap_or(0) {
+            z = step_reference(a, &z, x, alpha);
+            snapshot(&mut out, &z, PropagationStep::Finite(k));
+        }
+        if steps.contains(&PropagationStep::Infinite) {
+            loop {
+                let next = step_reference(a, &z, x, alpha);
+                let converged = max_abs_diff(&next, &z) < PPR_TOL;
+                z = next;
+                if converged {
+                    break;
+                }
+            }
+            snapshot(&mut out, &z, PropagationStep::Infinite);
+        }
+        let inv_s = 1.0 / steps.len() as f64;
+        out.map_inplace(|v| v * inv_s);
+        out
+    }
+
+    /// A graph and 16-wide features whose `Ã·X` product runs on the pool,
+    /// with a row count that is a multiple of neither the row block nor a
+    /// pool width.
+    fn pooled_graph(seed: u64) -> (Csr, Mat) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = 23 * gcon_graph::csr::ROW_BLOCK + 1;
+        let a = row_stochastic_default(&generators::erdos_renyi_gnm(n, 5 * n, &mut rng));
+        let mut x = Mat::uniform(n, 16, 1.0, &mut rng);
+        x.normalize_rows_l2();
+        assert!(a.nnz() * x.cols() >= gcon_linalg::PAR_THRESHOLD, "runs on the pool");
+        (a, x)
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fused step is bitwise the product → map → axpy reference, from
+    /// the features and from a later iterate, into an empty buffer, a
+    /// NaN-filled one of the right shape (every element is written) and
+    /// one of another shape.
+    #[test]
+    fn step_is_bitwise_the_product_map_axpy_reference() {
+        let (a, x) = pooled_graph(61);
+        let alpha = 0.3;
+        let later = step_reference(&a, &step_reference(&a, &x, &x, alpha), &x, alpha);
+        for z0 in [&x, &later] {
+            let want = step_reference(&a, z0, &x, alpha);
+            for stale in [Mat::default(), Mat::full(x.rows(), 16, f64::NAN), Mat::full(3, 5, 1.0)] {
+                let (mut z, mut scratch) = (z0.clone(), stale);
+                step_once_into(&a, &mut z, &mut scratch, &x, alpha);
+                assert_eq!(bits(&z), bits(&want));
+                assert_eq!(bits(&scratch), bits(z0), "scratch holds the previous iterate");
+            }
+        }
+    }
+
+    /// `concat_features` and `propagate_multi` are bitwise the reference
+    /// assembly with one scale (where they return the iterate itself) and
+    /// with several.
+    #[test]
+    fn single_scale_features_are_bitwise_the_multi_scale_assembly() {
+        use PropagationStep::{Finite, Infinite};
+        let (a, x) = pooled_graph(62);
+        let alpha = 0.5;
+        for steps in [
+            &[Finite(0)][..],
+            &[Finite(1)],
+            &[Finite(3)],
+            &[Infinite],
+            &[Finite(0), Finite(2)],
+            &[Finite(2), Finite(1), Infinite],
+        ] {
+            let want = concat_reference(&a, &x, alpha, steps);
+            assert_eq!(bits(&concat_features(&a, &x, alpha, steps)), bits(&want), "{steps:?}");
+            if let [step] = steps {
+                assert_eq!(bits(&propagate_multi(&a, &x, alpha, steps)), bits(&want), "{step}");
+            }
+        }
     }
 
     /// The materialized residual reports the same certificate as

@@ -12,10 +12,11 @@
 //!   or a pattern-neighbor `j` changed at level `k−1`. The affected set
 //!   therefore grows by one pattern-neighborhood per level
 //!   (`C_k = C_{k−1} ∪ N(C_{k−1})`, seeded with the delta's touched rows),
-//!   and each affected row is recomputed by a scalar routine that
-//!   replicates the `spmm` kernel's per-row arithmetic **exactly** — same
-//!   four-nonzero chunking, same accumulation order — so a refreshed chain
-//!   is byte-identical to re-running
+//!   and each affected row is recomputed by the `spmm` kernel itself on
+//!   that one row ([`gcon_graph::Csr::spmm_rows_into`]) followed by the
+//!   step's elementwise `v·(1−α) + α·x` — same four-nonzero chunking, same
+//!   accumulation order — so a refreshed chain is byte-identical to
+//!   re-running
 //!   [`propagate_multi`](crate::propagation::propagate_multi) from scratch, at
 //!   `O(Σ_k |C_k| · nnz-per-row · d)` cost instead of `O(max(m) · nnz · d)`.
 //! - **The `∞` scale is refreshed by the cheapest sound plan.** The chain
@@ -43,8 +44,8 @@
 //! produces).
 
 use crate::propagation::{
-    plan_inf_refresh, ppr_residual_into, refresh_ppr, run_to_fixed_point, step_once_into,
-    InfRefreshKind, PprSolver, PropagationStep,
+    appr_element, appr_step_into, plan_inf_refresh, ppr_residual_into, refresh_ppr,
+    run_to_fixed_point, InfRefreshKind, PprSolver, PropagationStep,
 };
 use gcon_graph::Csr;
 use gcon_linalg::Mat;
@@ -111,7 +112,7 @@ pub struct RefreshStats {
 impl ApprChain {
     /// Runs the full multi-scale sweep once and captures every iterate.
     ///
-    /// The per-level arithmetic is the same `step_once_into` sweep that
+    /// The per-level arithmetic is the same APPR step that
     /// [`propagate_multi`] runs, so
     /// [`assemble`](Self::assemble)/[`assemble_concat`](Self::assemble_concat)
     /// of a freshly built chain are byte-identical to [`propagate_multi`] /
@@ -147,12 +148,12 @@ impl ApprChain {
 
         let mut iterates = Vec::with_capacity(max_finite + 1);
         iterates.push(x.clone());
-        let mut scratch = Mat::zeros(0, 0);
-        for _ in 1..=max_finite {
-            let mut z = iterates.last().expect("chain starts at Z_0").clone();
-            step_once_into(a_tilde, &mut z, &mut scratch, x, alpha);
+        for k in 1..=max_finite {
+            let mut z = Mat::default();
+            appr_step_into(a_tilde, &iterates[k - 1], x, alpha, &mut z);
             iterates.push(z);
         }
+        let mut scratch = Mat::default();
 
         let (z_inf, r_inf, staleness_bound) = if has_infinite {
             // Continue from the deepest finite iterate, exactly like the
@@ -442,38 +443,15 @@ fn grow_rows(z: &Mat, new_rows: usize) -> Mat {
     out
 }
 
-/// Scalar re-derivation of one row of `Z_k = (1−α) Ã Z_{k−1} + α X`,
-/// replicating the `spmm` kernel's per-row arithmetic bit for bit: the same
-/// four-nonzero chunks accumulated as `(v₀x₀ + v₁x₁) + (v₂x₂ + v₃x₃)`, the
-/// same sequential tail, then the same `·(1−α)` / `+ α·x` elementwise pair
-/// that `step_once_into` applies. The kernel parallelizes and tier-dispatches
-/// over *whole rows* under strict FP semantics, so per-row results are
-/// independent of threading and tier — which is what makes this scalar
-/// routine byte-identical to the batch sweep.
+/// Re-derives row `i` of `Z_k = (1−α) Ã Z_{k−1} + α X` into `out`: the
+/// row's sparse product by the `spmm` kernel ([`Csr::spmm_rows_into`]),
+/// then [`appr_element`], the arithmetic the APPR step applies to every
+/// row block. The kernel's rows do not depend on threading, tier or block
+/// boundaries, so the row is byte-identical to the batch sweep's.
 fn recompute_row(a_tilde: &Csr, z_prev: &Mat, x: &Mat, alpha: f64, i: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    let (cols, vals) = a_tilde.row(i);
-    let main = cols.len() - cols.len() % 4;
-    for (cj, cv) in cols[..main].chunks_exact(4).zip(vals[..main].chunks_exact(4)) {
-        let b0 = z_prev.row(cj[0] as usize);
-        let b1 = z_prev.row(cj[1] as usize);
-        let b2 = z_prev.row(cj[2] as usize);
-        let b3 = z_prev.row(cj[3] as usize);
-        let (v0, v1, v2, v3) = (cv[0], cv[1], cv[2], cv[3]);
-        for ((((o, &x0), &x1), &x2), &x3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *o += (v0 * x0 + v1 * x1) + (v2 * x2 + v3 * x3);
-        }
-    }
-    for (&j, &v) in cols[main..].iter().zip(&vals[main..]) {
-        let brow = z_prev.row(j as usize);
-        for (o, &bv) in out.iter_mut().zip(brow) {
-            *o += v * bv;
-        }
-    }
-    let one_minus_alpha = 1.0 - alpha;
+    a_tilde.spmm_rows_into(z_prev, i, i + 1, out);
     for (o, &xi) in out.iter_mut().zip(x.row(i)) {
-        let t = *o * one_minus_alpha;
-        *o = t + alpha * xi;
+        *o = appr_element(*o, xi, alpha);
     }
 }
 

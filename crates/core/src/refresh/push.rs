@@ -8,8 +8,8 @@
 //!    changes `R` only on those rows (`R`'s row `i` reads `Ã` row `i`, `z`
 //!    row `i`, the neighbor rows of `z`, and `x` row `i`; all of those are
 //!    bitwise unchanged outside `T`). [`repair_residual_rows`] re-derives
-//!    exactly the rows in `T` with a scalar replica of the `spmm` kernel's
-//!    per-row arithmetic, at `O(vol(T)·d)` cost.
+//!    exactly the rows in `T` with the `spmm` kernel run on each row
+//!    ([`gcon_graph::Csr::spmm_rows_into`]), at `O(vol(T)·d)` cost.
 //! 2. **Push** — [`push_refresh`] then sweeps the rows whose residual
 //!    exceeds the threshold `ε =` [`push_epsilon`]: pushing row `i` moves
 //!    its residual mass into the iterate (`z_i += r_i`, `r_i ← 0`) and
@@ -76,10 +76,9 @@ pub struct PushOutcome {
 }
 
 /// Re-derives rows `rows` of the residual `R = αX − (I − (1−α)Ã) z` in
-/// place, replicating [`ppr_residual_into`]'s per-element arithmetic (and
-/// the `spmm` kernel's four-nonzero row accumulation) bit for bit — the
-/// repaired rows are byte-identical to a global residual recompute on the
-/// same `(Ã, x, z)`.
+/// place, with [`ppr_residual_into`]'s per-element arithmetic on the
+/// `spmm` kernel's row products — the repaired rows are byte-identical to
+/// a global residual recompute on the same `(Ã, x, z)`.
 ///
 /// `rows` must be the rows whose `Ã` (or `x`) rows changed; every other row
 /// of a previously consistent residual is still exact, because `R`'s row
@@ -101,29 +100,11 @@ pub fn repair_residual_rows(
     }
 }
 
-/// Scalar re-derivation of one residual row `R_i = αX_i − (z_i − (1−α)·(Ãz)_i)`,
-/// with the `(Ãz)_i` accumulation replicating the `spmm` kernel's chunking
-/// exactly (same shape as the finite-level `recompute_row`).
+/// Re-derives one residual row `R_i = αX_i − (z_i − (1−α)·(Ãz)_i)`, with
+/// `(Ãz)_i` by the `spmm` kernel ([`Csr::spmm_rows_into`]), whose rows have
+/// the bits of the whole product [`ppr_residual_into`] forms.
 fn residual_row(a_tilde: &Csr, z: &Mat, x: &Mat, alpha: f64, i: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    let (cols, vals) = a_tilde.row(i);
-    let main = cols.len() - cols.len() % 4;
-    for (cj, cv) in cols[..main].chunks_exact(4).zip(vals[..main].chunks_exact(4)) {
-        let b0 = z.row(cj[0] as usize);
-        let b1 = z.row(cj[1] as usize);
-        let b2 = z.row(cj[2] as usize);
-        let b3 = z.row(cj[3] as usize);
-        let (v0, v1, v2, v3) = (cv[0], cv[1], cv[2], cv[3]);
-        for ((((o, &x0), &x1), &x2), &x3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *o += (v0 * x0 + v1 * x1) + (v2 * x2 + v3 * x3);
-        }
-    }
-    for (&j, &v) in cols[main..].iter().zip(&vals[main..]) {
-        let brow = z.row(j as usize);
-        for (o, &bv) in out.iter_mut().zip(brow) {
-            *o += v * bv;
-        }
-    }
+    a_tilde.spmm_rows_into(z, i, i + 1, out);
     let one_minus_alpha = 1.0 - alpha;
     for ((o, &zi), &xi) in out.iter_mut().zip(z.row(i)).zip(x.row(i)) {
         let azi = *o;

@@ -148,10 +148,10 @@ pub fn train_gcon<R: Rng + ?Sized>(
 
 /// [`train_gcon`] with the normalized adjacency `Ã` supplied by the caller.
 ///
-/// `a_tilde` must equal `row_stochastic(graph, config.clip_p)`; callers that
-/// train many candidates on one graph (the tuning grid, the figure
-/// harnesses) pass a cached `Ã` so the normalization is not recomputed per
-/// candidate.
+/// `a_tilde` must equal `row_stochastic(graph, config.clip_p)`; a caller
+/// that trains many candidates on one graph (the tuning grid,
+/// `tuning::tune_gcon`) passes a cached `Ã` so the normalization is not
+/// recomputed per candidate.
 #[allow(clippy::too_many_arguments)] // Algorithm 1 takes the full dataset tuple plus (ε, δ)
 pub fn train_gcon_on_adjacency<R: Rng + ?Sized>(
     config: &GconConfig,
@@ -188,19 +188,17 @@ pub fn train_gcon_on_adjacency<R: Rng + ?Sized>(
 
     // Training rows: the labeled set, optionally expanded with encoder
     // pseudo-labels (n₁ ∈ {n₀, n} in Appendix Q). Pseudo-labels are derived
-    // from features only, so they stay edge-free.
-    let (rows, row_labels): (Vec<usize>, Vec<usize>) = if let Some(mut lbls) = pseudo {
+    // from features only, so they stay edge-free. The expanded set is rows
+    // 0..n in order, which is `z_all` itself.
+    let (z_train, row_labels) = if let Some(mut lbls) = pseudo {
         for &i in train_idx {
             lbls[i] = labels[i];
         }
-        ((0..n).collect(), lbls)
+        (z_all, lbls)
     } else {
-        (train_idx.to_vec(), y_labeled.clone())
+        (z_all.select_rows(train_idx), y_labeled)
     };
-    // `row_labels` is parallel to `rows` in both branches (the expanded
-    // branch uses rows = 0..n, so per-node indexing coincides).
-    let z_train = z_all.select_rows(&rows);
-    let n1 = rows.len();
+    let n1 = z_train.rows();
     let mut y_onehot = Mat::zeros(n1, num_classes);
     for (r, &label) in row_labels.iter().enumerate() {
         y_onehot.set(r, label, 1.0);
@@ -471,6 +469,103 @@ mod tests {
         assert_eq!(model.report.n1, n);
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&model.theta), bits(&theta));
+    }
+
+    /// `train_gcon_on_adjacency` as it was before the expanded training
+    /// set skipped its copy: the training rows are always gathered from
+    /// `z_all` with `select_rows`, rows `0..n` included.
+    #[allow(clippy::too_many_arguments)]
+    fn copying_replica(
+        cfg: &crate::GconConfig,
+        g: &gcon_graph::Graph,
+        x: &Csr,
+        labels: &[usize],
+        train_idx: &[usize],
+        c: usize,
+        (eps, delta): (f64, f64),
+        rng: &mut StdRng,
+    ) -> (Mat, usize) {
+        let n = g.num_nodes();
+        let y_labeled: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
+        let encoder =
+            FeatureEncoder::train(&cfg.encoder, &x.select_rows(train_idx), &y_labeled, c, rng);
+        let mut x_enc = encoder.encode(x);
+        let pseudo = cfg.expand_train_set.then(|| encoder.head_argmax(&x_enc));
+        x_enc.normalize_rows_l2();
+        let z_all = concat_features(&row_stochastic(g, cfg.clip_p), &x_enc, cfg.alpha, &cfg.steps);
+        let (rows, row_labels): (Vec<usize>, Vec<usize>) = match pseudo {
+            Some(mut lbls) => {
+                for &i in train_idx {
+                    lbls[i] = labels[i];
+                }
+                ((0..n).collect(), lbls)
+            }
+            None => (train_idx.to_vec(), y_labeled),
+        };
+        let z_train = z_all.select_rows(&rows);
+        let mut y = Mat::zeros(rows.len(), c);
+        for (r, &label) in row_labels.iter().enumerate() {
+            y.set(r, label, 1.0);
+        }
+        let loss = ConvexLoss::new(cfg.loss, c);
+        let psi = psi_z_clipped(cfg.alpha, &cfg.steps, cfg.clip_p);
+        let params = TheoremOneParams::compute(&CalibrationInput {
+            eps,
+            delta,
+            omega: cfg.omega,
+            lambda: cfg.lambda,
+            n1: rows.len(),
+            num_classes: c,
+            dim: z_train.cols(),
+            bounds: loss.bounds(),
+            psi,
+        });
+        let b = sample_noise_matrix(z_train.cols(), c, params.beta, rng);
+        let obj = PerturbedObjective::new(&z_train, &y, loss, params.lambda_total(), &b);
+        let (theta, _, _) = minimize(&obj, Mat::zeros(z_train.cols(), c), &cfg.optimizer);
+        (theta, rows.len())
+    }
+
+    /// Θ and n₁ are bitwise the copying replica's, with and without the
+    /// expanded training set, for one scale (the feature matrix is the
+    /// iterate itself) and for two.
+    #[test]
+    fn training_is_bitwise_the_copying_replica() {
+        use crate::propagation::PropagationStep::Finite;
+        let (g, x, labels, idx) = tiny_dataset(103);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for expand_train_set in [true, false] {
+            for steps in [vec![Finite(2)], vec![Finite(0), Finite(2)]] {
+                let mut cfg = crate::GconConfig { expand_train_set, steps, ..Default::default() };
+                cfg.encoder.epochs = 20;
+                let (eps, delta) = (2.0, 1e-4);
+                let model = train_gcon(
+                    &cfg,
+                    &g,
+                    &x,
+                    &labels,
+                    &idx,
+                    2,
+                    eps,
+                    delta,
+                    &mut StdRng::seed_from_u64(104),
+                );
+                let (theta, n1) = copying_replica(
+                    &cfg,
+                    &g,
+                    &x,
+                    &labels,
+                    &idx,
+                    2,
+                    (eps, delta),
+                    &mut StdRng::seed_from_u64(104),
+                );
+                let case = format!("expand {expand_train_set}, steps {:?}", cfg.steps);
+                assert_eq!(model.report.n1, n1, "{case}");
+                assert_eq!(n1, if expand_train_set { g.num_nodes() } else { idx.len() });
+                assert_eq!(bits(&model.theta), bits(&theta), "{case}");
+            }
+        }
     }
 
     #[test]

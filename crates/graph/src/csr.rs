@@ -16,15 +16,20 @@
 //! its own concrete dispatch stack around a shared `#[inline(always)]`
 //! generic body; the [`CsrScalar`] hooks bind the generic methods to them.
 //!
-//! Every sparse product ([`Csr::spmm`]/[`Csr::spmm_into`]) increments a
-//! process-wide counter exposed by [`spmm_ops_performed`]. Counting at the
-//! kernel layer (rather than at call sites) means no product can escape the
-//! accounting: the op-count acceptance tests for single-pass propagation
-//! read deltas of this counter. Encoder products count too (two per fit
-//! epoch, forward and weight gradient, and one per encode), so a reader
-//! that wants propagation products alone takes the delta around the
-//! propagation call, with no encoder running in between, as those tests
-//! do.
+//! Every sparse product increments a process-wide counter exposed by
+//! [`spmm_ops_performed`]: one per [`Csr::spmm`], [`Csr::spmm_into`],
+//! [`Csr::spmm_sequential_into`] or [`Csr::spmm_row_blocks`] call. The
+//! last runs one product as a fused pass, finishing each block of
+//! [`ROW_BLOCK`] rows while it is in cache (the encoder's layers, an APPR
+//! step's `(1−α)·v + α·x`), and counts it once; its serial piece
+//! [`Csr::spmm_rows_into`], rows `[start, end)` of a product, counts
+//! nothing. Counting at the kernel layer (rather than at call sites) means
+//! no product can escape the accounting: the op-count acceptance tests for
+//! single-pass propagation read deltas of this counter. Encoder products
+//! count too (two per fit epoch, forward and weight gradient, and one per
+//! encode), so a reader that wants propagation products alone takes the
+//! delta around the propagation call, with no encoder running in between,
+//! as those tests do.
 
 use gcon_linalg::{Mat, Scalar};
 use serde::{Deserialize, Serialize};
@@ -34,9 +39,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// threads).
 static SPMM_OPS: AtomicU64 = AtomicU64::new(0);
 
+/// Rows per block of [`Csr::spmm_row_blocks`]: a block's product (at most
+/// `128 × 64` f64, 64 KiB, for the encoder's first layer) and the rows its
+/// `finish` writes stay in the core's L2 between the product and the finish.
+/// It decides only which rows are finished together, never a value.
+pub const ROW_BLOCK: usize = 128;
+
 /// Total sparse products performed since process start. A
-/// `Csr::spmm`/`spmm_into`/`spmm_sequential_into` call counts 1 (one
-/// sparse×dense product, whatever the dense width).
+/// `Csr::spmm`/`spmm_into`/`spmm_sequential_into`/`spmm_row_blocks` call
+/// counts 1 (one sparse×dense product, whatever the dense width);
+/// `Csr::spmm_rows_into`, a row range of a product, counts nothing.
 pub fn spmm_ops_performed() -> usize {
     SPMM_OPS.load(Ordering::Relaxed) as usize
 }
@@ -390,6 +402,73 @@ impl<S: CsrScalar> Csr<S> {
         self.product_into(b, out, false);
     }
 
+    /// Rows `[start, end)` of `self · B` written into `out`, a row-major
+    /// `(end − start) × b.cols()` block that is overwritten, on the calling
+    /// thread. The kernel and the four-nonzero grouping are those of
+    /// [`Csr::spmm_into`], so each row has the bits the whole product gives
+    /// it. Not counted by [`spmm_ops_performed`]: it is a piece of a
+    /// product, and [`Csr::spmm_row_blocks`] counts a product assembled
+    /// from such pieces once.
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch, a row range outside the matrix, or an
+    /// `out` of another length.
+    pub fn spmm_rows_into(&self, b: &Mat<S>, start: usize, end: usize, out: &mut [S]) {
+        assert_eq!(self.cols, b.rows(), "spmm: dimension mismatch");
+        assert!(
+            start <= end && end <= self.rows,
+            "spmm_rows_into: rows {start}..{end} out of range"
+        );
+        assert_eq!(
+            out.len(),
+            (end - start) * b.cols(),
+            "spmm_rows_into: out is not rows × b.cols()"
+        );
+        out.fill(S::ZERO);
+        S::kernel_spmm_block(self, b, out, start, end, true);
+    }
+
+    /// `self · B` finished row block by row block into `out`
+    /// (`self.rows() × out_cols`, row-major), one sparse product in one pass.
+    ///
+    /// The rows are split over the worker pool as [`Csr::spmm_into`] splits
+    /// them, and each thread walks its range in blocks of at most
+    /// [`ROW_BLOCK`] rows: [`Csr::spmm_rows_into`] writes a block's product
+    /// into a buffer the thread reuses, and `finish(product, out_rows,
+    /// start)` turns it into the same rows of `out` while it is still in
+    /// cache (`product` is `rows × b.cols()`, `out_rows` is `rows ×
+    /// out_cols`, both starting at row `start`). Every row's product has the
+    /// bits of [`Csr::spmm`], so a `finish` that reads only its own rows
+    /// gives results that no thread count or block boundary can change.
+    ///
+    /// `finish_work` is the cost of all `finish` calls in multiply-adds, added
+    /// to the product's `nnz · b.cols()` for the inline-or-pool decision.
+    /// Counts one product in [`spmm_ops_performed`].
+    pub fn spmm_row_blocks<T: Send>(
+        &self,
+        b: &Mat<S>,
+        out: &mut [T],
+        out_cols: usize,
+        finish_work: usize,
+        finish: impl Fn(&mut [S], &mut [T], usize) + Sync,
+    ) {
+        assert_eq!(self.cols, b.rows(), "spmm: dimension mismatch");
+        assert_eq!(out.len(), self.rows * out_cols, "spmm_row_blocks: out is not rows × out_cols");
+        SPMM_OPS.fetch_add(1, Ordering::Relaxed);
+        let d = b.cols();
+        let work = self.nnz() * d + finish_work;
+        gcon_runtime::parallel_rows(out, self.rows, out_cols, work, |block, start, end| {
+            S::with_scratch(ROW_BLOCK.min(end - start) * d, |product| {
+                for s in (start..end).step_by(ROW_BLOCK) {
+                    let e = (s + ROW_BLOCK).min(end);
+                    let product = &mut product[..(e - s) * d];
+                    self.spmm_rows_into(b, s, e, product);
+                    finish(product, &mut block[(s - start) * out_cols..(e - start) * out_cols], s);
+                }
+            });
+        });
+    }
+
     fn product_into(&self, b: &Mat<S>, out: &mut Mat<S>, grouped: bool) {
         assert_eq!(self.cols, b.rows(), "spmm: dimension mismatch");
         SPMM_OPS.fetch_add(1, Ordering::Relaxed);
@@ -641,6 +720,80 @@ mod tests {
             for (x, y) in alone.row(0).iter().zip(full.row(i)) {
                 assert_eq!(x.to_bits(), y.to_bits(), "row {i}: {x} vs {y}");
             }
+        }
+    }
+
+    /// A random `n × n` matrix, about 5 % nonzero, with rows of 0 to over
+    /// 20 nonzeros, and a dense right-hand side of width `d`.
+    fn random_product_pair(n: usize, d: usize, seed: u64) -> (Csr, Mat) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut entries: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for (i, row) in entries.iter_mut().enumerate().filter(|(i, _)| i % 97 != 5) {
+            for j in 0..n as u32 {
+                if rng.gen::<f64>() < 0.05 + 0.01 * (i % 3) as f64 {
+                    row.push((j, rng.gen_range(-1.0..1.0)));
+                }
+            }
+        }
+        (Csr::from_row_entries(n, n, entries), Mat::uniform(n, d, 1.0, &mut rng))
+    }
+
+    /// The serial row-range product is bitwise the same rows of `spmm`,
+    /// for ranges inside, across and at the ends of the matrix (empty rows
+    /// and a stale buffer included), and counts no product.
+    #[test]
+    fn spmm_rows_into_is_bitwise_the_rows_of_spmm() {
+        let (sp, b) = random_product_pair(413, 19, 21);
+        let full = sp.spmm(&b);
+        for (start, end) in [(0, 413), (0, 1), (5, 6), (100, 231), (400, 413), (413, 413)] {
+            let mut out = vec![f64::NAN; (end - start) * 19];
+            sp.spmm_rows_into(&b, start, end, &mut out);
+            let want = &full.as_slice()[start * 19..end * 19];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(want), "rows {start}..{end}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn spmm_rows_into_rejects_rows_past_the_end() {
+        let b = Mat::zeros(3, 2);
+        sample().spmm_rows_into(&b, 2, 4, &mut [0.0; 4]);
+    }
+
+    /// `spmm_row_blocks` hands every row to `finish` exactly once, in blocks
+    /// of at most `ROW_BLOCK` rows whose products are bitwise those rows of
+    /// `spmm`, with the output rows of the same range. Large enough to run
+    /// on the pool, with a row count that is a multiple of neither the
+    /// block size nor a pool width.
+    #[test]
+    fn spmm_row_blocks_finishes_every_row_once_with_the_spmm_bits() {
+        let n = 5 * ROW_BLOCK + 3;
+        let (sp, b) = random_product_pair(n, 24, 22);
+        assert!(sp.nnz() * b.cols() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
+        let full = sp.spmm(&b);
+        // Each output row: the product row's bits, then its start row and
+        // row count, so a block that misplaces its rows shows.
+        let mut out = vec![0u64; n * 26];
+        sp.spmm_row_blocks(&b, &mut out, 26, 0, |product, rows, start| {
+            let count = product.len() / 24;
+            assert!((1..=ROW_BLOCK).contains(&count), "block of {count} rows");
+            assert_eq!(rows.len(), count * 26);
+            for (r, (prow, orow)) in product.chunks(24).zip(rows.chunks_mut(26)).enumerate() {
+                for (o, v) in orow.iter_mut().zip(prow) {
+                    *o = v.to_bits();
+                }
+                orow[24] = (start + r) as u64 + 1;
+                orow[25] += 1;
+            }
+        });
+        for i in 0..n {
+            let row = &out[i * 26..(i + 1) * 26];
+            let want: Vec<u64> = full.row(i).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(&row[..24], &want[..], "row {i}");
+            assert_eq!((row[24], row[25]), (i as u64 + 1, 1), "row {i}: placed or finished twice");
         }
     }
 
@@ -979,6 +1132,9 @@ mod tests {
         let _ = m.spmm(&b);
         let mut out = Mat::default();
         m.spmm_into(&b, &mut out);
-        assert!(spmm_ops_performed() - before >= 2);
+        let mut rows = vec![0.0; 6];
+        m.spmm_row_blocks(&b, &mut rows, 2, 0, |p, o, _| o.copy_from_slice(p));
+        assert_eq!(rows, out.as_slice());
+        assert!(spmm_ops_performed() - before >= 3);
     }
 }

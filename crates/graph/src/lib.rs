@@ -37,6 +37,10 @@
 //! the naive reference, pinned by `tests/kernel_properties.rs` at every
 //! available tier). `Csr::spmm_sequential_into` runs the same body without
 //! the grouping: each output row is that strictly sequential reduction.
+//! `Csr::spmm_rows_into` runs the grouped body on a row range of the
+//! calling thread, and `Csr::spmm_row_blocks` runs a whole product as
+//! blocks of such ranges, each finished by the caller while in cache; the
+//! rows keep the bits of `Csr::spmm`.
 
 pub mod csr;
 pub mod delta;

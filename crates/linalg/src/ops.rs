@@ -140,17 +140,30 @@ pub fn matmul_into<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>) {
     let n = b.cols();
     c.reset_to_zeros(m, n);
     gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, m * k * n, |block, start, end| {
-        matmul_block(a, b, block, start, end);
+        matmul_block(a.as_slice(), b, block, start, end);
     });
 }
 
+/// `C = A · B` on the calling thread for an `A` of `rows` rows given as its
+/// row-major elements `a` (`rows × b.rows()`), written into `c`
+/// (`rows × b.cols()`, overwritten). The kernel of [`matmul_into`], so each
+/// row has the bits it gets in the pooled product; for a caller that has
+/// already split the rows among threads (a fused row-block pass).
+pub fn matmul_rows_into<S: Scalar>(a: &[S], rows: usize, b: &Mat<S>, c: &mut [S]) {
+    assert_eq!(a.len(), rows * b.rows(), "matmul_rows_into: A is not rows × b.rows()");
+    assert_eq!(c.len(), rows * b.cols(), "matmul_rows_into: C is not rows × b.cols()");
+    c.fill(S::ZERO);
+    matmul_block(a, b, c, 0, rows);
+}
+
 /// Computes rows `[start, end)` of `A · B` into `out` (local row-major
-/// block, pre-zeroed by the caller). Acquires the dtype's thread-local panel
-/// buffer here — *outside* the dispatched body — so the hot loops sit
-/// directly in the `#[target_feature]` function rather than in a closure
-/// (closures don't inherit the caller's feature set).
-fn matmul_block<S: Scalar>(a: &Mat<S>, b: &Mat<S>, out: &mut [S], start: usize, end: usize) {
-    let k = a.cols();
+/// block, pre-zeroed by the caller), where `a` holds `A`'s rows row-major
+/// with `b.rows()` columns. Acquires the dtype's thread-local panel buffer
+/// here — *outside* the dispatched body — so the hot loops sit directly in
+/// the `#[target_feature]` function rather than in a closure (closures
+/// don't inherit the caller's feature set).
+fn matmul_block<S: Scalar>(a: &[S], b: &Mat<S>, out: &mut [S], start: usize, end: usize) {
+    let k = b.rows();
     let n = b.cols();
     if k == 0 || n == 0 {
         return;
@@ -164,12 +177,12 @@ gcon_runtime::tier_dispatch! {
     /// f64 panel-loop stage of [`matmul_into`] (8-wide panels, 4-lane tail
     /// dots) — see [`matmul_panel_body`].
     pub(crate) fn matmul_panel_f64 / matmul_panel_f64_avx2 / matmul_panel_f64_impl(
-        a: &Mat<f64>, b: &Mat<f64>, out: &mut [f64], start: usize, end: usize, panel: &mut [f64])
+        a: &[f64], b: &Mat<f64>, out: &mut [f64], start: usize, end: usize, panel: &mut [f64])
 }
 
 #[inline(always)]
 fn matmul_panel_f64_impl(
-    a: &Mat<f64>,
+    a: &[f64],
     b: &Mat<f64>,
     out: &mut [f64],
     start: usize,
@@ -183,12 +196,12 @@ gcon_runtime::tier_dispatch! {
     /// f32 panel-loop stage of [`matmul_into`] (doubled panel width and
     /// tail-dot lanes) — see [`matmul_panel_body`].
     pub(crate) fn matmul_panel_f32 / matmul_panel_f32_avx2 / matmul_panel_f32_impl(
-        a: &Mat<f32>, b: &Mat<f32>, out: &mut [f32], start: usize, end: usize, panel: &mut [f32])
+        a: &[f32], b: &Mat<f32>, out: &mut [f32], start: usize, end: usize, panel: &mut [f32])
 }
 
 #[inline(always)]
 fn matmul_panel_f32_impl(
-    a: &Mat<f32>,
+    a: &[f32],
     b: &Mat<f32>,
     out: &mut [f32],
     start: usize,
@@ -216,15 +229,16 @@ fn matmul_panel_f32_impl(
 /// thread, or row partition computed it.
 #[inline(always)]
 fn matmul_panel_body<S: Scalar, const NR_: usize, const W: usize>(
-    a: &Mat<S>,
+    a: &[S],
     b: &Mat<S>,
     out: &mut [S],
     start: usize,
     end: usize,
     panel: &mut [S],
 ) {
-    let k = a.cols();
+    let k = b.rows();
     let n = b.cols();
+    let a_row = |i: usize| &a[i * k..(i + 1) * k];
     let main_n = n - n % NR_;
     {
         let mut jj = 0;
@@ -240,7 +254,7 @@ fn matmul_panel_body<S: Scalar, const NR_: usize, const W: usize>(
                 let mut i = start;
                 while i + MR <= end {
                     let [r0, r1, r2, r3]: [&[S]; MR] =
-                        std::array::from_fn(|r| &a.row(i + r)[kb..ke]);
+                        std::array::from_fn(|r| &a_row(i + r)[kb..ke]);
                     let mut acc = [[S::ZERO; NR_]; MR];
                     for ((((bp, &a0), &a1), &a2), &a3) in
                         packed.chunks_exact(NR_).zip(r0).zip(r1).zip(r2).zip(r3)
@@ -263,7 +277,7 @@ fn matmul_panel_body<S: Scalar, const NR_: usize, const W: usize>(
                 // M tail: one row at a time, same panel, same k order.
                 while i < end {
                     let mut acc = [S::ZERO; NR_];
-                    for (bp, &aik) in packed.chunks_exact(NR_).zip(&a.row(i)[kb..ke]) {
+                    for (bp, &aik) in packed.chunks_exact(NR_).zip(&a_row(i)[kb..ke]) {
                         for c in 0..NR_ {
                             acc[c] += aik * bp[c];
                         }
@@ -303,7 +317,7 @@ fn matmul_panel_body<S: Scalar, const NR_: usize, const W: usize>(
             panel[tail * klen..tail_pad * klen].fill(S::ZERO);
             let packed = &panel[..tail_pad * klen];
             for i in start..end {
-                let arow = &a.row(i)[kb..ke];
+                let arow = &a_row(i)[kb..ke];
                 let crow = &mut out[(i - start) * n + main_n..(i - start + 1) * n];
                 let mut j = 0;
                 while j < tail {
@@ -975,6 +989,31 @@ mod tests {
         let a: Mat = Mat::uniform(67, KC + 9, 1.0, &mut rng);
         let b: Mat = Mat::uniform(KC + 9, 2 * NR_F32 + 5, 1.0, &mut rng);
         assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
+        check(&a, &b);
+        check(&a.convert::<f32>(), &b.convert::<f32>());
+    }
+
+    /// `matmul_rows_into` on a run of `A`'s rows (given as a slice, into a
+    /// stale buffer) is bitwise those rows of the pooled `matmul`, for both
+    /// dtypes, with K past one cache block and N past the register tile.
+    #[test]
+    fn matmul_rows_into_is_bitwise_the_rows_of_matmul() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        fn check<S: Scalar>(a: &Mat<S>, b: &Mat<S>) {
+            let full = matmul(a, b);
+            let (k, n) = (a.cols(), b.cols());
+            for (start, end) in [(0, a.rows()), (0, 1), (3, 10), (a.rows() - 5, a.rows())] {
+                let rows = end - start;
+                let mut out = vec![S::from_f64(f64::NAN); rows * n];
+                matmul_rows_into(&a.as_slice()[start * k..end * k], rows, b, &mut out);
+                let want = &full.as_slice()[start * n..end * n];
+                assert_eq!(row_bits(&out), row_bits(want), "{} rows {start}..{end}", S::DTYPE);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(42);
+        let a: Mat = Mat::uniform(67, KC + 9, 1.0, &mut rng);
+        let b: Mat = Mat::uniform(KC + 9, 2 * NR_F32 + 5, 1.0, &mut rng);
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }

@@ -130,10 +130,11 @@ pub trait Scalar:
     /// [`crate::vecops::dist2`]).
     fn kernel_dist2(a: &[Self], b: &[Self]) -> Self;
     /// Tier-dispatched panel-loop stage of the K-blocked GEMM (bound of
-    /// [`crate::ops::matmul_into`]); `panel` is the packed `KC×GEMM_NR`
-    /// scratch the generic front acquired via [`Scalar::with_scratch`].
+    /// [`crate::ops::matmul_into`]); `a` holds `A`'s rows row-major and
+    /// `panel` is the packed `KC×GEMM_NR` scratch the generic front
+    /// acquired via [`Scalar::with_scratch`].
     fn kernel_matmul_panel(
-        a: &Mat<Self>,
+        a: &[Self],
         b: &Mat<Self>,
         out: &mut [Self],
         start: usize,
@@ -205,7 +206,7 @@ impl Scalar for f64 {
     }
     #[inline]
     fn kernel_matmul_panel(
-        a: &Mat<Self>,
+        a: &[Self],
         b: &Mat<Self>,
         out: &mut [Self],
         start: usize,
@@ -281,7 +282,7 @@ impl Scalar for f32 {
     }
     #[inline]
     fn kernel_matmul_panel(
-        a: &Mat<Self>,
+        a: &[Self],
         b: &Mat<Self>,
         out: &mut [Self],
         start: usize,

@@ -67,7 +67,7 @@ impl Activation {
     /// Cost of one [`Activation::apply_scalar`] in multiply-adds of the
     /// dense kernels, measured: a ReLU moves memory, a tanh or sigmoid
     /// calls into libm for about 20 ns against 0.15 ns a multiply-add.
-    fn ops_per_element(self) -> usize {
+    pub(crate) fn ops_per_element(self) -> usize {
         match self {
             Activation::Relu | Activation::Identity => 4,
             Activation::Tanh | Activation::Sigmoid => 128,

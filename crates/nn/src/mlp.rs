@@ -9,7 +9,7 @@ use crate::activations::Activation;
 use crate::linear::{Linear, LinearGrads};
 use crate::loss::softmax_cross_entropy_into;
 use crate::optim::Adam;
-use gcon_linalg::{ops, Mat};
+use gcon_linalg::{ops, Mat, Scalar};
 use rand::Rng;
 
 /// Reusable buffers for one network's forward/backward sweep.
@@ -149,6 +149,58 @@ impl Mlp {
             self.activation_at(l).apply(&mut a);
         }
         a
+    }
+
+    /// The forward pass of one row block from its first-layer product, in
+    /// place and on the calling thread: `xw0` holds the block's `X·W₀`
+    /// (`rows × h₁`, bias not yet added) and is overwritten with layer 0's
+    /// activations, and `out` (`rows × d_out`) receives the network output.
+    ///
+    /// Each element gets the expression of [`Mlp::forward_from_product`],
+    /// `σ(v + b)` per layer with each layer's product by the `matmul`
+    /// kernel ([`ops::matmul_rows_into`]), so a row has the same bits in
+    /// any block. Nothing goes to the worker pool: this is the per-block
+    /// stage of a pass that has already split the rows among threads. The
+    /// outputs of layers between the second and the last live in
+    /// thread-local scratch.
+    ///
+    /// # Panics
+    /// Panics if `xw0` or `out` is not a whole number of rows of the
+    /// first layer's and the last layer's width.
+    pub fn forward_block(&self, xw0: &mut [f64], out: &mut [f64]) {
+        let depth = self.layers.len();
+        let h1 = self.layers[0].d_out();
+        let rows = xw0.len().checked_div(h1).unwrap_or(0);
+        assert_eq!(xw0.len(), rows * h1, "forward_block: xw0 is not rows × h₁");
+        assert_eq!(out.len(), rows * self.layers[depth - 1].d_out(), "forward_block: out shape");
+        bias_activate(&self.layers[0], self.activation_at(0), xw0);
+        if depth == 1 {
+            out.copy_from_slice(xw0);
+            return;
+        }
+        let mid = self.layers[1..depth - 1].iter().map(Linear::d_out).max().unwrap_or(0);
+        f64::with_scratch(2 * rows * mid, |scratch| {
+            let (mut prev, mut next) = scratch.split_at_mut(rows * mid);
+            for (l, layer) in self.layers.iter().enumerate().skip(1) {
+                let input: &[f64] =
+                    if l == 1 { xw0 } else { &prev[..rows * self.layers[l - 1].d_out()] };
+                let dst =
+                    if l + 1 == depth { &mut *out } else { &mut next[..rows * layer.d_out()] };
+                ops::matmul_rows_into(input, rows, &layer.w, dst);
+                bias_activate(layer, self.activation_at(l), dst);
+                std::mem::swap(&mut prev, &mut next);
+            }
+        });
+    }
+
+    /// The cost of [`Mlp::forward_block`] per row, in multiply-adds of the
+    /// dense kernels: the products of layers ≥ 1 and every activation.
+    pub fn forward_block_work(&self) -> usize {
+        let products: usize = self.layers[1..].iter().map(|l| l.d_in() * l.d_out()).sum();
+        let activations: usize = (self.layers.iter().enumerate())
+            .map(|(l, layer)| layer.d_out() * self.activation_at(l).ops_per_element())
+            .sum();
+        products + activations
     }
 
     /// Forward pass returning every post-activation, `[x, a1, …, a_L]`.
@@ -326,6 +378,19 @@ impl Mlp {
     }
 }
 
+/// `a ← σ(a + b)` over the rows of `a`, one row of `layer`'s bias each:
+/// [`Linear::add_bias`] and then [`Activation::apply`], in one pass.
+fn bias_activate(layer: &Linear, act: Activation, a: &mut [f64]) {
+    if layer.d_out() == 0 {
+        return;
+    }
+    for row in a.chunks_exact_mut(layer.d_out()) {
+        for (v, &b) in row.iter_mut().zip(&layer.b) {
+            *v = act.apply_scalar(*v + b);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,6 +512,49 @@ mod tests {
         opt.begin_step();
         net.apply_grads_ws(&mut ws, &mut opt, 0.1, 0);
         assert!(net.layers[0].w.is_finite());
+    }
+
+    /// `forward_block` on any run of rows is bitwise those rows of the
+    /// layer-by-layer `forward_from_product` (the reference), at depths 1–4
+    /// with nonzero biases and every activation pair.
+    #[test]
+    fn forward_block_is_bitwise_the_layer_by_layer_forward() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let x = Mat::uniform(45, 7, 1.0, &mut rng);
+        let acts = [
+            (Activation::Relu, Activation::Tanh),
+            (Activation::Tanh, Activation::Identity),
+            (Activation::Sigmoid, Activation::Relu),
+        ];
+        for depth in 1..=4 {
+            for (hidden, out_act) in acts {
+                let dims = [7, 11, 9, 13, 5];
+                let layers = (0..depth)
+                    .map(|l| {
+                        let (d_in, d_out) = (dims[l], if l + 1 == depth { 5 } else { dims[l + 1] });
+                        let mut layer = Linear::xavier(d_in, d_out, &mut rng);
+                        layer.b = (0..d_out).map(|k| 0.1 * k as f64 - 0.25).collect();
+                        layer
+                    })
+                    .collect();
+                let net = Mlp::from_parts(layers, hidden, out_act);
+                let xw0 = ops::matmul(&x, &net.layers[0].w);
+                let want = net.forward_from_product(xw0.clone());
+                let h1 = xw0.cols();
+                for (start, end) in [(0, 45), (0, 1), (7, 20), (44, 45)] {
+                    let mut block = xw0.as_slice()[start * h1..end * h1].to_vec();
+                    let mut out = vec![f64::NAN; (end - start) * 5];
+                    net.forward_block(&mut block, &mut out);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let want = &want.as_slice()[start * 5..end * 5];
+                    assert_eq!(
+                        bits(&out),
+                        bits(want),
+                        "depth {depth} {hidden:?} rows {start}..{end}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

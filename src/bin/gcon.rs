@@ -24,6 +24,7 @@ use gcon::datasets::metrics;
 use gcon::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::process::ExitCode;
 
 /// Parses the `--loss` flag: `msm` or `huber:<δ>`.
@@ -79,6 +80,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     }
     cfg.validate()?;
     args.reject_unread("gcon train")?;
+    // An unwritable --out fails here, before any training.
+    let mut file = std::fs::File::create(out).map_err(|e| format!("--out {out}: {e}"))?;
 
     eprintln!(
         "training GCON on {} (n={}, |E|={}) at (ε={eps}, δ={delta:.3e})…",
@@ -99,9 +102,13 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         &mut rng,
     );
     println!("{}", model.report);
-    serialize::save(&model, out).map_err(|e| format!("writing {out}: {e}"))?;
-    let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    println!("wrote {out} ({size} bytes)");
+    let bytes = serialize::to_bytes(&model);
+    if let Err(e) = file.write_all(&bytes) {
+        drop(file);
+        let _ = std::fs::remove_file(out);
+        return Err(format!("writing {out}: {e}"));
+    }
+    println!("wrote {out} ({} bytes)", bytes.len());
     Ok(())
 }
 

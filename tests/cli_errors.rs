@@ -1,7 +1,8 @@
 //! The command-line error contract, checked on the spawned binaries: a flag
 //! outside the domain the library asserts, a flag the command does not
-//! read, or a model run on a dataset of another shape, exits 1 with an
-//! `error:` line that names the flag, and nothing is written. `gcond`
+//! read, an `--out` that cannot be written, or a model run on a dataset of
+//! another shape, exits 1 with an `error:` line that names the flag, and
+//! nothing is written. `gcond`
 //! follows a command-line error, and only that, with its usage text.
 
 use std::path::{Path, PathBuf};
@@ -78,6 +79,26 @@ fn train_flags_outside_their_domain_exit_1_and_write_no_model() {
         assert_named_error(&gcon(&args), "error:", flag, &case);
         assert!(!model.exists(), "{case}: wrote {}", model.display());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `--out` that cannot be written fails before training starts: exit 1,
+/// an `error:` line naming the flag and the path, no "training GCON" line,
+/// and no file left behind.
+#[test]
+fn an_unwritable_out_fails_before_training() {
+    let dir = scratch_dir("out");
+    let missing = dir.join("absent").join("m.bin");
+    for out in [missing.to_str().unwrap(), dir.to_str().unwrap()] {
+        let run =
+            gcon(&["train", "--dataset", "cora-ml", "--scale", "0.05", "--eps", "1", "--out", out]);
+        assert_named_error(&run, "error:", "--out", out);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.lines().next().unwrap_or_default().contains(out), "{out}: {stderr}");
+        assert!(!stderr.contains("training GCON"), "{out}: trained first: {stderr}");
+    }
+    assert!(!missing.exists() && !missing.parent().unwrap().exists());
+    assert!(dir.is_dir());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

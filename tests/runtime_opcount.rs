@@ -130,3 +130,39 @@ fn push_refresh_performs_no_sparse_product() {
     assert_eq!(spmm_ops_performed() - before, 0);
     assert!(out.converged && out.rows_pushed > 0, "{out:?}");
 }
+
+/// The fused passes keep the accounting: an encode is one product (its
+/// row blocks are not counted apiece), each APPR step one, and private
+/// features with one aggregating scale an encode plus the one-hop.
+#[test]
+fn fused_passes_count_one_product_each() {
+    use gcon::core::infer::private_features;
+    use gcon::core::train::train_gcon;
+    use gcon::core::GconConfig;
+    use gcon::graph::Csr;
+    let _guard = COUNTER_GUARD.lock().unwrap();
+    let mut rng = StdRng::seed_from_u64(81);
+    let n = 700;
+    let g = gcon::graph::generators::erdos_renyi_gnm(n, 3 * n, &mut rng);
+    let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+    let x = Csr::from_dense(&Mat::from_fn(n, 30, |i, j| ((i * 7 + j) % 9 < 2) as u8 as f64));
+    let mut cfg = GconConfig { steps: vec![PropagationStep::Finite(2)], ..Default::default() };
+    cfg.encoder.epochs = 3;
+    let idx: Vec<usize> = (0..100).collect();
+    let model = train_gcon(&cfg, &g, &x, &labels, &idx, 2, 1.0, 1e-4, &mut rng);
+    assert!(n > 5 * gcon::graph::csr::ROW_BLOCK, "several row blocks");
+
+    let before = spmm_ops_performed();
+    let _ = model.encoder.encode(&x);
+    assert_eq!(spmm_ops_performed() - before, 1, "one encode");
+
+    let a = row_stochastic_default(&g);
+    let z = Mat::uniform(n, 16, 1.0, &mut rng);
+    let before = spmm_ops_performed();
+    let _ = propagate(&a, &z, 0.4, PropagationStep::Finite(3));
+    assert_eq!(spmm_ops_performed() - before, 3, "three steps");
+
+    let before = spmm_ops_performed();
+    let _ = private_features(&model, &g, &x);
+    assert_eq!(spmm_ops_performed() - before, 2, "encode + one-hop");
+}
