@@ -26,18 +26,20 @@
 //!    feature matrix by the released parameters `Θ_priv`. This is the cheap,
 //!    per-query part.
 //!
-//! [`private_logits`] and [`public_logits`] are thin compositions of the two
-//! stages; `gcon-serve::ServingModel` runs stage 1 once at build time and
-//! answers queries with stage 2 only. Because every dense kernel in
-//! `gcon-linalg` computes each output row independently of the surrounding
-//! row partition (see the determinism notes in its crate docs), the serving
-//! path is **bitwise identical** to calling the entry points here.
+//! [`public_logits`] is the composition of the two stages, and
+//! [`private_logits`] is bitwise that composition computed in one pass (the
+//! head runs on each row block of the one-hop while it is in cache);
+//! `gcon-serve::ServingModel` runs stage 1 once at build time and answers
+//! queries with stage 2 only. Because every dense kernel in `gcon-linalg`
+//! computes each output row independently of the surrounding row partition
+//! (see the determinism notes in its crate docs), the serving path is
+//! **bitwise identical** to calling the entry points here.
 
 use crate::model::TrainedGcon;
-use crate::propagation::{appr_step_into, concat_features, PropagationStep};
+use crate::propagation::{appr_element, appr_step_into, concat_features, PropagationStep};
 use gcon_graph::normalize::row_stochastic;
 use gcon_graph::{Csr, Graph};
-use gcon_linalg::{ops, reduce, Mat};
+use gcon_linalg::{ops, reduce, Mat, Scalar};
 
 /// Encodes and row-normalizes raw features with the model's public encoder.
 fn encode_normalized(model: &TrainedGcon, features: &Csr) -> Mat {
@@ -53,14 +55,14 @@ fn encode_normalized(model: &TrainedGcon, features: &Csr) -> Mat {
 ///
 /// Row `i` of the result depends only on `X̄` rows adjacent to node `i` (and
 /// `X̄ᵢ` itself), which is what makes this stage admissible under edge DP.
-/// [`private_logits`] is this followed by [`head_logits`].
+/// [`private_logits`] is bitwise this followed by [`head_logits`].
 pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     let x = encode_normalized(model, features);
     let steps = &model.config.steps;
     // The one-hop aggregate, computed once if any m_i > 0: one APPR step
     // from X̄ at α_I, its `(1−α_I)·v + α_I·x` applied to each row block of
     // the sparse product while it is in cache.
-    let one_hop = steps.iter().any(|&s| s != PropagationStep::Finite(0)).then(|| {
+    let one_hop = aggregates(steps).then(|| {
         let a_tilde = row_stochastic(graph, model.config.clip_p);
         let mut h = Mat::default();
         appr_step_into(&a_tilde, &x, &x, model.config.alpha_inference, &mut h);
@@ -85,6 +87,11 @@ pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Csr) -> M
     let inv_s = 1.0 / steps.len() as f64;
     z.map_inplace(|v| v * inv_s);
     z
+}
+
+/// True when some step `mᵢ > 0`, so private inference reads `Ã`.
+fn aggregates(steps: &[PropagationStep]) -> bool {
+    steps.iter().any(|&s| s != PropagationStep::Finite(0))
 }
 
 /// Feature stage of public inference: the full training-time propagation
@@ -113,8 +120,12 @@ pub fn head_logits(model: &TrainedGcon, z: &Mat) -> Mat {
 ///
 /// Returns the logit matrix `Ŷ = (R̂_{m₁}X̄ ⊕ … ⊕ R̂_{m_s}X̄)Θ_priv`
 /// (scaled by `1/s` to match the training-time feature scale; a uniform
-/// positive scaling does not change the argmax). Composition of
-/// [`private_features`] and [`head_logits`].
+/// positive scaling does not change the argmax). Bitwise the composition
+/// of [`private_features`] and [`head_logits`], computed in two row-block
+/// passes: the encoder, then one product with `Ã` whose every block of
+/// rows gets the APPR step at `α_I`, the `1/s`-scaled concatenation (with
+/// several scales) and the head while it is in cache, so no `n × d`
+/// matrix is stored between them. Steps that never aggregate skip `Ã`.
 ///
 /// ```
 /// use gcon_core::infer::{private_logits, private_predict};
@@ -143,7 +154,46 @@ pub fn head_logits(model: &TrainedGcon, z: &Mat) -> Mat {
 /// assert_eq!(private_predict(&model, &graph, &features).len(), graph.num_nodes());
 /// ```
 pub fn private_logits(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
-    head_logits(model, &private_features(model, graph, features))
+    let steps = &model.config.steps;
+    if !aggregates(steps) {
+        return head_logits(model, &private_features(model, graph, features));
+    }
+    let x = encode_normalized(model, features);
+    let a_tilde = row_stochastic(graph, model.config.clip_p);
+    let alpha_i = model.config.alpha_inference;
+    let (n, d) = x.shape();
+    let (theta, s) = (&model.theta, steps.len());
+    let c = theta.cols();
+    let inv_s = 1.0 / s as f64;
+    let mut logits = Mat::zeros(n, c);
+    // Per row: the APPR step, the assembly and the head's multiply-adds.
+    let finish_work = n * (2 * d + s * d + s * d * c);
+    a_tilde.spmm_row_blocks(&x, logits.as_mut_slice(), c, finish_work, |h, out, start| {
+        let rows = h.len() / d;
+        let x_rows = &x.as_slice()[start * d..][..h.len()];
+        for (v, &xi) in h.iter_mut().zip(x_rows) {
+            *v = appr_element(*v, xi, alpha_i);
+        }
+        if s == 1 {
+            return ops::matmul_rows_into(h, rows, theta, out);
+        }
+        // The concatenation `private_features` assembles, `1/s` applied
+        // to each copied element, for these rows only.
+        f64::with_scratch(rows * s * d, |z| {
+            for ((zrow, hrow), xrow) in
+                z.chunks_exact_mut(s * d).zip(h.chunks_exact(d)).zip(x_rows.chunks_exact(d))
+            {
+                for (part, &step) in zrow.chunks_exact_mut(d).zip(steps) {
+                    let src = if step == PropagationStep::Finite(0) { xrow } else { hrow };
+                    for (o, &v) in part.iter_mut().zip(src) {
+                        *o = v * inv_s;
+                    }
+                }
+            }
+            ops::matmul_rows_into(z, rows, theta, out);
+        });
+    });
+    logits
 }
 
 /// Private inference returning hard class predictions (row-wise argmax of
@@ -426,7 +476,8 @@ mod tests {
     /// The fused one-hop, and the feature matrix a single scale returns
     /// without assembly, are bitwise the reference, for one and several
     /// scales, on the training graph and on a graph large enough that the
-    /// encode and the one-hop run on the pool.
+    /// encode and the one-hop run on the pool; so are the one-pass
+    /// `private_logits` and the head of the reference features.
     #[test]
     fn private_features_are_bitwise_the_whole_matrix_reference() {
         use PropagationStep::{Finite, Infinite};
@@ -458,10 +509,16 @@ mod tests {
         ] {
             let mut m = model.clone();
             m.config.steps = steps.clone();
+            // A Θ of the width these steps concatenate to.
+            let rows = steps.len() * model.encoder.d1();
+            m.theta = Mat::from_fn(rows, 3, |i, j| ((i * 5 + j * 3) % 7) as f64 / 3.0 - 1.0);
             for (graph, features) in [(&g, &x), (&big_graph, &big_features)] {
                 let got = private_features(&m, graph, features);
                 let want = private_features_reference(&m, graph, features);
                 assert_eq!(bits(&got), bits(&want), "{steps:?} on {} nodes", graph.num_nodes());
+                let (got, want) = (private_logits(&m, graph, features), head_logits(&m, &want));
+                let nodes = graph.num_nodes();
+                assert_eq!(bits(&got), bits(&want), "{steps:?} logits on {nodes} nodes");
             }
         }
     }

@@ -59,8 +59,17 @@ impl ConvexLoss {
     }
 
     /// `ℓ(x; y)` for `y ∈ {0, 1}`.
+    ///
+    /// The MultiLabel Soft Margin loss `−(1/c)[y·log σ(x) + (1−y)·log σ(−x)]`
+    /// evaluates only the softplus its label selects: at `y = 1` or `y = 0`
+    /// the other term adds an exact `−0` for every finite `x`, so the value
+    /// has the bits of the two-term formula (at `x = ±∞` that formula reads
+    /// `0·∞ = NaN`; the selected term alone is the limit). Any other `y`
+    /// takes both terms.
     pub fn value(&self, x: f64, y: f64) -> f64 {
         match self.kind {
+            LossKind::MultiLabelSoftMargin if y == 1.0 => softplus(-x) / self.c,
+            LossKind::MultiLabelSoftMargin if y == 0.0 => softplus(x) / self.c,
             LossKind::MultiLabelSoftMargin => {
                 // -(1/c) [ y·log σ(x) + (1−y)·log σ(−x) ],  stable form.
                 let log_sig = -softplus(-x); // log σ(x)
@@ -246,6 +255,43 @@ mod tests {
         assert_eq!(loss.value(1.0, 1.0), 0.0);
         assert_eq!(loss.d1(1.0, 1.0), 0.0);
         assert!(loss.value(2.0, 1.0) > 0.0);
+    }
+
+    /// The one-term value for a 0/1 label is bitwise the two-term formula
+    /// on 1.6 M scores spread over [−800, 800) and on the edges of
+    /// `softplus`'s branches and of `exp`'s range, signed zeros included.
+    #[test]
+    fn msm_value_is_bitwise_the_two_softplus_formula() {
+        let two_terms = |loss: &ConvexLoss, x: f64, y: f64| {
+            let (log_sig, log_one_minus) = (-softplus(-x), -softplus(x));
+            -(y * log_sig + (1.0 - y) * log_one_minus) / loss.c
+        };
+        let edges = [
+            0.0,
+            30.0,
+            30.000000000000004,
+            29.999999999999996,
+            745.0,
+            745.2,
+            709.8,
+            1e-300,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e300,
+            f64::MAX,
+        ];
+        let grid = (0..1_600_000).map(|k| -800.0 + k as f64 * 0.001);
+        let scores: Vec<f64> = grid.chain(edges.iter().flat_map(|&e| [e, -e])).collect();
+        let loss = ConvexLoss::new(LossKind::MultiLabelSoftMargin, 3);
+        for &y in &[0.0, 1.0] {
+            let mismatches = scores
+                .iter()
+                .filter(|&&x| loss.value(x, y).to_bits() != two_terms(&loss, x, y).to_bits())
+                .count();
+            assert_eq!(mismatches, 0, "y = {y}");
+        }
+        // A label outside {0, 1} still takes both terms.
+        assert_eq!(loss.value(0.7, 0.25).to_bits(), two_terms(&loss, 0.7, 0.25).to_bits());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! stationarity condition of Eq. (40) in the paper's analysis.
 
 use crate::loss::ConvexLoss;
-use gcon_linalg::{ops, parallel_rows, parallel_zip, Mat};
+use gcon_linalg::{ops, parallel_zip, Mat};
 
 /// Cost of one loss term (`ℓ` and `ℓ′`, or `ℓ″`: an `exp` and a `ln_1p`,
 /// or a square root and a power) in multiply-adds of the dense kernels.
@@ -90,28 +90,34 @@ impl<'a> PerturbedObjective<'a> {
     ///
     /// This is Eq. (48) divided by n₁ ([`crate::verify::hessian_block`]).
     /// `ℓ` acts per coordinate, so the Hessian has no cross-class blocks.
-    /// All `c` blocks come from one `t_matmul` of `Z` against the row-scaled
-    /// copies `[W₁ | … | W_c]`, `W_j = diag(ℓ″(Zθ_j; y_j)/n₁) Z`, whose bits
-    /// do not depend on the thread count or the kernel tier.
+    /// All `c` blocks come from one `Zᵀ·[W₁ | … | W_c]` with
+    /// `W_j = diag(ℓ″(Zθ_j; y_j)/n₁) Z`, whose bits do not depend on the
+    /// thread count or the kernel tier. The `n₁ × c·d` matrix of the `W_j`
+    /// is never stored: [`ops::t_matmul_streamed`] takes it one sample block
+    /// at a time, filled from the `ℓ″/n₁` weights.
     pub(crate) fn hessian_blocks(&self, theta: &Mat) -> Vec<Mat> {
         let n1 = self.n1() as f64;
         let (d, c) = theta.shape();
         let scores = ops::matmul(self.z, theta); // n₁ × c
-        let mut weighted = Mat::zeros(self.n1(), c * d);
-        let work = self.n1() * c * (LOSS_TERM_OPS + d);
-        parallel_rows(weighted.as_mut_slice(), self.n1(), c * d, work, |block, start, _| {
-            for (i, wrows) in (start..).zip(block.chunks_exact_mut(c * d)) {
+        let (all_s, all_y) = (scores.as_slice(), self.y.as_slice());
+        let mut weights = Mat::zeros(self.n1(), c);
+        let work = all_s.len() * LOSS_TERM_OPS;
+        parallel_zip([weights.as_mut_slice()], work, |[wc], start| {
+            let (s, y) = (&all_s[start..], &all_y[start..]);
+            for ((w, &s), &y) in wc.iter_mut().zip(s).zip(y) {
+                *w = self.loss.d2(s, y) / n1;
+            }
+        });
+        let all = ops::t_matmul_streamed(self.z, c * d, |start, rows| {
+            for (i, wrows) in (start..).zip(rows.chunks_exact_mut(c * d)) {
                 let zrow = self.z.row(i);
-                let (srow, yrow) = (scores.row(i), self.y.row(i));
-                for (j, wrow) in wrows.chunks_exact_mut(d).enumerate() {
-                    let w = self.loss.d2(srow[j], yrow[j]) / n1;
+                for (wrow, &w) in wrows.chunks_exact_mut(d).zip(weights.row(i)) {
                     for (out, &zv) in wrow.iter_mut().zip(zrow) {
                         *out = w * zv;
                     }
                 }
             }
-        });
-        let all = ops::t_matmul(self.z, &weighted); // d × (c·d)
+        }); // d × (c·d)
         (0..c)
             .map(|j| {
                 let mut block = Mat::from_fn(d, d, |a, b| all.get(a, j * d + b));
@@ -302,6 +308,79 @@ mod tests {
             for (j, (got, want)) in obj.hessian_blocks(&theta).iter().zip(&want_blocks).enumerate()
             {
                 assert_eq!(bits(got), bits(want), "{kind:?} block {j}");
+            }
+        }
+    }
+
+    /// `hessian_blocks` as it was built before the product streamed its
+    /// `B`: the whole `n₁ × c·d` matrix of row-scaled copies
+    /// `W_j = diag(ℓ″/n₁) Z`, filled on the pool, then one `t_matmul`.
+    fn hessian_blocks_by_weighted_copy(obj: &PerturbedObjective, theta: &Mat) -> Vec<Mat> {
+        let n1 = obj.n1() as f64;
+        let (d, c) = theta.shape();
+        let scores = ops::matmul(obj.z, theta);
+        let mut weighted = Mat::zeros(obj.n1(), c * d);
+        let work = obj.n1() * c * (LOSS_TERM_OPS + d);
+        let rows = obj.n1();
+        gcon_linalg::parallel_rows(
+            weighted.as_mut_slice(),
+            rows,
+            c * d,
+            work,
+            |block, start, _| {
+                for (i, wrows) in (start..).zip(block.chunks_exact_mut(c * d)) {
+                    let zrow = obj.z.row(i);
+                    let (srow, yrow) = (scores.row(i), obj.y.row(i));
+                    for (j, wrow) in wrows.chunks_exact_mut(d).enumerate() {
+                        let w = obj.loss.d2(srow[j], yrow[j]) / n1;
+                        for (out, &zv) in wrow.iter_mut().zip(zrow) {
+                            *out = w * zv;
+                        }
+                    }
+                }
+            },
+        );
+        let all = ops::t_matmul(obj.z, &weighted);
+        (0..c)
+            .map(|j| {
+                let mut block = Mat::from_fn(d, d, |a, b| all.get(a, j * d + b));
+                for a in 0..d {
+                    block.add_at(a, a, obj.lambda_total);
+                }
+                block
+            })
+            .collect()
+    }
+
+    /// The streamed Hessian blocks are bitwise the weighted-copy build, for
+    /// both losses: on the small setup, on a training set of several
+    /// `TM_IB` blocks large enough for the pool, and on one whose second
+    /// sample block is mostly zeros, so it takes the product's skip loop.
+    #[test]
+    fn streamed_hessian_blocks_are_bitwise_the_weighted_copy() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let (small_z, small_y, small_b) = setup(72);
+        let (n1, d, c) = (1001, 16, 3);
+        let mut z: Mat = Mat::uniform(n1, d, 1.0, &mut rng);
+        for i in ops::TM_IB..2 * ops::TM_IB {
+            z.row_mut(i).iter_mut().filter(|v| v.abs() < 0.9).for_each(|v| *v = 0.0);
+        }
+        z.normalize_rows_l2();
+        let sampled = (ops::TM_IB..2 * ops::TM_IB).step_by(ops::TM_SPARSITY_SAMPLE_STRIDE);
+        let zeros: usize = sampled.map(|i| z.row(i).iter().filter(|&&v| v == 0.0).count()).sum();
+        let scanned = ops::TM_IB / ops::TM_SPARSITY_SAMPLE_STRIDE * d;
+        assert!(zeros as f64 > ops::TM_SKIP_ZERO_FRAC * scanned as f64, "a skip block");
+        let y = Mat::from_fn(n1, c, |i, j| (i % c == j) as u8 as f64);
+        let b = Mat::uniform(d, c, 0.5, &mut rng);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (z, y, b) in [(&small_z, &small_y, &small_b), (&z, &y, &b)] {
+            let theta = Mat::uniform(z.cols(), y.cols(), 3.0, &mut rng);
+            for kind in [LossKind::MultiLabelSoftMargin, LossKind::PseudoHuber { delta: 0.3 }] {
+                let obj = PerturbedObjective::new(z, y, ConvexLoss::new(kind, y.cols()), 0.7, b);
+                let want = hessian_blocks_by_weighted_copy(&obj, &theta);
+                for (j, (got, want)) in obj.hessian_blocks(&theta).iter().zip(&want).enumerate() {
+                    assert_eq!(bits(got), bits(want), "{kind:?} n₁ = {} block {j}", obj.n1());
+                }
             }
         }
     }

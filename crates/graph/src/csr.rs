@@ -45,6 +45,13 @@ static SPMM_OPS: AtomicU64 = AtomicU64::new(0);
 /// It decides only which rows are finished together, never a value.
 pub const ROW_BLOCK: usize = 128;
 
+/// Multiply-adds (`nnz · b.cols()`) at which a pooled sparse product breaks
+/// even with the serial one (width 2 against width 1); its work estimate
+/// reaches [`gcon_runtime::PAR_THRESHOLD`] here
+/// ([`gcon_runtime::kernel_work`]). A sparse multiply-add gathers a row of
+/// `B`, so it costs more than two dense ones.
+pub const SPMM_BREAK_EVEN: usize = 180_000;
+
 /// Total sparse products performed since process start. A
 /// `Csr::spmm`/`spmm_into`/`spmm_sequential_into`/`spmm_row_blocks` call
 /// counts 1 (one sparse×dense product, whatever the dense width);
@@ -93,15 +100,7 @@ pub struct Csr<S: CsrScalar = f64> {
 impl<S: CsrScalar> Csr<S> {
     /// An empty `0 × cols` matrix, grown row by row with [`Csr::push_row`].
     pub fn new(cols: usize) -> Self {
-        Self::with_capacity(cols, 0, 0)
-    }
-
-    /// [`Csr::new`] with room for `rows` rows of `nnz` entries in all.
-    pub fn with_capacity(cols: usize, rows: usize, nnz: usize) -> Self {
-        let mut indptr = Vec::with_capacity(rows + 1);
-        indptr.push(0);
-        let (indices, values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
-        Self { rows: 0, cols, indptr, indices, values }
+        Self { rows: 0, cols, indptr: vec![0], indices: Vec::new(), values: Vec::new() }
     }
 
     /// Appends a row given as `(column, value)` entries in strictly
@@ -156,6 +155,53 @@ impl<S: CsrScalar> Csr<S> {
             }
             indptr.push(indices.len());
         }
+        Self { rows, cols, indptr, indices, values }
+    }
+
+    /// A `rows × cols` matrix whose row `i` has `row_len(i)` entries,
+    /// written by `fill(i, columns, values)` in strictly ascending column
+    /// order. `indptr` is the prefix sum of the row lengths, and `indices`
+    /// and `values` are allocated once and filled on the worker pool, one
+    /// block of rows per thread; `entry_work` is the cost of one entry in
+    /// the unit of [`gcon_runtime::PAR_THRESHOLD`]. Each row is filled on
+    /// its own, so the matrix is the one [`Csr::push_row`] builds row by
+    /// row from the same entries.
+    pub(crate) fn from_row_fill(
+        rows: usize,
+        cols: usize,
+        row_len: impl Fn(usize) -> usize,
+        entry_work: usize,
+        fill: impl Fn(usize, &mut [u32], &mut [S]) + Sync,
+    ) -> Self {
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        for i in 0..rows {
+            indptr.push(indptr[i] + row_len(i));
+        }
+        let nnz = indptr[rows];
+        let (mut indices, mut values) = (vec![0u32; nnz], vec![S::ZERO; nnz]);
+        let work = nnz * entry_work;
+        gcon_runtime::parallel_ragged_rows(
+            &mut indices,
+            &mut values,
+            &indptr,
+            work,
+            |ib, vb, s, e| {
+                for i in s..e {
+                    let span = indptr[i] - indptr[s]..indptr[i + 1] - indptr[s];
+                    fill(i, &mut ib[span.clone()], &mut vb[span.clone()]);
+                    let row = &ib[span];
+                    debug_assert!(
+                        row.windows(2).all(|w| w[0] < w[1]),
+                        "row {i}: columns not ascending"
+                    );
+                    debug_assert!(
+                        row.iter().all(|&j| (j as usize) < cols),
+                        "row {i}: column out of range"
+                    );
+                }
+            },
+        );
         Self { rows, cols, indptr, indices, values }
     }
 
@@ -441,8 +487,9 @@ impl<S: CsrScalar> Csr<S> {
     /// bits of [`Csr::spmm`], so a `finish` that reads only its own rows
     /// gives results that no thread count or block boundary can change.
     ///
-    /// `finish_work` is the cost of all `finish` calls in multiply-adds, added
-    /// to the product's `nnz · b.cols()` for the inline-or-pool decision.
+    /// `finish_work` is the cost of all `finish` calls in the unit of
+    /// [`gcon_runtime::PAR_THRESHOLD`], added to the product's own work for
+    /// the inline-or-pool decision.
     /// Counts one product in [`spmm_ops_performed`].
     pub fn spmm_row_blocks<T: Send>(
         &self,
@@ -456,7 +503,7 @@ impl<S: CsrScalar> Csr<S> {
         assert_eq!(out.len(), self.rows * out_cols, "spmm_row_blocks: out is not rows × out_cols");
         SPMM_OPS.fetch_add(1, Ordering::Relaxed);
         let d = b.cols();
-        let work = self.nnz() * d + finish_work;
+        let work = gcon_runtime::kernel_work(self.nnz() * d, SPMM_BREAK_EVEN) + finish_work;
         gcon_runtime::parallel_rows(out, self.rows, out_cols, work, |block, start, end| {
             S::with_scratch(ROW_BLOCK.min(end - start) * d, |product| {
                 for s in (start..end).step_by(ROW_BLOCK) {
@@ -474,7 +521,7 @@ impl<S: CsrScalar> Csr<S> {
         SPMM_OPS.fetch_add(1, Ordering::Relaxed);
         let d = b.cols();
         out.reset_to_zeros(self.rows, d);
-        let work = self.nnz() * d;
+        let work = gcon_runtime::kernel_work(self.nnz() * d, SPMM_BREAK_EVEN);
         gcon_runtime::parallel_rows(out.as_mut_slice(), self.rows, d, work, |block, start, end| {
             S::kernel_spmm_block(self, b, block, start, end, grouped);
         });
@@ -707,7 +754,7 @@ mod tests {
         }
         let sp = Csr::from_row_entries(n, n, entries);
         let b: Mat = Mat::uniform(n, 32, 1.0, &mut rng);
-        assert!(sp.nnz() * b.cols() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
+        assert!(sp.nnz() * b.cols() >= SPMM_BREAK_EVEN, "runs on the pool");
         let full = sp.spmm(&b);
         for i in 0..n {
             let (cols, vals) = sp.row(i);
@@ -772,7 +819,7 @@ mod tests {
     fn spmm_row_blocks_finishes_every_row_once_with_the_spmm_bits() {
         let n = 5 * ROW_BLOCK + 3;
         let (sp, b) = random_product_pair(n, 24, 22);
-        assert!(sp.nnz() * b.cols() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
+        assert!(sp.nnz() * b.cols() >= SPMM_BREAK_EVEN, "runs on the pool");
         let full = sp.spmm(&b);
         // Each output row: the product row's bits, then its start row and
         // row count, so a block that misplaces its rows shows.
@@ -945,7 +992,7 @@ mod tests {
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (x, paths) in [(&mixed, &[TmPath::Skip][..]), (&words, &[TmPath::Skip, TmPath::Auto])] {
             let xt = Csr::from_dense(x).transpose();
-            assert!(xt.nnz() * h > gcon_runtime::PAR_THRESHOLD);
+            assert!(xt.nnz() * h > SPMM_BREAK_EVEN);
             let mut got = Mat::full(2, 3, f64::NAN);
             xt.spmm_sequential_into(&delta, &mut got);
             for &path in paths {

@@ -21,20 +21,31 @@
 
 use crate::{Csr, Graph};
 
+/// Cost of one entry of [`row_stochastic`] (its share of the row's
+/// `off_sum` fold and of writing both arrays) in the unit of
+/// `gcon_runtime::PAR_THRESHOLD`.
+const ENTRY_WORK: usize = 64;
+
 /// Row-stochastic normalization with self-loops and off-diagonal clip `p`
 /// (Lemma 1). `p = 0.5` reproduces the unclipped `D⁻¹(A+I)` of Sec. IV-C2.
+///
+/// Row `u` has `deg(u) + 1` entries, so the row pointers are known up
+/// front: the two entry arrays are allocated once and the rows filled on
+/// the worker pool, each from [`row_stochastic_entries`], so the matrix
+/// does not depend on the pool width.
 ///
 /// # Panics
 /// Panics if `p` is not in `(0, 0.5]`.
 pub fn row_stochastic(graph: &Graph, p: f64) -> Csr {
     assert!(p > 0.0 && p <= 0.5, "row_stochastic: clip p must lie in (0, 0.5], got {p}");
     let n = graph.num_nodes();
-    // One pass over the sorted adjacency, straight into the CSR arrays.
-    let mut a = Csr::with_capacity(n, n, 2 * graph.num_edges() + n);
-    for u in 0..n as u32 {
-        a.push_row(row_stochastic_entries(graph, u, p));
-    }
-    a
+    let row_len = |u: usize| graph.degree(u as u32) + 1;
+    Csr::from_row_fill(n, n, row_len, ENTRY_WORK, |u, cols, vals| {
+        let entries = row_stochastic_entries(graph, u as u32, p);
+        for ((c, v), (j, x)) in cols.iter_mut().zip(vals).zip(entries) {
+            (*c, *v) = (j, x);
+        }
+    })
 }
 
 /// Row `u` of [`row_stochastic`] as `(column, value)` entries in column
@@ -218,6 +229,46 @@ mod tests {
                     assert_eq!(bits(fv), bits(sv), "row {u} values at p={p}");
                 }
                 assert_eq!(fast, slow);
+            }
+        }
+    }
+
+    /// The row-by-row build `row_stochastic` had before it filled its rows
+    /// on the pool: one `push_row` of `row_stochastic_entries` per node.
+    fn row_stochastic_serial(graph: &Graph, p: f64) -> Csr {
+        let n = graph.num_nodes();
+        let mut a = Csr::new(n);
+        for u in 0..n as u32 {
+            a.push_row(row_stochastic_entries(graph, u, p));
+        }
+        a
+    }
+
+    /// The pooled fill equals the serial build, values bitwise: on isolated
+    /// nodes (first and last), a hub adjacent to half the graph, node
+    /// counts that are multiples of no pool width, and a 4,001-node graph
+    /// large enough for the pool, at the unclipped `p` and a clipping one.
+    #[test]
+    fn pooled_fill_is_the_serial_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut hub_edges: Vec<(u32, u32)> = (2..200).step_by(2).map(|v| (7, v)).collect();
+        hub_edges.extend((0..400).map(|_| (rng.gen_range(1..200), rng.gen_range(1..200))));
+        let hub = Graph::from_edges(201, &hub_edges);
+        assert!(hub.degree(0) == 0 && hub.degree(200) == 0 && hub.degree(7) >= 99);
+        let n = 4001;
+        let pooled = crate::generators::erdos_renyi_gnm(n, 5 * n, &mut rng);
+        let entries = 2 * pooled.num_edges() + n;
+        assert!(entries * ENTRY_WORK >= gcon_runtime::PAR_THRESHOLD, "fills on the pool");
+        let bits = |a: &Csr| -> Vec<u64> {
+            (0..a.rows()).flat_map(|u| a.row(u).1.iter().map(|v| v.to_bits())).collect()
+        };
+        for g in [&Graph::from_edges(3, &[(0, 1)]), &hub, &pooled] {
+            for p in [0.5, 0.2] {
+                let (got, want) = (row_stochastic(g, p), row_stochastic_serial(g, p));
+                assert_eq!(got, want, "{} nodes at p={p}", g.num_nodes());
+                assert_eq!(bits(&got), bits(&want), "{} nodes at p={p}", g.num_nodes());
             }
         }
     }

@@ -5,6 +5,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Cost of one element of [`Mat::normalize_rows_l2`] (a square, an add and
+/// a division) in the unit of [`crate::PAR_THRESHOLD`].
+const NORMALIZE_OPS_PER_ELEMENT: usize = 4;
+
 /// A dense row-major `rows × cols` matrix, generic over the element
 /// [`Scalar`] (default `f64`, so `Mat` written without a parameter is the
 /// double-precision matrix the rest of the workspace trains with; `Mat<f32>`
@@ -316,16 +320,21 @@ impl<S: Scalar> Mat<S> {
 
     /// Normalizes each row to unit L2 norm; rows with zero norm are left
     /// untouched. This is the pre-propagation normalization of Sec. IV-C3.
+    /// Rows are split over the worker pool; each is computed on its own, so
+    /// the result does not depend on the split.
     pub fn normalize_rows_l2(&mut self) {
-        for i in 0..self.rows {
-            let row = self.row_mut(i);
-            let norm = row.iter().fold(S::ZERO, |acc, &v| acc + v * v).sqrt();
-            if norm > S::ZERO {
-                for v in row.iter_mut() {
-                    *v /= norm;
+        let (rows, cols) = self.shape();
+        let work = rows * cols * NORMALIZE_OPS_PER_ELEMENT;
+        crate::parallel_rows(&mut self.data, rows, cols, work, |block, _, _| {
+            for row in block.chunks_exact_mut(cols) {
+                let norm = row.iter().fold(S::ZERO, |acc, &v| acc + v * v).sqrt();
+                if norm > S::ZERO {
+                    for v in row.iter_mut() {
+                        *v /= norm;
+                    }
                 }
             }
-        }
+        });
     }
 }
 
@@ -435,6 +444,32 @@ mod tests {
         assert!((m.row(0)[1] - 0.8).abs() < 1e-12);
         assert_eq!(m.row(1), &[0.0, 0.0]); // zero row untouched
         assert_eq!(m.row(2), &[1.0, 0.0]);
+    }
+
+    /// The pooled normalization is bitwise the serial row loop it replaced,
+    /// on a matrix large enough for the pool with zero rows among the rows.
+    #[test]
+    fn pooled_normalize_rows_is_bitwise_the_serial_loop() {
+        let (rows, cols) = (5001, 16);
+        assert!(rows * cols * NORMALIZE_OPS_PER_ELEMENT >= crate::PAR_THRESHOLD, "runs pooled");
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut m: Mat = Mat::uniform(rows, cols, 3.0, &mut rng);
+        for i in (0..rows).step_by(97) {
+            m.row_mut(i).fill(0.0);
+        }
+        let mut want = m.clone();
+        for i in 0..rows {
+            let row = want.row_mut(i);
+            let norm = row.iter().fold(0.0, |acc, &v| acc + v * v).sqrt();
+            if norm > 0.0 {
+                for v in row.iter_mut() {
+                    *v /= norm;
+                }
+            }
+        }
+        m.normalize_rows_l2();
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&m), bits(&want));
     }
 
     #[test]

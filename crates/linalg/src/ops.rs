@@ -32,7 +32,10 @@
 //!   zero-skipping scatter loop instead of the dense register tile — post-ReLU
 //!   activation matrices at extreme sparsity were the one shape where the
 //!   tiled kernel lost to the pre-tiling scalar loop. [`t_matmul_into_with`]
-//!   pins the path for tests and benchmarks.
+//!   pins the path for tests and benchmarks, and [`t_matmul_streamed`]
+//!   takes `B` one sample block at a time from a closure, so a `B` that is
+//!   a function of other data (the Newton Hessian's row-scaled copies of
+//!   `A`) is never stored whole.
 //! - [`matmul_bt_into`] (`C = A·Bᵀ`, pairwise row dots) batches four rows of
 //!   `B` per pass over a row of `A`, so each `A` row is loaded once per four
 //!   outputs; the inner unroll width is 4 elements for f64, 8 for f32.
@@ -114,6 +117,18 @@ pub const TM_SKIP_ZERO_FRAC: f64 = 0.75;
 /// is deterministic.
 pub const TM_SPARSITY_SAMPLE_STRIDE: usize = 8;
 
+/// Multiply-adds at which a pooled [`matmul_into`] breaks even with the
+/// serial one (width 2 against width 1); its work estimate reaches
+/// [`crate::PAR_THRESHOLD`] here ([`gcon_runtime::kernel_work`]).
+pub const MATMUL_BREAK_EVEN: usize = 400_000;
+
+/// Multiply-adds at which a pooled [`t_matmul_into`] breaks even.
+pub const T_MATMUL_BREAK_EVEN: usize = 300_000;
+
+/// Multiply-adds at which a pooled [`matmul_bt_into`] breaks even: its
+/// dots cost about 3× a `matmul` multiply-add.
+pub const MATMUL_BT_BREAK_EVEN: usize = 150_000;
+
 /// `C = A · B` with a packed, register-tiled kernel (see the module docs),
 /// parallelized over row blocks of A on the shared runtime pool.
 pub fn matmul<S: Scalar>(a: &Mat<S>, b: &Mat<S>) -> Mat<S> {
@@ -139,7 +154,8 @@ pub fn matmul_into<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>) {
     let (m, k) = a.shape();
     let n = b.cols();
     c.reset_to_zeros(m, n);
-    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, m * k * n, |block, start, end| {
+    let work = gcon_runtime::kernel_work(m * k * n, MATMUL_BREAK_EVEN);
+    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, work, |block, start, end| {
         matmul_block(a.as_slice(), b, block, start, end);
     });
 }
@@ -384,10 +400,43 @@ pub fn t_matmul_into_with<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>, pat
     let d_out = b.cols();
     c.reset_to_zeros(d_in, d_out);
     let skip = t_matmul_skip_flags(a, path);
-    let work = n_samples * d_in * d_out;
+    let work = gcon_runtime::kernel_work(n_samples * d_in * d_out, T_MATMUL_BREAK_EVEN);
     gcon_runtime::parallel_rows(c.as_mut_slice(), d_in, d_out, work, |block, k0, k1| {
-        S::kernel_t_matmul_block(a, b, block, k0, k1, &skip);
+        for (ib, &skip) in (0..n_samples).step_by(TM_IB).zip(&skip) {
+            let ie = (ib + TM_IB).min(n_samples);
+            let b_rows = &b.as_slice()[ib * d_out..ie * d_out];
+            S::kernel_t_matmul_block(a, b_rows, block, k0, k1, ib, skip);
+        }
     });
+}
+
+/// `C = Aᵀ · B` for a `B` of `b_cols` columns that is never stored whole:
+/// `fill_b(start, rows)` writes rows `[start, start + TM_IB)` of `B` (fewer
+/// in the last block), row-major, into `rows`, a per-thread scratch
+/// buffer, and the [`t_matmul_into`] kernel adds that sample block into
+/// the output before the next is filled. Blocks and paths
+/// ([`TmPath::Auto`]) are those of [`t_matmul_into`], so the result has its
+/// bits; each thread fills every block for its own output rows.
+pub fn t_matmul_streamed<S: Scalar>(
+    a: &Mat<S>,
+    b_cols: usize,
+    fill_b: impl Fn(usize, &mut [S]) + Sync,
+) -> Mat<S> {
+    let (n_samples, d_in) = a.shape();
+    let mut c = Mat::zeros(d_in, b_cols);
+    let skip = t_matmul_skip_flags(a, TmPath::Auto);
+    let work = gcon_runtime::kernel_work(n_samples * d_in * b_cols, T_MATMUL_BREAK_EVEN);
+    gcon_runtime::parallel_rows(c.as_mut_slice(), d_in, b_cols, work, |block, k0, k1| {
+        S::with_scratch(TM_IB.min(n_samples) * b_cols, |scratch| {
+            for (ib, &skip) in (0..n_samples).step_by(TM_IB).zip(&skip) {
+                let ie = (ib + TM_IB).min(n_samples);
+                let b_rows = &mut scratch[..(ie - ib) * b_cols];
+                fill_b(ib, b_rows);
+                S::kernel_t_matmul_block(a, b_rows, block, k0, k1, ib, skip);
+            }
+        });
+    });
+    c
 }
 
 /// One flag per [`TM_IB`] sample block of `A`: `true` routes the block to
@@ -421,167 +470,170 @@ fn t_matmul_skip_flags<S: Scalar>(a: &Mat<S>, path: TmPath) -> Vec<bool> {
 }
 
 gcon_runtime::tier_dispatch! {
-    /// f64 `AᵀB` block kernel (rows `[k0, k1)` of the output) — see
-    /// [`t_matmul_block_body`].
+    /// f64 `AᵀB` block kernel (rows `[k0, k1)` of the output, the sample
+    /// block starting at `ib`) — see [`t_matmul_block_body`].
     pub(crate) fn t_matmul_block_f64 / t_matmul_block_f64_avx2 / t_matmul_block_f64_impl(
-        a: &Mat<f64>, b: &Mat<f64>, out: &mut [f64], k0: usize, k1: usize, skip: &[bool])
+        a: &Mat<f64>, b_rows: &[f64], out: &mut [f64], k0: usize, k1: usize, ib: usize,
+        skip: bool)
 }
 
 #[inline(always)]
 fn t_matmul_block_f64_impl(
     a: &Mat<f64>,
-    b: &Mat<f64>,
+    b_rows: &[f64],
     out: &mut [f64],
     k0: usize,
     k1: usize,
-    skip: &[bool],
+    ib: usize,
+    skip: bool,
 ) {
-    t_matmul_block_body::<f64, NR>(a, b, out, k0, k1, skip)
+    t_matmul_block_body::<f64, NR>(a, b_rows, out, k0, k1, ib, skip)
 }
 
 gcon_runtime::tier_dispatch! {
     /// f32 `AᵀB` block kernel (doubled tile width) — see
     /// [`t_matmul_block_body`].
     pub(crate) fn t_matmul_block_f32 / t_matmul_block_f32_avx2 / t_matmul_block_f32_impl(
-        a: &Mat<f32>, b: &Mat<f32>, out: &mut [f32], k0: usize, k1: usize, skip: &[bool])
+        a: &Mat<f32>, b_rows: &[f32], out: &mut [f32], k0: usize, k1: usize, ib: usize,
+        skip: bool)
 }
 
 #[inline(always)]
 fn t_matmul_block_f32_impl(
     a: &Mat<f32>,
-    b: &Mat<f32>,
+    b_rows: &[f32],
     out: &mut [f32],
     k0: usize,
     k1: usize,
-    skip: &[bool],
+    ib: usize,
+    skip: bool,
 ) {
-    t_matmul_block_body::<f32, NR_F32>(a, b, out, k0, k1, skip)
+    t_matmul_block_body::<f32, NR_F32>(a, b_rows, out, k0, k1, ib, skip)
 }
 
-/// The `t_matmul` kernel body. The `Σ_i a[i][k]·b[i][j]` reduction is
-/// chunked into [`TM_IB`]-sample blocks. A dense block accumulates an
-/// [`MR`]`×NR_` register tile (`MR` output rows × `NR_` output columns)
-/// across the block's samples, then adds into `out`; a block flagged in
-/// `skip` instead scatters each nonzero `a[i][k]` onto the output row —
-/// cheaper when almost everything is zero. Sample-block boundaries are
-/// fixed multiples of `TM_IB`, the flags are a pure function of `A`, and
-/// every path (dense tile, K tail rows, J tail columns, skip scatter) uses
-/// the same block-sequential, sample-ascending per-element order, so
-/// results are byte-identical whatever the thread partition.
+/// One sample block of the `t_matmul` kernel: the `Σ_i a[i][k]·b[i][j]`
+/// reduction is chunked into [`TM_IB`]-sample blocks, and this adds the
+/// block of samples `[ib, min(ib + TM_IB, n))` into `out`, whose rows are
+/// the output rows `[k0, k1)`; `b_rows` holds the block's rows of `B`. A
+/// dense block accumulates an [`MR`]`×NR_` register tile (`MR` output rows
+/// × `NR_` output columns) across the block's samples, then adds into
+/// `out`; a block flagged `skip` instead scatters each nonzero `a[i][k]`
+/// onto the output row — cheaper when almost everything is zero.
+/// Sample-block boundaries are fixed multiples of `TM_IB`, the callers
+/// add the blocks in ascending order, the flags are a pure function of
+/// `A`, and every path (dense tile, K tail rows, J tail columns, skip
+/// scatter) uses the same block-sequential, sample-ascending per-element
+/// order, so results are byte-identical whatever the thread partition.
 #[inline(always)]
 fn t_matmul_block_body<S: Scalar, const NR_: usize>(
     a: &Mat<S>,
-    b: &Mat<S>,
+    b_rows: &[S],
     out: &mut [S],
     k0: usize,
     k1: usize,
-    skip: &[bool],
+    ib: usize,
+    skip: bool,
 ) {
-    let n_samples = a.rows();
-    let d_out = b.cols();
+    let ie = (ib + TM_IB).min(a.rows());
+    let d_out = b_rows.len() / (ie - ib);
     if d_out == 0 {
         return;
     }
+    let b_row = |i: usize| &b_rows[(i - ib) * d_out..(i - ib + 1) * d_out];
     let main_j = d_out - d_out % NR_;
-    let mut ib = 0;
-    while ib < n_samples {
-        let ie = (ib + TM_IB).min(n_samples);
-        if skip[ib / TM_IB] {
-            // Zero-skipping scatter, restricted to this partition's output
-            // rows: one `d_out`-wide axpy per *nonzero* of A[i][k0..k1].
+    if skip {
+        // Zero-skipping scatter, restricted to this partition's output
+        // rows: one `d_out`-wide axpy per *nonzero* of A[i][k0..k1].
+        for i in ib..ie {
+            let arow = &a.row(i)[k0..k1];
+            let brow = b_row(i);
+            for (rel_k, &av) in arow.iter().enumerate() {
+                if av == S::ZERO {
+                    continue;
+                }
+                let orow = &mut out[rel_k * d_out..(rel_k + 1) * d_out];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        return;
+    }
+    let mut kk = k0;
+    while kk + MR <= k1 {
+        let mut jj = 0;
+        while jj < main_j {
+            let mut acc = [[S::ZERO; NR_]; MR];
             for i in ib..ie {
-                let arow = &a.row(i)[k0..k1];
-                let brow = b.row(i);
-                for (rel_k, &av) in arow.iter().enumerate() {
-                    if av == S::ZERO {
-                        continue;
-                    }
-                    let orow = &mut out[rel_k * d_out..(rel_k + 1) * d_out];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            ib = ie;
-            continue;
-        }
-        let mut kk = k0;
-        while kk + MR <= k1 {
-            let mut jj = 0;
-            while jj < main_j {
-                let mut acc = [[S::ZERO; NR_]; MR];
-                for i in ib..ie {
-                    let av = &a.row(i)[kk..kk + MR];
-                    let bv = &b.row(i)[jj..jj + NR_];
-                    for r in 0..MR {
-                        for c in 0..NR_ {
-                            acc[r][c] += av[r] * bv[c];
-                        }
-                    }
-                }
-                for (r, tile_row) in acc.iter().enumerate() {
-                    let orow = &mut out[(kk + r - k0) * d_out + jj..][..NR_];
-                    for (o, &v) in orow.iter_mut().zip(tile_row) {
-                        *o += v;
-                    }
-                }
-                jj += NR_;
-            }
-            if main_j < d_out {
-                // J tail: fewer than NR_ columns, same MR rows and order.
-                let mut acc = [[S::ZERO; NR_]; MR];
-                for i in ib..ie {
-                    let av = &a.row(i)[kk..kk + MR];
-                    let bv = &b.row(i)[main_j..];
-                    for r in 0..MR {
-                        for (c, &bvc) in bv.iter().enumerate() {
-                            acc[r][c] += av[r] * bvc;
-                        }
-                    }
-                }
-                for (r, tile_row) in acc.iter().enumerate() {
-                    let orow = &mut out[(kk + r - k0) * d_out + main_j..(kk + r - k0 + 1) * d_out];
-                    for (o, &v) in orow.iter_mut().zip(tile_row) {
-                        *o += v;
-                    }
-                }
-            }
-            kk += MR;
-        }
-        // K tail: remaining output rows one at a time, same sample blocks.
-        while kk < k1 {
-            let mut jj = 0;
-            while jj < main_j {
-                let mut acc = [S::ZERO; NR_];
-                for i in ib..ie {
-                    let av = a.row(i)[kk];
-                    let bv = &b.row(i)[jj..jj + NR_];
+                let av = &a.row(i)[kk..kk + MR];
+                let bv = &b_row(i)[jj..jj + NR_];
+                for r in 0..MR {
                     for c in 0..NR_ {
-                        acc[c] += av * bv[c];
+                        acc[r][c] += av[r] * bv[c];
                     }
                 }
-                let orow = &mut out[(kk - k0) * d_out + jj..][..NR_];
-                for (o, &v) in orow.iter_mut().zip(&acc) {
-                    *o += v;
-                }
-                jj += NR_;
             }
-            if main_j < d_out {
-                let mut acc = [S::ZERO; NR_];
-                for i in ib..ie {
-                    let av = a.row(i)[kk];
-                    for (c, &bvc) in b.row(i)[main_j..].iter().enumerate() {
-                        acc[c] += av * bvc;
-                    }
-                }
-                let orow = &mut out[(kk - k0) * d_out + main_j..(kk - k0 + 1) * d_out];
-                for (o, &v) in orow.iter_mut().zip(&acc) {
+            for (r, tile_row) in acc.iter().enumerate() {
+                let orow = &mut out[(kk + r - k0) * d_out + jj..][..NR_];
+                for (o, &v) in orow.iter_mut().zip(tile_row) {
                     *o += v;
                 }
             }
-            kk += 1;
+            jj += NR_;
         }
-        ib = ie;
+        if main_j < d_out {
+            // J tail: fewer than NR_ columns, same MR rows and order.
+            let mut acc = [[S::ZERO; NR_]; MR];
+            for i in ib..ie {
+                let av = &a.row(i)[kk..kk + MR];
+                let bv = &b_row(i)[main_j..];
+                for r in 0..MR {
+                    for (c, &bvc) in bv.iter().enumerate() {
+                        acc[r][c] += av[r] * bvc;
+                    }
+                }
+            }
+            for (r, tile_row) in acc.iter().enumerate() {
+                let orow = &mut out[(kk + r - k0) * d_out + main_j..(kk + r - k0 + 1) * d_out];
+                for (o, &v) in orow.iter_mut().zip(tile_row) {
+                    *o += v;
+                }
+            }
+        }
+        kk += MR;
+    }
+    // K tail: remaining output rows one at a time, same sample block.
+    while kk < k1 {
+        let mut jj = 0;
+        while jj < main_j {
+            let mut acc = [S::ZERO; NR_];
+            for i in ib..ie {
+                let av = a.row(i)[kk];
+                let bv = &b_row(i)[jj..jj + NR_];
+                for c in 0..NR_ {
+                    acc[c] += av * bv[c];
+                }
+            }
+            let orow = &mut out[(kk - k0) * d_out + jj..][..NR_];
+            for (o, &v) in orow.iter_mut().zip(&acc) {
+                *o += v;
+            }
+            jj += NR_;
+        }
+        if main_j < d_out {
+            let mut acc = [S::ZERO; NR_];
+            for i in ib..ie {
+                let av = a.row(i)[kk];
+                for (c, &bvc) in b_row(i)[main_j..].iter().enumerate() {
+                    acc[c] += av * bvc;
+                }
+            }
+            let orow = &mut out[(kk - k0) * d_out + main_j..(kk - k0 + 1) * d_out];
+            for (o, &v) in orow.iter_mut().zip(&acc) {
+                *o += v;
+            }
+        }
+        kk += 1;
     }
 }
 
@@ -605,7 +657,8 @@ pub fn matmul_bt_into<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>) {
     let n = b.rows();
     let k = a.cols();
     c.reset_to_zeros(m, n);
-    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, m * k * n, |block, start, _end| {
+    let work = gcon_runtime::kernel_work(m * k * n, MATMUL_BT_BREAK_EVEN);
+    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, work, |block, start, _end| {
         S::kernel_matmul_bt_block(a, b, block, start);
     });
 }
@@ -808,10 +861,10 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(2);
-        // Big enough to trigger the threaded path (m·k·n ≥ PAR_THRESHOLD).
+        // Big enough to trigger the threaded path.
         let a: Mat = Mat::uniform(256, 64, 1.0, &mut rng);
         let b: Mat = Mat::uniform(64, 32, 1.0, &mut rng);
-        assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
+        assert!(a.rows() * a.cols() * b.cols() >= MATMUL_BREAK_EVEN);
         let fast = matmul(&a, &b);
         let slow = naive_matmul(&a, &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
@@ -985,10 +1038,10 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(41);
-        // m·k·n above PAR_THRESHOLD, so the pool splits the rows.
+        // m·k·n above the break-even, so the pool splits the rows.
         let a: Mat = Mat::uniform(67, KC + 9, 1.0, &mut rng);
         let b: Mat = Mat::uniform(KC + 9, 2 * NR_F32 + 5, 1.0, &mut rng);
-        assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
+        assert!(a.rows() * a.cols() * b.cols() >= MATMUL_BREAK_EVEN);
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }
@@ -1026,7 +1079,7 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(43);
         let (n_samples, d_in, d_out) = (2 * TM_IB + 44, 67, 2 * NR + 5);
-        assert!(n_samples * d_in * d_out >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
+        assert!(n_samples * d_in * d_out >= T_MATMUL_BREAK_EVEN, "runs on the pool");
         let a: Mat = Mat::uniform(n_samples, d_in, 1.0, &mut rng);
         let b: Mat = Mat::uniform(n_samples, d_out, 1.0, &mut rng);
         for path in [TmPath::Tiled, TmPath::Skip] {
@@ -1039,6 +1092,48 @@ mod tests {
                 assert_eq!(row_bits(alone.row(0)), row_bits(full.row(k)), "{path:?} row {k}");
             }
         }
+    }
+
+    /// `t_matmul_streamed` is bitwise `t_matmul_into` on the `B` its
+    /// closure fills, for both dtypes: with sample blocks on the dense tile
+    /// and on the skip loop, a short last block, and K and J tails, inline
+    /// and on the pool. Every block arrives once per thread, in order.
+    #[test]
+    fn t_matmul_streamed_is_bitwise_t_matmul() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        fn check<S: Scalar>(a: &Mat<S>, b: &Mat<S>) {
+            let mut want = Mat::default();
+            t_matmul_into(a, b, &mut want);
+            let d_out = b.cols();
+            let starts = std::sync::Mutex::new(Vec::new());
+            let got = t_matmul_streamed(a, d_out, |start, rows| {
+                rows.copy_from_slice(&b.as_slice()[start * d_out..][..rows.len()]);
+                starts.lock().unwrap().push(start);
+            });
+            assert_eq!(row_bits(got.as_slice()), row_bits(want.as_slice()), "{}", S::DTYPE);
+            let blocks = a.rows().div_ceil(TM_IB);
+            let starts = starts.into_inner().unwrap();
+            assert_eq!(starts.len() % blocks, 0, "every block once per thread");
+            for run in starts.chunks(blocks) {
+                let want: Vec<usize> = (0..a.rows()).step_by(TM_IB).collect();
+                assert_eq!(run, &want[..], "blocks in order");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(48);
+        let (n_samples, d_in, d_out) = (3 * TM_IB + 17, 4 * MR + 3, 5 * NR + 5);
+        // The second block is ReLU-sparse, so it takes the skip loop.
+        let mut a: Mat = Mat::uniform(n_samples, d_in, 1.0, &mut rng);
+        for i in TM_IB..2 * TM_IB {
+            a.row_mut(i).iter_mut().filter(|v| **v < 0.9).for_each(|v| *v = 0.0);
+        }
+        assert_eq!(t_matmul_skip_flags(&a, TmPath::Auto), [false, true, false, false]);
+        let b: Mat = Mat::uniform(n_samples, d_out, 1.0, &mut rng);
+        assert!(n_samples * d_in * d_out >= T_MATMUL_BREAK_EVEN, "runs on the pool");
+        check(&a, &b);
+        check(&a.convert::<f32>(), &b.convert::<f32>());
+        let small = Mat::from_fn(5, 3, |i, j| (i * 3 + j) as f64 - 4.0);
+        check(&small, &Mat::from_fn(5, 2, |i, j| (i + 2 * j) as f64 * 0.25));
     }
 
     /// Each row of the parallel `A·Bᵀ` equals that row's dots computed
@@ -1057,7 +1152,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(47);
         let a: Mat = Mat::uniform(121, 131, 1.0, &mut rng);
         let b: Mat = Mat::uniform(27, 131, 1.0, &mut rng);
-        assert!(a.rows() * a.cols() * b.rows() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
+        assert!(a.rows() * a.cols() * b.rows() >= MATMUL_BT_BREAK_EVEN, "runs on the pool");
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }

@@ -141,15 +141,16 @@ pub trait Scalar:
         end: usize,
         panel: &mut [Self],
     );
-    /// Tier-dispatched `AᵀB` block kernel (bound of
-    /// [`crate::ops::t_matmul_into`]).
+    /// Tier-dispatched `AᵀB` kernel for one sample block (bound of
+    /// [`crate::ops::t_matmul_into`] and [`crate::ops::t_matmul_streamed`]).
     fn kernel_t_matmul_block(
         a: &Mat<Self>,
-        b: &Mat<Self>,
+        b_rows: &[Self],
         out: &mut [Self],
         k0: usize,
         k1: usize,
-        skip: &[bool],
+        ib: usize,
+        skip: bool,
     );
     /// Tier-dispatched `A·Bᵀ` block kernel (bound of
     /// [`crate::ops::matmul_bt_into`]).
@@ -218,13 +219,14 @@ impl Scalar for f64 {
     #[inline]
     fn kernel_t_matmul_block(
         a: &Mat<Self>,
-        b: &Mat<Self>,
+        b_rows: &[Self],
         out: &mut [Self],
         k0: usize,
         k1: usize,
-        skip: &[bool],
+        ib: usize,
+        skip: bool,
     ) {
-        crate::ops::t_matmul_block_f64(a, b, out, k0, k1, skip)
+        crate::ops::t_matmul_block_f64(a, b_rows, out, k0, k1, ib, skip)
     }
     #[inline]
     fn kernel_matmul_bt_block(a: &Mat<Self>, b: &Mat<Self>, block: &mut [Self], start: usize) {
@@ -294,13 +296,14 @@ impl Scalar for f32 {
     #[inline]
     fn kernel_t_matmul_block(
         a: &Mat<Self>,
-        b: &Mat<Self>,
+        b_rows: &[Self],
         out: &mut [Self],
         k0: usize,
         k1: usize,
-        skip: &[bool],
+        ib: usize,
+        skip: bool,
     ) {
-        crate::ops::t_matmul_block_f32(a, b, out, k0, k1, skip)
+        crate::ops::t_matmul_block_f32(a, b_rows, out, k0, k1, ib, skip)
     }
     #[inline]
     fn kernel_matmul_bt_block(a: &Mat<Self>, b: &Mat<Self>, block: &mut [Self], start: usize) {

@@ -29,14 +29,16 @@
 //!
 //! # Splits
 //!
-//! [`parallel_rows`] gives each thread one contiguous block of rows, and
+//! [`parallel_rows`] gives each thread one contiguous block of rows,
 //! [`parallel_zip`] splits an elementwise pass over several equal-length
-//! buffers the same way. Each chunk of a dense product streams a whole
-//! operand, so more chunks only add traffic; smaller blocks claimed as
-//! threads free up (for skewed sparse rows, or to cover a worker's late
-//! wake-up) bought nothing measurable on sparse products, the Adam step or
-//! end-to-end training. Neither split decides a value: a chunk boundary
-//! only chooses which thread computes an element, never how.
+//! buffers the same way, and [`parallel_ragged_rows`] splits rows of
+//! varying length (a CSR matrix's two arrays). Each chunk of a dense
+//! product streams a whole operand, so more chunks only add traffic;
+//! smaller blocks claimed as threads free up (for skewed sparse rows, or to
+//! cover a worker's late wake-up) bought nothing measurable on sparse
+//! products, the Adam step or end-to-end training. No split decides a
+//! value: a chunk boundary only chooses which thread computes an element,
+//! never how.
 //!
 //! # Kernel dispatch tiers
 //!
@@ -64,18 +66,31 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::Thread;
 
-/// Minimum number of scalar operations (e.g. `nnz · d` or `m·k·n`) below
-/// which parallel kernels run single-threaded.
+/// Work below which a pooled pass runs single-threaded, in one unit for
+/// every kernel: a pass of `PAR_THRESHOLD` units is one whose serial run
+/// takes as long as the pool's split saves.
 ///
 /// Publishing a job costs about a microsecond, but a parked worker starts
 /// its first chunk 20–60 µs later on a 2-vCPU VM, and a submitter left
 /// waiting for the last chunk wakes about 12 µs after it ends. So a split
-/// pays once the serial product takes some 50–100 µs. Measured at width 2
-/// against width 1 (`bench_linalg` records the fork-join cost), the pool
-/// broke even at about 400k multiply-adds for `matmul`, 300k for
-/// `t_matmul`, 150k for `matmul_bt` and 180k for a sparse product, whose
-/// operations are the slowest; 2¹⁸ sits between them.
+/// pays once the serial pass takes some 50–100 µs. One multiply-add costs
+/// about 3× more in `matmul_bt` and in a sparse product than in `matmul`,
+/// so each kernel converts its operation count with [`kernel_work`] and its
+/// own break-even: measured at width 2 against width 1 (`bench_linalg`
+/// records the fork-join cost and the rows around each break-even), about
+/// 400k multiply-adds for `matmul`, 300k for `t_matmul`, 150k for
+/// `matmul_bt` and 180k for a sparse product. Elementwise passes and the
+/// finish of a fused pass estimate their cost in multiply-adds at this
+/// threshold directly (an `exp` or a division counts as many).
 pub const PAR_THRESHOLD: usize = 1 << 18;
+
+/// `ops` operations of a kernel whose pooled pass breaks even at
+/// `break_even` of them, in the unit of [`PAR_THRESHOLD`]: the result
+/// reaches the threshold exactly when `ops` reaches `break_even`.
+#[inline]
+pub const fn kernel_work(ops: usize, break_even: usize) -> usize {
+    ops.saturating_mul(PAR_THRESHOLD) / break_even
+}
 
 /// A chunked job: threads repeatedly claim chunk indices from `cursor` until
 /// `num_chunks` is exhausted, calling the type-erased closure on each, and
@@ -372,11 +387,61 @@ where
     split_rows(bufs, len, 1, work, &f);
 }
 
+/// Splits two buffers holding the rows of a ragged matrix, row `i` at
+/// `offsets[i]..offsets[i + 1]` of each (the `indptr` of a CSR matrix),
+/// into the row blocks [`parallel_rows`] cuts `n = offsets.len() − 1` rows
+/// into, and invokes `f(a_block, b_block, start_row, end_row)` for each
+/// block in parallel. The blocks cover rows `[start_row, end_row)` of both
+/// buffers.
+///
+/// `work` and the inline rule are those of [`parallel_rows`].
+///
+/// # Panics
+/// Panics unless `offsets` is non-empty, starts at 0 and ends at the length
+/// of both buffers.
+pub fn parallel_ragged_rows<A, B, F>(a: &mut [A], b: &mut [B], offsets: &[usize], work: usize, f: F)
+where
+    A: Send,
+    B: Send,
+    F: Fn(&mut [A], &mut [B], usize, usize) + Sync,
+{
+    let n = offsets.len().checked_sub(1).expect("parallel_ragged_rows: empty offsets");
+    assert!(
+        offsets[0] == 0 && a.len() == offsets[n] && b.len() == offsets[n],
+        "parallel_ragged_rows: offsets do not span the buffers"
+    );
+    if n == 0 {
+        return;
+    }
+    let rows = rows_per_block(n, work);
+    let (mut a, mut b) = (a, b);
+    let blocks = (0..n).step_by(rows).map(|start| {
+        let end = (start + rows).min(n);
+        let len = offsets[end] - offsets[start];
+        let (a_block, a_rest) = std::mem::take(&mut a).split_at_mut(len);
+        let (b_block, b_rest) = std::mem::take(&mut b).split_at_mut(len);
+        (a, b) = (a_rest, b_rest);
+        (a_block, b_block, start, end)
+    });
+    run_blocks(blocks, n.div_ceil(rows), &|(a, b, start, end)| f(a, b, start, end));
+}
+
+/// Rows per block when `n` rows of `work` in all are split: all `n` (one
+/// inline block) below [`PAR_THRESHOLD`] or on one thread, otherwise
+/// `⌈n / threads⌉`, one block per thread.
+fn rows_per_block(n: usize, work: usize) -> usize {
+    let threads = configured_width().min(n);
+    if threads <= 1 || work < PAR_THRESHOLD {
+        n
+    } else {
+        n.div_ceil(threads)
+    }
+}
+
 /// Cuts `K` buffers of `n` rows × `d` into the same contiguous row blocks
-/// and runs `f(blocks, start_row)` once per block: one block, inline, below
-/// the threshold or on one thread, otherwise one block per thread on the
-/// pool. The blocks are disjoint borrows (`chunks_mut`), handed to the
-/// pool's chunks through a queue, so no raw pointer is needed.
+/// of [`rows_per_block`] rows and runs `f(blocks, start_row)` once per
+/// block. The blocks are disjoint borrows (`chunks_mut`), so no raw pointer
+/// is needed.
 fn split_rows<T: Send, const K: usize>(
     bufs: [&mut [T]; K],
     n: usize,
@@ -388,20 +453,24 @@ fn split_rows<T: Send, const K: usize>(
     if n == 0 || d == 0 {
         return;
     }
-    let threads = configured_width().min(n);
-    let rows = if threads <= 1 || work < PAR_THRESHOLD { n } else { n.div_ceil(threads) };
-    let mut blocks = bufs.map(|b| b.chunks_mut(rows * d));
-    let mut parts = (0..n.div_ceil(rows))
-        .map(|c| (std::array::from_fn(|k| blocks[k].next().expect("n rows each")), c * rows));
-    if rows == n {
-        let (block, start) = parts.next().expect("one block");
-        return f(block, start);
+    let rows = rows_per_block(n, work);
+    let mut chunks = bufs.map(|b| b.chunks_mut(rows * d));
+    let blocks = (0..n.div_ceil(rows))
+        .map(|c| (std::array::from_fn(|k| chunks[k].next().expect("n rows each")), c * rows));
+    run_blocks(blocks, n.div_ceil(rows), &|(block, start)| f(block, start));
+}
+
+/// Runs `f` on each of the `count` blocks: a single block inline, several
+/// as one pool chunk each, handed out through a queue.
+fn run_blocks<P: Send>(mut blocks: impl Iterator<Item = P>, count: usize, f: &(dyn Fn(P) + Sync)) {
+    if count == 1 {
+        return f(blocks.next().expect("one block"));
     }
-    let num_chunks = n.div_ceil(rows);
-    let queue = Mutex::new(parts.collect::<Vec<_>>().into_iter());
-    pool().run(num_chunks, &|_| {
-        let (block, start) = lock_ignore_poison(&queue).next().expect("one block per chunk");
-        f(block, start);
+    let queue = Mutex::new(blocks.collect::<Vec<_>>().into_iter());
+    pool().run(count, &|_| {
+        // A statement of its own, so the guard is dropped before `f` runs.
+        let block = lock_ignore_poison(&queue).next().expect("one block per chunk");
+        f(block);
     });
 }
 
@@ -764,6 +833,87 @@ mod tests {
             assert!(a.iter().enumerate().all(|(i, &v)| v == i), "len {len}");
             assert!(b.iter().enumerate().all(|(i, &v)| v == 2 * i), "len {len}");
         }
+    }
+
+    /// Rows of lengths 0 to 6 (so some blocks end on empty rows) are each
+    /// handed to one block with their own spans of both buffers, inline
+    /// and on the pool, and the blocks are the row blocks of
+    /// `parallel_rows`.
+    #[test]
+    fn parallel_ragged_rows_hands_each_row_its_spans_once() {
+        for (n, work) in [(1usize, 0usize), (5, 0), (1001, PAR_THRESHOLD)] {
+            let mut offsets = vec![0usize];
+            for i in 0..n {
+                offsets.push(offsets[i] + (i * 5) % 7);
+            }
+            let len = offsets[n];
+            let (mut a, mut b) = (vec![usize::MAX; len], vec![0.0f64; len]);
+            let blocks = Mutex::new(Vec::new());
+            parallel_ragged_rows(&mut a, &mut b, &offsets, work, |ab, bb, start, end| {
+                assert_eq!(ab.len(), offsets[end] - offsets[start]);
+                for i in start..end {
+                    let span = offsets[i] - offsets[start]..offsets[i + 1] - offsets[start];
+                    ab[span.clone()].fill(i);
+                    bb[span].iter_mut().for_each(|v| *v += 1.0);
+                }
+                blocks.lock().unwrap().push(start);
+            });
+            for i in 0..n {
+                assert!(a[offsets[i]..offsets[i + 1]].iter().all(|&r| r == i), "n = {n}, row {i}");
+            }
+            assert!(b.iter().all(|&v| v == 1.0), "n = {n}: an entry filled twice or never");
+            let rows = rows_per_block(n, work);
+            let mut starts = blocks.into_inner().unwrap();
+            starts.sort_unstable();
+            assert_eq!(starts, (0..n).step_by(rows).collect::<Vec<_>>(), "n = {n}");
+        }
+    }
+
+    /// Pooled blocks run at the same time: each waits until every block
+    /// has started, which it never sees if handing out blocks serialized
+    /// them. Skipped on a pool of one thread.
+    #[test]
+    fn pooled_blocks_run_concurrently() {
+        let (n, d) = POOLED_ROWS;
+        let blocks = n.div_ceil(rows_per_block(n, n * d));
+        if blocks < 2 {
+            return;
+        }
+        let wait_for_all = |started: &AtomicUsize| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            while started.load(Ordering::SeqCst) < blocks {
+                assert!(std::time::Instant::now() < deadline, "blocks ran one at a time");
+                std::thread::yield_now();
+            }
+        };
+        let started = AtomicUsize::new(0);
+        parallel_rows(&mut vec![0.0; n * d], n, d, n * d, |_, _, _| wait_for_all(&started));
+        let started = AtomicUsize::new(0);
+        let offsets: Vec<usize> = (0..=n).collect();
+        let (mut a, mut b) = (vec![0u8; n], vec![0.0; n]);
+        parallel_ragged_rows(&mut a, &mut b, &offsets, PAR_THRESHOLD, |_, _, _, _| {
+            wait_for_all(&started)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "do not span")]
+    fn parallel_ragged_rows_rejects_offsets_past_the_buffers() {
+        let (mut a, mut b) = (vec![0u32; 3], vec![0.0; 3]);
+        parallel_ragged_rows(&mut a, &mut b, &[0, 2, 4], 0, |_, _, _, _| {});
+    }
+
+    /// A kernel's work reaches the threshold exactly at its break-even,
+    /// and a huge operation count saturates instead of wrapping.
+    #[test]
+    fn kernel_work_reaches_the_threshold_at_the_break_even() {
+        for break_even in [150_000, 180_000, 300_000, 400_000] {
+            assert!(kernel_work(break_even, break_even) >= PAR_THRESHOLD);
+            assert!(kernel_work(break_even - 1, break_even) < PAR_THRESHOLD);
+        }
+        assert_eq!(kernel_work(PAR_THRESHOLD, PAR_THRESHOLD), PAR_THRESHOLD);
+        assert!(kernel_work(usize::MAX, 400_000) >= PAR_THRESHOLD);
     }
 
     #[test]

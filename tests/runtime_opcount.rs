@@ -136,7 +136,7 @@ fn push_refresh_performs_no_sparse_product() {
 /// features with one aggregating scale an encode plus the one-hop.
 #[test]
 fn fused_passes_count_one_product_each() {
-    use gcon::core::infer::private_features;
+    use gcon::core::infer::{private_features, private_logits};
     use gcon::core::train::train_gcon;
     use gcon::core::GconConfig;
     use gcon::graph::Csr;
@@ -165,4 +165,14 @@ fn fused_passes_count_one_product_each() {
     let before = spmm_ops_performed();
     let _ = private_features(&model, &g, &x);
     assert_eq!(spmm_ops_performed() - before, 2, "encode + one-hop");
+
+    // The one-hop, the assembly and the head are one product.
+    let before = spmm_ops_performed();
+    let _ = private_logits(&model, &g, &x);
+    assert_eq!(spmm_ops_performed() - before, 2, "encode + one-pass logits");
+    let mut graph_free = model.clone();
+    graph_free.config.steps = vec![PropagationStep::Finite(0)];
+    let before = spmm_ops_performed();
+    let _ = private_logits(&graph_free, &g, &x);
+    assert_eq!(spmm_ops_performed() - before, 1, "encode only: steps = [0] skip Ã");
 }
