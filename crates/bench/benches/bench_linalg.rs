@@ -26,11 +26,9 @@
 //! A **fork-join section** records what the worker pool costs and buys at
 //! pool widths 1 and 2: an empty 8-chunk `Pool::run` (p50 and p99, back to
 //! back and after 200 µs and 1 ms idle), the encoder-sized `t_matmul` of
-//! `19717×16ᵀ · 19717×48` behind the Hessian blocks (stored, and streamed
-//! from a closure as `ops::t_matmul_streamed` takes it), each kernel's
-//! product at multiply-add counts around its pool break-even, and a
-//! 32,000-parameter `Adam::update` (the encoder's `W₀`). The width is
-//! latched per process, so the bench re-runs itself as a child per width.
+//! `19717×16ᵀ · 19717×48` behind the Hessian blocks, and a 32,000-parameter
+//! `Adam::update` (the encoder's `W₀`). The width is latched per process, so
+//! the bench re-runs itself as a child per width.
 //!
 //! Results are printed per shape × tier and written machine-readably to
 //! `BENCH_linalg.json` at the workspace root (override with
@@ -233,20 +231,6 @@ fn fork_join_child(quick: bool) {
             ops::t_matmul_into(black_box(&z), black_box(&weighted), &mut out);
         }),
     );
-    let case = format!("t_matmul_streamed_{n}x16T_{n}x48");
-    row(
-        &case,
-        0,
-        fork_join_percentiles(200 / scale, Duration::ZERO, || {
-            let (z, weighted) = (black_box(&z), black_box(&weighted));
-            black_box(ops::t_matmul_streamed(z, 48, |start, rows| {
-                rows.copy_from_slice(&weighted.as_slice()[start * 48..][..rows.len()]);
-            }));
-        }),
-    );
-    for (case, percentiles) in break_even_rows(scale) {
-        row(&case, 0, percentiles);
-    }
     let mut opt = Adam::new(0.01);
     let mut param: Vec<f64> = (0..32_000).map(|i| (i as f64 * 0.37).sin()).collect();
     let grad: Vec<f64> = (0..32_000).map(|i| (i as f64 * 0.11).cos()).collect();
@@ -258,46 +242,6 @@ fn fork_join_child(quick: bool) {
             opt.update(0, black_box(&mut param), black_box(&grad));
         }),
     );
-}
-
-/// Multiply-add counts around the kernels' pool break-evens (150k–400k) and
-/// the common threshold they replaced (2¹⁸ = 262,144).
-const BREAK_EVEN_MADDS: [usize; 7] =
-    [100_000, 150_000, 200_000, 262_144, 300_000, 400_000, 600_000];
-
-/// One row per kernel and multiply-add count of [`BREAK_EVEN_MADDS`]: each
-/// kernel at its shape in training (`matmul` 64 → 16, `t_matmul` against a
-/// 48-column `B` as in the Hessian, `matmul_bt` 64 × 64 dots, a sparse
-/// product of a degree-10 graph with 16 columns), so the width 1 and width 2
-/// children show where splitting starts to pay.
-fn break_even_rows(scale: usize) -> Vec<(String, (f64, f64))> {
-    let mut rng = StdRng::seed_from_u64(9);
-    let time = |f: &mut dyn FnMut()| fork_join_percentiles(400 / scale, Duration::ZERO, f);
-    let mut rows = Vec::new();
-    let mut c = Mat::default();
-    for madds in BREAK_EVEN_MADDS {
-        let (a, b): (Mat, Mat) =
-            (Mat::uniform(madds / 1024, 64, 1.0, &mut rng), Mat::uniform(64, 16, 1.0, &mut rng));
-        let p = time(&mut || ops::matmul_into(black_box(&a), &b, &mut c));
-        rows.push((format!("matmul_madds_{madds}"), p));
-        let n = madds / (16 * 48);
-        let (a, b): (Mat, Mat) =
-            (Mat::uniform(n, 16, 1.0, &mut rng), Mat::uniform(n, 48, 1.0, &mut rng));
-        let p = time(&mut || ops::t_matmul_into(black_box(&a), &b, &mut c));
-        rows.push((format!("t_matmul_madds_{madds}"), p));
-        let (a, b): (Mat, Mat) =
-            (Mat::uniform(madds / 4096, 64, 1.0, &mut rng), Mat::uniform(64, 64, 1.0, &mut rng));
-        let p = time(&mut || ops::matmul_bt_into(black_box(&a), &b, &mut c));
-        rows.push((format!("matmul_bt_madds_{madds}"), p));
-        // Erdős–Rényi with 5 edges per node: 11 entries a row with the
-        // self-loop.
-        let nodes = madds / (16 * 11);
-        let sp = random_graph_csr(nodes, 5 * nodes, &mut rng);
-        let x: Mat = Mat::uniform(nodes, 16, 1.0, &mut rng);
-        let p = time(&mut || sp.spmm_into(black_box(&x), &mut c));
-        rows.push((format!("spmm_madds_{}", sp.nnz() * 16), p));
-    }
-    rows
 }
 
 /// Parent side: runs a child per pool width and collects its rows.

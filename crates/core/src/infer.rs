@@ -36,7 +36,7 @@
 //! **bitwise identical** to calling the entry points here.
 
 use crate::model::TrainedGcon;
-use crate::propagation::{appr_element, appr_step_into, concat_features, PropagationStep};
+use crate::propagation::{appr_element, concat_features, PropagationStep};
 use gcon_graph::normalize::row_stochastic;
 use gcon_graph::{Csr, Graph};
 use gcon_linalg::{ops, reduce, Mat, Scalar};
@@ -55,38 +55,60 @@ fn encode_normalized(model: &TrainedGcon, features: &Csr) -> Mat {
 ///
 /// Row `i` of the result depends only on `X̄` rows adjacent to node `i` (and
 /// `X̄ᵢ` itself), which is what makes this stage admissible under edge DP.
-/// [`private_logits`] is bitwise this followed by [`head_logits`].
+/// With a step that aggregates it is one product with `Ã` whose epilogue
+/// writes each block of feature rows (`private_feature_rows`); a single
+/// `m = 0` scale is `X̄` itself. [`private_logits`] is bitwise this
+/// followed by [`head_logits`].
 pub fn private_features(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     let x = encode_normalized(model, features);
     let steps = &model.config.steps;
-    // The one-hop aggregate, computed once if any m_i > 0: one APPR step
-    // from X̄ at α_I, its `(1−α_I)·v + α_I·x` applied to each row block of
-    // the sparse product while it is in cache.
-    let one_hop = aggregates(steps).then(|| {
-        let a_tilde = row_stochastic(graph, model.config.clip_p);
-        let mut h = Mat::default();
-        appr_step_into(&a_tilde, &x, &x, model.config.alpha_inference, &mut h);
-        h
-    });
-    if let [step] = steps[..] {
-        // One scale: the feature matrix is that block itself (`1/s = 1`).
-        return match step {
-            PropagationStep::Finite(0) => x,
-            _ => one_hop.expect("a step m > 0 aggregates"),
-        };
+    if steps[..] == [PropagationStep::Finite(0)] {
+        return x;
     }
+    let alpha_i = model.config.alpha_inference;
     let (n, d) = x.shape();
-    let mut z = Mat::zeros(n, steps.len() * d);
-    for (i, &step) in steps.iter().enumerate() {
-        let part = match step {
-            PropagationStep::Finite(0) => &x,
-            _ => one_hop.as_ref().expect("a step m > 0 aggregates"),
-        };
-        z.copy_into_columns(i * d, part);
+    let width = steps.len() * d;
+    let mut z = Mat::zeros(n, width);
+    if aggregates(steps) {
+        let a_tilde = row_stochastic(graph, model.config.clip_p);
+        a_tilde.spmm_row_blocks(&x, z.as_mut_slice(), width, 2 * n * width, |h, out, start| {
+            let x_rows = &x.as_slice()[start * d..][..h.len()];
+            private_feature_rows(steps, alpha_i, d, h, x_rows, out);
+        });
+    } else {
+        // Only `m = 0` scales: copies of X̄, without `Ã`.
+        private_feature_rows(steps, alpha_i, d, x.as_slice(), x.as_slice(), z.as_mut_slice());
     }
-    let inv_s = 1.0 / steps.len() as f64;
-    z.map_inplace(|v| v * inv_s);
     z
+}
+
+/// Writes one block of private feature rows to `z` (`s·d` wide): for each
+/// row, its scales in `steps` order, `X̄`'s row for `m = 0` and the APPR
+/// step `(1−α_I)·(Ã·X̄) + α_I·X̄` at `α_I` otherwise, each times `1/s` when
+/// there are several. `h` holds the block's rows of `Ã·X̄` (read only for
+/// a step that aggregates) and `x` the same rows of `X̄`, `d` wide each.
+/// Every element is one expression of its own `h` and `x` entries, so a
+/// block's rows are those of the whole-matrix passes.
+fn private_feature_rows(
+    steps: &[PropagationStep],
+    alpha_i: f64,
+    d: usize,
+    h: &[f64],
+    x: &[f64],
+    z: &mut [f64],
+) {
+    let s = steps.len();
+    let inv_s = 1.0 / s as f64;
+    let rows = z.chunks_exact_mut(s * d).zip(h.chunks_exact(d)).zip(x.chunks_exact(d));
+    for ((zrow, hrow), xrow) in rows {
+        for (part, &step) in zrow.chunks_exact_mut(d).zip(steps) {
+            let hop = step != PropagationStep::Finite(0);
+            for ((o, &v), &xi) in part.iter_mut().zip(hrow).zip(xrow) {
+                let f = if hop { appr_element(v, xi, alpha_i) } else { xi };
+                *o = if s == 1 { f } else { f * inv_s };
+            }
+        }
+    }
 }
 
 /// True when some step `mᵢ > 0`, so private inference reads `Ã`.
@@ -122,10 +144,11 @@ pub fn head_logits(model: &TrainedGcon, z: &Mat) -> Mat {
 /// (scaled by `1/s` to match the training-time feature scale; a uniform
 /// positive scaling does not change the argmax). Bitwise the composition
 /// of [`private_features`] and [`head_logits`], computed in two row-block
-/// passes: the encoder, then one product with `Ã` whose every block of
-/// rows gets the APPR step at `α_I`, the `1/s`-scaled concatenation (with
-/// several scales) and the head while it is in cache, so no `n × d`
-/// matrix is stored between them. Steps that never aggregate skip `Ã`.
+/// passes: the encoder, then one product with `Ã` whose epilogue writes
+/// each block's feature rows into per-thread scratch, as
+/// [`private_features`] writes them (`private_feature_rows`), and runs
+/// the head on them while they are in cache, so no `n × d` matrix is
+/// stored between the passes. Steps that never aggregate skip `Ã`.
 ///
 /// ```
 /// use gcon_core::infer::{private_logits, private_predict};
@@ -156,40 +179,22 @@ pub fn head_logits(model: &TrainedGcon, z: &Mat) -> Mat {
 pub fn private_logits(model: &TrainedGcon, graph: &Graph, features: &Csr) -> Mat {
     let steps = &model.config.steps;
     if !aggregates(steps) {
+        // No product with `Ã` to finish in: the features are copies of X̄.
         return head_logits(model, &private_features(model, graph, features));
     }
     let x = encode_normalized(model, features);
     let a_tilde = row_stochastic(graph, model.config.clip_p);
-    let alpha_i = model.config.alpha_inference;
+    let (alpha_i, theta) = (model.config.alpha_inference, &model.theta);
     let (n, d) = x.shape();
-    let (theta, s) = (&model.theta, steps.len());
-    let c = theta.cols();
-    let inv_s = 1.0 / s as f64;
+    let (width, c) = (steps.len() * d, theta.cols());
     let mut logits = Mat::zeros(n, c);
-    // Per row: the APPR step, the assembly and the head's multiply-adds.
-    let finish_work = n * (2 * d + s * d + s * d * c);
+    // Per row: the feature rows, then the head's multiply-adds.
+    let finish_work = n * (2 * width + width * c);
     a_tilde.spmm_row_blocks(&x, logits.as_mut_slice(), c, finish_work, |h, out, start| {
         let rows = h.len() / d;
         let x_rows = &x.as_slice()[start * d..][..h.len()];
-        for (v, &xi) in h.iter_mut().zip(x_rows) {
-            *v = appr_element(*v, xi, alpha_i);
-        }
-        if s == 1 {
-            return ops::matmul_rows_into(h, rows, theta, out);
-        }
-        // The concatenation `private_features` assembles, `1/s` applied
-        // to each copied element, for these rows only.
-        f64::with_scratch(rows * s * d, |z| {
-            for ((zrow, hrow), xrow) in
-                z.chunks_exact_mut(s * d).zip(h.chunks_exact(d)).zip(x_rows.chunks_exact(d))
-            {
-                for (part, &step) in zrow.chunks_exact_mut(d).zip(steps) {
-                    let src = if step == PropagationStep::Finite(0) { xrow } else { hrow };
-                    for (o, &v) in part.iter_mut().zip(src) {
-                        *o = v * inv_s;
-                    }
-                }
-            }
+        f64::with_scratch(rows * width, |z| {
+            private_feature_rows(steps, alpha_i, d, h, x_rows, z);
             ops::matmul_rows_into(z, rows, theta, out);
         });
     });
@@ -473,11 +478,11 @@ mod tests {
         z
     }
 
-    /// The fused one-hop, and the feature matrix a single scale returns
-    /// without assembly, are bitwise the reference, for one and several
-    /// scales, on the training graph and on a graph large enough that the
-    /// encode and the one-hop run on the pool; so are the one-pass
-    /// `private_logits` and the head of the reference features.
+    /// Private features are bitwise the reference, for one and several
+    /// scales (graph-free ones included), on the training graph and on a
+    /// graph large enough that the encode and the one-hop run on the pool;
+    /// so are the one-pass `private_logits` and the head of the reference
+    /// features.
     #[test]
     fn private_features_are_bitwise_the_whole_matrix_reference() {
         use PropagationStep::{Finite, Infinite};
@@ -506,6 +511,7 @@ mod tests {
             vec![Infinite],
             vec![Finite(0), Finite(2)],
             vec![Finite(1), Infinite, Finite(0)],
+            vec![Finite(0), Finite(0)],
         ] {
             let mut m = model.clone();
             m.config.steps = steps.clone();

@@ -284,102 +284,46 @@ mod tests {
         (value, grad, blocks)
     }
 
-    /// With `n₁ · c` loss terms enough for the pool, the value, the
-    /// gradient and the Hessian blocks are bitwise the serial reference's,
-    /// for both losses.
+    /// The value, the gradient and the Hessian blocks are bitwise the
+    /// serial reference's, for both losses: on the small setup (inline), on
+    /// `n₁ · c` loss terms enough for the pool, and on a training set whose
+    /// second `TM_IB` sample block is mostly zeros, so the Hessian's
+    /// streamed product takes its skip loop there.
     #[test]
     fn pooled_loss_terms_are_bitwise_the_serial_reference() {
         let (n1, d, c) = (1001, 16, 3);
         assert!(n1 * c * LOSS_TERM_OPS >= gcon_linalg::PAR_THRESHOLD, "loss terms run on the pool");
-        assert!(n1 * c * (LOSS_TERM_OPS + d) >= gcon_linalg::PAR_THRESHOLD, "Hessian rows too");
+        assert!(n1 * d * c * d >= gcon_linalg::PAR_THRESHOLD, "the Hessian's product too");
         let mut rng = StdRng::seed_from_u64(70);
-        let mut z = Mat::uniform(n1, d, 1.0, &mut rng);
-        z.normalize_rows_l2();
-        let y = Mat::from_fn(n1, c, |i, j| (i % c == j) as u8 as f64);
-        let b = Mat::uniform(d, c, 0.5, &mut rng);
-        let theta = Mat::uniform(d, c, 3.0, &mut rng);
-        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for kind in [LossKind::MultiLabelSoftMargin, LossKind::PseudoHuber { delta: 0.3 }] {
-            let obj = PerturbedObjective::new(&z, &y, ConvexLoss::new(kind, c), 0.7, &b);
-            let (value, grad) = obj.value_and_grad(&theta);
-            let (want_value, want_grad, want_blocks) = serial_reference(&obj, &theta);
-            assert_eq!(value.to_bits(), want_value.to_bits(), "{kind:?} value");
-            assert_eq!(bits(&grad), bits(&want_grad), "{kind:?} gradient");
-            for (j, (got, want)) in obj.hessian_blocks(&theta).iter().zip(&want_blocks).enumerate()
-            {
-                assert_eq!(bits(got), bits(want), "{kind:?} block {j}");
-            }
-        }
-    }
-
-    /// `hessian_blocks` as it was built before the product streamed its
-    /// `B`: the whole `n₁ × c·d` matrix of row-scaled copies
-    /// `W_j = diag(ℓ″/n₁) Z`, filled on the pool, then one `t_matmul`.
-    fn hessian_blocks_by_weighted_copy(obj: &PerturbedObjective, theta: &Mat) -> Vec<Mat> {
-        let n1 = obj.n1() as f64;
-        let (d, c) = theta.shape();
-        let scores = ops::matmul(obj.z, theta);
-        let mut weighted = Mat::zeros(obj.n1(), c * d);
-        let work = obj.n1() * c * (LOSS_TERM_OPS + d);
-        let rows = obj.n1();
-        gcon_linalg::parallel_rows(
-            weighted.as_mut_slice(),
-            rows,
-            c * d,
-            work,
-            |block, start, _| {
-                for (i, wrows) in (start..).zip(block.chunks_exact_mut(c * d)) {
-                    let zrow = obj.z.row(i);
-                    let (srow, yrow) = (scores.row(i), obj.y.row(i));
-                    for (j, wrow) in wrows.chunks_exact_mut(d).enumerate() {
-                        let w = obj.loss.d2(srow[j], yrow[j]) / n1;
-                        for (out, &zv) in wrow.iter_mut().zip(zrow) {
-                            *out = w * zv;
-                        }
-                    }
-                }
-            },
-        );
-        let all = ops::t_matmul(obj.z, &weighted);
-        (0..c)
-            .map(|j| {
-                let mut block = Mat::from_fn(d, d, |a, b| all.get(a, j * d + b));
-                for a in 0..d {
-                    block.add_at(a, a, obj.lambda_total);
-                }
-                block
-            })
-            .collect()
-    }
-
-    /// The streamed Hessian blocks are bitwise the weighted-copy build, for
-    /// both losses: on the small setup, on a training set of several
-    /// `TM_IB` blocks large enough for the pool, and on one whose second
-    /// sample block is mostly zeros, so it takes the product's skip loop.
-    #[test]
-    fn streamed_hessian_blocks_are_bitwise_the_weighted_copy() {
-        let mut rng = StdRng::seed_from_u64(71);
-        let (small_z, small_y, small_b) = setup(72);
-        let (n1, d, c) = (1001, 16, 3);
-        let mut z: Mat = Mat::uniform(n1, d, 1.0, &mut rng);
+        let mut dense: Mat = Mat::uniform(n1, d, 1.0, &mut rng);
+        dense.normalize_rows_l2();
+        let mut sparse_block: Mat = Mat::uniform(n1, d, 1.0, &mut rng);
         for i in ops::TM_IB..2 * ops::TM_IB {
-            z.row_mut(i).iter_mut().filter(|v| v.abs() < 0.9).for_each(|v| *v = 0.0);
+            sparse_block.row_mut(i).iter_mut().filter(|v| v.abs() < 0.9).for_each(|v| *v = 0.0);
         }
-        z.normalize_rows_l2();
+        sparse_block.normalize_rows_l2();
         let sampled = (ops::TM_IB..2 * ops::TM_IB).step_by(ops::TM_SPARSITY_SAMPLE_STRIDE);
-        let zeros: usize = sampled.map(|i| z.row(i).iter().filter(|&&v| v == 0.0).count()).sum();
+        let zeros: usize =
+            sampled.map(|i| sparse_block.row(i).iter().filter(|&&v| v == 0.0).count()).sum();
         let scanned = ops::TM_IB / ops::TM_SPARSITY_SAMPLE_STRIDE * d;
         assert!(zeros as f64 > ops::TM_SKIP_ZERO_FRAC * scanned as f64, "a skip block");
         let y = Mat::from_fn(n1, c, |i, j| (i % c == j) as u8 as f64);
         let b = Mat::uniform(d, c, 0.5, &mut rng);
+        let (small_z, small_y, small_b) = setup(72);
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (z, y, b) in [(&small_z, &small_y, &small_b), (&z, &y, &b)] {
+        let inputs = [(&small_z, &small_y, &small_b), (&dense, &y, &b), (&sparse_block, &y, &b)];
+        for (z, y, b) in inputs {
             let theta = Mat::uniform(z.cols(), y.cols(), 3.0, &mut rng);
             for kind in [LossKind::MultiLabelSoftMargin, LossKind::PseudoHuber { delta: 0.3 }] {
                 let obj = PerturbedObjective::new(z, y, ConvexLoss::new(kind, y.cols()), 0.7, b);
-                let want = hessian_blocks_by_weighted_copy(&obj, &theta);
-                for (j, (got, want)) in obj.hessian_blocks(&theta).iter().zip(&want).enumerate() {
-                    assert_eq!(bits(got), bits(want), "{kind:?} n₁ = {} block {j}", obj.n1());
+                let (value, grad) = obj.value_and_grad(&theta);
+                let (want_value, want_grad, want_blocks) = serial_reference(&obj, &theta);
+                let n1 = obj.n1();
+                assert_eq!(value.to_bits(), want_value.to_bits(), "{kind:?} n₁ = {n1} value");
+                assert_eq!(bits(&grad), bits(&want_grad), "{kind:?} n₁ = {n1} gradient");
+                let blocks = obj.hessian_blocks(&theta);
+                for (j, (got, want)) in blocks.iter().zip(&want_blocks).enumerate() {
+                    assert_eq!(bits(got), bits(want), "{kind:?} n₁ = {n1} block {j}");
                 }
             }
         }

@@ -45,13 +45,6 @@ static SPMM_OPS: AtomicU64 = AtomicU64::new(0);
 /// It decides only which rows are finished together, never a value.
 pub const ROW_BLOCK: usize = 128;
 
-/// Multiply-adds (`nnz · b.cols()`) at which a pooled sparse product breaks
-/// even with the serial one (width 2 against width 1); its work estimate
-/// reaches [`gcon_runtime::PAR_THRESHOLD`] here
-/// ([`gcon_runtime::kernel_work`]). A sparse multiply-add gathers a row of
-/// `B`, so it costs more than two dense ones.
-pub const SPMM_BREAK_EVEN: usize = 180_000;
-
 /// Total sparse products performed since process start. A
 /// `Csr::spmm`/`spmm_into`/`spmm_sequential_into`/`spmm_row_blocks` call
 /// counts 1 (one sparse×dense product, whatever the dense width);
@@ -163,7 +156,7 @@ impl<S: CsrScalar> Csr<S> {
     /// order. `indptr` is the prefix sum of the row lengths, and `indices`
     /// and `values` are allocated once and filled on the worker pool, one
     /// block of rows per thread; `entry_work` is the cost of one entry in
-    /// the unit of [`gcon_runtime::PAR_THRESHOLD`]. Each row is filled on
+    /// multiply-adds, for the inline-or-pool decision. Each row is filled on
     /// its own, so the matrix is the one [`Csr::push_row`] builds row by
     /// row from the same entries.
     pub(crate) fn from_row_fill(
@@ -487,9 +480,8 @@ impl<S: CsrScalar> Csr<S> {
     /// bits of [`Csr::spmm`], so a `finish` that reads only its own rows
     /// gives results that no thread count or block boundary can change.
     ///
-    /// `finish_work` is the cost of all `finish` calls in the unit of
-    /// [`gcon_runtime::PAR_THRESHOLD`], added to the product's own work for
-    /// the inline-or-pool decision.
+    /// `finish_work` is the cost of all `finish` calls in multiply-adds, added
+    /// to the product's `nnz · b.cols()` for the inline-or-pool decision.
     /// Counts one product in [`spmm_ops_performed`].
     pub fn spmm_row_blocks<T: Send>(
         &self,
@@ -503,7 +495,7 @@ impl<S: CsrScalar> Csr<S> {
         assert_eq!(out.len(), self.rows * out_cols, "spmm_row_blocks: out is not rows × out_cols");
         SPMM_OPS.fetch_add(1, Ordering::Relaxed);
         let d = b.cols();
-        let work = gcon_runtime::kernel_work(self.nnz() * d, SPMM_BREAK_EVEN) + finish_work;
+        let work = self.nnz() * d + finish_work;
         gcon_runtime::parallel_rows(out, self.rows, out_cols, work, |block, start, end| {
             S::with_scratch(ROW_BLOCK.min(end - start) * d, |product| {
                 for s in (start..end).step_by(ROW_BLOCK) {
@@ -521,7 +513,7 @@ impl<S: CsrScalar> Csr<S> {
         SPMM_OPS.fetch_add(1, Ordering::Relaxed);
         let d = b.cols();
         out.reset_to_zeros(self.rows, d);
-        let work = gcon_runtime::kernel_work(self.nnz() * d, SPMM_BREAK_EVEN);
+        let work = self.nnz() * d;
         gcon_runtime::parallel_rows(out.as_mut_slice(), self.rows, d, work, |block, start, end| {
             S::kernel_spmm_block(self, b, block, start, end, grouped);
         });
@@ -754,7 +746,7 @@ mod tests {
         }
         let sp = Csr::from_row_entries(n, n, entries);
         let b: Mat = Mat::uniform(n, 32, 1.0, &mut rng);
-        assert!(sp.nnz() * b.cols() >= SPMM_BREAK_EVEN, "runs on the pool");
+        assert!(sp.nnz() * b.cols() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         let full = sp.spmm(&b);
         for i in 0..n {
             let (cols, vals) = sp.row(i);
@@ -819,7 +811,7 @@ mod tests {
     fn spmm_row_blocks_finishes_every_row_once_with_the_spmm_bits() {
         let n = 5 * ROW_BLOCK + 3;
         let (sp, b) = random_product_pair(n, 24, 22);
-        assert!(sp.nnz() * b.cols() >= SPMM_BREAK_EVEN, "runs on the pool");
+        assert!(sp.nnz() * b.cols() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         let full = sp.spmm(&b);
         // Each output row: the product row's bits, then its start row and
         // row count, so a block that misplaces its rows shows.
@@ -992,7 +984,7 @@ mod tests {
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (x, paths) in [(&mixed, &[TmPath::Skip][..]), (&words, &[TmPath::Skip, TmPath::Auto])] {
             let xt = Csr::from_dense(x).transpose();
-            assert!(xt.nnz() * h > SPMM_BREAK_EVEN);
+            assert!(xt.nnz() * h > gcon_runtime::PAR_THRESHOLD);
             let mut got = Mat::full(2, 3, f64::NAN);
             xt.spmm_sequential_into(&delta, &mut got);
             for &path in paths {

@@ -22,7 +22,7 @@
 use crate::{Csr, Graph};
 
 /// Cost of one entry of [`row_stochastic`] (its share of the row's
-/// `off_sum` fold and of writing both arrays) in the unit of
+/// `off_sum` fold and of writing both arrays) in multiply-adds, the unit of
 /// `gcon_runtime::PAR_THRESHOLD`.
 const ENTRY_WORK: usize = 64;
 
@@ -31,7 +31,7 @@ const ENTRY_WORK: usize = 64;
 ///
 /// Row `u` has `deg(u) + 1` entries, so the row pointers are known up
 /// front: the two entry arrays are allocated once and the rows filled on
-/// the worker pool, each from [`row_stochastic_entries`], so the matrix
+/// the worker pool, each from `row_stochastic_entries`, so the matrix
 /// does not depend on the pool width.
 ///
 /// # Panics

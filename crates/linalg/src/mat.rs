@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cost of one element of [`Mat::normalize_rows_l2`] (a square, an add and
-/// a division) in the unit of [`crate::PAR_THRESHOLD`].
+/// a division) in multiply-adds, the unit of [`crate::PAR_THRESHOLD`].
 const NORMALIZE_OPS_PER_ELEMENT: usize = 4;
 
 /// A dense row-major `rows × cols` matrix, generic over the element

@@ -117,18 +117,6 @@ pub const TM_SKIP_ZERO_FRAC: f64 = 0.75;
 /// is deterministic.
 pub const TM_SPARSITY_SAMPLE_STRIDE: usize = 8;
 
-/// Multiply-adds at which a pooled [`matmul_into`] breaks even with the
-/// serial one (width 2 against width 1); its work estimate reaches
-/// [`crate::PAR_THRESHOLD`] here ([`gcon_runtime::kernel_work`]).
-pub const MATMUL_BREAK_EVEN: usize = 400_000;
-
-/// Multiply-adds at which a pooled [`t_matmul_into`] breaks even.
-pub const T_MATMUL_BREAK_EVEN: usize = 300_000;
-
-/// Multiply-adds at which a pooled [`matmul_bt_into`] breaks even: its
-/// dots cost about 3× a `matmul` multiply-add.
-pub const MATMUL_BT_BREAK_EVEN: usize = 150_000;
-
 /// `C = A · B` with a packed, register-tiled kernel (see the module docs),
 /// parallelized over row blocks of A on the shared runtime pool.
 pub fn matmul<S: Scalar>(a: &Mat<S>, b: &Mat<S>) -> Mat<S> {
@@ -154,8 +142,7 @@ pub fn matmul_into<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>) {
     let (m, k) = a.shape();
     let n = b.cols();
     c.reset_to_zeros(m, n);
-    let work = gcon_runtime::kernel_work(m * k * n, MATMUL_BREAK_EVEN);
-    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, work, |block, start, end| {
+    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, m * k * n, |block, start, end| {
         matmul_block(a.as_slice(), b, block, start, end);
     });
 }
@@ -400,7 +387,7 @@ pub fn t_matmul_into_with<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>, pat
     let d_out = b.cols();
     c.reset_to_zeros(d_in, d_out);
     let skip = t_matmul_skip_flags(a, path);
-    let work = gcon_runtime::kernel_work(n_samples * d_in * d_out, T_MATMUL_BREAK_EVEN);
+    let work = n_samples * d_in * d_out;
     gcon_runtime::parallel_rows(c.as_mut_slice(), d_in, d_out, work, |block, k0, k1| {
         for (ib, &skip) in (0..n_samples).step_by(TM_IB).zip(&skip) {
             let ie = (ib + TM_IB).min(n_samples);
@@ -425,7 +412,7 @@ pub fn t_matmul_streamed<S: Scalar>(
     let (n_samples, d_in) = a.shape();
     let mut c = Mat::zeros(d_in, b_cols);
     let skip = t_matmul_skip_flags(a, TmPath::Auto);
-    let work = gcon_runtime::kernel_work(n_samples * d_in * b_cols, T_MATMUL_BREAK_EVEN);
+    let work = n_samples * d_in * b_cols;
     gcon_runtime::parallel_rows(c.as_mut_slice(), d_in, b_cols, work, |block, k0, k1| {
         S::with_scratch(TM_IB.min(n_samples) * b_cols, |scratch| {
             for (ib, &skip) in (0..n_samples).step_by(TM_IB).zip(&skip) {
@@ -657,8 +644,7 @@ pub fn matmul_bt_into<S: Scalar>(a: &Mat<S>, b: &Mat<S>, c: &mut Mat<S>) {
     let n = b.rows();
     let k = a.cols();
     c.reset_to_zeros(m, n);
-    let work = gcon_runtime::kernel_work(m * k * n, MATMUL_BT_BREAK_EVEN);
-    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, work, |block, start, _end| {
+    gcon_runtime::parallel_rows(c.as_mut_slice(), m, n, m * k * n, |block, start, _end| {
         S::kernel_matmul_bt_block(a, b, block, start);
     });
 }
@@ -861,10 +847,10 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(2);
-        // Big enough to trigger the threaded path.
+        // Big enough to trigger the threaded path (m·k·n ≥ PAR_THRESHOLD).
         let a: Mat = Mat::uniform(256, 64, 1.0, &mut rng);
         let b: Mat = Mat::uniform(64, 32, 1.0, &mut rng);
-        assert!(a.rows() * a.cols() * b.cols() >= MATMUL_BREAK_EVEN);
+        assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
         let fast = matmul(&a, &b);
         let slow = naive_matmul(&a, &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
@@ -1038,10 +1024,10 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(41);
-        // m·k·n above the break-even, so the pool splits the rows.
+        // m·k·n above PAR_THRESHOLD, so the pool splits the rows.
         let a: Mat = Mat::uniform(67, KC + 9, 1.0, &mut rng);
         let b: Mat = Mat::uniform(KC + 9, 2 * NR_F32 + 5, 1.0, &mut rng);
-        assert!(a.rows() * a.cols() * b.cols() >= MATMUL_BREAK_EVEN);
+        assert!(a.rows() * a.cols() * b.cols() >= gcon_runtime::PAR_THRESHOLD);
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }
@@ -1079,7 +1065,7 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(43);
         let (n_samples, d_in, d_out) = (2 * TM_IB + 44, 67, 2 * NR + 5);
-        assert!(n_samples * d_in * d_out >= T_MATMUL_BREAK_EVEN, "runs on the pool");
+        assert!(n_samples * d_in * d_out >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         let a: Mat = Mat::uniform(n_samples, d_in, 1.0, &mut rng);
         let b: Mat = Mat::uniform(n_samples, d_out, 1.0, &mut rng);
         for path in [TmPath::Tiled, TmPath::Skip] {
@@ -1109,15 +1095,26 @@ mod tests {
             let starts = std::sync::Mutex::new(Vec::new());
             let got = t_matmul_streamed(a, d_out, |start, rows| {
                 rows.copy_from_slice(&b.as_slice()[start * d_out..][..rows.len()]);
-                starts.lock().unwrap().push(start);
+                starts.lock().unwrap().push((std::thread::current().id(), start));
             });
             assert_eq!(row_bits(got.as_slice()), row_bits(want.as_slice()), "{}", S::DTYPE);
-            let blocks = a.rows().div_ceil(TM_IB);
+            // Threads interleave their fills, so each thread's are checked
+            // on their own: whole runs over every block, in order.
+            let want: Vec<usize> = (0..a.rows()).step_by(TM_IB).collect();
             let starts = starts.into_inner().unwrap();
-            assert_eq!(starts.len() % blocks, 0, "every block once per thread");
-            for run in starts.chunks(blocks) {
-                let want: Vec<usize> = (0..a.rows()).step_by(TM_IB).collect();
-                assert_eq!(run, &want[..], "blocks in order");
+            let mut threads = Vec::new();
+            for &(id, _) in &starts {
+                if !threads.contains(&id) {
+                    threads.push(id);
+                }
+            }
+            for id in threads {
+                let run: Vec<usize> =
+                    starts.iter().filter(|&&(t, _)| t == id).map(|&(_, s)| s).collect();
+                assert_eq!(run.len() % want.len(), 0, "every block once per output range");
+                for run in run.chunks(want.len()) {
+                    assert_eq!(run, &want[..], "blocks in order");
+                }
             }
         }
         let mut rng = StdRng::seed_from_u64(48);
@@ -1129,7 +1126,7 @@ mod tests {
         }
         assert_eq!(t_matmul_skip_flags(&a, TmPath::Auto), [false, true, false, false]);
         let b: Mat = Mat::uniform(n_samples, d_out, 1.0, &mut rng);
-        assert!(n_samples * d_in * d_out >= T_MATMUL_BREAK_EVEN, "runs on the pool");
+        assert!(n_samples * d_in * d_out >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
         let small = Mat::from_fn(5, 3, |i, j| (i * 3 + j) as f64 - 4.0);
@@ -1152,7 +1149,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(47);
         let a: Mat = Mat::uniform(121, 131, 1.0, &mut rng);
         let b: Mat = Mat::uniform(27, 131, 1.0, &mut rng);
-        assert!(a.rows() * a.cols() * b.rows() >= MATMUL_BT_BREAK_EVEN, "runs on the pool");
+        assert!(a.rows() * a.cols() * b.rows() >= gcon_runtime::PAR_THRESHOLD, "runs on the pool");
         check(&a, &b);
         check(&a.convert::<f32>(), &b.convert::<f32>());
     }

@@ -66,31 +66,19 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::Thread;
 
-/// Work below which a pooled pass runs single-threaded, in one unit for
-/// every kernel: a pass of `PAR_THRESHOLD` units is one whose serial run
-/// takes as long as the pool's split saves.
+/// Minimum number of scalar operations (e.g. `nnz · d` or `m·k·n`) below
+/// which parallel kernels run single-threaded.
 ///
 /// Publishing a job costs about a microsecond, but a parked worker starts
 /// its first chunk 20–60 µs later on a 2-vCPU VM, and a submitter left
 /// waiting for the last chunk wakes about 12 µs after it ends. So a split
-/// pays once the serial pass takes some 50–100 µs. One multiply-add costs
-/// about 3× more in `matmul_bt` and in a sparse product than in `matmul`,
-/// so each kernel converts its operation count with [`kernel_work`] and its
-/// own break-even: measured at width 2 against width 1 (`bench_linalg`
-/// records the fork-join cost and the rows around each break-even), about
+/// pays once the serial product takes some 50–100 µs. Measured at width 2
+/// against width 1 (`bench_linalg` records the fork-join cost and each
+/// kernel's product at sizes around these), the pool broke even at about
 /// 400k multiply-adds for `matmul`, 300k for `t_matmul`, 150k for
-/// `matmul_bt` and 180k for a sparse product. Elementwise passes and the
-/// finish of a fused pass estimate their cost in multiply-adds at this
-/// threshold directly (an `exp` or a division counts as many).
+/// `matmul_bt` and 180k for a sparse product, whose operations are the
+/// slowest; 2¹⁸ sits between them.
 pub const PAR_THRESHOLD: usize = 1 << 18;
-
-/// `ops` operations of a kernel whose pooled pass breaks even at
-/// `break_even` of them, in the unit of [`PAR_THRESHOLD`]: the result
-/// reaches the threshold exactly when `ops` reaches `break_even`.
-#[inline]
-pub const fn kernel_work(ops: usize, break_even: usize) -> usize {
-    ops.saturating_mul(PAR_THRESHOLD) / break_even
-}
 
 /// A chunked job: threads repeatedly claim chunk indices from `cursor` until
 /// `num_chunks` is exhausted, calling the type-erased closure on each, and
@@ -902,18 +890,6 @@ mod tests {
     fn parallel_ragged_rows_rejects_offsets_past_the_buffers() {
         let (mut a, mut b) = (vec![0u32; 3], vec![0.0; 3]);
         parallel_ragged_rows(&mut a, &mut b, &[0, 2, 4], 0, |_, _, _, _| {});
-    }
-
-    /// A kernel's work reaches the threshold exactly at its break-even,
-    /// and a huge operation count saturates instead of wrapping.
-    #[test]
-    fn kernel_work_reaches_the_threshold_at_the_break_even() {
-        for break_even in [150_000, 180_000, 300_000, 400_000] {
-            assert!(kernel_work(break_even, break_even) >= PAR_THRESHOLD);
-            assert!(kernel_work(break_even - 1, break_even) < PAR_THRESHOLD);
-        }
-        assert_eq!(kernel_work(PAR_THRESHOLD, PAR_THRESHOLD), PAR_THRESHOLD);
-        assert!(kernel_work(usize::MAX, 400_000) >= PAR_THRESHOLD);
     }
 
     #[test]

@@ -281,24 +281,21 @@ fn kernel_fingerprint() -> Vec<u8> {
 fn pooled_fingerprint() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(515151);
     let mut bytes = Vec::new();
-    let pooled = |ops: usize, break_even: usize| {
-        let work = gcon_runtime::kernel_work(ops, break_even);
-        assert!(work >= gcon_runtime::PAR_THRESHOLD, "{ops} operations run inline");
-    };
+    let pooled = |work: usize| assert!(work >= gcon_runtime::PAR_THRESHOLD, "{work} runs inline");
     let ak = Mat::uniform(67, ops::KC + 37, 1.0, &mut rng);
     let bk = Mat::uniform(ops::KC + 37, 21, 1.0, &mut rng);
-    pooled(ak.rows() * ak.cols() * bk.cols(), ops::MATMUL_BREAK_EVEN);
+    pooled(ak.rows() * ak.cols() * bk.cols());
     push(&mut bytes, &ops::matmul(&ak, &bk));
     push32(&mut bytes, &ops::matmul(&ak.convert::<f32>(), &bk.convert::<f32>()));
     let sp = random_csr(601, 601, 0.05, &mut rng);
     let feats = Mat::uniform(601, 23, 1.0, &mut rng);
-    pooled(sp.nnz() * feats.cols(), gcon::graph::csr::SPMM_BREAK_EVEN);
+    pooled(sp.nnz() * feats.cols());
     push(&mut bytes, &sp.spmm(&feats));
     push32(&mut bytes, &sp.convert::<f32>().spmm(&feats.convert::<f32>()));
     let g = gcon::graph::generators::erdos_renyi_gnm(2600, 15_000, &mut rng);
     let at = row_stochastic_default(&g);
     let px = Mat::uniform(2600, 19, 1.0, &mut rng);
-    pooled(at.nnz() * px.cols(), gcon::graph::csr::SPMM_BREAK_EVEN);
+    pooled(at.nnz() * px.cols());
     push(&mut bytes, &propagate(&at, &px, 0.3, PropagationStep::Finite(4)));
     bytes
 }
