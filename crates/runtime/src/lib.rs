@@ -73,11 +73,10 @@ use std::thread::Thread;
 /// its first chunk 20–60 µs later on a 2-vCPU VM, and a submitter left
 /// waiting for the last chunk wakes about 12 µs after it ends. So a split
 /// pays once the serial product takes some 50–100 µs. Measured at width 2
-/// against width 1 (`bench_linalg` records the fork-join cost and each
-/// kernel's product at sizes around these), the pool broke even at about
-/// 400k multiply-adds for `matmul`, 300k for `t_matmul`, 150k for
-/// `matmul_bt` and 180k for a sparse product, whose operations are the
-/// slowest; 2¹⁸ sits between them.
+/// against width 1 (`bench_linalg` records the fork-join cost), the pool
+/// broke even at about 400k multiply-adds for `matmul`, 300k for
+/// `t_matmul`, 150k for `matmul_bt` and 180k for a sparse product, whose
+/// operations are the slowest; 2¹⁸ sits between them.
 pub const PAR_THRESHOLD: usize = 1 << 18;
 
 /// A chunked job: threads repeatedly claim chunk indices from `cursor` until
